@@ -45,7 +45,7 @@ type labBenchResult struct {
 	Deterministic bool    `json:"deterministic"`
 }
 
-// benchReport is the top-level JSON snapshot (BENCH_<n>.json trajectory).
+// benchReport is the top-level JSON snapshot written by -json.
 type benchReport struct {
 	Timestamp   string          `json:"timestamp"`
 	GoVersion   string          `json:"go_version"`

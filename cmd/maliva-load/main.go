@@ -1,40 +1,17 @@
 // Command maliva-load is a closed-loop load generator for the Maliva
 // serving layer: N workers fire visualization requests back to back over a
 // Zipf-skewed shape mix (hot pan/zoom shapes repeat, tail shapes don't)
-// spanning one or more datasets behind a Gateway, and report sustained QPS
-// plus client-side latency quantiles — overall and per dataset — together
-// with the server's own /metrics snapshot.
+// spanning one or more datasets behind a Gateway, and print sustained QPS
+// plus client-side latency quantiles, overall and per dataset. It exits
+// non-zero when any request fails (429/503 rejections are counted, not
+// failures).
 //
-// Modes:
+//	maliva-load -url http://host:8080     # drive a running gateway
+//	maliva-load -datasets twitter,taxi    # one in-process gateway, warmed
+//	maliva-load -agent maliva-agent.json  # in-process, a trained MDP snapshot
 //
-//	maliva-load -url http://host:8080            # drive a running gateway
-//	maliva-load                                   # in-process gateway, one cached pass
-//	maliva-load -datasets twitter,taxi -compare   # cross-dataset uncached vs cached
-//	maliva-load -agent maliva-agent.json          # drive a trained MDP snapshot
-//	maliva-load -replicas 1,2,4                   # replica scaling compare: one
-//	                                              # cached pass per count (1 = plain
-//	                                              # gateway, >1 = routed cluster)
-//	maliva-load -smoke                            # tiny CI pass (two datasets), fails on errors
-//	maliva-load -replicas 2 -smoke                # tiny CI pass through the cluster router
-//	maliva-load -replicas 3 -churn                # replica-churn drill: a healthy control
-//	                                              # pass, then a pass that kills/drains
-//	                                              # replicas mid-run; every 200 is checked
-//	                                              # byte-identical against a reference
-//	                                              # gateway and availability is asserted
-//	maliva-load -ingest                           # live-ingestion drill: read QPS idle vs
-//	                                              # under active writes, flush-latency
-//	                                              # distribution, and a zero-stale-read
-//	                                              # check against an uncached control
-//	                                              # gateway after every synchronous flush
-//	maliva-load -session                          # pan/zoom session benchmark: identical
-//	                                              # seeded random-walk sessions replayed
-//	                                              # against prefetch+subsumption OFF and
-//	                                              # ON, byte-identity checked per step;
-//	                                              # reports perceived-latency quantiles
-//	                                              # and prefetch hit/waste rates
-//	maliva-load -session -smoke                   # tiny CI pass: fails on any byte
-//	                                              # mismatch, live rejection, or a cold
-//	                                              # prefetch path
+// It asserts nothing about the answers and records no baseline: invariants
+// live in `go test`, numbers in bench/ (see bench/README.md).
 package main
 
 import (
@@ -47,15 +24,12 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/maliva/maliva/internal/cluster"
 	"github.com/maliva/maliva/internal/core"
 	"github.com/maliva/maliva/internal/engine"
 	"github.com/maliva/maliva/internal/middleware"
@@ -71,866 +45,118 @@ type shape struct {
 	body    []byte
 }
 
-// datasetPass is the per-dataset slice of one measured pass.
-type datasetPass struct {
-	Name     string  `json:"name"`
-	Requests int64   `json:"requests"`
-	Errors   int64   `json:"errors"`
-	Rejected int64   `json:"rejected"`
-	QPS      float64 `json:"qps"`
-	P50Ms    float64 `json:"p50_ms"`
-	P95Ms    float64 `json:"p95_ms"`
-	P99Ms    float64 `json:"p99_ms"`
+// tally is the measurements of one slice of the pass (one dataset, or all).
+type tally struct {
+	lats     []float64 // ms, successful requests only
+	total    int64
+	errors   int64
+	rejected int64
 }
 
-// passReport is the result of one measured load pass.
-type passReport struct {
-	Name        string  `json:"name"`
-	Requests    int64   `json:"requests"`
-	Errors      int64   `json:"errors"`
-	Rejected    int64   `json:"rejected"`
-	DurationSec float64 `json:"duration_sec"`
-	QPS         float64 `json:"qps"`
-	P50Ms       float64 `json:"p50_ms"`
-	P95Ms       float64 `json:"p95_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	MaxMs       float64 `json:"max_ms"`
-	AvgMs       float64 `json:"avg_ms"`
-
-	Datasets []datasetPass `json:"datasets,omitempty"`
-
-	// Churn-drill fields (maliva-load -churn): Availability is the fraction
-	// of requests answered 200 (503s during churn are the complement),
-	// Mismatches counts 200s whose bytes diverged from the reference
-	// gateway — the invariant the drill exists to check — and ChurnEvents
-	// logs the lifecycle timeline the pass injected.
-	Availability float64  `json:"availability,omitempty"`
-	Mismatches   int64    `json:"mismatched_responses,omitempty"`
-	ChurnEvents  []string `json:"churn_events,omitempty"`
-
-	// Replicas and ResultHitRate are set by -replicas scaling passes:
-	// ResultHitRate is gateway-wide for Replicas == 1 and cluster-wide
-	// (local + peer hits over all replicas) for Replicas > 1.
-	Replicas      int     `json:"replicas,omitempty"`
-	ResultHitRate float64 `json:"result_cache_hit_rate,omitempty"`
-
-	Server  *middleware.GatewayMetricsSnapshot `json:"server_metrics,omitempty"`
-	Cluster *cluster.Snapshot                  `json:"cluster_metrics,omitempty"`
-}
-
-// loadReport is the top-level JSON artifact (the BENCH_*.json trajectory).
-type loadReport struct {
-	Timestamp string   `json:"timestamp"`
-	GoVersion string   `json:"go_version"`
-	Procs     int      `json:"procs"`
-	Rows      int      `json:"rows"`
-	Datasets  []string `json:"datasets"`
-	Rewriter  string   `json:"rewriter"`
-	Shapes    int      `json:"shapes"`
-	Workers   int      `json:"workers"`
-	BudgetMs  float64  `json:"budget_ms"`
-	ZipfS     float64  `json:"zipf_s"`
-
-	// ReplicaCounts is the -replicas scaling sweep, when one ran.
-	ReplicaCounts []int `json:"replica_counts,omitempty"`
-
-	Passes []passReport `json:"passes"`
-
-	// Cached-vs-uncached headline numbers (compare mode only).
-	QPSSpeedup    float64 `json:"qps_speedup,omitempty"`
-	P95SpeedupX   float64 `json:"p95_speedup_x,omitempty"`
-	P50SpeedupX   float64 `json:"p50_speedup_x,omitempty"`
-	ResultHitRate float64 `json:"result_cache_hit_rate,omitempty"`
-	PlanHitRate   float64 `json:"plan_cache_hit_rate,omitempty"`
-
-	// Churn-drill headline numbers (churn mode only): availability under
-	// churn, the churn-pass p95 as a multiple of the healthy control's, and
-	// total byte-identity violations across both passes.
-	ChurnAvailability float64 `json:"churn_availability,omitempty"`
-	ChurnP95FactorX   float64 `json:"churn_p95_factor_x,omitempty"`
-	ChurnMismatches   int64   `json:"churn_mismatches,omitempty"`
-
-	// Ingest-drill headline numbers (ingest mode only): write-path volume
-	// and flush-latency distribution from the server's own counters, the
-	// active-writes read throughput as a fraction of idle, and the
-	// stale-read check tally — StaleReads must be 0 (cached reads after a
-	// flush byte-identical to an uncached control over the same data).
-	IngestRows       int64   `json:"ingest_rows,omitempty"`
-	IngestFlushes    int64   `json:"ingest_flushes,omitempty"`
-	IngestFlushP50Ms float64 `json:"ingest_flush_p50_ms,omitempty"`
-	IngestFlushP95Ms float64 `json:"ingest_flush_p95_ms,omitempty"`
-	IngestFlushMaxMs float64 `json:"ingest_flush_max_ms,omitempty"`
-	ActiveReadFactor float64 `json:"active_read_qps_factor,omitempty"`
-	StaleChecks      int64   `json:"stale_read_checks,omitempty"`
-	StaleReads       int64   `json:"stale_reads,omitempty"`
-
-	// Session-drill headline numbers (session mode only): perceived-latency
-	// speedups of the prefetch+subsumption ON pass over the OFF pass on the
-	// identical traces, the byte-identity tally (must be 0), and the ON
-	// pass's speculative-serving counters.
-	SessionCount       int     `json:"session_count,omitempty"`
-	SessionSteps       int     `json:"session_steps,omitempty"`
-	ThinkMs            float64 `json:"think_ms,omitempty"`
-	SessionP50SpeedupX float64 `json:"session_p50_speedup_x,omitempty"`
-	SessionP95SpeedupX float64 `json:"session_p95_speedup_x,omitempty"`
-	SessionMismatches  int64   `json:"session_mismatches,omitempty"`
-	PrefetchIssued     int64   `json:"prefetch_issued,omitempty"`
-	PrefetchHits       int64   `json:"prefetch_hits,omitempty"`
-	PrefetchShed       int64   `json:"prefetch_shed,omitempty"`
-	PrefetchComputed   int64   `json:"prefetch_computed,omitempty"`
-	PrefetchHitRate    float64 `json:"prefetch_hit_rate,omitempty"`
-	PrefetchWasteRate  float64 `json:"prefetch_waste_rate,omitempty"`
-	SubsumedHits       int64   `json:"subsumed_hits,omitempty"`
-
-	// Crash-drill results (crash mode only): the durability contract numbers
-	// — acked-vs-recovered row accounting after a SIGKILL, recovery time,
-	// byte-identity checks against an uncrashed control, graceful-drain
-	// accounting under SIGTERM, and per-fsync-policy sync-ack latency.
-	Crash *crashReport `json:"crash,omitempty"`
-
-	// Approx-drill results (approx mode only): the budget-feasibility
-	// frontier of the approximate tier vs the exact-only rewrite space
-	// across virtual dataset scales, plus the error-contract and
-	// exact-fallback check tallies.
-	Approx *approxDrillReport `json:"approx,omitempty"`
+func (t *tally) add(o *tally) {
+	t.lats = append(t.lats, o.lats...)
+	t.total += o.total
+	t.errors += o.errors
+	t.rejected += o.rejected
 }
 
 func main() {
 	var (
 		url      = flag.String("url", "", "target a running gateway instead of in-process")
 		rows     = flag.Int("rows", 60_000, "in-process rows per dataset")
-		datasets = flag.String("datasets", "", "comma-separated datasets to mix (twitter | taxi | tpch; default twitter, smoke default twitter,taxi)")
-		agent    = flag.String("agent", "", "drive a trained MDP agent snapshot (cmd/maliva-train output) instead of the Oracle")
+		datasets = flag.String("datasets", "twitter", "comma-separated datasets to mix (twitter | taxi | tpch)")
+		agent    = flag.String("agent", "", "in-process: serve a trained MDP agent snapshot (cmd/maliva-train output) instead of the Oracle")
 		workers  = flag.Int("c", 16, "closed-loop workers")
-		duration = flag.Duration("duration", 10*time.Second, "measured time per pass")
+		duration = flag.Duration("duration", 10*time.Second, "measured time")
 		nShapes  = flag.Int("shapes", 200, "distinct request shapes per dataset")
 		zipfS    = flag.Float64("zipf-s", 1.2, "shape popularity skew (Zipf s)")
 		budget   = flag.Float64("budget", 500, "request budget_ms")
 		seed     = flag.Int64("seed", 11, "workload seed")
-		compare  = flag.Bool("compare", false, "run an uncached baseline pass, then a cached pass")
-		repList  = flag.String("replicas", "", "comma-separated replica counts for a scaling compare (e.g. 1,2,4): one cached pass per count — 1 drives a plain gateway, >1 an in-process cluster behind the consistent-hash router")
-		jsonPath = flag.String("json", "", "write the report to this file")
-		smoke    = flag.Bool("smoke", false, "tiny CI pass: small datasets, ~2s, exit non-zero on errors")
-		churn    = flag.Bool("churn", false, "replica-churn drill over the -replicas count (default 3): a healthy control pass, then a pass with replicas killed/drained/revived mid-run; fails on any non-identical 200 or availability below 99%")
-		ingest   = flag.Bool("ingest", false, "live-ingestion drill: idle and active-writes read passes, flush-latency distribution, and a zero-stale-read check against an uncached control gateway; fails on any stale read")
-		crash    = flag.Bool("crash", false, "crash-recovery drill: SIGKILL a WAL-backed victim server mid-ingest, restart it, and assert zero acked-row loss plus byte-identical reads vs an uncrashed control; also SIGTERMs a victim under load (zero dropped in-flight) and prices the fsync policies")
-		approx   = flag.Bool("approx", false, "approximation drill: rebuild twitter at 10-100x virtual scale and sweep budgets against an exact-only and an approximate-tier server; reports the per-class feasibility frontier and fails on any answer outside its stated error contract or any inexact unbounded-budget answer")
-
-		crashVictim = flag.String("crash-victim-wal", "", "internal: run as the crash drill's victim server with this WAL directory (spawned by -crash, not for direct use)")
-		fsyncMode   = flag.String("fsync", "always", "WAL fsync policy for the crash victim (always | interval | never)")
-
-		session   = flag.Bool("session", false, "pan/zoom session benchmark: replay identical seeded random-walk sessions against prefetch+subsumption OFF and ON gateways, verify byte identity, and report perceived-latency quantiles and prefetch hit/waste rates")
-		nSessions = flag.Int("sessions", 8, "concurrent simulated sessions (session mode)")
-		sessSteps = flag.Int("session-steps", 60, "pan/zoom steps per session (session mode)")
-		think     = flag.Duration("think", 250*time.Millisecond, "per-step think time between a session's requests (session mode); human-scale pan debounce, which leaves the idle gaps prefetch speculates into")
 	)
 	flag.Parse()
 
-	if *crashVictim != "" {
-		runVictim(*crashVictim, *fsyncMode, *rows, *budget)
-		return
-	}
 	if *zipfS <= 1 {
 		fatal(fmt.Errorf("-zipf-s must be > 1 (got %v)", *zipfS))
 	}
-	if *smoke {
-		*rows = 8_000
-		*workers = 4
-		*duration = time.Second
-		*nShapes = 30
-		if *repList == "" && !*churn && !*ingest && !*session && !*crash && !*approx {
-			*compare = true
-		}
-		if *session {
-			*nSessions = 4
-			*sessSteps = 20
-			*think = 25 * time.Millisecond
-			if *datasets == "" {
-				*datasets = "twitter"
-			}
-		}
-		if *datasets == "" {
-			*datasets = "twitter,taxi"
+	var names []string
+	for _, name := range strings.Split(*datasets, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			names = append(names, name)
 		}
 	}
-	if *crash {
-		for flagName, set := range map[string]bool{
-			"-compare": *compare, "-replicas": *repList != "", "-churn": *churn,
-			"-ingest": *ingest, "-session": *session, "-url": *url != "",
-			"-approx": *approx,
-		} {
-			if set {
-				fatal(fmt.Errorf("-crash and %s are mutually exclusive (the crash drill spawns its own victim servers)", flagName))
-			}
-		}
-		if *agent != "" {
-			fatal(fmt.Errorf("-crash and -agent are mutually exclusive (victim servers always serve the Oracle)"))
-		}
-		// The drill's victim and control must build byte-identical base data,
-		// so the dataset is pinned.
-		*datasets = "twitter"
-	}
-	if *approx {
-		// Strictly its own mode: the drill builds its own scaled datasets and
-		// its own exact/approximate server pair, so every other drill, remote
-		// targeting, and agent policies are rejected loudly.
-		for flagName, set := range map[string]bool{
-			"-compare": *compare, "-replicas": *repList != "", "-churn": *churn,
-			"-ingest": *ingest, "-session": *session, "-crash": *crash,
-			"-url": *url != "", "-agent": *agent != "",
-		} {
-			if set {
-				fatal(fmt.Errorf("-approx and %s are mutually exclusive (the approximation drill runs its own exact/approximate compare in-process)", flagName))
-			}
-		}
-		// The drill needs the generated text vocabulary and spatial extent,
-		// so the dataset is pinned.
-		*datasets = "twitter"
-	}
-	if *datasets == "" {
-		*datasets = "twitter"
-	}
-	names := splitNames(*datasets)
 	if len(names) == 0 {
 		fatal(fmt.Errorf("-datasets lists no datasets"))
 	}
-	if *session {
-		// The session drill is strictly its own mode: it runs its own OFF/ON
-		// compare over in-process gateways, so every other drill (and remote
-		// targeting) is rejected loudly rather than silently ignored.
-		for flagName, set := range map[string]bool{
-			"-compare": *compare, "-replicas": *repList != "",
-			"-churn": *churn, "-ingest": *ingest, "-url": *url != "",
-			"-approx": *approx,
-		} {
-			if set {
-				fatal(fmt.Errorf("-session and %s are mutually exclusive (the session drill runs its own OFF/ON compare in-process)", flagName))
-			}
-		}
-		if *nSessions < 1 || *sessSteps < 2 {
-			fatal(fmt.Errorf("-session needs -sessions >= 1 and -session-steps >= 2 (got %d, %d)", *nSessions, *sessSteps))
-		}
-		if *think < 0 {
-			fatal(fmt.Errorf("-think must be >= 0 (got %v)", *think))
-		}
-	}
-	if *churn {
-		if *url != "" {
-			fatal(fmt.Errorf("-churn builds in-process clusters; it cannot drive a remote -url"))
-		}
-		if *compare {
-			fatal(fmt.Errorf("-churn and -compare are mutually exclusive (churn runs its own control pass)"))
-		}
-	}
-	if *ingest {
-		if *url != "" {
-			fatal(fmt.Errorf("-ingest needs the in-process control gateway; it cannot drive a remote -url"))
-		}
-		if *compare || *churn || *repList != "" {
-			fatal(fmt.Errorf("-ingest is its own drill; it excludes -compare, -churn, and -replicas"))
-		}
-	}
-	var replicaCounts []int
-	if *repList != "" {
-		if *url != "" {
-			fatal(fmt.Errorf("-replicas builds in-process clusters; it cannot drive a remote -url"))
-		}
-		if *compare {
-			fatal(fmt.Errorf("-replicas and -compare are mutually exclusive (the replica sweep is its own compare)"))
-		}
-		for _, s := range strings.Split(*repList, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			r, err := strconv.Atoi(s)
-			if err != nil || r < 1 {
-				fatal(fmt.Errorf("-replicas: bad count %q", s))
-			}
-			replicaCounts = append(replicaCounts, r)
-		}
-		if len(replicaCounts) == 0 {
-			fatal(fmt.Errorf("-replicas lists no counts"))
-		}
+	if *url != "" && *agent != "" {
+		fatal(fmt.Errorf("-agent configures the in-process gateway; a remote -url serves its own rewriter"))
 	}
 
-	rewriterName := "oracle"
-	if *agent != "" {
-		rewriterName = "agent:" + *agent
+	// Shape generation reads only dataset metadata (extent, time domain, the
+	// deterministic keyword naming), so a remote target needs just a tiny
+	// local build.
+	buildRows := *rows
+	if *url != "" {
+		buildRows = 2_000
 	}
-	report := loadReport{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Procs:     runtime.GOMAXPROCS(0),
-		Rows:      *rows,
-		Datasets:  names,
-		Rewriter:  rewriterName,
-		Shapes:    *nShapes,
-		Workers:   *workers,
-		BudgetMs:  *budget,
-		ZipfS:     *zipfS,
-	}
-
-	if *approx {
-		// The drill builds its own scaled datasets and servers; the generic
-		// pass machinery (shapes, gateways, workers) never runs.
-		runApprox(&report, *rows, *smoke)
-	} else if *url != "" {
-		shapes, err := remoteShapes(names, *nShapes, *budget, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		rep := runPass("remote", *url, shapes, *workers, *duration, *zipfS, *seed, false)
-		report.Passes = append(report.Passes, rep)
-	} else {
-		fmt.Fprintf(os.Stderr, "building %d-row dataset(s): %s...\n", *rows, strings.Join(names, ", "))
-		built := make(map[string]*workload.Dataset, len(names))
-		for _, name := range names {
-			build, err := workload.StandardBuilder(name, *rows)
-			if err != nil {
-				fatal(err)
-			}
-			ds, err := build()
-			if err != nil {
-				fatal(err)
-			}
-			built[name] = ds
-		}
-		shapes := mixShapes(names, built, *nShapes, *budget, *seed)
-		factory := middleware.OracleFactory
-		if *agent != "" {
-			factory = agentFactory(*agent)
-		}
-		if *session {
-			runSessions(&report, names, built, factory, *budget, *nSessions, *sessSteps, *think, *seed)
-		} else if *churn {
-			r := 3
-			if len(replicaCounts) > 0 {
-				r = replicaCounts[0]
-			}
-			if r < 2 {
-				fatal(fmt.Errorf("-churn needs at least 2 replicas (got %d)", r))
-			}
-			report.ReplicaCounts = []int{r}
-			runChurn(&report, r, names, built, shapes, factory, *budget, *workers, *duration, *zipfS, *seed)
-		} else if *ingest {
-			runIngest(&report, names, built, shapes, factory, *budget, *workers, *duration, *zipfS, *seed)
-		} else if *crash {
-			runCrash(&report, built, shapes, *budget, *rows, *seed, *smoke)
-		} else if len(replicaCounts) > 0 {
-			// Replica scaling compare: one warm cached pass per count. The
-			// hit rate is measured over the timed pass only (counter deltas
-			// around it, after the warmup sweep) — cumulative rates would
-			// punish whichever deployment processes fewer requests per cold
-			// miss, which on a small box is an artifact of the pass length,
-			// not of cache behavior.
-			report.ReplicaCounts = replicaCounts
-			client := &http.Client{Timeout: 30 * time.Second}
-			for _, r := range replicaCounts {
-				passName := fmt.Sprintf("replicas-%d", r)
-				var rep passReport
-				if r == 1 {
-					srv := startGateway(names, built, *budget, false, factory)
-					warmSweep(client, srv.url, shapes)
-					before := fetchMetrics(client, srv.url)
-					rep = runPass(passName, srv.url, shapes, *workers, *duration, *zipfS, *seed, false)
-					rep.ResultHitRate = gatewayDeltaHitRate(before, rep.Server)
-					srv.close()
-				} else {
-					srv, cl := startCluster(r, names, built, *budget, factory, cluster.HealthConfig{})
-					warmSweep(client, srv.url, shapes)
-					before := cl.Snapshot()
-					rep = runPass(passName, srv.url, shapes, *workers, *duration, *zipfS, *seed, false)
-					srv.close()
-					snap := cl.Snapshot()
-					cl.Close()
-					// runPass decodes /metrics as a gateway snapshot, which a
-					// cluster endpoint is not; the structured cluster snapshot
-					// replaces it.
-					rep.Server = nil
-					rep.Cluster = &snap
-					rep.ResultHitRate = deltaRate(
-						snap.ResultHits-before.ResultHits,
-						snap.ResultMisses-before.ResultMisses)
-				}
-				rep.Replicas = r
-				report.Passes = append(report.Passes, rep)
-			}
-		} else if *compare {
-			base := startGateway(names, built, *budget, true, factory)
-			rep := runPass("uncached", base.url, shapes, *workers, *duration, *zipfS, *seed, false)
-			report.Passes = append(report.Passes, rep)
-			base.close()
-
-			cached := startGateway(names, built, *budget, false, factory)
-			rep2 := runPass("cached", cached.url, shapes, *workers, *duration, *zipfS, *seed, true)
-			report.Passes = append(report.Passes, rep2)
-			cached.close()
-
-			if rep2.QPS > 0 && rep.QPS > 0 {
-				report.QPSSpeedup = rep2.QPS / rep.QPS
-			}
-			if rep2.P95Ms > 0 {
-				report.P95SpeedupX = rep.P95Ms / rep2.P95Ms
-			}
-			if rep2.P50Ms > 0 {
-				report.P50SpeedupX = rep.P50Ms / rep2.P50Ms
-			}
-			if rep2.Server != nil {
-				report.ResultHitRate, report.PlanHitRate = hitRates(rep2.Server)
-			}
-		} else {
-			srv := startGateway(names, built, *budget, false, factory)
-			rep := runPass("cached", srv.url, shapes, *workers, *duration, *zipfS, *seed, true)
-			report.Passes = append(report.Passes, rep)
-			srv.close()
-		}
-	}
-
-	for _, p := range report.Passes {
-		fmt.Printf("%-9s %7.0f req/s  p50 %7.3f ms  p95 %7.3f ms  p99 %7.3f ms  max %7.1f ms  (%d requests, %d errors, %d rejected)\n",
-			p.Name, p.QPS, p.P50Ms, p.P95Ms, p.P99Ms, p.MaxMs, p.Requests, p.Errors, p.Rejected)
-		if p.Replicas > 0 {
-			fmt.Printf("  result-cache hit rate %.1f%%", 100*p.ResultHitRate)
-			if p.Cluster != nil {
-				var local, peer int64
-				for _, rs := range p.Cluster.Replicas {
-					local += rs.Cache.LocalHits
-					peer += rs.Cache.PeerHits
-				}
-				fmt.Printf("  (local hits %d, peer hits %d)", local, peer)
-			}
-			fmt.Println()
-		}
-		if p.Availability > 0 {
-			fmt.Printf("  availability %.2f%%  mismatches %d\n", 100*p.Availability, p.Mismatches)
-		}
-		for _, d := range p.Datasets {
-			fmt.Printf("  %-12s %7.0f req/s  p50 %7.3f ms  p95 %7.3f ms  p99 %7.3f ms  (%d requests)\n",
-				d.Name, d.QPS, d.P50Ms, d.P95Ms, d.P99Ms, d.Requests)
-		}
-	}
-	if *churn && len(report.Passes) >= 2 {
-		fmt.Printf("churn vs control: availability %.2f%%, p95 %.2fx, mismatches %d\n",
-			100*report.ChurnAvailability, report.ChurnP95FactorX, report.ChurnMismatches)
-	}
-	if *session {
-		fmt.Printf("session: ON vs OFF perceived latency %.2fx p50, %.2fx p95  (mismatches %d)\n",
-			report.SessionP50SpeedupX, report.SessionP95SpeedupX, report.SessionMismatches)
-		fmt.Printf("prefetch: issued %d  hits %d (%.0f%%)  shed %d  computed %d (waste %.0f%%)  subsumed hits %d\n",
-			report.PrefetchIssued, report.PrefetchHits, 100*report.PrefetchHitRate,
-			report.PrefetchShed, report.PrefetchComputed, 100*report.PrefetchWasteRate,
-			report.SubsumedHits)
-	}
-	if *ingest {
-		fmt.Printf("ingest: %d rows in %d flushes  flush p50 %.3f ms  p95 %.3f ms  max %.1f ms\n",
-			report.IngestRows, report.IngestFlushes,
-			report.IngestFlushP50Ms, report.IngestFlushP95Ms, report.IngestFlushMaxMs)
-		fmt.Printf("stale reads: %d / %d post-flush checks  active/idle read QPS %.2fx\n",
-			report.StaleReads, report.StaleChecks, report.ActiveReadFactor)
-	}
-	if *approx && report.Approx != nil {
-		printApprox(report.Approx)
-	}
-	if *crash && report.Crash != nil {
-		c := report.Crash
-		fmt.Printf("crash: %d rows acked, %d recovered in %.2fs (lost %d, unacked-applied %d; replay %d records, truncated %t, recovering-state seen %t)\n",
-			c.AckedRows, c.RecoveredRows, c.RecoverySec, c.LostAckedRows, c.UnackedApplied,
-			c.ReplayRecords, c.ReplayTruncated, c.RecoveringSeen)
-		fmt.Printf("  reads after recovery: %d/%d byte-identical to the uncrashed control\n",
-			c.ReadChecks-c.ReadMismatches, c.ReadChecks)
-		fmt.Printf("  graceful drain: %d reads ok, %d rejected cleanly, %d dropped in-flight; %d acked rows, WAL clean %t\n",
-			c.DrainOKReads, c.DrainRejected, c.DrainDropped, c.DrainAckedRows, c.DrainWALClean)
-		for _, f := range c.FsyncCosts {
-			fmt.Printf("  fsync %-8s sync-ack p50 %7.3f ms  p95 %7.3f ms  (%d batches)\n",
-				f.Policy, f.AckP50Ms, f.AckP95Ms, f.Batches)
-		}
-	}
-	if len(replicaCounts) > 1 {
-		base := report.Passes[0]
-		for _, p := range report.Passes[1:] {
-			if base.QPS > 0 && p.P95Ms > 0 {
-				fmt.Printf("replicas %d vs %d: %.2fx QPS, %.2fx p95 (hit rate %.1f%% vs %.1f%%)\n",
-					p.Replicas, base.Replicas, p.QPS/base.QPS, base.P95Ms/p.P95Ms,
-					100*p.ResultHitRate, 100*base.ResultHitRate)
-			}
-		}
-	}
-	if report.QPSSpeedup > 0 {
-		fmt.Printf("cached vs uncached: %.2fx QPS, %.2fx p50, %.2fx p95 (result hit rate %.0f%%, plan hit rate %.0f%%)\n",
-			report.QPSSpeedup, report.P50SpeedupX, report.P95SpeedupX,
-			100*report.ResultHitRate, 100*report.PlanHitRate)
-	}
-
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-	}
-
-	for _, p := range report.Passes {
-		if p.Errors > 0 {
-			fatal(fmt.Errorf("pass %q saw %d request errors", p.Name, p.Errors))
-		}
-	}
-	if *churn {
-		if report.ChurnMismatches > 0 {
-			fatal(fmt.Errorf("churn: %d responses diverged from the reference gateway", report.ChurnMismatches))
-		}
-		if report.ChurnAvailability < 0.99 {
-			fatal(fmt.Errorf("churn: availability %.2f%% below the 99%% floor", 100*report.ChurnAvailability))
-		}
-	}
-	if *session {
-		if report.SessionMismatches > 0 {
-			fatal(fmt.Errorf("session: %d ON-pass responses diverged from the OFF pass (subsumption/prefetch broke byte identity)", report.SessionMismatches))
-		}
-		for _, p := range report.Passes {
-			if p.Rejected > 0 {
-				// The session workload runs far below capacity, so any 429/503
-				// means speculative admission stole a live request's slot.
-				fatal(fmt.Errorf("session: pass %q rejected %d live requests", p.Name, p.Rejected))
-			}
-		}
-		if *smoke {
-			if report.PrefetchIssued == 0 {
-				fatal(fmt.Errorf("session smoke: no prefetches were issued"))
-			}
-			if report.PrefetchHits == 0 {
-				fatal(fmt.Errorf("session smoke: no prefetched tile was ever consumed"))
-			}
-			if report.SubsumedHits == 0 {
-				fatal(fmt.Errorf("session smoke: no request was answered by containment slicing"))
-			}
-		}
-	}
-	if *approx && report.Approx != nil {
-		assertApprox(report.Approx)
-	}
-	if *ingest {
-		if report.StaleReads > 0 {
-			fatal(fmt.Errorf("ingest: %d of %d post-flush reads diverged from the uncached control (stale cache)", report.StaleReads, report.StaleChecks))
-		}
-		if report.IngestFlushes == 0 {
-			fatal(fmt.Errorf("ingest: the write path applied no flushes"))
-		}
-	}
-	if *smoke && len(report.Passes) > 0 {
-		last := report.Passes[len(report.Passes)-1]
-		if last.Server != nil && !*ingest {
-			if hits, _ := hitRates(last.Server); hits == 0 {
-				fatal(fmt.Errorf("smoke: cached pass served no result-cache hits"))
-			}
-		}
-		if last.Cluster != nil && last.Cluster.ResultHitRate == 0 {
-			fatal(fmt.Errorf("smoke: cluster pass served no result-cache hits"))
-		}
-		for _, name := range names {
-			served := false
-			for _, d := range last.Datasets {
-				if d.Name == name && d.Requests > 0 {
-					served = true
-				}
-			}
-			if !served {
-				fatal(fmt.Errorf("smoke: dataset %q served no requests through the gateway", name))
-			}
-		}
-	}
-}
-
-// runChurn runs the replica-churn drill: collect reference truth from a
-// standalone gateway, then drive an R-replica cluster through a healthy
-// control pass and a churn pass whose timeline kills, revives, drains, and
-// rejoins replicas mid-run — verifying every 200 byte-for-byte against the
-// reference along the way. Two invariants ride on this: responses never
-// diverge no matter which replica absorbs a failed-over request, and
-// availability holds because losing 1 of R replicas only fails over ~1/R of
-// the key space.
-func runChurn(report *loadReport, r int, names []string, built map[string]*workload.Dataset, shapes []shape, factory middleware.RewriterFactory, budget float64, workers int, d time.Duration, zipfS float64, seed int64) {
-	client := &http.Client{Timeout: 30 * time.Second}
-	ref := startGateway(names, built, budget, false, factory)
-	expected := make([][]byte, len(shapes))
-	for i, sh := range shapes {
-		code, data, err := fireRaw(client, ref.url, sh)
-		if err != nil || code != http.StatusOK {
-			fatal(fmt.Errorf("churn reference: shape %d got status %d, err %v", i, code, err))
-		}
-		expected[i] = data
-	}
-	ref.close()
-
-	// Probe cadence scaled to the pass, so demotion and rejoin both land
-	// well inside the measured window.
-	health := cluster.HealthConfig{Interval: d / 50, FailAfter: 1, RejoinAfter: 1}
-	if health.Interval < 10*time.Millisecond {
-		health.Interval = 10 * time.Millisecond
-	}
-
-	run := func(name string, mkEvents func(cl *cluster.Cluster) []churnEvent) passReport {
-		srv, cl := startCluster(r, names, built, budget, factory, health)
-		var events []churnEvent
-		if mkEvents != nil {
-			events = mkEvents(cl)
-		}
-		rep := runChurnPass(name, srv.url, shapes, expected, workers, d, zipfS, seed, events)
-		srv.close()
-		snap := cl.Snapshot()
-		cl.Close()
-		rep.Server = nil
-		rep.Cluster = &snap
-		rep.Replicas = r
-		rep.ResultHitRate = snap.ResultHitRate
-		return rep
-	}
-
-	ctrl := run("churn-control", nil)
-	kill, drain := 1, r-1 // distinct victims; replica 0 always stays live
-	if drain == kill {
-		drain = 1 // two-replica cluster: one victim plays both parts
-	}
-	churnRep := run("churn", func(cl *cluster.Cluster) []churnEvent {
-		return []churnEvent{
-			{at: d / 4, label: fmt.Sprintf("kill replica %d", kill), action: func() { cl.Kill(kill) }},
-			{at: d / 2, label: fmt.Sprintf("revive replica %d", kill), action: func() { cl.Revive(kill) }},
-			{at: d * 13 / 20, label: fmt.Sprintf("drain replica %d", drain), action: func() { cl.Drain(drain) }},
-			{at: d * 17 / 20, label: fmt.Sprintf("rejoin replica %d", drain), action: func() { cl.Rejoin(drain) }},
-		}
-	})
-	report.Passes = append(report.Passes, ctrl, churnRep)
-	report.ChurnAvailability = churnRep.Availability
-	if ctrl.P95Ms > 0 {
-		report.ChurnP95FactorX = churnRep.P95Ms / ctrl.P95Ms
-	}
-	report.ChurnMismatches = ctrl.Mismatches + churnRep.Mismatches
-}
-
-// runIngest runs the live-ingestion drill against one cached gateway:
-//
-//  1. an idle read pass (no writes) — the read-throughput baseline;
-//  2. an active read pass with a background writer streaming batches through
-//     POST /ingest, so the adaptive batcher's flushes keep bumping data
-//     versions under the measured reads;
-//  3. the stale-read check: an UNCACHED control gateway is started over the
-//     SAME shared datasets, then a single writer loop alternates synchronous
-//     flushes with byte-comparing cached responses against the control's
-//     from-scratch recompute — while background readers keep racing the
-//     cached gateway. One diverging byte means some cache layer (plan,
-//     result, lookup, or peer) served a pre-flush answer; the drill fails.
-//
-// The control gateway shares the built *workload.Dataset values, so it
-// always computes at exactly the data version the flush just produced.
-func runIngest(report *loadReport, names []string, built map[string]*workload.Dataset, shapes []shape, factory middleware.RewriterFactory, budget float64, workers int, d time.Duration, zipfS float64, seed int64) {
-	client := &http.Client{Timeout: 30 * time.Second}
-	srv := startGateway(names, built, budget, false, factory)
-	defer srv.close()
-
-	streams := make(map[string]*workload.IngestStream, len(names))
+	fmt.Fprintf(os.Stderr, "building %d-row dataset(s): %s...\n", buildRows, strings.Join(names, ", "))
+	built := make(map[string]*workload.Dataset, len(names))
 	for _, name := range names {
-		st, err := workload.NewIngestStream(built[name], seed+500)
+		build, err := workload.StandardBuilder(name, buildRows)
 		if err != nil {
 			fatal(err)
 		}
-		streams[name] = st
-	}
-
-	idle := runPass("ingest-idle", srv.url, shapes, workers, d, zipfS, seed, true)
-	report.Passes = append(report.Passes, idle)
-
-	// Active pass: one background writer drip-feeds asynchronous batches,
-	// sized and paced so both flush triggers fire (the size threshold on
-	// bursts, the adaptive timer between them).
-	var (
-		stopWriter atomic.Bool
-		writerWG   sync.WaitGroup
-	)
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		for i := 0; !stopWriter.Load(); i++ {
-			name := names[i%len(names)]
-			if err := postIngest(client, srv.url, name, streams[name].Next(64), false); err != nil {
-				fmt.Fprintf(os.Stderr, "ingest writer: %v\n", err)
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	active := runPass("ingest-active", srv.url, shapes, workers, d, zipfS, seed+1, false)
-	stopWriter.Store(true)
-	writerWG.Wait()
-	report.Passes = append(report.Passes, active)
-	if idle.QPS > 0 {
-		report.ActiveReadFactor = active.QPS / idle.QPS
-	}
-
-	// Stale-read check against the uncached control. Background readers
-	// keep the cached gateway's caches hot and racing while the writer
-	// flushes, so a stale entry that survives a version bump gets every
-	// chance to be served.
-	ctrl := startGateway(names, built, budget, true, factory)
-	defer ctrl.close()
-	var (
-		stopReaders atomic.Bool
-		readerWG    sync.WaitGroup
-	)
-	for w := 0; w < 2; w++ {
-		readerWG.Add(1)
-		go func(w int) {
-			defer readerWG.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*31))
-			for !stopReaders.Load() {
-				_, _, _ = fire(client, srv.url, shapes[rng.Intn(len(shapes))])
-			}
-		}(w)
-	}
-	const checkRounds = 6
-	perRound := len(shapes)
-	if perRound > 48 {
-		perRound = 48
-	}
-	var stale, checks int64
-	for r := 0; r < checkRounds; r++ {
-		name := names[r%len(names)]
-		if err := postIngest(client, srv.url, name, streams[name].Next(32), true); err != nil {
-			fatal(fmt.Errorf("ingest check: %v", err))
-		}
-		for j := 0; j < perRound; j++ {
-			sh := shapes[(r*perRound+j)%len(shapes)]
-			wantCode, want, err := fireRaw(client, ctrl.url, sh)
-			if err != nil || wantCode != http.StatusOK {
-				fatal(fmt.Errorf("ingest check: control got status %d, err %v", wantCode, err))
-			}
-			gotCode, got, err := fireRaw(client, srv.url, sh)
-			if err != nil || gotCode != http.StatusOK {
-				fatal(fmt.Errorf("ingest check: cached gateway got status %d, err %v", gotCode, err))
-			}
-			checks++
-			if !bytes.Equal(want, got) {
-				stale++
-			}
+		if built[name], err = build(); err != nil {
+			fatal(err)
 		}
 	}
-	stopReaders.Store(true)
-	readerWG.Wait()
-	report.StaleChecks, report.StaleReads = checks, stale
+	shapes := mixShapes(names, built, *nShapes, *budget, *seed)
 
-	// Write-path volume and flush latencies from the server's own counters.
-	if snap := fetchMetrics(client, srv.url); snap != nil {
-		for _, m := range snap.Datasets {
-			report.IngestRows += m.IngestRows
-			report.IngestFlushes += m.IngestFlushes
-			if m.IngestFlushes > 0 && m.FlushP95Ms >= report.IngestFlushP95Ms {
-				report.IngestFlushP50Ms = m.FlushP50Ms
-				report.IngestFlushP95Ms = m.FlushP95Ms
-			}
-			if m.FlushMaxMs > report.IngestFlushMaxMs {
-				report.IngestFlushMaxMs = m.FlushMaxMs
-			}
-		}
+	target := *url
+	if target == "" {
+		hs, addr := startGateway(names, built, *budget, *agent)
+		defer hs.Close()
+		target = addr
 	}
-}
 
-// postIngest sends one batch of wire-form rows to a gateway's write path.
-func postIngest(client *http.Client, url, dataset string, rows []map[string]any, sync bool) error {
-	body, err := json.Marshal(map[string]any{"rows": rows, "sync": sync})
-	if err != nil {
-		return err
+	// The timeout bounds a wedged server: workers fail fast instead of
+	// hanging the pass forever.
+	client := &http.Client{
+		Timeout: 30 * time.Second,
+		Transport: &http.Transport{
+			MaxIdleConns:        *workers * 2,
+			MaxIdleConnsPerHost: *workers * 2,
+		},
 	}
-	resp, err := client.Post(url+"/ingest?dataset="+dataset, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ingest %s: status %d: %s", dataset, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	return nil
-}
-
-// splitNames parses the -datasets list.
-func splitNames(s string) []string {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// hitRates aggregates result/plan cache hit rates across every dataset the
-// gateway serves.
-func hitRates(snap *middleware.GatewayMetricsSnapshot) (result, plan float64) {
-	var rh, rm, ph, pm int64
-	for _, m := range snap.Datasets {
-		rh += m.ResultHits
-		rm += m.ResultMisses
-		ph += m.PlanHits
-		pm += m.PlanMisses
-	}
-	if rh+rm > 0 {
-		result = float64(rh) / float64(rh+rm)
-	}
-	if ph+pm > 0 {
-		plan = float64(ph) / float64(ph+pm)
-	}
-	return result, plan
-}
-
-// warmSweep touches every shape once so a measured pass starts from steady
-// state (the same sweep runPass runs when asked to warm up).
-func warmSweep(client *http.Client, url string, shapes []shape) {
+	// Touch every shape once: the pass measures steady-state cache behavior,
+	// not cold start.
 	for _, sh := range shapes {
-		_, _, _ = fire(client, url, sh)
+		_, _ = fire(client, target, sh)
 	}
-}
+	perDS, elapsed := runPass(client, target, shapes, *workers, *duration, *zipfS, *seed)
 
-// deltaRate is hits/(hits+misses) over counter deltas.
-func deltaRate(hits, misses int64) float64 {
-	if hits+misses <= 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
-// gatewayDeltaHitRate computes the result-cache hit rate between two
-// gateway snapshots (nil before means "from zero").
-func gatewayDeltaHitRate(before, after *middleware.GatewayMetricsSnapshot) float64 {
-	if after == nil {
-		return 0
-	}
-	var hits, misses int64
-	for _, m := range after.Datasets {
-		hits += m.ResultHits
-		misses += m.ResultMisses
-	}
-	if before != nil {
-		for _, m := range before.Datasets {
-			hits -= m.ResultHits
-			misses -= m.ResultMisses
+	var all tally
+	for _, name := range names {
+		if t := perDS[name]; t != nil {
+			all.add(t)
 		}
 	}
-	return deltaRate(hits, misses)
+	printTally("total", &all, elapsed)
+	for _, name := range names {
+		if t := perDS[name]; t != nil {
+			printTally("  "+name, t, elapsed)
+		}
+	}
+	if all.errors > 0 {
+		fatal(fmt.Errorf("%d of %d requests failed", all.errors, all.total))
+	}
 }
 
-// agentFactory loads a trained MDP policy snapshot per dataset (each Server
-// serializes only its own rewriter, so instances must not be shared).
-func agentFactory(path string) middleware.RewriterFactory {
-	return func(name string, ds *workload.Dataset) (core.Rewriter, error) {
-		a, err := core.LoadAgentFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return &core.MDPRewriter{Agent: a, QTE: qte.NewAccurateQTE(), Tag: "Accurate-QTE"}, nil
-	}
+func printTally(label string, t *tally, elapsed time.Duration) {
+	sort.Float64s(t.lats)
+	fmt.Printf("%-14s %7.0f req/s  p50 %7.3f ms  p95 %7.3f ms  p99 %7.3f ms  max %7.1f ms  (%d requests, %d errors, %d rejected)\n",
+		label, float64(t.total)/elapsed.Seconds(),
+		pct(t.lats, 0.50), pct(t.lats, 0.95), pct(t.lats, 0.99), pct(t.lats, 1),
+		t.total, t.errors, t.rejected)
 }
 
 // mixShapes builds the cross-dataset request pool: n shapes per dataset,
@@ -949,26 +175,6 @@ func mixShapes(names []string, built map[string]*workload.Dataset, n int, budget
 		}
 	}
 	return out
-}
-
-// remoteShapes builds shapes for a running gateway by regenerating the
-// datasets' metadata locally at tiny size (shape generation only reads
-// vocabulary-independent metadata plus the generated keyword naming, which
-// is deterministic per dataset).
-func remoteShapes(names []string, n int, budget float64, seed int64) ([]shape, error) {
-	built := make(map[string]*workload.Dataset, len(names))
-	for _, name := range names {
-		build, err := workload.StandardBuilder(name, 2_000)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := build()
-		if err != nil {
-			return nil, err
-		}
-		built[name] = ds
-	}
-	return mixShapes(names, built, n, budget, seed), nil
 }
 
 // makeShapes builds one dataset's request-shape pool from its metadata:
@@ -1014,27 +220,26 @@ func makeShapes(name string, ds *workload.Dataset, n int, budget float64, seed i
 			req["min_lon"], req["min_lat"] = minLon, minLat
 			req["max_lon"], req["max_lat"] = minLon+w, minLat+h
 		}
-		body, _ := json.Marshal(req)
+		body, _ := json.Marshal(req) // a map of strings and numbers cannot fail
 		shapes[i] = shape{dataset: name, body: body}
 	}
 	return shapes
 }
 
-// inprocGateway is an in-process multi-dataset gateway instance.
-type inprocGateway struct {
-	url  string
-	http *http.Server
-	ln   net.Listener
-}
-
 // startGateway serves every built dataset through one warm Gateway over a
-// loopback listener. uncached disables both caches (the baseline the
-// serving layer is measured against).
-func startGateway(names []string, built map[string]*workload.Dataset, budget float64, uncached bool, factory middleware.RewriterFactory) *inprocGateway {
-	cfg := middleware.ServerConfig{DefaultBudgetMs: budget}
-	if uncached {
-		cfg.PlanCacheSize = -1
-		cfg.ResultCacheSize = -1
+// loopback listener and returns the server (for Close) and its base URL.
+// agentPath, when set, loads one MDP policy instance per dataset (each
+// Server serializes only its own rewriter, so instances must not be shared).
+func startGateway(names []string, built map[string]*workload.Dataset, budget float64, agentPath string) (*http.Server, string) {
+	factory := middleware.OracleFactory
+	if agentPath != "" {
+		factory = func(string, *workload.Dataset) (core.Rewriter, error) {
+			a, err := core.LoadAgentFile(agentPath)
+			if err != nil {
+				return nil, err
+			}
+			return &core.MDPRewriter{Agent: a, QTE: qte.NewAccurateQTE(), Tag: "Accurate-QTE"}, nil
+		}
 	}
 	reg := workload.NewRegistry()
 	for _, name := range names {
@@ -1044,7 +249,7 @@ func startGateway(names []string, built map[string]*workload.Dataset, budget flo
 		}
 	}
 	gw, err := middleware.NewGateway(reg, factory, middleware.GatewayConfig{
-		Server: cfg,
+		Server: middleware.ServerConfig{DefaultBudgetMs: budget},
 		Space:  core.HintOnlySpec(),
 	})
 	if err != nil {
@@ -1053,81 +258,23 @@ func startGateway(names []string, built map[string]*workload.Dataset, budget flo
 	if err := gw.Warm(); err != nil {
 		fatal(err)
 	}
-	return serveGateway(gw.Handler())
-}
-
-// serveGateway serves a handler over a fresh loopback listener.
-func serveGateway(h http.Handler) *inprocGateway {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: h}
-	go func() { _ = hs.Serve(ln) }()
-	return &inprocGateway{url: "http://" + ln.Addr().String(), http: hs, ln: ln}
+	hs := &http.Server{Handler: gw.Handler()}
+	go func() { _ = hs.Serve(ln) }() // returns ErrServerClosed on hs.Close
+	return hs, "http://" + ln.Addr().String()
 }
 
-func (s *inprocGateway) close() {
-	_ = s.http.Close()
-}
-
-// startCluster serves every built dataset through an in-process R-replica
-// cluster behind the consistent-hash routing tier, over a loopback
-// listener. Replicas share the built datasets and (via the memoized
-// factory) the rewriters, so only the serving state is per replica — the
-// same sharing maliva-server -replicas uses.
-func startCluster(replicas int, names []string, built map[string]*workload.Dataset, budget float64, factory middleware.RewriterFactory, health cluster.HealthConfig) (*inprocGateway, *cluster.Cluster) {
-	cl, err := cluster.New(cluster.Config{
-		Replicas: replicas,
-		Names:    names,
-		Datasets: built,
-		Factory:  factory,
-		Server:   middleware.ServerConfig{DefaultBudgetMs: budget},
-		Space:    core.HintOnlySpec(),
-		Health:   health,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := cl.Warm(); err != nil {
-		fatal(err)
-	}
-	return serveGateway(cl.Handler()), cl
-}
-
-// dsAccum accumulates one worker's per-dataset measurements.
-type dsAccum struct {
-	lats     []float64
-	errors   int64
-	rejected int64
-	total    int64
-}
-
-// runPass hammers the target with a closed loop of workers for d, after an
-// optional warmup sweep that touches every shape once (steady-state cache
-// behavior, not cold-start, is what the cached pass measures).
-func runPass(name, url string, shapes []shape, workers int, d time.Duration, zipfS float64, seed int64, warmup bool) passReport {
-	// The timeout bounds a wedged server: workers fail fast instead of
-	// hanging the pass (and the CI smoke step) forever.
-	client := &http.Client{
-		Timeout: 30 * time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        workers * 2,
-			MaxIdleConnsPerHost: workers * 2,
-		},
-	}
-
-	if warmup {
-		for _, sh := range shapes {
-			_, _, _ = fire(client, url, sh)
-		}
-	}
-
+// runPass hammers the target with a closed loop of workers for d and returns
+// the per-dataset tallies plus the measured wall time.
+func runPass(client *http.Client, url string, shapes []shape, workers int, d time.Duration, zipfS float64, seed int64) (map[string]*tally, time.Duration) {
 	var (
 		stop atomic.Bool
 		wg   sync.WaitGroup
 	)
-	accCh := make(chan map[string]*dsAccum, workers)
+	accCh := make(chan map[string]*tally, workers) // one send per worker
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -1135,175 +282,20 @@ func runPass(name, url string, shapes []shape, workers int, d time.Duration, zip
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
 			zipf := rand.NewZipf(rng, zipfS, 1, uint64(len(shapes)-1))
-			acc := make(map[string]*dsAccum)
+			acc := make(map[string]*tally)
 			for !stop.Load() {
 				sh := shapes[zipf.Uint64()]
 				a := acc[sh.dataset]
 				if a == nil {
-					a = &dsAccum{lats: make([]float64, 0, 4096)}
+					a = &tally{lats: make([]float64, 0, 4096)}
 					acc[sh.dataset] = a
 				}
 				t0 := time.Now()
-				code, ok, err := fire(client, url, sh)
+				code, err := fire(client, url, sh)
 				lat := time.Since(t0)
 				a.total++
 				switch {
-				case err != nil || !ok:
-					if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-						a.rejected++
-					} else {
-						a.errors++
-					}
-				default:
-					a.lats = append(a.lats, float64(lat)/float64(time.Millisecond))
-				}
-			}
-			accCh <- acc
-		}(w)
-	}
-	time.Sleep(d)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(accCh)
-
-	rep := mergeAccum(name, elapsed, accCh)
-	if snap := fetchMetrics(client, url); snap != nil {
-		rep.Server = snap
-	}
-	return rep
-}
-
-// mergeAccum folds the workers' per-dataset accumulators into one report.
-func mergeAccum(name string, elapsed time.Duration, accCh chan map[string]*dsAccum) passReport {
-	merged := make(map[string]*dsAccum)
-	for acc := range accCh {
-		for ds, a := range acc {
-			m := merged[ds]
-			if m == nil {
-				m = &dsAccum{}
-				merged[ds] = m
-			}
-			m.lats = append(m.lats, a.lats...)
-			m.errors += a.errors
-			m.rejected += a.rejected
-			m.total += a.total
-		}
-	}
-
-	var all []float64
-	rep := passReport{Name: name, DurationSec: elapsed.Seconds()}
-	dsNames := make([]string, 0, len(merged))
-	for ds := range merged {
-		dsNames = append(dsNames, ds)
-	}
-	sort.Strings(dsNames)
-	for _, ds := range dsNames {
-		m := merged[ds]
-		sort.Float64s(m.lats)
-		rep.Datasets = append(rep.Datasets, datasetPass{
-			Name:     ds,
-			Requests: m.total,
-			Errors:   m.errors,
-			Rejected: m.rejected,
-			QPS:      float64(m.total) / elapsed.Seconds(),
-			P50Ms:    pct(m.lats, 0.50),
-			P95Ms:    pct(m.lats, 0.95),
-			P99Ms:    pct(m.lats, 0.99),
-		})
-		rep.Requests += m.total
-		rep.Errors += m.errors
-		rep.Rejected += m.rejected
-		all = append(all, m.lats...)
-	}
-	sort.Float64s(all)
-	rep.QPS = float64(rep.Requests) / elapsed.Seconds()
-	rep.P50Ms = pct(all, 0.50)
-	rep.P95Ms = pct(all, 0.95)
-	rep.P99Ms = pct(all, 0.99)
-	rep.MaxMs = pct(all, 1)
-	if len(all) > 0 {
-		sum := 0.0
-		for _, l := range all {
-			sum += l
-		}
-		rep.AvgMs = sum / float64(len(all))
-	}
-	return rep
-}
-
-// churnEvent is one scheduled lifecycle action inside a churn pass.
-type churnEvent struct {
-	at     time.Duration
-	label  string
-	action func()
-}
-
-// runChurnPass is runPass with per-request verification: every 200 must be
-// byte-identical to the reference gateway's answer for the same shape, and
-// 503s tally as unavailability rather than errors. events fire at fixed
-// offsets into the measured window.
-func runChurnPass(name, url string, shapes []shape, expected [][]byte, workers int, d time.Duration, zipfS float64, seed int64, events []churnEvent) passReport {
-	client := &http.Client{
-		Timeout: 30 * time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        workers * 2,
-			MaxIdleConnsPerHost: workers * 2,
-		},
-	}
-	warmSweep(client, url, shapes)
-
-	var (
-		stop       atomic.Bool
-		mismatches atomic.Int64
-		wg, evWG   sync.WaitGroup
-	)
-	accCh := make(chan map[string]*dsAccum, workers)
-	start := time.Now()
-
-	if len(events) > 0 {
-		evWG.Add(1)
-		go func() {
-			defer evWG.Done()
-			for _, ev := range events {
-				if wait := time.Until(start.Add(ev.at)); wait > 0 {
-					time.Sleep(wait)
-				}
-				if stop.Load() {
-					return
-				}
-				ev.action()
-				fmt.Fprintf(os.Stderr, "%s: %s at +%s\n", name, ev.label, time.Since(start).Round(time.Millisecond))
-			}
-		}()
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
-			zipf := rand.NewZipf(rng, zipfS, 1, uint64(len(shapes)-1))
-			acc := make(map[string]*dsAccum)
-			for !stop.Load() {
-				idx := int(zipf.Uint64())
-				sh := shapes[idx]
-				a := acc[sh.dataset]
-				if a == nil {
-					a = &dsAccum{lats: make([]float64, 0, 4096)}
-					acc[sh.dataset] = a
-				}
-				t0 := time.Now()
-				code, data, err := fireRaw(client, url, sh)
-				lat := time.Since(t0)
-				a.total++
-				switch {
-				case err != nil:
-					a.errors++
-				case code == http.StatusOK:
-					if !bytes.Equal(data, expected[idx]) {
-						mismatches.Add(1)
-					}
+				case err == nil && code == http.StatusOK:
 					a.lats = append(a.lats, float64(lat)/float64(time.Millisecond))
 				case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
 					a.rejected++
@@ -1317,60 +309,30 @@ func runChurnPass(name, url string, shapes []shape, expected [][]byte, workers i
 	time.Sleep(d)
 	stop.Store(true)
 	wg.Wait()
-	evWG.Wait()
 	elapsed := time.Since(start)
 	close(accCh)
 
-	rep := mergeAccum(name, elapsed, accCh)
-	rep.Mismatches = mismatches.Load()
-	if rep.Requests > 0 {
-		rep.Availability = float64(rep.Requests-rep.Rejected-rep.Errors) / float64(rep.Requests)
+	merged := make(map[string]*tally)
+	for acc := range accCh {
+		for ds, a := range acc {
+			if merged[ds] == nil {
+				merged[ds] = &tally{}
+			}
+			merged[ds].add(a)
+		}
 	}
-	for _, ev := range events {
-		rep.ChurnEvents = append(rep.ChurnEvents, fmt.Sprintf("+%s %s", ev.at.Round(time.Millisecond), ev.label))
-	}
-	return rep
+	return merged, elapsed
 }
 
 // fire posts one request to its dataset's route and drains the response.
-func fire(client *http.Client, url string, sh shape) (code int, ok bool, err error) {
+func fire(client *http.Client, url string, sh shape) (code int, err error) {
 	resp, err := client.Post(url+"/viz?dataset="+sh.dataset, "application/json", bytes.NewReader(sh.body))
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	var sink json.RawMessage
-	_ = json.NewDecoder(resp.Body).Decode(&sink)
-	return resp.StatusCode, resp.StatusCode == http.StatusOK, nil
-}
-
-// fireRaw posts one request and returns the full response bytes (what the
-// churn drill compares against the reference gateway).
-func fireRaw(client *http.Client, url string, sh shape) (code int, body []byte, err error) {
-	resp, err := client.Post(url+"/viz?dataset="+sh.dataset, "application/json", bytes.NewReader(sh.body))
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, data, nil
-}
-
-// fetchMetrics grabs the gateway's own counters.
-func fetchMetrics(client *http.Client, url string) *middleware.GatewayMetricsSnapshot {
-	resp, err := client.Get(url + "/metrics?format=json")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var snap middleware.GatewayMetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil
-	}
-	return &snap
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
 }
 
 func pct(sorted []float64, q float64) float64 {

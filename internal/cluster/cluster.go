@@ -13,7 +13,7 @@ import (
 // Config sizes an in-process cluster: N replicas in one process, each a
 // full gateway, sharing the (immutable) built datasets and one memoized
 // rewriter per dataset. This is the -replicas deployment of maliva-server
-// and the harness the byte-identity tests and BENCH_5 run against; a
+// and the harness the byte-identity tests run against; a
 // one-process-per-replica deployment assembles the same pieces by hand
 // (NewNode + NewHTTPPeer).
 type Config struct {

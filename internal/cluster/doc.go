@@ -22,7 +22,7 @@
 //   - HealthPool — the replica lifecycle state machine and its probers.
 //   - Faults / FaultyPeer — deterministic, seedable fault injection
 //     (drop/error/delay) on the node surface and the peer transport, the
-//     hooks maliva-load -churn and the robustness tests drive.
+//     hooks the robustness tests drive.
 //   - Node — one replica: a complete gateway (its own servers, plan
 //     caches, lookup caches, admission pool) whose per-dataset result
 //     caches are wrapped with the peer-shared cache, plus the /cluster

@@ -168,7 +168,8 @@ func TestClusterDrainSemantics(t *testing.T) {
 // drive routed traffic while two of three replicas flap through
 // kill/revive/drain/rejoin. No request may be lost — every response is
 // either a 200 byte-identical to a standalone gateway's, or a clean 503 —
-// and a healthy majority of requests must succeed. Run with -race.
+// and availability must hold at 99%: replica 0 never leaves, so every
+// request has a live replica somewhere in its failover order. Run with -race.
 func TestClusterMembershipFlapping(t *testing.T) {
 	c := newTestClusterCfg(t, 3, HealthConfig{
 		Interval: 2 * time.Millisecond, FailAfter: 1, RejoinAfter: 1,
@@ -266,8 +267,8 @@ func TestClusterMembershipFlapping(t *testing.T) {
 	if total != workers*perWorker {
 		t.Errorf("accounted for %d of %d requests", total, workers*perWorker)
 	}
-	if ok200.Load() < int64(workers*perWorker/2) {
-		t.Errorf("only %d/%d requests succeeded under flapping; replica 0 never left", ok200.Load(), total)
+	if ok200.Load()*100 < int64(workers*perWorker)*99 {
+		t.Errorf("only %d/%d requests succeeded under flapping, want >= 99%%; replica 0 never left", ok200.Load(), total)
 	}
 	t.Logf("flapping: %d ok, %d unavailable, retries=%d failovers(total)=%d",
 		ok200.Load(), ok503.Load(), c.Snapshot().Retries, totalFailovers(c.Snapshot()))

@@ -220,8 +220,8 @@ func (n *Node) SetDown(v bool) {
 	}
 }
 
-// Drain takes the replica out of the routed set gracefully: new /viz,
-// /query, and /ingest traffic is refused with the draining sentinel, while peer
+// Drain takes the replica out of the routed set gracefully: new /viz and
+// /ingest traffic is refused with the draining sentinel, while peer
 // fetches, health checks, and metrics keep working — so the replica's
 // cache remains readable by the cluster until the operator rejoins or
 // retires it.
@@ -280,14 +280,14 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	case StateDraining:
 		w.Header().Set(ReplicaUnavailableHeader, "draining")
-		if r.URL.Path == "/viz" || r.URL.Path == "/query" || r.URL.Path == "/ingest" {
+		if r.URL.Path == "/viz" || r.URL.Path == "/ingest" {
 			http.Error(w, fmt.Sprintf("replica %d is draining", n.id), http.StatusServiceUnavailable)
 			return
 		}
 	default:
 		if n.gw.Recovering() {
 			w.Header().Set(ReplicaUnavailableHeader, "recovering")
-			if r.URL.Path == "/viz" || r.URL.Path == "/query" || r.URL.Path == "/ingest" {
+			if r.URL.Path == "/viz" || r.URL.Path == "/ingest" {
 				http.Error(w, fmt.Sprintf("replica %d is recovering", n.id), http.StatusServiceUnavailable)
 				return
 			}
@@ -419,7 +419,7 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var key middleware.ResultKey
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
+	r.Body = http.MaxBytesReader(w, r.Body, middleware.MaxVizBody)
 	if err := json.NewDecoder(r.Body).Decode(&key); err != nil {
 		http.Error(w, "bad fetch body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -440,7 +440,7 @@ func (n *Node) serveFill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var f peerFill
-	r.Body = http.MaxBytesReader(w, r.Body, 8<<20)
+	r.Body = http.MaxBytesReader(w, r.Body, middleware.MaxIngestBody)
 	if err := json.NewDecoder(r.Body).Decode(&f); err != nil {
 		http.Error(w, "bad fill body: "+err.Error(), http.StatusBadRequest)
 		return

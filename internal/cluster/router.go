@@ -162,7 +162,7 @@ func (rt *Router) Close() { rt.health.Stop() }
 
 // Handler returns the router's HTTP surface:
 //
-//	POST /viz, /query        — routed by result-key hash, with failover
+//	POST /viz                — routed by result-key hash, with failover
 //	POST /ingest             — routed by dataset name (one writer per
 //	                           dataset), with failover
 //	GET  /datasets           — forwarded to the first live replica
@@ -172,7 +172,6 @@ func (rt *Router) Close() { rt.health.Stop() }
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /viz", rt.serveViz)
-	mux.HandleFunc("POST /query", rt.serveViz)
 	mux.HandleFunc("POST /ingest", rt.serveIngest)
 	mux.HandleFunc("GET /datasets", rt.forwardAnyLive)
 	mux.HandleFunc("GET /healthz", rt.serveHealthz)
@@ -285,7 +284,7 @@ func (rt *Router) attemptOrder(key uint64) []int {
 
 // serveViz routes one visualization request to its owner replica.
 func (rt *Router) serveViz(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
+	r.Body = http.MaxBytesReader(w, r.Body, middleware.MaxVizBody)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
@@ -349,7 +348,7 @@ func (rt *Router) serveViz(w http.ResponseWriter, r *http.Request) {
 // every replica serves from; failover to the next live replica is therefore
 // safe (at worst it fragments one batch).
 func (rt *Router) serveIngest(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, 8<<20)
+	r.Body = http.MaxBytesReader(w, r.Body, middleware.MaxIngestBody)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)

@@ -15,8 +15,8 @@
 //     three read paths with identical entries accounting: materializing
 //     Range (the differential-test oracle), the allocation-free Visit
 //     visitor, and the resumable Cursor the join paths pool.
-//   - parser.go, query.go, predicate.go — the SQL-ish query model and
-//     per-predicate evaluation.
+//   - query.go, predicate.go — the SQL-ish query model and per-predicate
+//     evaluation.
 //   - optimizer.go, cost.go, stats.go — the deliberately-imperfect
 //     cost-based optimizer, the virtual-time cost model, and ExecStats,
 //     the work accounting everything else is priced in.

@@ -448,9 +448,8 @@ func (g *Gateway) rejectDraining(w http.ResponseWriter) {
 
 // Handler returns the gateway's HTTP surface:
 //
-//	POST /viz?dataset=<name>   — visualization requests (shared admission);
-//	                             /query is an alias. Omitting dataset uses
-//	                             the default dataset.
+//	POST /viz?dataset=<name>   — visualization requests (shared admission).
+//	                             Omitting dataset uses the default dataset.
 //	POST /ingest?dataset=<n>   — append rows through the dataset's adaptive
 //	                             write batcher
 //	GET  /datasets             — every registered dataset and its status
@@ -460,7 +459,6 @@ func (g *Gateway) rejectDraining(w http.ResponseWriter) {
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /viz", recoverPanics(g.gwMetrics, "viz", g.serveViz))
-	mux.HandleFunc("POST /query", recoverPanics(g.gwMetrics, "viz", g.serveViz))
 	mux.HandleFunc("POST /ingest", recoverPanics(g.gwMetrics, "ingest", g.serveIngest))
 	mux.HandleFunc("GET /datasets", recoverPanics(g.gwMetrics, "datasets", g.serveDatasets))
 	mux.HandleFunc("GET /healthz", recoverPanics(g.gwMetrics, "healthz", g.serveHealthz))
@@ -521,9 +519,14 @@ func (g *Gateway) serveViz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Buffer the body so the session tracker can interpret the request with
-	// the same normalization the server used to answer it.
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	// the same normalization the server used to answer it. An oversized body
+	// is rejected here exactly as Server.serveViz rejects it without a
+	// session id (a truncating read would instead surface later as a
+	// confusing JSON error).
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxVizBody))
 	if err != nil {
+		srv.metrics.requests.Add(1)
+		srv.metrics.clientErr.Add(1)
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

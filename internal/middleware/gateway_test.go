@@ -82,7 +82,7 @@ func taxiBody(month int) []byte {
 }
 
 // TestGatewayRoutesDatasets: both datasets answer through one gateway, the
-// default dataset serves naked /viz, and /query aliases /viz.
+// default dataset serves naked /viz.
 func TestGatewayRoutesDatasets(t *testing.T) {
 	g := testGateway(t)
 	srv := httptest.NewServer(g.Handler())
@@ -116,11 +116,6 @@ func TestGatewayRoutesDatasets(t *testing.T) {
 	resp, data = post("/viz", twitterBody("word0005"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("default viz = %d: %s", resp.StatusCode, data)
-	}
-	// /query aliases /viz.
-	resp, _ = post("/query?dataset=taxi", taxiBody(3))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/query alias = %d", resp.StatusCode)
 	}
 }
 

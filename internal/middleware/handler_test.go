@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -154,6 +155,11 @@ func TestHTTPErrorPaths(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
+	// Rows naming a session go through a gateway: its session branch buffers
+	// the body before Server.serveViz sees it.
+	gwSrv := httptest.NewServer(testGateway(t).Handler())
+	defer gwSrv.Close()
+
 	valid := func(mutate func(m map[string]any)) []byte {
 		m := map[string]any{
 			"keyword": "word0005",
@@ -170,25 +176,43 @@ func TestHTTPErrorPaths(t *testing.T) {
 		return b
 	}
 
+	oversize := string(valid(func(m map[string]any) { m["keyword"] = strings.Repeat("a", MaxVizBody) }))
+	const tooLarge = "request body too large"
+
 	cases := []struct {
 		name       string
 		method     string
 		body       string
 		wantStatus int
+		session    string // non-empty: sent to the gateway with this session id
+		wantBody   string // substring of the error text, when set
 	}{
-		{"heatmap ok", http.MethodPost, string(valid(nil)), http.StatusOK},
-		{"scatter ok", http.MethodPost, string(valid(func(m map[string]any) { m["kind"] = "scatter" })), http.StatusOK},
-		{"malformed json", http.MethodPost, "{nope", http.StatusBadRequest},
-		{"bad timestamp", http.MethodPost, string(valid(func(m map[string]any) { m["from"] = "yesterday" })), http.StatusBadRequest},
-		{"unknown keyword", http.MethodPost, string(valid(func(m map[string]any) { m["keyword"] = "zzz" })), http.StatusBadRequest},
-		{"no conditions", http.MethodPost, "{}", http.StatusBadRequest},
-		{"non-POST method", http.MethodGet, "", http.StatusMethodNotAllowed},
+		{"heatmap ok", http.MethodPost, string(valid(nil)), http.StatusOK, "", ""},
+		{"scatter ok", http.MethodPost, string(valid(func(m map[string]any) { m["kind"] = "scatter" })), http.StatusOK, "", ""},
+		{"malformed json", http.MethodPost, "{nope", http.StatusBadRequest, "", ""},
+		{"bad timestamp", http.MethodPost, string(valid(func(m map[string]any) { m["from"] = "yesterday" })), http.StatusBadRequest, "", ""},
+		{"unknown keyword", http.MethodPost, string(valid(func(m map[string]any) { m["keyword"] = "zzz" })), http.StatusBadRequest, "", ""},
+		{"no conditions", http.MethodPost, "{}", http.StatusBadRequest, "", ""},
+		{"non-POST method", http.MethodGet, "", http.StatusMethodNotAllowed, "", ""},
+		{"heatmap ok, default grid", http.MethodPost, string(valid(func(m map[string]any) { m["grid_w"], m["grid_h"] = 0, -3 })), http.StatusOK, "", ""},
+		{"heatmap ok, largest grid", http.MethodPost, string(valid(func(m map[string]any) { m["grid_w"] = maxGridSide })), http.StatusOK, "", ""},
+		{"grid_w too large", http.MethodPost, string(valid(func(m map[string]any) { m["grid_w"] = maxGridSide + 1 })), http.StatusBadRequest, "", "exceeds"},
+		{"grid_h overflows int32", http.MethodPost, string(valid(func(m map[string]any) { m["grid_h"] = 1 << 40 })), http.StatusBadRequest, "", "exceeds"},
+		{"oversize body", http.MethodPost, oversize, http.StatusBadRequest, "", tooLarge},
+		{"oversize body, session", http.MethodPost, oversize, http.StatusBadRequest, "pan-1", tooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, srv.URL+"/viz", strings.NewReader(tc.body))
+			base := srv.URL
+			if tc.session != "" {
+				base = gwSrv.URL
+			}
+			req, err := http.NewRequest(tc.method, base+"/viz", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.session != "" {
+				req.Header.Set(SessionHeader, tc.session)
 			}
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
@@ -199,6 +223,9 @@ func TestHTTPErrorPaths(t *testing.T) {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.wantStatus)
 			}
 			if tc.wantStatus != http.StatusOK {
+				if msg, _ := io.ReadAll(resp.Body); !strings.Contains(string(msg), tc.wantBody) {
+					t.Errorf("error text %q does not mention %q", msg, tc.wantBody)
+				}
 				return
 			}
 			var out Response

@@ -18,6 +18,23 @@ import (
 // standard code; 499 is the de-facto one).
 const statusClientClosedRequest = 499
 
+// Request-body bounds, enforced with http.MaxBytesReader before any work so
+// an oversized payload cannot consume memory outside the admission
+// accounting. The cluster tier applies the same two bounds at the router and
+// on its peer endpoints (a fetch key is request-sized, a fill carries a
+// response).
+const (
+	MaxVizBody    = 1 << 20 // /viz requests, peer fetch keys
+	MaxIngestBody = 8 << 20 // /ingest batches, peer fills
+)
+
+// maxGridSide bounds grid_w and grid_h from the wire. The cell index is
+// y*W+x in int, ResultKey.Hash keeps the low 32 bits of each side, and the
+// session tracker's parent-tile prediction doubles them — an unbounded grid
+// overflows all three. Nothing legitimate comes close (defaults are 64, the
+// tile lattice tops out at 128).
+const maxGridSide = 4096
+
 // httpRequest is the JSON wire format of a visualization request.
 type httpRequest struct {
 	Keyword  string  `json:"keyword"`
@@ -169,16 +186,7 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 		s.lastLiveNs.Store(s.cfg.Now().UnixNano())
 		s.liveHTTP.Add(-1)
 	}()
-	// Bound the body before doing any work: oversized payloads must not
-	// consume memory outside the admission accounting.
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	var hreq httpRequest
-	if err := json.NewDecoder(r.Body).Decode(&hreq); err != nil {
-		s.metrics.clientErr.Add(1)
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	req, err := hreq.toRequest()
+	req, err := decodeViz(w, r)
 	if err != nil {
 		s.metrics.clientErr.Add(1)
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
@@ -256,13 +264,7 @@ func (s *Server) servePrefetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.fault("prefetch")
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	var hreq httpRequest
-	if err := json.NewDecoder(r.Body).Decode(&hreq); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	req, err := hreq.toRequest()
+	req, err := decodeViz(w, r)
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -271,7 +273,21 @@ func (s *Server) servePrefetch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// decodeViz bounds and decodes one /viz body: the single decode path of the
+// live and prefetch handlers.
+func decodeViz(w http.ResponseWriter, r *http.Request) (Request, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxVizBody)
+	var hreq httpRequest
+	if err := json.NewDecoder(r.Body).Decode(&hreq); err != nil {
+		return Request{}, err
+	}
+	return hreq.toRequest()
+}
+
 func (h httpRequest) toRequest() (Request, error) {
+	if h.GridW > maxGridSide || h.GridH > maxGridSide {
+		return Request{}, fmt.Errorf("grid %dx%d exceeds %d cells per side", h.GridW, h.GridH, maxGridSide)
+	}
 	req := Request{
 		Keyword:  h.Keyword,
 		Kind:     VizKind(h.Kind),
@@ -316,7 +332,7 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.fault("ingest")
-	r.Body = http.MaxBytesReader(w, r.Body, 8<<20)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxIngestBody)
 	var hin httpIngest
 	if err := json.NewDecoder(r.Body).Decode(&hin); err != nil {
 		s.metrics.clientErr.Add(1)
