@@ -168,6 +168,32 @@ func BenchmarkBuildContext(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildContextSharedFull is BenchmarkBuildContext behind a capped
+// shared lookup cache that other queries have already filled — the regime a
+// long-running server lives in (middleware's server-scope cache stops
+// inserting at its cap). The build's own predicates never get a slot, so any
+// sharing between its executions has to come from the per-build memo.
+func BenchmarkBuildContextSharedFull(b *testing.B) {
+	ds, q := benchDB(b)
+	const slots = 64
+	shared := engine.NewLookupCacheWithCap(slots)
+	for _, other := range workload.GenerateQueries(ds, 4*slots, workload.QuerySpec{NumPreds: 3, Seed: 11}) {
+		ds.DB.TrueSelectivitiesCached(other, shared)
+	}
+	if shared.Len() != slots {
+		b.Fatalf("shared cache holds %d entries, want it full at %d", shared.Len(), slots)
+	}
+	cfg := core.DefaultContextConfig(core.HintOnlySpec())
+	cfg.Lookups = shared
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.BuildContext(ds.DB, q, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuildContextParallel is BenchmarkBuildContext with the per-option
 // worker pool enabled (0 = GOMAXPROCS). Compare against the serial number to
 // see the per-context speedup on multi-core machines.
@@ -348,7 +374,46 @@ func BenchmarkQNetForward(b *testing.B) {
 	}
 }
 
-// BenchmarkBTreeRange measures index range scans.
+// BenchmarkIndexLookup measures one materializing index scan — tree walk plus
+// ordering the matches by row id — for the benchmark query's time-range
+// (btree) and bounding-box (rtree) predicates, as the executor's access path
+// and the lookup caches call it.
+func BenchmarkIndexLookup(b *testing.B) {
+	ds, q := benchDB(b)
+	t := ds.DB.Table(ds.Main)
+	for _, c := range []struct {
+		name string
+		kind engine.PredKind
+	}{{"btree", engine.PredRange}, {"rtree", engine.PredGeo}} {
+		b.Run(c.name, func(b *testing.B) {
+			var pred engine.Predicate
+			for _, p := range q.Preds {
+				if p.Kind == c.kind {
+					pred = p
+				}
+			}
+			ix := t.Index(pred.Col)
+			if ix == nil {
+				b.Fatalf("benchmark query has no indexed %s predicate", c.kind)
+			}
+			rows, _, err := ix.Lookup(pred)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(len(rows)), "rows")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ix.Lookup(pred); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBTreeRange measures the visitor range scan underneath
+// Index.Lookup, without ordering or materializing the matches.
 func BenchmarkBTreeRange(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	n := 200_000
@@ -363,7 +428,7 @@ func BenchmarkBTreeRange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := rng.Float64() * 9e5
-		tree.Range(lo, lo+1e4)
+		tree.Visit(lo, lo+1e4, func(uint32) bool { return true })
 	}
 }
 

@@ -110,8 +110,11 @@ type ContextConfig struct {
 	Parallel int
 	// Lookups optionally shares a predicate-lookup cache across contexts:
 	// a serving layer (or lab build) over one immutable dataset can hold a
-	// single cache so repeated predicates skip the index scan entirely.
-	// nil keeps the existing per-context cache. Sharing never changes an
+	// single cache so predicates an earlier context scanned skip the index
+	// scan entirely. Every build puts its own memo in front of it (see
+	// engine.NewLookupMemo), so sharing within a build — one scan per
+	// predicate — holds with Lookups nil, roomy or full; the shared cache
+	// sees each of a build's predicates once. Sharing never changes an
 	// output bit — cached lookups return the exact rows and entry counts a
 	// fresh scan would (see engine.LookupCache).
 	Lookups *engine.LookupCache
@@ -159,47 +162,70 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 		}
 	}
 
-	// Memoized index lookups: the |Ω| option executions (plus the baseline
-	// run and true-selectivity collection) keep scanning the same indexes
-	// for the same predicates; share one scan per predicate. A caller-owned
-	// cache (cfg.Lookups) extends the sharing across contexts. Context
-	// construction always attaches a cache — the engine's zero-allocation
+	// Each piece of engine work happens once per build.
+	//
+	// Index scans: the baseline run, the option runs and true-selectivity
+	// collection keep asking the same indexes for the same predicates, so a
+	// per-build memo sits in front of the caller's shared cache (cfg.Lookups,
+	// possibly nil). Repeats within the build are served by the memo whether
+	// or not the shared cache has room; first sightings fall through to it,
+	// which extends the sharing across contexts. The engine's zero-allocation
 	// visitor paths (BTree.Visit / Cursor) only take over where a scan is
-	// never shared: join probes inside each execution and cache-less
-	// true-selectivity calls.
-	cache := cfg.Lookups
-	if cache == nil {
-		cache = engine.NewLookupCache()
-	}
+	// never shared: join probes inside each execution.
+	cache := engine.NewLookupMemo(cfg.Lookups)
 
-	// Optimizer view of the original query (baseline + LIMIT sizing).
+	// Executions: rewrites that resolve to the same physical plan produce the
+	// same rows, ExecStats and SimMs, so each distinct plan runs once. The
+	// unhinted baseline is always somebody's plan twice over — the optimizer
+	// picks one of the index subsets Ω forces — and a backend that drops
+	// hints (Profile.HintDropProb) collapses more.
 	chosen := db.ChoosePlan(q)
 	ctx.EstRows = chosen.EstRows
-	baseRes, baseStats, err := db.RunCachedYield(q, engine.Hint{}, cache, cfg.Yield)
-	if err != nil {
-		return nil, fmt.Errorf("core: baseline run: %w", err)
+	type planRun struct {
+		rq    *engine.Query
+		hint  engine.Hint
+		opt   int // first option scheduling the plan; -1: the baseline
+		res   *engine.Result
+		stats engine.ExecStats
 	}
-	ctx.BaselineMs = baseStats.SimMs
-	ctx.BaselineOption = -1
-
-	// Quality grid over the query's spatial extent when present.
-	grid := qualityGrid(t, q, cfg)
-	origPixels := grid.Rasterize(baseRes.Points)
-
-	// Exact aggregates for sketch-option quality: the true matched-row
-	// count is the baseline's cardinality; the true distinct-word count is
-	// computed once here (it is exactly the expensive scan the HLL action
-	// exists to avoid, paid only when the space contains an HLL rule).
-	trueCount := float64(len(baseRes.RowIDs))
-	trueDistinct := -1.0
-	for _, o := range opts {
-		if o.Approx.Kind == ApproxHLL {
-			trueDistinct = float64(engine.DistinctWordsExact(t, baseRes.RowIDs, t.Sketch.TextCol))
-			break
+	runs := make([]planRun, 0, len(opts)+1)
+	runOf := make(map[engine.PlanID]int, len(opts)+1)
+	schedule := func(rq *engine.Query, h engine.Hint, opt int) int {
+		id := db.ResolvePlan(rq, h)
+		r, ok := runOf[id]
+		if !ok {
+			r = len(runs)
+			runOf[id] = r
+			runs = append(runs, planRun{rq: rq, hint: h, opt: opt})
+		}
+		return r
+	}
+	baseRun := schedule(q, engine.Hint{}, -1)
+	type optPlan struct {
+		rq   *engine.Query
+		hint engine.Hint
+		run  int // index into runs
+	}
+	plans := make([]optPlan, len(opts))
+	needPixels, needDistinct := false, false
+	for i, o := range opts {
+		rq, h := BuildRQ(q, o, ctx.EstRows, ctx.Scale)
+		plans[i] = optPlan{rq: rq, hint: h, run: schedule(rq, h, i)}
+		switch o.Approx.Kind {
+		case ApproxNone, ApproxCMS:
+		case ApproxHLL:
+			needDistinct = true
+		default:
+			needPixels = true
 		}
 	}
-
-	// True selectivities and deterministic sampled estimates.
+	// True selectivities and deterministic sampled estimates. Collected
+	// before the runs fan out: this serial pass looks up every indexed
+	// predicate of q, so by the time workers race, the memo already holds
+	// every posting list a hint can ask the base table for and "one scan per
+	// predicate" holds at any worker count. (Only sample-table scans of
+	// crossed sample options can still race to a duplicate; the memo keeps the
+	// first.)
 	ctx.SelTrue = db.TrueSelectivitiesCached(q, cache)
 	ctx.SelSampled = make([]float64, len(ctx.SelTrue))
 	sampleRows := cfg.SampleRows
@@ -211,39 +237,74 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 		ctx.SelSampled[i] = binomialEstimate(rng, s, sampleRows)
 	}
 
-	// Execute every rewritten query. Each option writes only its own slot,
-	// so the loop parallelizes without changing a single output bit; engine
-	// noise is a pure function of (seed, plan fingerprint), not run order.
-	buildOption := func(i int) error {
+	// Every run writes only its own slot, so the loop parallelizes without
+	// changing a single output bit; engine noise is a pure function of
+	// (seed, plan fingerprint), not run order.
+	err := runIndexed(len(runs), cfg.Parallel, func(r int) error {
 		if cfg.Yield != nil {
 			cfg.Yield()
 		}
-		o := opts[i]
-		rq, h := BuildRQ(q, o, ctx.EstRows, ctx.Scale)
-		res, stats, err := db.RunCachedYield(rq, h, cache, cfg.Yield)
-		if err != nil {
-			return fmt.Errorf("core: option %s: %w", o.Label(len(q.Preds)), err)
-		}
-		ctx.TrueMs[i] = stats.SimMs
-		ctx.NeedSels[i] = NeededSels(q, o)
-		ctx.PlanEst[i] = db.EstimatePlan(rq, h)
+		run := &runs[r]
+		var err error
+		run.res, run.stats, err = db.RunCachedYield(run.rq, run.hint, cache, cfg.Yield)
 		switch {
-		case res.HasAgg:
+		case err == nil:
+			return nil
+		case run.opt < 0:
+			return fmt.Errorf("core: baseline run: %w", err)
+		default:
+			return fmt.Errorf("core: option %s: %w", opts[run.opt].Label(len(q.Preds)), err)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	baseRes := runs[baseRun].res
+	ctx.BaselineMs = runs[baseRun].stats.SimMs
+	ctx.BaselineOption = -1
+
+	// What approximate options are judged against, computed only when Ω holds
+	// an option that reads it: the baseline's pixels on the quality grid
+	// (over the query's spatial extent when present) for sampled/limited
+	// results, the true matched-row count (the baseline's cardinality) for
+	// CMS, and the true distinct-word count for HLL — exactly the expensive
+	// scan the HLL action exists to avoid.
+	var grid viz.Grid
+	var origPixels map[int]struct{}
+	if needPixels {
+		grid = qualityGrid(t, q, cfg)
+		origPixels = grid.Rasterize(baseRes.Points)
+	}
+	trueCount := float64(len(baseRes.RowIDs))
+	trueDistinct := -1.0
+	if needDistinct {
+		trueDistinct = float64(engine.DistinctWordsExact(t, baseRes.RowIDs, t.Sketch.TextCol))
+	}
+
+	// Per-option ground truth from the option's run.
+	err = runIndexed(len(opts), cfg.Parallel, func(i int) error {
+		o := opts[i]
+		run := &runs[plans[i].run]
+		ctx.TrueMs[i] = run.stats.SimMs
+		ctx.NeedSels[i] = NeededSels(q, o)
+		ctx.PlanEst[i] = db.EstimatePlan(plans[i].rq, plans[i].hint)
+		switch {
+		case run.res.HasAgg:
 			// Sketch-served aggregates have no pixels; quality is relative
 			// aggregate accuracy (QTE-comparable: 1 = exact, 0 = useless).
 			truth := trueCount
 			if o.Approx.Kind == ApproxHLL {
 				truth = trueDistinct
 			}
-			ctx.Quality[i] = aggQuality(res.AggValue, truth)
+			ctx.Quality[i] = aggQuality(run.res.AggValue, truth)
 		case o.IsApprox():
-			ctx.Quality[i] = viz.JaccardPixels(origPixels, grid.Rasterize(res.Points))
+			ctx.Quality[i] = viz.JaccardPixels(origPixels, grid.Rasterize(run.res.Points))
 		default:
 			ctx.Quality[i] = 1
 		}
 		return nil
-	}
-	if err := runIndexed(len(opts), cfg.Parallel, buildOption); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	// Identify the baseline's plan among exact options (last match, as in

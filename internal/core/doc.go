@@ -10,9 +10,11 @@
 //   - option.go — the rewriting-option space Ω (hint sets × approximation
 //     rules) and BuildRQ, which turns an option into a rewritten query.
 //   - context.go — QueryContext: one workload query's ground truth (every
-//     option executed once). BuildContext is the expensive step; it fans
-//     out per option (ContextConfig.Parallel) and shares index scans
-//     through an engine.LookupCache (ContextConfig.Lookups).
+//     option's time and quality). BuildContext is the expensive step; it
+//     executes each distinct physical plan among the options once, fans the
+//     runs out (ContextConfig.Parallel), and scans each predicate's index
+//     once through a per-build memo in front of the optional shared
+//     engine.LookupCache (ContextConfig.Lookups).
 //   - env.go, agent.go — the MDP environment and the deep-Q Agent, with
 //     JSON snapshots (SaveAgentFile / LoadAgentFile) interchangeable
 //     between cmd/maliva-train and maliva-server -save-agent.

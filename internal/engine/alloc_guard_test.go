@@ -195,3 +195,64 @@ func TestAllocGuardTrueSelectivity(t *testing.T) {
 		t.Fatalf("selectivity %v, want > 0", sel)
 	}
 }
+
+// TestAllocGuardIndexLookup: at steady state a tree lookup allocates exactly
+// the slice it returns — the rowSet that orders the matches is pooled, and
+// neither the Visit closure nor the R-tree walk escapes.
+func TestAllocGuardIndexLookup(t *testing.T) {
+	db := buildTestDB(t, 8_000, 5)
+	tb := db.Table("events")
+	for _, p := range []Predicate{
+		{Col: "ts", Kind: PredRange, Lo: 2000, Hi: 7000},                                           // marked regime
+		{Col: "ts", Kind: PredRange, Lo: 2000, Hi: 2010},                                           // buffered regime
+		{Col: "loc", Kind: PredGeo, Box: Rect{MinLon: 20, MinLat: 10, MaxLon: 80, MaxLat: 40}},     // marked
+		{Col: "loc", Kind: PredGeo, Box: Rect{MinLon: 20, MinLat: 10, MaxLon: 21, MaxLat: 10.5}},   // buffered
+		{Col: "loc", Kind: PredGeo, Box: Rect{MinLon: 200, MinLat: 200, MaxLon: 201, MaxLat: 201}}, // empty: nil
+		{Col: "text", Kind: PredKeyword, Word: tb.Vocab.ID("c"), WordText: "c"},                    // shared posting list
+	} {
+		ix := tb.Index(p.Col)
+		ceiling := 1.0
+		if rows, _, err := ix.Lookup(p); err != nil {
+			t.Fatal(err)
+		} else if len(rows) == 0 || ix.Kind == IndexInverted {
+			ceiling = 0
+		}
+		guardAllocs(t, p.String(), ceiling, func() {
+			if _, _, err := ix.Lookup(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestAllocGuardBoundPredicates: binding predicates to column storage costs
+// the scan loops nothing. One query run as a sequential scan (three bound
+// predicates, cheap-first), as a one-index plan (two bound residuals) and as
+// an all-index plan (none) — lookups served from a cache, so only the
+// executor's own work is counted — allocates the same: what emitting the
+// identical result rows allocates.
+func TestAllocGuardBoundPredicates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	db := buildTestDB(t, 8_000, 5)
+	q := testQuery(db)
+	cache := NewLookupCache()
+	measure := func(positions []int) float64 {
+		h := ForcedHint(positions, JoinAuto)
+		run := func() {
+			if _, _, err := db.RunCached(q, h, cache); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	emitOnly := measure([]int{0, 1, 2})
+	if got := measure([]int{0}); got != emitOnly {
+		t.Errorf("residual loop: %.1f allocs/op, emit-only floor %.1f", got, emitOnly)
+	}
+	if got := measure(nil); got != emitOnly {
+		t.Errorf("seqScan: %.1f allocs/op, emit-only floor %.1f", got, emitOnly)
+	}
+}

@@ -176,47 +176,20 @@ func (n *btreeNode) insert(key float64, row uint32) (*btreeNode, float64) {
 	return right, right.keys[0]
 }
 
-// Range returns the row ids of entries with key in [lo, hi], plus the number
-// of index entries and nodes touched during the scan (for costing).
-func (t *BTree) Range(lo, hi float64) (rows []uint32, entries int) {
-	n := t.root
-	entries++ // root visit
-	for !n.leaf {
-		// Duplicate keys may span node boundaries: the child *before* the
-		// first separator ≥ lo can still hold entries equal to lo in its
-		// tail, so descend there and rely on the leaf chain to move forward.
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
-		if i > 0 {
-			i--
-		}
-		n = n.children[i]
-		entries++
-	}
-	// Walk the leaf chain.
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
-	for n != nil {
-		for ; i < len(n.keys); i++ {
-			entries++
-			if n.keys[i] > hi {
-				return rows, entries
-			}
-			rows = append(rows, n.rows[i])
-		}
-		n = n.next
-		i = 0
-	}
-	return rows, entries
-}
-
 // Visit calls fn for every entry with key in [lo, hi], in key order (ties in
 // row-id order), without materializing row ids. It returns the number of
-// index entries touched, counted exactly as Range counts them — the two share
-// one cost model, so a caller can swap a materializing scan for a visit
-// without perturbing ExecStats (and therefore virtual time). fn returning
-// false stops the scan; the stopping entry has already been counted.
+// index entries and nodes touched during the scan (for costing): one per node
+// on the root→leaf descent, one per leaf slot examined, including the slot
+// that ends the scan by exceeding hi. fn returning false stops the scan; the
+// stopping entry has already been counted.
 //
-// Range is kept as an independent implementation on purpose: it is the
-// reference oracle the Visit/Cursor differential tests compare against.
+// Duplicate keys may span node boundaries: the child *before* the first
+// separator ≥ lo can still hold entries equal to lo in its tail, so the
+// descent goes there and relies on the leaf chain to move forward.
+//
+// The materializing Range scan lives in btree_oracle_test.go as an
+// independent implementation: it is the reference the Visit/Cursor/
+// Index.Lookup differential tests compare against.
 func (t *BTree) Visit(lo, hi float64, fn func(row uint32) bool) (entries int) {
 	n := t.root
 	entries++ // root visit
@@ -261,7 +234,7 @@ func (t *BTree) CountRange(lo, hi float64) int {
 //
 // The accounting contract is the point of the type: every Seek+Next drain
 // reports, via Entries, exactly the index-entry count a fresh
-// Range(key, key) descent for the same probe would report — when the cursor
+// Visit(key, key) descent for the same probe would report — when the cursor
 // resumes from its current leaf position instead of re-descending from the
 // root, it still charges the synthetic descent cost (the tree height). That
 // keeps ExecStats.IndexEntries, and therefore the virtual cost model, the
@@ -322,9 +295,9 @@ func (c *Cursor) Seek(target float64) {
 	c.valid = true
 }
 
-// descend walks root→leaf exactly like Range, leaving the cursor at the
+// descend walks root→leaf exactly like Visit, leaving the cursor at the
 // first in-leaf slot ≥ target (possibly one past the leaf's last slot; Next
-// then follows the chain, uncharged, like Range's leaf walk does).
+// then follows the chain, uncharged, like Visit's leaf walk does).
 func (c *Cursor) descend(target float64) {
 	n := c.tree.root
 	for !n.leaf {
@@ -341,7 +314,7 @@ func (c *Cursor) descend(target float64) {
 // Next returns the next row with key ≤ hi. Each examined slot is charged one
 // entry — including the slot that terminates the scan by exceeding hi, which
 // the cursor stays on so the following Seek can resume from it. Running off
-// the end of the leaf chain charges nothing, mirroring Range.
+// the end of the leaf chain charges nothing, mirroring Visit.
 func (c *Cursor) Next(hi float64) (uint32, bool) {
 	if c.stopped {
 		return 0, false
@@ -365,5 +338,5 @@ func (c *Cursor) Next(hi float64) (uint32, bool) {
 }
 
 // Entries returns the index entries charged since the last Seek — exactly
-// what Range(target, hi) would have reported for the same drained probe.
+// what Visit(target, hi) would have reported for the same drained probe.
 func (c *Cursor) Entries() int { return c.entries }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -187,6 +188,107 @@ func TestLookupCacheCap(t *testing.T) {
 	}
 	if capped.Len() != 2 {
 		t.Errorf("cap exceeded: %d entries", capped.Len())
+	}
+}
+
+// TestLookupMemoInFrontOfFullCache: a memo layered on a shared cache that has
+// no room left still shares scans within its own unit of work. Each distinct
+// predicate reaches the shared cache once (a miss it cannot keep); repeats
+// are the memo's, alias one canonical slice, and leave the shared cache's
+// contents, cap and counters alone. Results and stats stay those of a direct
+// run.
+func TestLookupMemoInFrontOfFullCache(t *testing.T) {
+	db := buildTestDB(t, 2000, 9)
+	q := testQuery(db)
+	shared := NewLookupCacheWithCap(1)
+	other := Predicate{Col: "ts", Kind: PredRange, Lo: 1, Hi: 2}
+	if _, _, err := shared.lookup(db.Table("events"), db.Table("events").Index("ts"), other); err != nil {
+		t.Fatal(err)
+	}
+	h0, m0 := shared.Stats()
+
+	h := ForcedHint([]int{0, 1, 2}, JoinAuto) // 3 distinct lookups
+	plain, plainStats, err := db.Run(q, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, layered := range []*LookupCache{NewLookupMemo(shared), NewLookupMemo(nil)} {
+		for run := 0; run < 3; run++ {
+			got, gotStats, err := db.RunCached(q, h, layered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain.RowIDs, got.RowIDs) || plainStats != gotStats {
+				t.Fatalf("run %d through a memo diverges from the direct run", run)
+			}
+		}
+		if layered.Len() != 3 {
+			t.Errorf("memo holds %d lookups, want 3", layered.Len())
+		}
+		if hits, misses := layered.Stats(); hits != 6 || misses != 3 {
+			t.Errorf("memo served %d hits / %d misses over three runs, want 6 / 3", hits, misses)
+		}
+	}
+	if h1, m1 := shared.Stats(); h1 != h0 || m1 != m0+3 {
+		t.Errorf("shared cache saw %d hits / %d misses from three runs, want 0 / 3", h1-h0, m1-m0)
+	}
+	if shared.Len() != 1 {
+		t.Errorf("full shared cache now holds %d entries, want 1", shared.Len())
+	}
+
+	// A predicate the shared cache does hold comes back as the shared slice,
+	// so every consumer aliases one canonical posting list.
+	tb := db.Table("events")
+	fromShared, _, _ := shared.lookup(tb, tb.Index("ts"), other)
+	fromMemo, _, _ := NewLookupMemo(shared).lookup(tb, tb.Index("ts"), other)
+	if len(fromShared) > 0 && &fromShared[0] != &fromMemo[0] {
+		t.Error("memo copied a posting list the shared cache already holds")
+	}
+}
+
+// TestResolvePlan: ResolvePlan names the plan an execution will follow —
+// the unhinted run and the forced hint the optimizer would pick are one
+// plan, any other index subset or rewrite clause is another, and a backend
+// that drops every hint has only the optimizer's.
+func TestResolvePlan(t *testing.T) {
+	db := buildTestDB(t, 2000, 9)
+	q := testQuery(db)
+	chosen := db.ChoosePlan(q)
+	auto := db.ResolvePlan(q, Hint{})
+	if got := db.ResolvePlan(q, ForcedHint(chosen.Positions, JoinAuto)); got != auto {
+		t.Errorf("forced optimizer plan resolves to %+v, unhinted to %+v", got, auto)
+	}
+	seen := map[PlanID]string{}
+	note := func(label string, rq *Query, h Hint) {
+		t.Helper()
+		id := db.ResolvePlan(rq, h)
+		if prev, dup := seen[id]; dup {
+			t.Errorf("%s and %s resolve to the same plan %+v", prev, label, id)
+		}
+		seen[id] = label
+	}
+	for mask := uint32(0); mask < 8; mask++ {
+		note(fmt.Sprintf("mask %03b", mask), q, ForcedHint(PositionsFromMask(mask, 3), JoinAuto))
+	}
+	limited := q.Clone()
+	limited.Limit = 10
+	note("limit", limited, ForcedHint(nil, JoinAuto))
+	sampled := q.Clone()
+	sampled.Approx = ApproxSpec{Method: ApproxRows, Rate: 0.2}
+	note("row sample", sampled, ForcedHint(nil, JoinAuto))
+	sampled.Approx.Rate = 0.04
+	note("sparser row sample", sampled, ForcedHint(nil, JoinAuto))
+	joined := q.Clone()
+	joined.Join = &JoinClause{Table: "dims", LeftCol: "fk", RightCol: "id"}
+	if db.ResolvePlan(joined, ForcedHint([]int{1}, HashJoin)) == db.ResolvePlan(joined, ForcedHint([]int{1}, MergeJoin)) {
+		t.Error("join methods resolve to one plan")
+	}
+
+	db.Profile.HintDropProb = 1
+	for mask := uint32(0); mask < 8; mask++ {
+		if got := db.ResolvePlan(q, ForcedHint(PositionsFromMask(mask, 3), JoinAuto)); got != auto {
+			t.Errorf("mask %03b with every hint dropped resolves to %+v, want the optimizer's %+v", mask, got, auto)
+		}
 	}
 }
 

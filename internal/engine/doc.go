@@ -12,11 +12,15 @@
 //   - table.go, types.go, vocab.go — the columnar store: typed columns,
 //     tokenized text, immutable once loaded.
 //   - btree.go, rtree.go, inverted.go — the index structures. BTree offers
-//     three read paths with identical entries accounting: materializing
-//     Range (the differential-test oracle), the allocation-free Visit
-//     visitor, and the resumable Cursor the join paths pool.
-//   - query.go, predicate.go — the SQL-ish query model and per-predicate
-//     evaluation.
+//     two read paths with identical entries accounting: the allocation-free
+//     Visit visitor and the resumable Cursor the join paths pool (the
+//     materializing Range scan survives in btree_oracle_test.go as their
+//     differential-test oracle).
+//   - rowset.go — the pooled bitset Index.Lookup marks tree scans into and
+//     sweeps out in row-id order (a bitmap index scan; tiny sets are sorted).
+//   - query.go, predicate.go — the SQL-ish query model, per-predicate
+//     evaluation, and boundPred: a predicate bound to its column's typed
+//     storage once per execution for the scan and residual loops.
 //   - optimizer.go, cost.go, stats.go — the deliberately-imperfect
 //     cost-based optimizer, the virtual-time cost model, and ExecStats,
 //     the work accounting everything else is priced in.
@@ -24,18 +28,22 @@
 //     scratch buffers (the zero-allocation hot path).
 //   - lookup_cache.go — LookupCache memoizes per-predicate index scans
 //     across the executions of related plans (DB.RunCached); safe for
-//     concurrent readers over the immutable dataset.
+//     concurrent readers over the immutable dataset. NewLookupMemo layers
+//     an unbounded per-build memo in front of a shared (possibly full)
+//     cache; DB.ResolvePlan tells a caller which rewrites are the same
+//     physical plan, so it can run each once.
 //
 // # Invariants
 //
 // ExecStats is bit-identical across every execution strategy of the same
-// plan: pooled or fresh contexts, Range or Visit or Cursor scans, cached or
-// uncached lookups. The virtual clock — and therefore ground-truth labels,
+// plan: pooled or fresh contexts, Visit or Cursor scans, bitset-ordered or
+// sorted posting lists, bound or interpreted predicates, cached or uncached
+// lookups. The virtual clock — and therefore ground-truth labels,
 // trained policies, and every serving-layer cache — prices ExecStats, so
 // an optimization that changes the accounting changes answers. New fast
 // paths must ship with a differential test against the slow path (see
-// btree_visit_test.go, join_stats_test.go) and an allocation ceiling in
-// alloc_guard_test.go. All execution randomness derives from per-query and
+// btree_visit_test.go, join_stats_test.go, and reference_test.go's
+// whole-executor oracle) and an allocation ceiling in alloc_guard_test.go. All execution randomness derives from per-query and
 // per-plan fingerprints, never from run order, which is what makes results
 // reproducible under any parallelism (docs/ARCHITECTURE.md).
 package engine

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -89,6 +90,11 @@ type execContext struct {
 	accB  []uint32
 	cand  []uint32
 	resv  []uint32 // reservoir slots (ApproxReservoir)
+	// Predicates bound to column storage for this execution (main table and
+	// join inner table). They alias table columns, so putExecContext clears
+	// them like lists.
+	preds  []boundPred
+	jpreds []boundPred
 	// Join scratch: the hash-join key set and the merge-join sort buffer.
 	// Both hold no pointers, so keeping them across executions pins at most
 	// the footprint of the largest join seen, not any table data.
@@ -157,6 +163,10 @@ func putExecContext(ec *execContext) {
 		ec.lists[i] = nil
 	}
 	ec.lists = ec.lists[:0]
+	clear(ec.preds)
+	ec.preds = ec.preds[:0]
+	clear(ec.jpreds)
+	ec.jpreds = ec.jpreds[:0]
 	ec.cur = Cursor{}
 	ecPool.Put(ec)
 }
@@ -204,24 +214,7 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 		// Summary-served aggregates never touch rows or plans.
 		return db.runSketch(q, t)
 	}
-	positions := h.UseIndex
-	join := h.Join
-	forced := h.Forced
-	if forced && db.Profile.HintDropProb > 0 {
-		// Challenge C2: the backend may ignore hints. Deterministic per
-		// (seed, plan identity) so repeated runs agree.
-		u := float64(mix64(uint64(db.Seed)^planFingerprint(q, positions, join))%100000) / 100000
-		if u < db.Profile.HintDropProb {
-			forced = false
-		}
-	}
-	if !forced {
-		pe := db.ChoosePlan(q)
-		positions = pe.Positions
-		if join == JoinAuto {
-			join = pe.Join
-		}
-	}
+	positions, join := db.resolvePlan(q, h)
 	for _, pos := range positions {
 		if pos < 0 || pos >= len(q.Preds) {
 			return nil, ExecStats{}, fmt.Errorf("engine: hint position %d out of range (%d preds)", pos, len(q.Preds))
@@ -311,6 +304,69 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 	return res, stats, nil
 }
 
+// resolvePlan maps (q, h) to the physical plan an execution follows: the
+// index positions and join method after the backend has had its say — a
+// forced hint may be dropped, and anything unforced is the optimizer's pick.
+// Together with q's own LIMIT / sample / approximation clauses these are
+// exactly planFingerprint's inputs, so two executions of one query's rewrites
+// that resolve alike produce the same rows, ExecStats and SimMs.
+func (db *DB) resolvePlan(q *Query, h Hint) (positions []int, join JoinMethod) {
+	positions, join = h.UseIndex, h.Join
+	forced := h.Forced
+	if forced && db.Profile.HintDropProb > 0 {
+		// Challenge C2: the backend may ignore hints. Deterministic per
+		// (seed, plan identity) so repeated runs agree.
+		u := float64(mix64(uint64(db.Seed)^planFingerprint(q, positions, join))%100000) / 100000
+		if u < db.Profile.HintDropProb {
+			forced = false
+		}
+	}
+	if !forced {
+		pe := db.ChoosePlan(q)
+		positions = pe.Positions
+		if join == JoinAuto {
+			join = pe.Join
+		}
+	}
+	return positions, join
+}
+
+// PlanID names the physical plan one execution follows, among the rewrites
+// of a single query (same table, predicates, join clause and projection): the
+// resolved index positions in scan order, the resolved join method, and the
+// rewrite's own LIMIT / sample / approximation clauses — planFingerprint's
+// inputs, and so everything rows, ExecStats and SimMs depend on. It is
+// comparable, so it can key a map.
+type PlanID struct {
+	Positions     string // resolved positions, comma-separated
+	Join          JoinMethod
+	Limit         int
+	SamplePercent int
+	Approx        ApproxSpec
+}
+
+// ResolvePlan reports which physical plan RunCached(q, h, …) executes, without
+// executing it. Callers that run many rewrites of one query (core.BuildContext)
+// use it to execute each distinct plan once: an unhinted run and the forced
+// hint the optimizer would have picked anyway are the same PlanID, as is every
+// hint the backend drops. Sketch-served aggregates touch no plan; their
+// PlanID is the approximation clause alone.
+func (db *DB) ResolvePlan(q *Query, h Hint) PlanID {
+	id := PlanID{Limit: q.Limit, SamplePercent: q.SamplePercent, Approx: q.Approx}
+	if q.Approx.Method.IsSketch() {
+		return id
+	}
+	positions, join := db.resolvePlan(q, h)
+	var buf [32]byte
+	b := buf[:0]
+	for _, pos := range positions {
+		b = strconv.AppendInt(b, int64(pos), 10)
+		b = append(b, ',')
+	}
+	id.Positions, id.Join = string(b), join
+	return id
+}
+
 // resolveTable maps the query to its base table or sample table.
 func (db *DB) resolveTable(q *Query) (*Table, error) {
 	t, ok := db.Tables[q.Table]
@@ -384,6 +440,15 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 			ec.yield()
 		}
 	}
+	// Residual predicates keep query order: PredEvals counts how far the
+	// short-circuit got.
+	residual := ec.preds[:0]
+	for i, p := range q.Preds {
+		if usedMask&(1<<uint(i)) == 0 {
+			residual = append(residual, p.bind(t))
+		}
+	}
+	ec.preds = residual
 	// Fetch candidates, evaluate residual predicates. Under row sampling
 	// the keep decision comes before the fetch, so the virtual cost of the
 	// fetch+residual phase scales with the sampling rate (the posting-list
@@ -396,12 +461,9 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 		}
 		ec.stats.RowsFetched++
 		ok := true
-		for i, p := range q.Preds {
-			if usedMask&(1<<uint(i)) != 0 {
-				continue
-			}
+		for i := range residual {
 			ec.stats.PredEvals++
-			if !p.Eval(t, r) {
+			if !residual[i].eval(r) {
 				ok = false
 				break
 			}
@@ -418,10 +480,14 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 	return out, nil
 }
 
-// seqScan scans the whole table, evaluating all predicates per row. The
-// returned slice aliases pooled scratch memory.
+// seqScan scans the whole table, evaluating all predicates per row. The scan
+// is charged per row (RowsScanned), never per predicate evaluation, so it is
+// free to test the cheap columnar predicates first. The returned slice
+// aliases pooled scratch memory.
 func (ec *execContext) seqScan(earlyLimit int) []uint32 {
-	q, t := ec.q, ec.t
+	t := ec.t
+	ec.preds = bindPreds(ec.preds[:0], t, ec.q.Preds, true)
+	preds := ec.preds
 	out := ec.cand[:0]
 	for r := 0; r < t.Rows; r++ {
 		ec.maybeYield()
@@ -433,14 +499,7 @@ func (ec *execContext) seqScan(earlyLimit int) []uint32 {
 			continue
 		}
 		ec.stats.RowsScanned++
-		ok := true
-		for _, p := range q.Preds {
-			if !p.Eval(t, uint32(r)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if evalAll(preds, uint32(r)) {
 			out = append(out, uint32(r))
 			if earlyLimit > 0 && len(out) >= earlyLimit {
 				ec.res.Truncated = true
@@ -474,10 +533,11 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		// re-descend; the pooled cursor still removes the per-probe match
 		// slice the old Range call materialized.
 		ec.cur.Reset(ix.btree)
+		ec.jpreds = bindPreds(ec.jpreds[:0], inner, q.Join.Preds, false)
 		for _, lr := range candidates {
 			ec.maybeYield()
 			ec.stats.NestProbes++
-			if ec.probeInner(inner, leftKeys.NumericAt(lr), lr) {
+			if ec.probeInner(leftKeys.NumericAt(lr), lr) {
 				if ec.limitReached() {
 					return nil
 				}
@@ -495,17 +555,11 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 			clear(ec.ht)
 		}
 		innerKeys := inner.Col(q.Join.RightCol)
+		ec.jpreds = bindPreds(ec.jpreds[:0], inner, q.Join.Preds, true) // row-charged scan, like seqScan
 		for r := 0; r < inner.Rows; r++ {
 			ec.maybeYield()
 			ec.stats.RowsScanned++
-			pass := true
-			for _, p := range q.Join.Preds {
-				if !p.Eval(inner, uint32(r)) {
-					pass = false
-					break
-				}
-			}
-			if pass {
+			if evalAll(ec.jpreds, uint32(r)) {
 				ec.stats.HashBuilds++
 				ec.ht[innerKeys.NumericAt(uint32(r))] = struct{}{}
 			}
@@ -551,9 +605,10 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		// synthetic descent cost either way, keeping IndexEntries identical
 		// to the descent-per-probe path.
 		ec.cur.Reset(ix.btree)
+		ec.jpreds = bindPreds(ec.jpreds[:0], inner, q.Join.Preds, false)
 		for _, l := range left {
 			ec.maybeYield()
-			if ec.probeInner(inner, l.key, l.row) {
+			if ec.probeInner(l.key, l.row) {
 				if ec.limitReached() {
 					return nil
 				}
@@ -571,8 +626,9 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 // after a qualifying row — the per-probe slot walk is what IndexEntries
 // charges, and it must match what a materializing Range scan reported —
 // but predicate evaluation stops at the first pass, exactly like the old
-// slice-based match loop. Returns whether the left row was emitted.
-func (ec *execContext) probeInner(inner *Table, key float64, leftRow uint32) bool {
+// slice-based match loop. The inner predicates are ec.jpreds, bound in query
+// order by the caller. Returns whether the left row was emitted.
+func (ec *execContext) probeInner(key float64, leftRow uint32) bool {
 	ec.cur.Seek(key)
 	emitted := false
 	for {
@@ -584,9 +640,9 @@ func (ec *execContext) probeInner(inner *Table, key float64, leftRow uint32) boo
 			continue
 		}
 		pass := true
-		for _, p := range ec.q.Join.Preds {
+		for i := range ec.jpreds {
 			ec.stats.PredEvals++
-			if !p.Eval(inner, ir) {
+			if !ec.jpreds[i].eval(ir) {
 				pass = false
 				break
 			}

@@ -38,6 +38,9 @@ type LookupCache struct {
 	// work but stop inserting — long-lived server-scope caches stay within
 	// a fixed memory budget even under unbounded distinct request shapes.
 	cap int
+	// next, when non-nil, serves this cache's misses (see NewLookupMemo);
+	// nil means a miss scans the index.
+	next *LookupCache
 
 	// hits/misses count served lookups for effectiveness metrics (e.g. the
 	// lab-scope shared-cache benchmark). They never influence results.
@@ -76,6 +79,20 @@ func NewLookupCacheWithCap(maxEntries int) *LookupCache {
 	return c
 }
 
+// NewLookupMemo returns an unbounded cache scoped to one bounded unit of
+// work — one context build: the baseline run, every option run and the
+// true-selectivity pass of a single query — layered in front of shared. A
+// lookup the memo has not seen falls through to shared (nil: straight to the
+// index), which counts it and keeps it under its own cap and freeze policy,
+// and is then remembered here, so the unit scans each predicate once whether
+// or not shared has room. Repeats never reach shared: its Stats() describe
+// cross-unit sharing only.
+func NewLookupMemo(shared *LookupCache) *LookupCache {
+	c := NewLookupCache()
+	c.next = shared
+	return c
+}
+
 // lookup serves ix.Lookup(p) through the cache. A nil receiver falls
 // through to the direct lookup, so call sites need no cache-presence branch.
 func (c *LookupCache) lookup(t *Table, ix *Index, p Predicate) ([]uint32, int, error) {
@@ -91,7 +108,7 @@ func (c *LookupCache) lookup(t *Table, ix *Index, p Predicate) ([]uint32, int, e
 		return v.rows, v.entries, nil
 	}
 	c.misses.Add(1)
-	rows, entries, err := ix.Lookup(p)
+	rows, entries, err := c.next.lookup(t, ix, p)
 	if err != nil {
 		return nil, 0, err
 	}

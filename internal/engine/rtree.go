@@ -253,29 +253,31 @@ func (n *rtreeNode) splitInternal() *rtreeNode {
 	return right
 }
 
-// Search returns row ids of points inside box, plus the number of node
-// entries examined (for costing).
+// Search returns the row ids of points inside box in ascending order, plus
+// the number of node entries examined (for costing).
 func (t *RTree) Search(box Rect) (rows []uint32, entries int) {
-	var walk func(n *rtreeNode)
-	walk = func(n *rtreeNode) {
-		entries++
-		if !n.box.Intersects(box) {
-			return
-		}
-		if n.leaf {
-			for i, p := range n.points {
-				entries++
-				if box.Contains(p) {
-					rows = append(rows, n.rows[i])
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
+	set := getRowSet(t.size)
+	entries = t.root.search(box, set)
+	return set.drain(), entries
+}
+
+// search adds the rows of n's subtree that fall inside box to set and returns
+// the entries examined: one per visited node, one per leaf point tested.
+func (n *rtreeNode) search(box Rect, set *rowSet) (entries int) {
+	entries = 1
+	if !n.box.Intersects(box) {
+		return entries
 	}
-	walk(t.root)
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	return rows, entries
+	if n.leaf {
+		for i, p := range n.points {
+			if box.Contains(p) {
+				set.add(n.rows[i])
+			}
+		}
+		return entries + len(n.points)
+	}
+	for _, c := range n.children {
+		entries += c.search(box, set)
+	}
+	return entries
 }

@@ -280,9 +280,10 @@ func trueSelectivityCached(t *Table, p Predicate, c *LookupCache) float64 {
 			return float64(len(rows)) / float64(t.Rows)
 		}
 	}
+	b := p.bind(t)
 	n := 0
 	for r := 0; r < t.Rows; r++ {
-		if p.Eval(t, uint32(r)) {
+		if b.eval(uint32(r)) {
 			n++
 		}
 	}

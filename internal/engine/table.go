@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,7 +43,11 @@ type Index struct {
 }
 
 // Lookup returns the sorted row ids matching p via the index and the number
-// of index entries touched. The returned slice is freshly allocated (btree,
+// of index entries touched. Tree scans produce rows in key (btree) or tile
+// (rtree) order; posting-list consumers (intersection) require row-id order,
+// so both are ordered like a bitmap index scan — marked into a pooled rowSet
+// straight from the tree walk and swept out ascending, never comparison-sorted
+// unless the set is tiny. The returned slice is freshly allocated (btree,
 // rtree) or shared-immutable (inverted), so it is stable enough to live in a
 // LookupCache; executor paths that never cache a probe — join probes, true
 // selectivity without a cache — use BTree.Visit / Cursor instead and skip the
@@ -55,11 +58,9 @@ func (ix *Index) Lookup(p Predicate) (rows []uint32, entries int, err error) {
 		if p.Kind != PredRange {
 			return nil, 0, fmt.Errorf("engine: btree index on %s cannot serve %s predicate", ix.Col, p.Kind)
 		}
-		rows, entries = ix.btree.Range(p.Lo, p.Hi)
-		// Range returns rows in key order; posting-list consumers
-		// (intersection) require row-id order, like a bitmap index scan.
-		slices.Sort(rows)
-		return rows, entries, nil
+		set := getRowSet(ix.btree.Len())
+		entries = ix.btree.Visit(p.Lo, p.Hi, func(row uint32) bool { set.add(row); return true })
+		return set.drain(), entries, nil
 	case IndexRTree:
 		if p.Kind != PredGeo {
 			return nil, 0, fmt.Errorf("engine: rtree index on %s cannot serve %s predicate", ix.Col, p.Kind)

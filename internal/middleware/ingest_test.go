@@ -54,7 +54,10 @@ func ingestRequests() []Request {
 // TestReadsDuringIngestByteIdentity is the PR's stale-read acceptance test:
 // a fully cached server under live ingestion answers, after every flush,
 // byte-identically to a cache-free server that replayed the same row stream
-// to the same data version — while concurrent readers race the flushes. Run
+// to the same data version — while concurrent readers race the flushes, half
+// of them with a /* ttl:N */ hint so stale-version probes race the flush
+// hook's reclamation too. The rounds outnumber maxStaleProbes, so the hook
+// drops plan entries every round and result entries in the later ones. Run
 // with -race.
 func TestReadsDuringIngestByteIdentity(t *testing.T) {
 	live := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
@@ -82,7 +85,11 @@ func TestReadsDuringIngestByteIdentity(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := live.Handle(reqs[(w+i)%len(reqs)]); err != nil {
+				req := reqs[(w+i)%len(reqs)]
+				if w%2 == 1 {
+					req.TTL = time.Minute
+				}
+				if _, err := live.Handle(req); err != nil {
 					t.Errorf("reader: %v", err)
 					return
 				}
@@ -90,7 +97,7 @@ func TestReadsDuringIngestByteIdentity(t *testing.T) {
 		}(w)
 	}
 
-	for round := 0; round < 6; round++ {
+	for round := 0; round < maxStaleProbes+4; round++ {
 		rows := stream.Next(64)
 		ra, err := live.Ingest(rows, true)
 		if err != nil {

@@ -200,6 +200,9 @@ func (c ServerConfig) normalized() ServerConfig {
 // slice, so a server facing unbounded distinct shapes must stop memoizing
 // at some point (the plan/result caches have LRU caps; this one freezes
 // when full, which keeps the canonical-slice aliasing invariant trivially).
+// A frozen cache only stops sharing scans *across* requests: within one
+// context build core.BuildContext's own memo sits in front of it, so a cold
+// request scans each predicate once either way.
 const lookupCacheCap = 8192
 
 // Server is the Maliva middleware bound to one dataset and one rewriter.
@@ -219,6 +222,10 @@ type Server struct {
 	lookups *engine.LookupCache
 	plans   *shardedPlanCache
 	results ResultCache
+	// local is the built-in cache underneath results (the same value unless
+	// WrapResultCache put a peer-aware cache on top): the flush hook reclaims
+	// dead versions from it directly.
+	local   *shardedResultCache
 	admit   *admission
 	metrics *Metrics
 	ingest  *engine.Ingestor
@@ -280,10 +287,11 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 		table:    t,
 		lookups:  engine.NewLookupCacheWithCap(lookupCacheCap),
 		plans:    newShardedPlanCache(cfg.PlanCacheSize, cfg.CacheShards),
-		results:  newShardedResultCache(cfg.ResultCacheSize, cfg.CacheShards, cfg.ResultTTL, cfg.Now),
+		local:    newShardedResultCache(cfg.ResultCacheSize, cfg.CacheShards, cfg.ResultTTL, cfg.Now),
 		admit:    newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.PrefetchQueue),
 		metrics:  NewMetrics(),
 	}
+	s.results = s.local
 	if cfg.ResultCacheSize > 0 {
 		s.flight = newExecFlight()
 		s.prefetched = newPrefetchMarks(0)
@@ -291,8 +299,8 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 			s.regions = newRegionIndex(0)
 		}
 	}
-	if cfg.WrapResultCache != nil && s.results.(*shardedResultCache) != nil {
-		s.results = cfg.WrapResultCache(s.results)
+	if cfg.WrapResultCache != nil && s.local != nil {
+		s.results = cfg.WrapResultCache(s.local)
 		if s.results == nil {
 			return nil, fmt.Errorf("middleware: WrapResultCache returned a nil ResultCache")
 		}
@@ -330,9 +338,14 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 	})
 	s.ingest = ing
 	// Correctness under ingest comes from version-carrying cache keys; this
-	// hook only reclaims the memory of entries the new version orphaned. It
-	// fires for any flush on the shared DB, including one applied through a
-	// different replica's ingestor.
+	// hook only reclaims the memory of entries the new version orphaned —
+	// otherwise they leave by LRU/TTL alone, and the faster cold builds get,
+	// the more (shape × version) entries a reader parks between flushes. It
+	// runs outside the data lock, shard by shard, and fires for any flush on
+	// the shared DB, including one applied through a different replica's
+	// ingestor. Plans are only ever asked for at the current version; results
+	// and their containment index stay reachable through the /* ttl:N */
+	// probe window, so those keep the last maxStaleProbes versions.
 	ds.DB.OnFlush(func(table string, version uint64) {
 		if table != s.DS.Main {
 			return
@@ -341,6 +354,13 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 		if t := ds.DB.Table(table); t != nil {
 			for _, sample := range t.Samples {
 				s.lookups.InvalidateTable(sample.Name)
+			}
+		}
+		s.plans.dropBelow(version)
+		if version > maxStaleProbes {
+			s.local.dropBelow(version - maxStaleProbes)
+			if s.regions != nil {
+				s.regions.dropBelow(version - maxStaleProbes)
 			}
 		}
 	})
@@ -585,8 +605,7 @@ func (s *Server) plan(req Request, count, background bool) (planned, error) {
 	case VizDistinct:
 		class = "#distinct\x00"
 	}
-	planKey := fmt.Sprintf("v%d\x00%s%s", version, class, p.sig)
-	entry, how, err := s.plans.get(planKey, !background, func(boost *atomic.Bool) (*core.QueryContext, error) {
+	entry, how, err := s.plans.get(planCacheKey(version, class, p.sig), !background, func(boost *atomic.Bool) (*core.QueryContext, error) {
 		ccfg := core.DefaultContextConfig(s.spaceFor(kind))
 		ccfg.Lookups = s.lookups
 		if background {

@@ -3,11 +3,36 @@ package middleware
 import (
 	"container/list"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"github.com/maliva/maliva/internal/core"
 )
+
+// planCacheKey is the plan-cache key of a query shape at one data version:
+// "v<version>\x00<class><signature>". The version prefix retires every
+// pre-flush context at a flush without touching the cache; planKeyVersion
+// reads it back so the flush hook can reclaim what the prefix orphaned.
+func planCacheKey(version uint64, class, sig string) string {
+	return "v" + strconv.FormatUint(version, 10) + "\x00" + class + sig
+}
+
+// planKeyVersion is planCacheKey's inverse for the version field; ok is
+// false for a key planCacheKey did not build.
+func planKeyVersion(key string) (version uint64, ok bool) {
+	rest, found := strings.CutPrefix(key, "v")
+	if !found {
+		return 0, false
+	}
+	num, _, found := strings.Cut(rest, "\x00")
+	if !found {
+		return 0, false
+	}
+	version, err := strconv.ParseUint(num, 10, 64)
+	return version, err == nil
+}
 
 // planEntry is one cached query shape: the ground-truth context (the
 // expensive part — BuildContext executes every rewritten query) plus the
@@ -178,6 +203,24 @@ func (c *planCache) get(key string, live bool, build func(*atomic.Bool) (*core.Q
 		return nil, planMiss, call.err
 	}
 	return call.entry, planMiss, nil
+}
+
+// dropBelow removes every entry keyed at a data version older than version
+// (memory reclamation after a flush: such keys are never asked for again).
+// In-flight builds are left alone — they hold the data read lock, so none
+// can be older than the flush that calls this.
+func (c *planCache) dropBelow(version uint64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, el := range c.entries {
+		if v, ok := planKeyVersion(key); ok && v < version {
+			c.lru.Remove(el)
+			delete(c.entries, key)
+		}
+	}
 }
 
 // len reports the number of cached entries (for tests).

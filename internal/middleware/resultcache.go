@@ -191,6 +191,19 @@ func (c *resultCache) put(key ResultKey, resp *Response) {
 	}
 }
 
+// dropBelow removes every response computed at a data version older than
+// version, live or expired.
+func (c *resultCache) dropBelow(version uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, el := range c.entries {
+		if key.DataVersion < version {
+			c.lru.Remove(el)
+			delete(c.entries, key)
+		}
+	}
+}
+
 // len reports the number of live (non-expired) cached responses.
 func (c *resultCache) len() int {
 	if c == nil {

@@ -77,6 +77,16 @@ func (c *shardedPlanCache) get(key string, live bool, build func(*atomic.Bool) (
 	return c.shards[fnv64(key)%uint64(len(c.shards))].get(key, live, build)
 }
 
+// dropBelow reclaims entries older than version, one shard lock at a time.
+func (c *shardedPlanCache) dropBelow(version uint64) {
+	if c == nil {
+		return
+	}
+	for _, s := range c.shards {
+		s.dropBelow(version)
+	}
+}
+
 // len sums the shard sizes (for tests).
 func (c *shardedPlanCache) len() int {
 	if c == nil {
@@ -128,6 +138,18 @@ func (c *shardedResultCache) Put(key ResultKey, resp *Response) {
 		return
 	}
 	c.shard(key).put(key, resp)
+}
+
+// dropBelow reclaims responses computed at a data version older than
+// version, one shard lock at a time. It is deliberately not part of the
+// ResultCache interface: only this replica's own memory is reclaimed.
+func (c *shardedResultCache) dropBelow(version uint64) {
+	if c == nil {
+		return
+	}
+	for _, s := range c.shards {
+		s.dropBelow(version)
+	}
 }
 
 // Len sums the shard sizes.

@@ -3,6 +3,7 @@ package middleware
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -199,6 +200,20 @@ func (ri *regionIndex) remove(fam famKey, key ResultKey) {
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
 	ri.dropLocked(fam, key)
+}
+
+// dropBelow removes every family of a data version older than version —
+// their cached responses were just reclaimed, and containment candidates are
+// only ever looked up at the current version.
+func (ri *regionIndex) dropBelow(version uint64) {
+	ri.mu.Lock()
+	defer ri.mu.Unlock()
+	for fam := range ri.fams {
+		if fam.version < version {
+			delete(ri.fams, fam)
+		}
+	}
+	ri.order = slices.DeleteFunc(ri.order, func(r famRef) bool { return r.fam.version < version })
 }
 
 func (ri *regionIndex) dropLocked(fam famKey, key ResultKey) {
