@@ -16,13 +16,13 @@
 //	  "kind": "heatmap", "budget_ms": 500
 //	}'
 //
-// Cluster modes (internal/cluster):
+// Cluster mode (internal/cluster): one process per replica, every process
+// given the same ordered -peer list. Peers share result caches through the
+// /cluster endpoints; routing across replicas is the load balancer's job.
 //
-//	maliva-server -replicas 4                 # 4 in-process replicas behind
-//	                                          # the consistent-hash router
-//	maliva-server -replica-id 0 \             # one process per replica;
-//	  -peer http://host0:8080 \               # peers share result caches
-//	  -peer http://host1:8080                 # through /cluster endpoints
+//	maliva-server -replica-id 0 \
+//	  -peer http://host0:8080 \
+//	  -peer http://host1:8080
 package main
 
 import (
@@ -66,7 +66,7 @@ func (d *stringList) Set(v string) error {
 
 // agentMap collects repeated path flags: "dataset=path" pins a path to one
 // dataset; a bare "path" is the fallback for every dataset without a pinned
-// one (the single-dataset spelling maliva-load -agent uses).
+// one (the spelling for a single-dataset server).
 type agentMap map[string]string
 
 func (a agentMap) String() string {
@@ -119,37 +119,22 @@ func main() {
 	var peers stringList
 	flag.Var(&peers, "peer", "full ordered replica URL list for a one-process-per-replica cluster, self included (repeatable); requires -replica-id")
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		budget      = flag.Float64("budget", 500, "default time budget in virtual ms")
-		queries     = flag.Int("queries", 400, "training workload size per dataset")
-		rows        = flag.Int("rows", 60_000, "stored rows per dataset")
-		rewriter    = flag.String("rewriter", "mdp", "rewriting strategy: mdp (trains per dataset at startup) or oracle")
-		lazy        = flag.Bool("lazy", false, "build datasets on first request (503 while warming) instead of at startup; ignored with -replicas > 1")
-		warmWorkers = flag.Int("warm-workers", 0, "datasets warmed concurrently at startup (0 = GOMAXPROCS, 1 = serial)")
+		addr     = flag.String("addr", ":8080", "listen address")
+		budget   = flag.Float64("budget", 500, "default time budget in virtual ms")
+		queries  = flag.Int("queries", 400, "training workload size per dataset")
+		rows     = flag.Int("rows", 60_000, "stored rows per dataset")
+		rewriter = flag.String("rewriter", "mdp", "rewriting strategy: mdp (trains per dataset at startup) or oracle")
+		lazy     = flag.Bool("lazy", false, "build datasets on first request (503 while warming) instead of at startup")
 
-		replicas    = flag.Int("replicas", 1, "in-process replica count; > 1 serves the consistent-hash routing tier over that many gateway replicas with a peer-shared result cache")
-		replicaID   = flag.Int("replica-id", -1, "this process's index into the -peer list")
-		peerTimeout = flag.Duration("peer-timeout", cluster.DefaultPeerTimeout, "timeout for one peer cache round trip")
-		peerSecret  = flag.String("peer-secret", "", "shared secret required on /cluster peer endpoints (all replicas must agree); without it anyone reaching the listener can read and poison the result cache")
-
-		probeInterval    = flag.Duration("probe-interval", 0, "router health-probe interval per replica (0 = default 500ms)")
-		probeFailAfter   = flag.Int("probe-fail-after", 0, "consecutive probe failures before a replica is marked down (0 = default 2)")
-		probeRejoinAfter = flag.Int("probe-rejoin-after", 0, "consecutive probe successes before a down replica rejoins the routed set (0 = default 2)")
-		probeBackoffMax  = flag.Duration("probe-backoff-max", 0, "cap on the exponential probe backoff while a replica stays down (0 = default 8x interval)")
-		hedgeQuantile    = flag.Float64("hedge-quantile", 0, "peer-fetch latency quantile that arms the hedge timer (0 = default 0.9)")
-		hedgeMinDelay    = flag.Duration("hedge-min-delay", 0, "floor on the hedge delay (0 = default 5ms)")
-		hedgeMaxDelay    = flag.Duration("hedge-max-delay", 0, "cap on the hedge delay (0 = default half the peer timeout)")
-		noHedge          = flag.Bool("no-hedge", false, "disable hedged peer fetches (single-fetch behavior)")
+		replicaID   = flag.Int("replica-id", -1, "this process's index into the -peer list (requires -peer)")
+		peerTimeout = flag.Duration("peer-timeout", cluster.DefaultPeerTimeout, "timeout for one peer cache round trip (requires -peer)")
+		peerSecret  = flag.String("peer-secret", "", "shared secret required on /cluster peer endpoints (all replicas must agree; requires -peer); without it anyone reaching the listener can read and poison the result cache")
+		noHedge     = flag.Bool("no-hedge", false, "disable hedged peer fetches (single-fetch behavior; requires -peer)")
 
 		planCache   = flag.Int("plan-cache", 0, "plan-cache entries per dataset (0 = default, negative = disable)")
 		resultCache = flag.Int("result-cache", 0, "result-cache entries per dataset (0 = default, negative = disable)")
 		resultTTL   = flag.Duration("result-ttl", 0, "result-cache TTL (0 = default 30s)")
-		cacheShards = flag.Int("cache-shards", 0, "plan/result cache shards (0 = default 16)")
 		maxConc     = flag.Int("max-concurrent", 0, "shared concurrent request limit (0 = default 4×GOMAXPROCS, negative = disable)")
-		maxQueue    = flag.Int("max-queue", 0, "shared admission queue length (0 = default 256)")
-		noCache     = flag.Bool("no-cache", false, "disable plan and result caches (baseline mode)")
-		noPrefetch  = flag.Bool("no-prefetch", false, "disable session tracking and speculative tile prefetch")
-		noSubsume   = flag.Bool("no-subsume", false, "disable answering requests by slicing a containing cached heatmap")
 
 		walDir       = flag.String("wal-dir", "", "directory for per-dataset write-ahead logs (empty = durability off); sync /ingest acks become durable before they are sent, and startup replays any existing log while /healthz reports \"recovering\"")
 		fsyncMode    = flag.String("fsync", "always", "WAL fsync policy: always (fsync before every sync ack), interval (background fsync, bounded loss window), never (OS page cache only)")
@@ -157,6 +142,26 @@ func main() {
 	)
 	flag.Parse()
 
+	// Reject what the server would otherwise quietly replace or ignore: a
+	// non-positive budget would train the startup agent at a budget the
+	// server never serves (it normalizes to the 500 ms default), and the
+	// cluster flags mean nothing without a -peer list.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"budget", *budget}, {"rows", float64(*rows)}, {"queries", float64(*queries)}} {
+		if f.v <= 0 {
+			fatal(fmt.Errorf("-%s must be positive, got %v", f.name, f.v))
+		}
+	}
+	if len(peers) == 0 {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "replica-id", "peer-timeout", "peer-secret", "no-hedge":
+				fatal(fmt.Errorf("-%s requires -peer", f.Name))
+			}
+		})
+	}
 	if len(datasets) == 0 {
 		datasets = stringList{"twitter"}
 	}
@@ -168,17 +173,8 @@ func main() {
 	if _, bare := saves[""]; bare && len(datasets) > 1 {
 		fatal(fmt.Errorf("-save-agent with a bare path serves %d datasets into one file; use 'dataset=path' pins", len(datasets)))
 	}
-	if *replicas > 1 && len(peers) > 0 {
-		fatal(fmt.Errorf("-replicas (in-process cluster) and -peer (multi-process cluster) are mutually exclusive"))
-	}
 	if len(peers) > 0 && (*replicaID < 0 || *replicaID >= len(peers)) {
 		fatal(fmt.Errorf("-replica-id %d outside the %d-entry -peer list", *replicaID, len(peers)))
-	}
-	if *walDir != "" && *replicas > 1 {
-		// In-process replicas share the built dataset values; one WAL cannot
-		// arbitrate N replicas' ingestors. Durable clusters run one process
-		// per replica (-peer), each with its own log.
-		fatal(fmt.Errorf("-wal-dir requires one process per replica (use -peer/-replica-id, not -replicas)"))
 	}
 	fsyncPolicy, err := engine.ParseFsyncPolicy(*fsyncMode)
 	if err != nil {
@@ -186,85 +182,19 @@ func main() {
 	}
 	walCfg := engine.WALConfig{Policy: fsyncPolicy}
 
-	healthCfg := cluster.HealthConfig{
-		Interval:    *probeInterval,
-		FailAfter:   *probeFailAfter,
-		RejoinAfter: *probeRejoinAfter,
-		BackoffMax:  *probeBackoffMax,
-	}
-	hedgeCfg := cluster.HedgeConfig{
-		Quantile: *hedgeQuantile,
-		MinDelay: *hedgeMinDelay,
-		MaxDelay: *hedgeMaxDelay,
-		Disabled: *noHedge,
-	}
-
 	factory := buildFactory(*rewriter, agents, saves, *queries, *budget)
 	scfg := middleware.ServerConfig{
 		DefaultBudgetMs: *budget,
 		PlanCacheSize:   *planCache,
 		ResultCacheSize: *resultCache,
 		ResultTTL:       *resultTTL,
-		CacheShards:     *cacheShards,
 		MaxConcurrent:   *maxConc,
-		MaxQueue:        *maxQueue,
 	}
-	if *noCache {
-		scfg.PlanCacheSize = -1
-		scfg.ResultCacheSize = -1
-	}
-	scfg.DisableSubsumption = *noSubsume
-	sessions := middleware.SessionConfig{Disabled: *noPrefetch}
 
 	var handler http.Handler
 	var drain func()          // stop admitting new work; in-flight requests finish
 	var closeAll func() error // after Shutdown: flush ingest buffers, stop workers, sync+close WALs
 	switch {
-	case *replicas > 1:
-		// In-process cluster: datasets are built eagerly (replicas share
-		// the immutable values) and each replica warms its own gateway.
-		t0 := time.Now()
-		built := buildDatasets(datasets, *rows)
-		cl, err := cluster.New(cluster.Config{
-			Replicas:    *replicas,
-			Names:       datasets,
-			Datasets:    built,
-			Factory:     factory,
-			Server:      scfg,
-			Space:       core.HintOnlySpec(),
-			WarmWorkers: *warmWorkers,
-			Health:      healthCfg,
-			Hedge:       hedgeCfg,
-			Sessions:    sessions,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if err := cl.Warm(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "warmed %d replica(s) x %d dataset(s) in %s\n",
-			*replicas, len(datasets), time.Since(t0).Round(time.Millisecond))
-		fmt.Fprintf(os.Stderr,
-			"maliva cluster router listening on %s (replicas=%d, datasets=%s, rewriter=%s)\n",
-			*addr, *replicas, datasets.String(), *rewriter)
-		handler = cl.Handler()
-		drain = func() {
-			for i := 0; i < *replicas; i++ {
-				cl.Drain(i)
-			}
-		}
-		closeAll = func() error {
-			cl.Close()
-			var first error
-			for _, n := range cl.Nodes() {
-				if err := n.Gateway().Close(); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		}
-
 	case len(peers) > 0:
 		// One process per replica: this node serves its gateway plus the
 		// /cluster peer endpoints; the other processes are reached over
@@ -273,10 +203,8 @@ func main() {
 		ring := cluster.NewRing(len(peers), 0)
 		reg, closeWALs := newRegistry(datasets, *rows, *walDir, walCfg)
 		node, err := cluster.NewNode(*replicaID, ring, reg, factory, middleware.GatewayConfig{
-			Server:      scfg,
-			Space:       core.HintOnlySpec(),
-			WarmWorkers: *warmWorkers,
-			Sessions:    sessions,
+			Server: scfg,
+			Space:  core.HintOnlySpec(),
 		})
 		if err != nil {
 			fatal(err)
@@ -289,7 +217,7 @@ func main() {
 		}
 		node.SetPeers(pcs)
 		node.SetPeerSecret(*peerSecret)
-		node.SetHedge(hedgeCfg)
+		node.SetHedge(cluster.HedgeConfig{Disabled: *noHedge})
 		if !*lazy {
 			t0 := time.Now()
 			if err := node.Warm(); err != nil {
@@ -314,10 +242,8 @@ func main() {
 	default:
 		reg, closeWALs := newRegistry(datasets, *rows, *walDir, walCfg)
 		gw, err := middleware.NewGateway(reg, factory, middleware.GatewayConfig{
-			Server:      scfg,
-			Space:       core.HintOnlySpec(),
-			WarmWorkers: *warmWorkers,
-			Sessions:    sessions,
+			Server: scfg,
+			Space:  core.HintOnlySpec(),
 		})
 		if err != nil {
 			fatal(err)
@@ -432,25 +358,6 @@ func newRegistry(datasets stringList, rows int, walDir string, wcfg engine.WALCo
 		return first
 	}
 	return reg, closer
-}
-
-// buildDatasets generates the requested datasets eagerly (the in-process
-// cluster shares built values across replicas).
-func buildDatasets(datasets stringList, rows int) map[string]*workload.Dataset {
-	built := make(map[string]*workload.Dataset, len(datasets))
-	for _, name := range datasets {
-		build, err := workload.StandardBuilder(name, rows)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "building %d-row dataset %s...\n", rows, name)
-		ds, err := build()
-		if err != nil {
-			fatal(err)
-		}
-		built[name] = ds
-	}
-	return built
 }
 
 // buildFactory resolves the per-dataset rewriter factory: oracle, snapshot

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -45,7 +47,7 @@ const (
 	batchRows  = 32 // one sync batch is one WAL record, so recovery is whole multiples
 )
 
-// victim is one re-exec'd maliva-server over a WAL directory.
+// victim is one re-exec'd maliva-server.
 type victim struct {
 	cmd     *exec.Cmd
 	url     string
@@ -58,22 +60,32 @@ func (v *victim) log() string {
 	return string(b)
 }
 
-// spawnVictim starts `maliva-server -rewriter oracle -rows 8000 -wal-dir dir
-// -fsync always` on a free loopback port and waits until /healthz reports
-// the dataset ready (the log has been replayed by then).
-func spawnVictim(t *testing.T, walDir string) *victim {
+// freeAddrs returns n distinct loopback addresses whose ports were just
+// free: the server has no "port 0, tell me" mode, and a peer list must name
+// every replica's address before any of them starts.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close() // held until all are picked, so no port repeats
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
+}
+
+// spawnServer re-execs main() listening on addr with the given flags and
+// waits until /healthz reports the twitter dataset ready (a WAL has been
+// replayed by then).
+func spawnServer(t *testing.T, addr string, args ...string) *victim {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Skipf("cannot re-exec the test binary: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close() // the server has no "port 0, tell me" mode; hand it a port that was just free
-
 	v := &victim{url: "http://" + addr, exited: make(chan struct{}),
 		logPath: filepath.Join(t.TempDir(), "stderr.log")}
 	stderr, err := os.Create(v.logPath)
@@ -81,8 +93,7 @@ func spawnVictim(t *testing.T, walDir string) *victim {
 		t.Fatal(err)
 	}
 	defer stderr.Close() // the child holds its own descriptor
-	v.cmd = exec.Command(exe, "-addr", addr, "-rewriter", "oracle",
-		"-rows", strconv.Itoa(victimRows), "-wal-dir", walDir, "-fsync", "always")
+	v.cmd = exec.Command(exe, append([]string{"-addr", addr}, args...)...)
 	v.cmd.Env = append(os.Environ(), reexecEnv+"=1")
 	v.cmd.Stderr = stderr
 	if err := v.cmd.Start(); err != nil {
@@ -123,6 +134,14 @@ func spawnVictim(t *testing.T, walDir string) *victim {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// spawnVictim starts `maliva-server -rewriter oracle -rows 8000 -wal-dir dir
+// -fsync always` on a free loopback port.
+func spawnVictim(t *testing.T, walDir string) *victim {
+	t.Helper()
+	return spawnServer(t, freeAddrs(t, 1)[0], "-rewriter", "oracle",
+		"-rows", strconv.Itoa(victimRows), "-wal-dir", walDir, "-fsync", "always")
 }
 
 var replayedRe = regexp.MustCompile(`replayed (\d+) records / (\d+) rows`)
@@ -426,4 +445,97 @@ func replayWAL(t *testing.T, dir string) engine.WALReplayStats {
 		t.Fatal(err)
 	}
 	return stats
+}
+
+// TestRejectsBadFlags: flag values the server would otherwise replace or
+// ignore exit 1 before any dataset is built, and a removed flag is a usage
+// error (exit 2).
+func TestRejectsBadFlags(t *testing.T) {
+	switch runtime.GOOS {
+	case "js", "wasip1":
+		t.Skipf("needs re-exec; unavailable on %s", runtime.GOOS)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skipf("cannot re-exec the test binary: %v", err)
+	}
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-budget", "0"}, 1, "-budget must be positive"},
+		{[]string{"-budget", "-50"}, 1, "-budget must be positive"},
+		{[]string{"-rows", "0"}, 1, "-rows must be positive"},
+		{[]string{"-queries", "-1"}, 1, "-queries must be positive"},
+		{[]string{"-replica-id", "0"}, 1, "-replica-id requires -peer"},
+		{[]string{"-peer-timeout", "1s"}, 1, "-peer-timeout requires -peer"},
+		{[]string{"-peer-secret", "s3cret"}, 1, "-peer-secret requires -peer"},
+		{[]string{"-no-hedge"}, 1, "-no-hedge requires -peer"},
+		{[]string{"-replicas", "2"}, 2, "flag provided but not defined: -replicas"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			// A server that accepted the flags would serve until killed.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			args := append([]string{"-addr", "127.0.0.1:0", "-rewriter", "oracle"}, tc.args...)
+			cmd := exec.CommandContext(ctx, exe, args...)
+			cmd.Env = append(os.Environ(), reexecEnv+"=1")
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+				t.Fatalf("got %v, want exit status %d\n%s", err, tc.code, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("output lacks %q:\n%s", tc.want, out)
+			}
+		})
+	}
+}
+
+// TestPeerReplicasShareResults drives the one cluster shape the binary
+// ships: two maliva-server processes, one per replica, given the same -peer
+// list. Every /viz must answer byte-identically on both, and replica 1 must
+// serve some of them from replica 0's cache — fetched from the owner or
+// filled by it — rather than only from its own executions.
+func TestPeerReplicasShareResults(t *testing.T) {
+	switch runtime.GOOS {
+	case "windows", "plan9", "js", "wasip1":
+		t.Skipf("needs re-exec; unavailable on %s", runtime.GOOS)
+	}
+	addrs := freeAddrs(t, 2)
+	replicas := make([]*victim, len(addrs))
+	for i, addr := range addrs {
+		replicas[i] = spawnServer(t, addr, "-rewriter", "oracle", "-rows", strconv.Itoa(victimRows),
+			"-peer", "http://"+addrs[0], "-peer", "http://"+addrs[1], "-replica-id", strconv.Itoa(i))
+	}
+	for i, body := range probeBodies(buildTwitter(t)) {
+		var got [2][]byte
+		for r, v := range replicas {
+			code, data, err := postViz(http.DefaultClient, v.url, body)
+			if err != nil || code != http.StatusOK {
+				t.Fatalf("probe %d: replica %d status %d, err %v: %s", i, r, code, err, data)
+			}
+			got[r] = data
+		}
+		if !bytes.Equal(got[0], got[1]) {
+			t.Fatalf("probe %d diverged across replicas\nreplica 0: %s\nreplica 1: %s", i, got[0], got[1])
+		}
+	}
+
+	resp, err := http.Get(replicas[1].url + "/metrics?dataset=twitter&format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap middleware.MetricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	// Replica 1 saw each probe once, after replica 0 had answered it, so any
+	// result-cache hit on it is an answer replica 0 computed.
+	t.Logf("replica 1: %d result hits, %d misses", snap.ResultHits, snap.ResultMisses)
+	if snap.ResultHits == 0 {
+		t.Fatalf("replica 1 never served a result from replica 0: %+v", snap)
+	}
 }

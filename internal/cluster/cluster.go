@@ -12,10 +12,11 @@ import (
 
 // Config sizes an in-process cluster: N replicas in one process, each a
 // full gateway, sharing the (immutable) built datasets and one memoized
-// rewriter per dataset. This is the -replicas deployment of maliva-server
-// and the harness the byte-identity tests run against; a
-// one-process-per-replica deployment assembles the same pieces by hand
-// (NewNode + NewHTTPPeer).
+// rewriter per dataset. It is a library for the cluster tests and the
+// benchmark's routing trace, not a deployment: N gateways sharing one
+// process's cores cannot beat one gateway on the same cores. The shipped
+// deployment is one process per replica (maliva-server -peer), which
+// assembles the same pieces by hand (NewNode + NewHTTPPeer).
 type Config struct {
 	// Replicas is the cluster size. Must be >= 1.
 	Replicas int
@@ -36,21 +37,12 @@ type Config struct {
 	Server middleware.ServerConfig
 	// Space is the rewrite option space.
 	Space core.SpaceSpec
-	// WarmWorkers bounds per-replica warmup concurrency (see GatewayConfig).
-	WarmWorkers int
 	// Health tunes the router's replica health probing (zero = defaults,
 	// see HealthConfig).
 	Health HealthConfig
 	// Hedge tunes each replica's hedged peer fetches (zero = defaults,
 	// see HedgeConfig).
 	Hedge HedgeConfig
-	// Sessions tunes session tracking + speculative tile prefetch. In a
-	// cluster, sessions live at the ROUTING tier: key routing fragments one
-	// session's requests across replicas, so no single replica gateway sees
-	// enough history to predict. The router tracks viewports and dispatches
-	// predictions to each key's owner replica through the prefetch lane;
-	// replica-gateway tracking is force-disabled.
-	Sessions middleware.SessionConfig
 }
 
 // Cluster is an in-process replica set: N nodes, their ring, and the
@@ -88,10 +80,9 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 		n, err := NewNode(i, ring, reg, factory, middleware.GatewayConfig{
-			Server:      cfg.Server,
-			Space:       cfg.Space,
-			WarmWorkers: cfg.WarmWorkers,
-			// Sessions are router-scope in a cluster (see Config.Sessions).
+			Server: cfg.Server,
+			Space:  cfg.Space,
+			// Sessions are router-scope in a cluster (see EnableSessions).
 			Sessions: middleware.SessionConfig{Disabled: true},
 		})
 		if err != nil {
@@ -113,7 +104,10 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	router.EnableSessions(cfg.Sessions)
+	// Key routing fragments one session's requests across replicas, so no
+	// replica gateway sees enough history to predict: sessions live at the
+	// routing tier, with the default tracker settings.
+	router.EnableSessions(middleware.SessionConfig{})
 	// Peer-cache ownership must agree with routing: every node resolves
 	// owners over the router's routable set (Ring.OwnerAmong), not the full
 	// ring, so the replica a key's requests concentrate on is the replica

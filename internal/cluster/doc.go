@@ -33,9 +33,10 @@
 //     budget never waits on a dead peer), and computed results a replica
 //     doesn't own are offered to their owner asynchronously, so one cold
 //     execution fills the whole cluster.
-//   - PeerClient — the peer transport: direct pointer exchange for
-//     in-process replicas (maliva-server -replicas N), JSON over HTTP for
-//     one-process-per-replica deployments (maliva-server -peer).
+//   - PeerClient — the peer transport: JSON over HTTP between
+//     one-process-per-replica deployments (maliva-server -peer, the shipped
+//     cluster shape), direct pointer exchange between the in-process
+//     replicas New builds for tests and the benchmark's routing trace.
 //
 // Determinism is the load-bearing invariant, inherited from the layers
 // below (see docs/ARCHITECTURE.md): every replica computes bit-identical

@@ -345,8 +345,8 @@ func (p *HealthPool) SnapshotAll() []ReplicaHealthSnapshot {
 	return out
 }
 
-// NodeProbe probes in-process nodes by their own lifecycle state — the
-// -replicas deployment's probe, equivalent to what an HTTP health check
+// NodeProbe probes in-process nodes by their own lifecycle state (the
+// probe of a cluster built by New), equivalent to what an HTTP health check
 // would observe without the socket.
 func NodeProbe(nodes []*Node) Probe {
 	return func(i int) error {

@@ -45,7 +45,7 @@ func isTimeout(err error) bool {
 }
 
 // localPeer is the in-process PeerClient: replicas living in one process
-// (the -replicas deployment) exchange *Response pointers directly. Responses
+// (a cluster built by New) exchange *Response pointers directly. Responses
 // are immutable by the serving contract, so sharing is safe and byte
 // identity is trivial.
 type localPeer struct {

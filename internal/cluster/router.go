@@ -343,7 +343,7 @@ func (rt *Router) serveViz(w http.ResponseWriter, r *http.Request) {
 // the dataset NAME (not the request body), so a single replica's adaptive
 // batcher sees the full write stream — split across replicas, each batcher
 // would observe a fraction of the arrival rate and mis-tune its flush
-// delay. The in-process deployment shares the built datasets, so a flush
+// delay. An in-process cluster (New) shares the built datasets, so a flush
 // applied through any replica's ingestor bumps the one true data version
 // every replica serves from; failover to the next live replica is therefore
 // safe (at worst it fragments one batch).

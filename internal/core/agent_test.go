@@ -107,7 +107,7 @@ func TestAgentSerializationRoundTrip(t *testing.T) {
 }
 
 // TestLoadAgentFile: the file helper round-trips a trained policy (the
-// cmd/maliva-train → maliva-load -agent handoff) and reports missing or
+// cmd/maliva-train → maliva-server -agent handoff) and reports missing or
 // malformed files as errors.
 func TestLoadAgentFile(t *testing.T) {
 	contexts := learnableWorkload(20)

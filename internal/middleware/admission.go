@@ -87,8 +87,7 @@ type admission struct {
 	queue    waiterQueue
 	// prefetchQ is the prefetch lane's own (bounded) deadline queue; its
 	// waiters are shed first and served last.
-	prefetchQ   waiterQueue
-	maxPrefetch int
+	prefetchQ waiterQueue
 	// prefetchHeld counts slots currently held by admitted prefetches;
 	// maxHeld caps it well below capacity so speculative executions can
 	// occupy at most a sliver of the pool — without the cap a burst of
@@ -101,33 +100,25 @@ type admission struct {
 	now func() time.Time
 }
 
-// defaultPrefetchQueue bounds the prefetch lane's wait queue when the
-// configuration doesn't say otherwise. Prefetches are cheap to shed (the
-// predictor re-issues equivalent ones every step), so the bound is modest.
-const defaultPrefetchQueue = 64
+// prefetchQueue bounds the prefetch lane's wait queue. Prefetches are cheap
+// to shed (the predictor re-issues equivalent ones every step), so the bound
+// is modest.
+const prefetchQueue = 64
 
 // newAdmission sizes the pool. capacity <= 0 disables admission control
-// (returns nil; the nil methods admit everything). prefetchQueue bounds the
-// prefetch lane's waiters: 0 picks the default, negative disables queuing
-// (prefetches are then admitted only against instantly-free idle capacity).
-func newAdmission(capacity, maxQueue, prefetchQueue int) *admission {
+// (returns nil; the nil methods admit everything).
+func newAdmission(capacity, maxQueue int) *admission {
 	if capacity <= 0 {
 		return nil
 	}
 	if maxQueue < 0 {
 		maxQueue = 0
 	}
-	if prefetchQueue == 0 {
-		prefetchQueue = defaultPrefetchQueue
-	}
-	if prefetchQueue < 0 {
-		prefetchQueue = 0
-	}
 	maxHeld := capacity / 4
 	if maxHeld < 1 {
 		maxHeld = 1
 	}
-	return &admission{capacity: capacity, free: capacity, reserve: 1, maxQueue: maxQueue, maxPrefetch: prefetchQueue, maxHeld: maxHeld, now: time.Now}
+	return &admission{capacity: capacity, free: capacity, reserve: 1, maxQueue: maxQueue, maxHeld: maxHeld, now: time.Now}
 }
 
 // acquire tries to take a worker slot, waiting at most wait (the request's
@@ -201,7 +192,7 @@ func (a *admission) acquirePrefetch(wait time.Duration) admitVerdict {
 		return admitOK
 	}
 	shedExpired(&a.prefetchQ, now)
-	if len(a.prefetchQ) >= a.maxPrefetch {
+	if len(a.prefetchQ) >= prefetchQueue {
 		a.mu.Unlock()
 		return admitBusy
 	}

@@ -13,7 +13,7 @@ import (
 // TestPrefetchIdleOnlyAdmission: a prefetch is admitted iff more than the
 // reserve is free and no live waiter is queued.
 func TestPrefetchIdleOnlyAdmission(t *testing.T) {
-	a := newAdmission(4, 4, -1) // no prefetch queue: idle capacity or refusal
+	a := newAdmission(4, 4) // wait 0: idle capacity or refusal, never a queue
 	// Fully idle: admitted.
 	if v := a.acquirePrefetch(0); v != admitOK {
 		t.Fatalf("idle pool refused a prefetch: %v", v)
@@ -44,7 +44,7 @@ func TestPrefetchIdleOnlyAdmission(t *testing.T) {
 // TestPrefetchHoldCap: concurrently-held prefetch slots are capped at
 // capacity/4 even when the pool is otherwise idle.
 func TestPrefetchHoldCap(t *testing.T) {
-	a := newAdmission(8, 8, -1) // maxHeld = 2
+	a := newAdmission(8, 8) // maxHeld = 2
 	if a.acquirePrefetch(0) != admitOK || a.acquirePrefetch(0) != admitOK {
 		t.Fatal("idle pool refused prefetches under the hold cap")
 	}
@@ -63,7 +63,7 @@ func TestPrefetchHoldCap(t *testing.T) {
 // a saturated live workload, queued prefetches get nothing — and queued live
 // requests always beat queued prefetches to freed slots.
 func TestLiveStarvesPrefetchNeverReverse(t *testing.T) {
-	a := newAdmission(2, 4, 4)
+	a := newAdmission(2, 4)
 	// Saturate: both slots held by live requests.
 	if a.acquire(0) != admitOK || a.acquire(0) != admitOK {
 		t.Fatal("live acquire failed on an idle pool")
@@ -108,15 +108,15 @@ func TestLiveStarvesPrefetchNeverReverse(t *testing.T) {
 // live queue bound, and a held prefetch slot never flips a live verdict to
 // admitBusy that idle capacity would have served.
 func TestPrefetchNeverCausesLiveRejection(t *testing.T) {
-	a := newAdmission(4, 1, 64)
+	a := newAdmission(4, 1)
 	// One prefetch holds a slot; fill the prefetch queue too.
 	if a.acquirePrefetch(0) != admitOK {
 		t.Fatal("idle pool refused a prefetch")
 	}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < prefetchQueue; i++ {
 		go a.acquirePrefetch(200 * time.Millisecond)
 	}
-	waitFor(t, func() bool { _, p := a.queueDepths(); return p == 64 })
+	waitFor(t, func() bool { _, p := a.queueDepths(); return p == prefetchQueue })
 
 	// Live requests still get every non-prefetch slot without queuing.
 	for i := 0; i < 3; i++ {
@@ -125,7 +125,7 @@ func TestPrefetchNeverCausesLiveRejection(t *testing.T) {
 		}
 	}
 	// The pool is now genuinely full; exactly maxQueue live waiters may
-	// queue regardless of the 64 queued prefetches.
+	// queue regardless of the queued prefetches.
 	done := make(chan admitVerdict, 1)
 	go func() { done <- a.acquire(time.Second) }()
 	waitFor(t, func() bool { l, _ := a.queueDepths(); return l == 1 })
@@ -143,7 +143,7 @@ func TestPrefetchNeverCausesLiveRejection(t *testing.T) {
 // TestLivePressure pins the background-parking signal: live holders and live
 // waiters raise it; prefetch holders alone do not.
 func TestLivePressure(t *testing.T) {
-	a := newAdmission(4, 4, 4)
+	a := newAdmission(4, 4)
 	if a.livePressure() {
 		t.Fatal("idle pool reports live pressure")
 	}

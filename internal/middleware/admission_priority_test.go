@@ -11,7 +11,7 @@ import (
 // shed (never granted), and the slot goes to an in-budget waiter. White-box:
 // waiters are placed on the queue directly so expiry is deterministic.
 func TestAdmissionShedsExpiredFirst(t *testing.T) {
-	a := newAdmission(1, 8, 0)
+	a := newAdmission(1, 8)
 	if got := a.acquire(time.Second); got != admitOK {
 		t.Fatal("setup acquire failed")
 	}
@@ -48,7 +48,7 @@ func TestAdmissionShedsExpiredFirst(t *testing.T) {
 // TestAdmissionTightestDeadlineFirst: with several in-budget waiters queued,
 // freed slots go to the tightest deadline first, not FIFO.
 func TestAdmissionTightestDeadlineFirst(t *testing.T) {
-	a := newAdmission(1, 8, 0)
+	a := newAdmission(1, 8)
 	if got := a.acquire(time.Second); got != admitOK {
 		t.Fatal("setup acquire failed")
 	}
@@ -75,7 +75,7 @@ func TestAdmissionTightestDeadlineFirst(t *testing.T) {
 // TestAdmissionExpiredMakesRoom: a full queue of expired waiters does not
 // 429 a fresh in-budget request — the expired ones are shed to make room.
 func TestAdmissionExpiredMakesRoom(t *testing.T) {
-	a := newAdmission(1, 1, 0)
+	a := newAdmission(1, 1)
 	if got := a.acquire(time.Second); got != admitOK {
 		t.Fatal("setup acquire failed")
 	}
@@ -109,7 +109,7 @@ func TestAdmissionExpiredMakesRoom(t *testing.T) {
 // deadline waiter queues first, a tight-deadline waiter queues second, and
 // the first freed slot still goes to the tight one.
 func TestAdmissionEndToEndPriority(t *testing.T) {
-	a := newAdmission(1, 4, 0)
+	a := newAdmission(1, 4)
 	if got := a.acquire(time.Second); got != admitOK {
 		t.Fatal("setup acquire failed")
 	}

@@ -23,7 +23,7 @@ func TestAdmissionVerdicts(t *testing.T) {
 	nilPool.release()
 
 	// Capacity 1, queue 0: second concurrent request is shed immediately.
-	a := newAdmission(1, 0, 0)
+	a := newAdmission(1, 0)
 	if got := a.acquire(time.Second); got != admitOK {
 		t.Fatalf("first acquire: %v", got)
 	}
@@ -38,7 +38,7 @@ func TestAdmissionVerdicts(t *testing.T) {
 
 	// Capacity 1, queue 1: a queued request times out if the slot never
 	// frees, and is admitted when it does.
-	a = newAdmission(1, 1, 0)
+	a = newAdmission(1, 1)
 	if got := a.acquire(time.Second); got != admitOK {
 		t.Fatal("setup acquire failed")
 	}
@@ -55,7 +55,7 @@ func TestAdmissionVerdicts(t *testing.T) {
 	a.release()
 
 	// Queue beyond maxQueue sheds.
-	a = newAdmission(1, 1, 0)
+	a = newAdmission(1, 1)
 	a.acquire(time.Second)
 	var wg sync.WaitGroup
 	wg.Add(1)

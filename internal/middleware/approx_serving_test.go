@@ -28,7 +28,7 @@ func approxServers(t *testing.T) (subject, reference *Server) {
 		t.Fatal(err)
 	}
 	reference, err = NewServerWithConfig(ds, core.QualityOracle{}, core.ApproxTierSpec(),
-		ServerConfig{DefaultBudgetMs: 500, DisableSubsumption: true, PlanCacheSize: -1, ResultCacheSize: -1})
+		ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestApproxBudgetLadder(t *testing.T) {
 	// Uncached and subsumption-free: every request is a fresh plan+execute,
 	// so what is served is a property of the rewrite space, not of whatever
 	// an earlier budget left in a cache.
-	uncached := ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1, DisableSubsumption: true}
+	uncached := ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1}
 	exact, err := NewServerWithConfig(ds, core.OracleRewriter{}, core.HintOnlySpec(), uncached)
 	if err != nil {
 		t.Fatal(err)

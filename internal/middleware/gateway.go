@@ -55,10 +55,11 @@ type GatewayConfig struct {
 	// at all when the result cache is disabled (see
 	// ServerConfig.WrapResultCache).
 	WrapResultCache func(dataset string, local ResultCache) ResultCache
-	// Sessions tunes session tracking and speculative tile prefetch. In a
-	// cluster deployment, sessions live at the routing tier instead (key
-	// routing fragments one session across replicas), so internal/cluster
-	// disables gateway-level tracking and drives Server.Prefetch remotely.
+	// Sessions tunes session tracking and speculative tile prefetch. Behind
+	// the in-process cluster router, sessions live at the routing tier
+	// instead (key routing fragments one session across replicas), so
+	// cluster.New disables gateway-level tracking and drives
+	// Server.Prefetch remotely.
 	Sessions SessionConfig
 }
 
@@ -159,7 +160,7 @@ func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConf
 		factory:     factory,
 		cfg:         cfg,
 		defaultName: def,
-		admit:       newAdmission(scfg.MaxConcurrent, scfg.MaxQueue, scfg.PrefetchQueue),
+		admit:       newAdmission(scfg.MaxConcurrent, scfg.MaxQueue),
 		start:       time.Now(),
 		entries:     make(map[string]*gatewayEntry),
 		gwMetrics:   NewMetrics(),

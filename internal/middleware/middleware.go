@@ -121,12 +121,6 @@ type ServerConfig struct {
 	ResultCacheSize int
 	// ResultTTL is the result-cache entry lifetime. Default 30s.
 	ResultTTL time.Duration
-	// CacheShards splits the plan and result caches into independently
-	// locked shards selected by key hash, so concurrent traffic (especially
-	// a gateway's cross-dataset mix) doesn't serialize on two mutexes.
-	// Default 16; 1 restores the single-lock layout. Capacity is the total
-	// across shards.
-	CacheShards int
 	// MaxConcurrent bounds in-flight request execution. Default
 	// 4×GOMAXPROCS; negative disables admission control.
 	MaxConcurrent int
@@ -137,16 +131,6 @@ type ServerConfig struct {
 	// effective per-request deadline is min(QueueTimeout, its budget_ms
 	// as real time). Default 1s.
 	QueueTimeout time.Duration
-	// PrefetchQueue bounds the admission queue's prefetch lane (speculative
-	// requests waiting for idle capacity; shed first, served last). Default
-	// 64; negative disables queuing, so prefetches are admitted only against
-	// instantly-free idle slots.
-	PrefetchQueue int
-	// DisableSubsumption turns off containment-based request answering:
-	// every request is then served only by exact key identity (cache,
-	// single-flight) or execution. The prefetch-off benchmark pass and
-	// differential tests use it.
-	DisableSubsumption bool
 	// Ingest tunes the server's adaptive ingest batcher (zero values pick
 	// the engine defaults; see engine.IngestorConfig).
 	Ingest engine.IngestorConfig
@@ -176,9 +160,6 @@ func (c ServerConfig) normalized() ServerConfig {
 	}
 	if c.ResultTTL <= 0 {
 		c.ResultTTL = 30 * time.Second
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = defaultCacheShards
 	}
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = 4 * runtime.GOMAXPROCS(0)
@@ -286,18 +267,16 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 		cfg:      cfg,
 		table:    t,
 		lookups:  engine.NewLookupCacheWithCap(lookupCacheCap),
-		plans:    newShardedPlanCache(cfg.PlanCacheSize, cfg.CacheShards),
-		local:    newShardedResultCache(cfg.ResultCacheSize, cfg.CacheShards, cfg.ResultTTL, cfg.Now),
-		admit:    newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.PrefetchQueue),
+		plans:    newShardedPlanCache(cfg.PlanCacheSize, defaultCacheShards),
+		local:    newShardedResultCache(cfg.ResultCacheSize, defaultCacheShards, cfg.ResultTTL, cfg.Now),
+		admit:    newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		metrics:  NewMetrics(),
 	}
 	s.results = s.local
 	if cfg.ResultCacheSize > 0 {
 		s.flight = newExecFlight()
 		s.prefetched = newPrefetchMarks(0)
-		if !cfg.DisableSubsumption {
-			s.regions = newRegionIndex(0)
-		}
+		s.regions = newRegionIndex(0)
 	}
 	if cfg.WrapResultCache != nil && s.local != nil {
 		s.results = cfg.WrapResultCache(s.local)

@@ -239,7 +239,7 @@ func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2, err := NewGateway(reg2, OracleFactory, GatewayConfig{
-		Server:   ServerConfig{DefaultBudgetMs: 500, DisableSubsumption: true},
+		Server:   ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1},
 		Space:    core.HintOnlySpec(),
 		Sessions: SessionConfig{Disabled: true},
 	})

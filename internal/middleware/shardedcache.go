@@ -7,11 +7,12 @@ import (
 	"github.com/maliva/maliva/internal/core"
 )
 
-// defaultCacheShards splits each cache into this many independently-locked
-// shards unless ServerConfig.CacheShards says otherwise. 16 shards keep
-// lock hold times negligible well past the core counts the load generator
-// reaches, while the per-shard LRUs stay large enough to behave like one
-// global LRU for skewed traffic.
+// defaultCacheShards splits each server's plan and result caches into this
+// many independently-locked shards selected by key hash, so concurrent
+// traffic (especially a gateway's cross-dataset mix) doesn't serialize on
+// two mutexes. 16 shards keep lock hold times negligible, while the
+// per-shard LRUs stay large enough to behave like one global LRU for skewed
+// traffic. Capacity is the total across shards.
 const defaultCacheShards = 16
 
 // fnv64 hashes a string key to its shard.
@@ -36,9 +37,6 @@ func mixShard(h, v uint64) uint64 {
 // never exceeds the capacity so tiny caches don't degenerate into
 // one-entry shards beyond their total budget.
 func shardCounts(capacity, shards int) (int, int) {
-	if shards <= 0 {
-		shards = defaultCacheShards
-	}
 	if shards > capacity {
 		shards = capacity
 	}

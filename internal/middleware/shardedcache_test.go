@@ -95,8 +95,7 @@ func TestShardedResultCacheBasics(t *testing.T) {
 func TestShardCounts(t *testing.T) {
 	for _, tc := range []struct{ capacity, shards, wantShards, wantPer int }{
 		{512, 16, 16, 32},
-		{512, 0, 16, 32}, // default shard count
-		{10, 16, 10, 1},  // fewer entries than shards
+		{10, 16, 10, 1}, // fewer entries than shards
 		{1, 16, 1, 1},
 		{100, 3, 3, 34},
 	} {

@@ -74,7 +74,7 @@ func subsumeServers(t *testing.T) (subject, reference *Server) {
 		t.Fatal(err)
 	}
 	reference, err = NewServerWithConfig(ds, core.OracleRewriter{}, core.HintOnlySpec(),
-		ServerConfig{DefaultBudgetMs: 500, DisableSubsumption: true, PlanCacheSize: -1, ResultCacheSize: -1})
+		ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

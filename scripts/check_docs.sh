@@ -8,6 +8,11 @@
 #   2. Every relative markdown link in README.md and docs/*.md points at a
 #      file that exists.
 #   3. Every internal/ package ships a doc.go package overview.
+#   4. Every maliva-server flag README.md and docs/*.md name is one
+#      `go run ./cmd/maliva-server -h` prints. A flag is named after
+#      `maliva-server` on a command line (or its `\` continuation lines), or
+#      in backticks in prose — unless another command of this repo or the go
+#      tool defines it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -58,5 +63,46 @@ for pkg in internal/*/; do
     fi
   fi
 done
+
+# flags_of prints the flags a command's -h lists, one per line.
+flags_of() { go run "$1" -h 2>&1 | sed -nE 's/^  (-[a-z][a-z0-9-]*).*/\1/p'; }
+server_flags=$(flags_of ./cmd/maliva-server)
+if [ -z "$server_flags" ]; then
+  echo "go run ./cmd/maliva-server -h printed no flags" >&2
+  fail=1
+fi
+other_flags=$(
+  for cmd in ./cmd/maliva-bench ./cmd/maliva-train ./bench; do flags_of "$cmd"; done
+  for topic in build testflag; do go help "$topic" | sed -nE 's/^\t(-[a-z][a-z0-9.-]*).*/\1/p'; done
+)
+has() { grep -qxF -e "$2" <<<"$1"; }
+# Emit "file:line: flag kind" for every flag the docs name (once); kind is
+# "command" (must be maliva-server's) or "prose" (may be any command's).
+named=$(awk '
+  {
+    line = $0
+    if (cont || line ~ /maliva-server/) {
+      rest = cont ? line : substr(line, index(line, "maliva-server"))
+      sub(/#.*/, "", rest)
+      while (match(rest, /(^|[ \t`])-[a-z][a-z0-9-]*/)) {
+        flag = substr(rest, RSTART, RLENGTH); sub(/^[ \t`]/, "", flag)
+        print FILENAME ":" FNR ": " flag " command"
+        rest = substr(rest, RSTART + RLENGTH)
+      }
+      cont = (line ~ /\\$/)
+    }
+    rest = line
+    while (match(rest, /`-[a-z][a-z0-9-]*/)) {
+      print FILENAME ":" FNR ": " substr(rest, RSTART + 1, RLENGTH - 1) " prose"
+      rest = substr(rest, RSTART + RLENGTH)
+    }
+  }' README.md docs/*.md | awk '!seen[$1 " " $2]++')
+while read -r where flag kind; do
+  [ -n "$flag" ] || continue
+  if has "$server_flags" "$flag"; then continue; fi
+  if [ "$kind" = prose ] && has "$other_flags" "$flag"; then continue; fi
+  echo "$where names maliva-server $flag, which go run ./cmd/maliva-server -h does not print" >&2
+  fail=1
+done <<<"$named"
 
 exit "$fail"
