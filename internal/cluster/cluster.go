@@ -37,9 +37,6 @@ type Config struct {
 	Server middleware.ServerConfig
 	// Space is the rewrite option space.
 	Space core.SpaceSpec
-	// Health tunes the router's replica health probing (zero = defaults,
-	// see HealthConfig).
-	Health HealthConfig
 	// Hedge tunes each replica's hedged peer fetches (zero = defaults,
 	// see HedgeConfig).
 	Hedge HedgeConfig
@@ -54,7 +51,8 @@ type Cluster struct {
 }
 
 // New builds the cluster. Every replica gets its own registry (over the
-// shared datasets), gateway, caches, and admission pool; peers are wired
+// shared datasets), gateway, caches, admission pool, and session tracker —
+// exactly what a maliva-server -peer process runs; peers are wired
 // in-process.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Replicas < 1 {
@@ -82,8 +80,6 @@ func New(cfg Config) (*Cluster, error) {
 		n, err := NewNode(i, ring, reg, factory, middleware.GatewayConfig{
 			Server: cfg.Server,
 			Space:  cfg.Space,
-			// Sessions are router-scope in a cluster (see EnableSessions).
-			Sessions: middleware.SessionConfig{Disabled: true},
 		})
 		if err != nil {
 			return nil, err
@@ -100,20 +96,18 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		n.SetPeers(peers)
 	}
-	router, err := NewRouterWithHealth(ring, nodes, cfg.Health)
+	router, err := NewRouter(ring, nodes)
 	if err != nil {
 		return nil, err
 	}
-	// Key routing fragments one session's requests across replicas, so no
-	// replica gateway sees enough history to predict: sessions live at the
-	// routing tier, with the default tracker settings.
-	router.EnableSessions(middleware.SessionConfig{})
 	// Peer-cache ownership must agree with routing: every node resolves
-	// owners over the router's routable set (Ring.OwnerAmong), not the full
-	// ring, so the replica a key's requests concentrate on is the replica
-	// its peers fetch from.
+	// owners over the replicas whose state reads live (Ring.OwnerAmong) —
+	// the same read the router's attemptOrder makes — not the full ring, so
+	// the replica a key's requests concentrate on is the replica its peers
+	// fetch from.
+	routable := func(i int) bool { return nodes[i].routingState() == StateLive }
 	for _, n := range nodes {
-		n.SetHealth(router.health.Routable)
+		n.SetHealth(routable)
 	}
 	return &Cluster{ring: ring, nodes: nodes, router: router}, nil
 }
@@ -143,34 +137,34 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // Snapshot returns the cluster-wide metrics snapshot.
 func (c *Cluster) Snapshot() Snapshot { return c.router.Snapshot() }
 
-// Kill marks replica i crashed and tells the health pool immediately (the
-// sentinel would have done it on the next routed request anyway; churn
-// drills shouldn't depend on traffic to converge).
-func (c *Cluster) Kill(i int) {
-	c.nodes[i].SetDown(true)
-	c.router.health.ReportFailure(i)
-}
+// Kill marks replica i crashed; the next routed request already goes
+// around it.
+func (c *Cluster) Kill(i int) { c.nodes[i].SetDown(true) }
 
-// Revive brings a killed replica back. The health pool re-admits it
-// through the rejoining hysteresis (probes or served fallback traffic).
+// Revive brings a killed replica back; the next request for a key it owns
+// is routed to it again.
 func (c *Cluster) Revive(i int) { c.nodes[i].SetDown(false) }
 
 // Drain gracefully removes replica i from the routed set; its cache stays
 // readable by peers.
-func (c *Cluster) Drain(i int) {
-	c.nodes[i].Drain()
-	c.router.health.ReportDraining(i)
-}
+func (c *Cluster) Drain(i int) { c.nodes[i].Drain() }
 
-// Rejoin returns a drained replica to service (through rejoining).
+// Rejoin returns a drained replica to service.
 func (c *Cluster) Rejoin(i int) { c.nodes[i].Rejoin() }
 
-// Close stops the health probers and every node's background fill worker.
-func (c *Cluster) Close() {
-	c.router.Close()
+// Close shuts every replica down the way a maliva-server -peer process does:
+// its fill worker stops, then its gateway closes (session observer stopped,
+// ingest batchers flushed, servers unhooked from the shared datasets). It
+// returns the first gateway close error.
+func (c *Cluster) Close() error {
+	var first error
 	for _, n := range c.nodes {
 		n.Close()
+		if err := n.Gateway().Close(); err != nil && first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
 // lockedRewriter serializes a rewriter shared across replicas. Each

@@ -72,8 +72,17 @@ func newTestCluster(t testing.TB, replicas int) *Cluster {
 	if err := c.Warm(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	closeOnCleanup(t, c)
 	return c
+}
+
+// closeOnCleanup closes c when the test ends, failing it on a close error.
+func closeOnCleanup(t testing.TB, c *Cluster) {
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // newTestGateway builds the warm single-gateway reference over the same
@@ -259,8 +268,9 @@ func TestClusterByteIdenticalToGateway(t *testing.T) {
 }
 
 // TestRouterDeterministicRouting: equal request shapes route to the same
-// replica every time, and equivalent spellings of the same instant produce
-// the same routing key.
+// replica every time, and a body the server cannot key is routed by the hash
+// of its dataset and bytes — equal bodies to one replica, the key's first
+// live replica.
 func TestRouterDeterministicRouting(t *testing.T) {
 	c := newTestCluster(t, 4)
 	cs := httptest.NewServer(c.Handler())
@@ -285,15 +295,29 @@ func TestRouterDeterministicRouting(t *testing.T) {
 		t.Errorf("identical requests spread over replicas %v, want exactly one", absorbed)
 	}
 
-	// Same instant, two RFC 3339 spellings → same routing key.
-	a := []byte(`{"keyword":"w","from":"2016-03-01T00:00:00Z","budget_ms":500}`)
-	b := []byte(`{"keyword":"w","from":"2016-03-01T00:00:00+00:00","budget_ms":500}`)
-	if routingKey("twitter", a) != routingKey("twitter", b) {
-		t.Error("equivalent time spellings produced different routing keys")
+	// An unparseable timestamp: no server can key it, so the body hash
+	// routes it, and every copy lands on (and is refused by) one replica.
+	bad := []byte(`{"keyword":"w","from":"not-a-time","budget_ms":500}`)
+	key, unified := c.Router().routeHash("twitter", bad)
+	if unified || key != hash64("twitter\x00"+string(bad)) {
+		t.Fatalf("routeHash = (%#x, unified=%v), want the body hash %#x", key, unified, hash64("twitter\x00"+string(bad)))
 	}
-	// Dataset partitions the key space.
-	if routingKey("twitter", a) == routingKey("taxi", a) {
-		t.Error("different datasets produced the same routing key")
+	if other, _ := c.Router().routeHash("taxi", bad); other == key {
+		t.Error("different datasets produced the same body hash")
+	}
+	want := c.Router().attemptOrder(key)[0]
+	before = c.Snapshot()
+	for i := 0; i < 3; i++ {
+		if code, _, msg := post(t, cs.URL+"/viz?dataset=twitter", bad); code != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400: %s", code, msg)
+		}
+	}
+	after = c.Snapshot()
+	if d := after.Replicas[want].Routed - before.Replicas[want].Routed; d != 3 {
+		t.Errorf("replica %d absorbed %d of 3 identical unkeyable bodies", want, d)
+	}
+	if d := after.KeyedFallback - before.KeyedFallback; d != 3 {
+		t.Errorf("body-hash routed requests = %d, want 3", d)
 	}
 }
 

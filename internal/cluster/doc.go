@@ -8,21 +8,19 @@
 //   - Ring — a consistent-hash ring (64 virtual nodes per replica by
 //     default) mapping every result-cache key to exactly one owning
 //     replica, with a deterministic failover sequence per key.
-//   - Router — the HTTP routing tier. It resolves each /viz request to its
-//     server-normalized ResultKey (through a ready replica's plan path) and
-//     hashes that — the same key space peer-cache ownership uses, so the
-//     routed replica owns its key; requests the unified path can't key
-//     (unparseable, rejected, still warming) fall back to a shape hash.
-//     Replica membership is governed by a HealthPool: active /healthz
-//     probes plus passive demotion on a replica's refusal sentinel, with
-//     explicit live/draining/down/rejoining states and exponential probe
-//     backoff. A non-live owner fails over along the key's ring sequence;
-//     only when no replica at all serves does the client see a 503 (with
-//     Retry-After derived from the probe cycle).
-//   - HealthPool — the replica lifecycle state machine and its probers.
-//   - Faults / FaultyPeer — deterministic, seedable fault injection
-//     (drop/error/delay) on the node surface and the peer transport, the
-//     hooks the robustness tests drive.
+//   - Router — the HTTP routing tier in front of in-process replicas. It
+//     resolves each /viz request to its server-normalized ResultKey
+//     (through a ready replica's plan path) and hashes that — the same key
+//     space peer-cache ownership uses, so the routed replica owns its key;
+//     a request that can't be keyed (unparseable, rejected, still warming)
+//     is routed by the hash of its dataset and body bytes. The router keeps
+//     no health view: each request reads every node's own state, tries the
+//     live replicas of the key's ring sequence first, and fails over when a
+//     replica refuses with its lifecycle sentinel. Only when no replica at
+//     all serves does the client see a 503 (with Retry-After: 1).
+//   - FaultyPeer — deterministic, seedable fault injection
+//     (drop/error/delay) on the peer transport, the hook the hedge tests
+//     drive.
 //   - Node — one replica: a complete gateway (its own servers, plan
 //     caches, lookup caches, admission pool) whose per-dataset result
 //     caches are wrapped with the peer-shared cache, plus the /cluster

@@ -45,9 +45,8 @@ const (
 	faultDelay
 )
 
-// Faults is a seeded fault injector shared by the hooks that consult it
-// (PeerClient wrappers via FaultyPeer, nodes via Node.SetFaults). Safe for
-// concurrent use; the injected-fault counters feed churn-run reports.
+// Faults is a seeded fault injector for the peer transport (see
+// FaultyPeer). Safe for concurrent use; Counts reports what it injected.
 type Faults struct {
 	cfg FaultConfig
 

@@ -39,7 +39,7 @@ func newIngestCluster(t testing.TB, replicas int) (*Cluster, *workload.Dataset) 
 	if err := c.Warm(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	closeOnCleanup(t, c)
 	return c, tw
 }
 
@@ -200,12 +200,15 @@ func TestPeerVersionRejects(t *testing.T) {
 	}
 }
 
-// TestPeerOwnershipFollowsHealth pins the ownership/routing alignment fix:
-// peer-cache owners are resolved over the router's routable set, so when a
-// replica dies, every node's ownerFor agrees with the router's first routed
-// choice instead of pointing at the dead full-ring owner.
+// TestPeerOwnershipFollowsHealth pins the ownership/routing alignment:
+// peer-cache owners are resolved over the replicas whose own state reads
+// live — the same read the router makes — so while a replica is dead every
+// node's ownerFor agrees with the router's first choice, and the moment it
+// is revived its keys, and the very next request for one, return to it.
 func TestPeerOwnershipFollowsHealth(t *testing.T) {
 	c, _ := newIngestCluster(t, 3)
+	cs := httptest.NewServer(c.Handler())
+	defer cs.Close()
 	rt := c.Router()
 
 	// While everyone is live, ownerFor matches the plain ring owner.
@@ -216,34 +219,55 @@ func TestPeerOwnershipFollowsHealth(t *testing.T) {
 		}
 	}
 
-	// Find a hash replica 0 owns, then kill replica 0.
+	// Find a shape routed to replica 0: its result key is replica 0's.
+	var body []byte
 	var hash uint64
-	found := false
-	for h := uint64(0); h < 4096 && !found; h++ {
-		hash = avalanche(h * 0x9E3779B97F4A7C15)
-		found = c.Ring().Owner(hash) == 0
+	for i := 0; i < 64 && body == nil; i++ {
+		b := twitterBody(fmt.Sprintf("word%04d", 100+i))
+		before := c.Snapshot()
+		resp := postOK(t, cs.URL+"/viz?dataset=twitter", b)
+		if routedTo(t, before, c.Snapshot()) == 0 {
+			body, hash = b, resultKeyOf(t, resp, workload.USExtent, 500).Hash()
+		}
 	}
-	if !found {
-		t.Fatal("no hash owned by replica 0")
+	if body == nil {
+		t.Fatal("no shape routed to replica 0 (64 tried)")
 	}
+
 	c.Kill(0)
-
-	for _, n := range []*Node{c.Node(1), c.Node(2)} {
-		got := n.ownerFor(hash)
-		if got == 0 {
-			t.Fatalf("replica %d still resolves the dead full-ring owner", n.ID())
+	first := rt.attemptOrder(hash)[0]
+	if first == 0 {
+		t.Fatal("router still tries the dead replica first")
+	}
+	for _, n := range c.Nodes() {
+		if got := n.ownerFor(hash); got != first {
+			t.Errorf("replica %d ownerFor = %d, router tries %d first", n.ID(), got, first)
 		}
-		order := rt.attemptOrder(hash)
-		if len(order) == 0 || got != order[0] {
-			t.Errorf("replica %d ownerFor = %d, router would try %v first", n.ID(), got, order)
+	}
+	before := c.Snapshot()
+	postOK(t, cs.URL+"/viz?dataset=twitter", body)
+	if got := routedTo(t, before, c.Snapshot()); got != first {
+		t.Errorf("with replica 0 dead the request went to %d, want %d", got, first)
+	}
+
+	c.Revive(0)
+	before = c.Snapshot()
+	postOK(t, cs.URL+"/viz?dataset=twitter", body)
+	if got := routedTo(t, before, c.Snapshot()); got != 0 {
+		t.Errorf("first request after Revive(0) went to %d, want 0", got)
+	}
+	for _, n := range c.Nodes() {
+		if got := n.ownerFor(hash); got != 0 {
+			t.Errorf("after Revive(0), replica %d ownerFor = %d, want 0", n.ID(), got)
 		}
 	}
 
-	// Without a health view (one-process-per-replica deployments), the
-	// full-ring owner is the only consistent answer.
+	// Without a view (one-process-per-replica deployments), the full-ring
+	// owner is the only consistent answer, dead or not.
+	c.Kill(0)
 	c.Node(1).SetHealth(nil)
-	if got, want := c.Node(1).ownerFor(hash), c.Ring().Owner(hash); got != want {
-		t.Errorf("no-view ownerFor = %d, want full-ring owner %d", got, want)
+	if got := c.Node(1).ownerFor(hash); got != 0 {
+		t.Errorf("no-view ownerFor = %d, want full-ring owner 0", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,20 +18,20 @@ import (
 	"github.com/maliva/maliva/internal/workload"
 )
 
-// newTestClusterCfg is newTestCluster with explicit health/hedge tuning —
-// lifecycle tests need probe intervals far below the production default.
-func newTestClusterCfg(t testing.TB, replicas int, health HealthConfig, hedge HedgeConfig) *Cluster {
-	t.Helper()
-	ds := testDatasets(t)
+// TestClusterCloseReleasesGoroutines: Close stops everything New and its
+// traffic started — every replica's fill worker, its gateway's session
+// observer and prefetch dispatches, its ingest batchers — so the goroutine
+// count settles back to where it was before the cluster existed.
+func TestClusterCloseReleasesGoroutines(t *testing.T) {
+	ds := testDatasets(t) // built before the baseline is taken
+	baseline := runtime.NumGoroutine()
 	c, err := New(Config{
-		Replicas: replicas,
+		Replicas: 3,
 		Names:    []string{"twitter", "taxi"},
 		Datasets: ds,
 		Factory:  middleware.OracleFactory,
 		Server:   middleware.ServerConfig{DefaultBudgetMs: 500},
 		Space:    core.HintOnlySpec(),
-		Health:   health,
-		Hedge:    hedge,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +39,28 @@ func newTestClusterCfg(t testing.TB, replicas int, health HealthConfig, hedge He
 	if err := c.Warm(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return c
+	h := c.Handler()
+	for i := 0; i < 20; i++ {
+		r := httptest.NewRequest(http.MethodPost, "/viz?dataset=twitter", bytes.NewReader(twitterBody(fmt.Sprintf("word%04d", i%5))))
+		r.Header.Set(middleware.SessionHeader, fmt.Sprintf("session-%d", i%2))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestClusterHedgedFetchRacesNextReplica: when a key's owner goes silent
@@ -101,9 +122,10 @@ func TestClusterHedgedFetchRacesNextReplica(t *testing.T) {
 	}
 }
 
-// TestRouterRetryAfterOnAllDown: the "no live replica" 503 carries a
-// Retry-After derived from the probe cycle, so well-behaved clients back
-// off long enough for a probe to notice a recovery.
+// TestRouterRetryAfterOnAllDown: the "no live replica" 503 carries
+// Retry-After: 1, the same hint the gateway's own 503s give — the router
+// reads replica state on every request, so a revived replica serves the
+// retry.
 func TestRouterRetryAfterOnAllDown(t *testing.T) {
 	c := newTestCluster(t, 2)
 	cs := httptest.NewServer(c.Handler())
@@ -115,13 +137,14 @@ func TestRouterRetryAfterOnAllDown(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", code, msg)
 	}
-	want := fmt.Sprintf("%d", c.Router().Health().RetryAfterSeconds())
-	if got := hdr.Get("Retry-After"); got != want {
-		t.Errorf("Retry-After = %q, want %q", got, want)
+	if got := hdr.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	if !bytes.Contains(msg, []byte("no live replica")) {
 		t.Errorf("body %q should name the condition", msg)
 	}
+	c.Revive(1)
+	postOK(t, cs.URL+"/viz", twitterBody("word0001"))
 }
 
 // TestClusterDrainSemantics: a draining replica refuses new visualization
@@ -152,7 +175,7 @@ func TestClusterDrainSemantics(t *testing.T) {
 	}
 	hres.Body.Close()
 	if hres.StatusCode != http.StatusOK {
-		t.Errorf("draining /healthz status = %d, want 200 (probes must still see it)", hres.StatusCode)
+		t.Errorf("draining /healthz status = %d, want 200 (health checks must still see it)", hres.StatusCode)
 	}
 	if c.Node(1).State() != StateDraining {
 		t.Errorf("node state = %v, want draining", c.Node(1).State())
@@ -171,9 +194,7 @@ func TestClusterDrainSemantics(t *testing.T) {
 // and availability must hold at 99%: replica 0 never leaves, so every
 // request has a live replica somewhere in its failover order. Run with -race.
 func TestClusterMembershipFlapping(t *testing.T) {
-	c := newTestClusterCfg(t, 3, HealthConfig{
-		Interval: 2 * time.Millisecond, FailAfter: 1, RejoinAfter: 1,
-	}, HedgeConfig{})
+	c := newTestCluster(t, 3)
 	cs := httptest.NewServer(c.Handler())
 	defer cs.Close()
 
@@ -192,7 +213,7 @@ func TestClusterMembershipFlapping(t *testing.T) {
 	}
 
 	// Flapper: replica 0 stays live throughout; 1 and 2 cycle through the
-	// lifecycle under the prober's nose.
+	// lifecycle while the router reads their state.
 	stopFlap := make(chan struct{})
 	var flapWG sync.WaitGroup
 	flapWG.Add(1)

@@ -15,13 +15,47 @@ import (
 )
 
 // ReplicaUnavailableHeader marks a response produced by a replica refusing
-// to serve (value "down", "draining", or "recovering") instead of by its gateway. The
-// routing tier treats it as an authoritative failure sentinel: fail the
-// request over to the next replica in the key's ring sequence and demote
-// the refusing replica in the health pool — without ever confusing the
-// refusal with a gateway-level 503 (admission shedding), which must NOT
-// fail over (every replica would shed the same overload).
+// to serve (value "down", "draining", or "recovering") instead of by its
+// gateway. The routing tier treats it as an authoritative failure sentinel
+// and fails the request over to the next replica in the key's ring
+// sequence — without ever confusing the refusal with a gateway-level 503
+// (admission shedding), which must NOT fail over (every replica would shed
+// the same overload).
 const ReplicaUnavailableHeader = "X-Maliva-Replica-Unavailable"
+
+// ReplicaState is one replica's lifecycle position, as reported on the
+// router's /healthz and /metrics.
+type ReplicaState int32
+
+const (
+	// StateLive replicas serve routed traffic.
+	StateLive ReplicaState = iota
+	// StateDraining replicas refuse new /viz and /ingest traffic but keep
+	// answering peer fetches, health checks, and metrics
+	// (operator-initiated).
+	StateDraining
+	// StateDown replicas answer nothing.
+	StateDown
+	// StateRecovering replicas are up but replaying their write-ahead log:
+	// like draining, they refuse routed traffic until their data is
+	// complete.
+	StateRecovering
+)
+
+// String returns the lifecycle name used in /healthz and metrics labels.
+func (s ReplicaState) String() string {
+	switch s {
+	case StateLive:
+		return "live"
+	case StateDraining:
+		return "draining"
+	case StateDown:
+		return "down"
+	case StateRecovering:
+		return "recovering"
+	}
+	return fmt.Sprintf("state(%d)", int32(s))
+}
 
 // fillReq is one queued best-effort fill: a response this replica computed
 // for a key another replica owns.
@@ -55,12 +89,11 @@ type Node struct {
 	caches   map[string]*peerCache
 	secret   string
 	hedge    HedgeConfig
-	routable func(replica int) bool // health view for ownership (nil = full ring)
+	routable func(replica int) bool // which replicas own keys (nil = full ring)
 
 	stats    cacheStats
 	state    atomic.Int32 // ReplicaState
 	inflight atomic.Int64
-	faults   atomic.Pointer[Faults]
 	fetchLat latencyWindow
 
 	fills    chan fillReq
@@ -123,8 +156,8 @@ func (n *Node) SetPeers(peers []PeerClient) {
 // routable. Peer-cache ownership then uses Ring.OwnerAmong over that set —
 // the SAME restricted key space the router walks — so the replica a request
 // is routed to is the replica its peer cache calls owner. Without a view
-// (one-process-per-replica deployments with no shared health pool) the
-// full-ring owner is used. Call before serving traffic.
+// (one-process-per-replica deployments, where a node cannot read its peers'
+// state) the full-ring owner is used. Call before serving traffic.
 func (n *Node) SetHealth(view func(replica int) bool) {
 	n.mu.Lock()
 	n.routable = view
@@ -200,10 +233,20 @@ func (n *Node) Gateway() *middleware.Gateway { return n.gw }
 // Warm eagerly builds every dataset's serving state on this node.
 func (n *Node) Warm(names ...string) error { return n.gw.Warm(names...) }
 
-// State returns the replica's own lifecycle state (Live, Draining, or
-// Down — Rejoining is a health-pool view; a node that serves again is
-// simply live from its own perspective).
+// State returns the replica's own lifecycle state: Live, Draining, or Down
+// (WAL replay is reported separately, by Recovering).
 func (n *Node) State() ReplicaState { return ReplicaState(n.state.Load()) }
+
+// routingState is the state the routing tier reads: State, except that a
+// live node still replaying its write-ahead log is StateRecovering. Only
+// StateLive replicas are routed to (and own keys) first.
+func (n *Node) routingState() ReplicaState {
+	st := n.State()
+	if st == StateLive && n.Recovering() {
+		return StateRecovering
+	}
+	return st
+}
 
 // Down reports whether the replica is marked dead.
 func (n *Node) Down() bool { return n.State() == StateDown }
@@ -227,22 +270,15 @@ func (n *Node) SetDown(v bool) {
 // retires it.
 func (n *Node) Drain() { n.state.Store(int32(StateDraining)) }
 
-// Rejoin returns a drained (or downed) replica to service. The health
-// pool's rejoining hysteresis decides when routed traffic comes back.
+// Rejoin returns a drained (or downed) replica to service; routed traffic
+// comes back with the next request.
 func (n *Node) Rejoin() { n.state.Store(int32(StateLive)) }
 
 // Recovering reports whether the node's gateway is replaying durable state
 // (WAL recovery after a restart). A recovering replica refuses routed
-// traffic with the recovering sentinel but keeps answering probes, peer
-// fetches, and metrics.
+// traffic with the recovering sentinel but keeps answering health checks,
+// peer fetches, and metrics.
 func (n *Node) Recovering() bool { return n.gw.Recovering() }
-
-// SetFaults installs (or, with nil, removes) a fault injector on the
-// node's request surface: injected drops and errors answer with the down
-// sentinel — exactly what a crashed replica looks like to the router —
-// and injected delays stall the request. Peer-side injection is separate
-// (FaultyPeer).
-func (n *Node) SetFaults(f *Faults) { n.faults.Store(f) }
 
 // SetHedge configures hedged peer fetches (see HedgeConfig). Call before
 // serving traffic.
@@ -271,7 +307,7 @@ func (n *Node) Close() { n.stopOnce.Do(func() { close(n.stop) }) }
 // /cluster peer endpoints, behind the lifecycle gate. A down replica
 // refuses everything; a draining one refuses only new visualization
 // traffic (peer fetches, health checks, and metrics stay up, so its cache
-// remains useful and probes can watch it).
+// remains useful and its state stays observable).
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch n.State() {
 	case StateDown:
@@ -291,19 +327,6 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				http.Error(w, fmt.Sprintf("replica %d is recovering", n.id), http.StatusServiceUnavailable)
 				return
 			}
-		}
-	}
-	if f := n.faults.Load(); f != nil {
-		switch f.decide() {
-		case faultDrop, faultErr:
-			// Either injected failure presents as a crashed replica: the
-			// sentinel lets the router fail over instead of surfacing a
-			// fabricated error body that would break byte identity.
-			w.Header().Set(ReplicaUnavailableHeader, "down")
-			http.Error(w, fmt.Sprintf("replica %d: injected fault", n.id), http.StatusServiceUnavailable)
-			return
-		case faultDelay:
-			sleepCtx(r.Context(), f.cfg.Delay)
 		}
 	}
 	n.inflight.Add(1)

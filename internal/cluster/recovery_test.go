@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -12,52 +11,10 @@ import (
 	"github.com/maliva/maliva/internal/workload"
 )
 
-// TestHealthPoolRecoveringState: the recovering probe result holds a replica
-// out of routing without the down state's backoff; once recovery completes
-// the normal rejoin hysteresis applies, and a recovering replica that stops
-// answering probes entirely is demoted to down.
-func TestHealthPoolRecoveringState(t *testing.T) {
-	state := ErrRecovering
-	probe := func(int) error { return state }
-	p := NewHealthPool(1, probe, HealthConfig{FailAfter: 2, RejoinAfter: 2})
-
-	p.Pulse(0)
-	if got := p.State(0); got != StateRecovering {
-		t.Fatalf("state after recovering probe = %v, want recovering", got)
-	}
-	if p.Routable(0) {
-		t.Fatal("recovering replica must not be routable")
-	}
-	if snap := p.SnapshotAll(); snap[0].State != "recovering" {
-		t.Fatalf("snapshot state = %q, want recovering", snap[0].State)
-	}
-
-	// Replay finished: successes walk the replica through rejoining to live.
-	state = nil
-	p.Pulse(0)
-	if got := p.State(0); got != StateRejoining {
-		t.Fatalf("state after first success = %v, want rejoining", got)
-	}
-	p.Pulse(0)
-	if got := p.State(0); got != StateLive {
-		t.Fatalf("state after RejoinAfter successes = %v, want live", got)
-	}
-
-	// A recovering replica that goes silent is down immediately — no
-	// FailAfter grace, it was already out of the routed set.
-	state = ErrRecovering
-	p.Pulse(0)
-	state = errors.New("connection refused")
-	p.Pulse(0)
-	if got := p.State(0); got != StateDown {
-		t.Fatalf("state after failure while recovering = %v, want down", got)
-	}
-}
-
 // TestNodeRecoveringSentinel: while a node's gateway is replaying durable
-// state, routed traffic is refused with the recovering sentinel, both probe
-// flavors classify the replica as ErrRecovering, and everything clears once
-// the build completes.
+// state, routed traffic is refused with the recovering sentinel and the
+// router reads the replica as recovering (not routable); everything clears
+// once the build completes.
 func TestNodeRecoveringSentinel(t *testing.T) {
 	release := make(chan struct{})
 	cfg := workload.TwitterConfig()
@@ -87,9 +44,8 @@ func TestNodeRecoveringSentinel(t *testing.T) {
 	if !n.Recovering() {
 		t.Fatal("node does not report recovering during replay")
 	}
-	probe := NodeProbe([]*Node{n})
-	if err := probe(0); !errors.Is(err, ErrRecovering) {
-		t.Fatalf("NodeProbe = %v, want ErrRecovering", err)
+	if got := n.routingState(); got != StateRecovering {
+		t.Fatalf("routing state = %v, want recovering", got)
 	}
 
 	ns := httptest.NewServer(n.Handler())
@@ -101,11 +57,8 @@ func TestNodeRecoveringSentinel(t *testing.T) {
 	if got := hdr.Get(ReplicaUnavailableHeader); got != "recovering" {
 		t.Errorf("sentinel = %q, want \"recovering\"", got)
 	}
-	if err := NewHTTPProbe([]string{ns.URL}, time.Second)(0); !errors.Is(err, ErrRecovering) {
-		t.Errorf("HTTP probe = %v, want ErrRecovering", err)
-	}
 
-	// Replay completes: the node serves and probes go clean.
+	// Replay completes: the node is live again and serves.
 	close(release)
 	if _, err := reg.Lookup("twitter"); err != nil {
 		t.Fatal(err)
@@ -113,8 +66,8 @@ func TestNodeRecoveringSentinel(t *testing.T) {
 	if n.Recovering() {
 		t.Fatal("node still recovering after the build finished")
 	}
-	if err := probe(0); err != nil {
-		t.Fatalf("NodeProbe after recovery = %v, want nil", err)
+	if got := n.routingState(); got != StateLive {
+		t.Fatalf("routing state after recovery = %v, want live", got)
 	}
 	// The gateway's own serving entry (rewriter + server) finishes building
 	// asynchronously after the registry unblocks; poll briefly.

@@ -97,7 +97,7 @@ func TestRingDegenerate(t *testing.T) {
 // router does when a replica leaves the live set) moves ONLY the keys the
 // excluded replica owned — everyone else's keys stay put — and the moved
 // fraction stays near 1/N. This is the cheap-membership-change property the
-// health pool relies on: no ring rebuild, no cluster-wide cache cold start.
+// router relies on: no ring rebuild, no cluster-wide cache cold start.
 func TestRingOwnerAmongExclusion(t *testing.T) {
 	const keys = 20_000
 	const replicas = 4

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -32,7 +33,13 @@ type DB struct {
 	// flushMu guards onFlush; hooks are registered by serving layers (e.g.
 	// per-server lookup-cache invalidation) and fired after every flush.
 	flushMu sync.Mutex
-	onFlush []func(table string, version uint64)
+	onFlush []*flushHook
+}
+
+// flushHook boxes one registered hook so its remove func can find it by
+// identity (funcs are not comparable).
+type flushHook struct {
+	fn func(table string, version uint64)
 }
 
 // NewDB creates an empty database with the given profile.
@@ -113,21 +120,30 @@ func (db *DB) DataVersion(name string) uint64 { return db.table(name).DataVersio
 // OnFlush registers a hook fired (outside all locks) after every applied
 // ingest flush, with the base table's name and new data version. Serving
 // layers use it to reclaim version-keyed cache memory; correctness never
-// depends on it, because every cache key carries the version.
-func (db *DB) OnFlush(fn func(table string, version uint64)) {
+// depends on it, because every cache key carries the version. The returned
+// func unregisters the hook (idempotent); a serving layer calls it on close,
+// or the DB keeps the hook — and everything it captures — alive.
+func (db *DB) OnFlush(fn func(table string, version uint64)) (remove func()) {
+	h := &flushHook{fn: fn}
 	db.flushMu.Lock()
 	defer db.flushMu.Unlock()
-	db.onFlush = append(db.onFlush, fn)
+	db.onFlush = append(db.onFlush, h)
+	return func() {
+		db.flushMu.Lock()
+		defer db.flushMu.Unlock()
+		if i := slices.Index(db.onFlush, h); i >= 0 {
+			db.onFlush = slices.Delete(db.onFlush, i, i+1)
+		}
+	}
 }
 
 // fireFlushHooks snapshots and runs the registered flush hooks.
 func (db *DB) fireFlushHooks(table string, version uint64) {
 	db.flushMu.Lock()
-	hooks := make([]func(string, uint64), len(db.onFlush))
-	copy(hooks, db.onFlush)
+	hooks := slices.Clone(db.onFlush)
 	db.flushMu.Unlock()
-	for _, fn := range hooks {
-		fn(table, version)
+	for _, h := range hooks {
+		h.fn(table, version)
 	}
 }
 

@@ -471,3 +471,25 @@ func TestFlushHooksAndStatsRefresh(t *testing.T) {
 		t.Errorf("flush hooks = %v, want [events@1]", hooks)
 	}
 }
+
+// TestFlushHookRemove: a removed flush hook is never called again, removing
+// one hook leaves the others firing, and a second remove is a no-op.
+func TestFlushHookRemove(t *testing.T) {
+	db := buildTestDB(t, 500, 9)
+	var removedCalls, keptCalls int
+	remove := db.OnFlush(func(string, uint64) { removedCalls++ })
+	db.OnFlush(func(string, uint64) { keptCalls++ })
+	remove()
+	remove()
+	for i := 1; i <= 2; i++ {
+		if _, err := db.ApplyBatch("events", ingestBatch(t, int64(i), 10), time.Unix(1700000000, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if removedCalls != 0 {
+		t.Errorf("removed hook fired %d times, want 0", removedCalls)
+	}
+	if keptCalls != 2 {
+		t.Errorf("remaining hook fired %d times, want 2", keptCalls)
+	}
+}

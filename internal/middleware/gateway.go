@@ -55,11 +55,7 @@ type GatewayConfig struct {
 	// at all when the result cache is disabled (see
 	// ServerConfig.WrapResultCache).
 	WrapResultCache func(dataset string, local ResultCache) ResultCache
-	// Sessions tunes session tracking and speculative tile prefetch. Behind
-	// the in-process cluster router, sessions live at the routing tier
-	// instead (key routing fragments one session across replicas), so
-	// cluster.New disables gateway-level tracking and drives
-	// Server.Prefetch remotely.
+	// Sessions tunes session tracking and speculative tile prefetch.
 	Sessions SessionConfig
 }
 
@@ -107,7 +103,8 @@ type Gateway struct {
 	mu      sync.RWMutex
 	entries map[string]*gatewayEntry
 
-	// Session tracking + speculative prefetch (nil/unused when disabled).
+	// Session tracking + speculative prefetch (nil/unused without a result
+	// cache).
 	// prefetchSem is a token semaphore bounding concurrently-running
 	// prefetch goroutines; an unavailable token sheds the prediction
 	// immediately rather than queuing dispatch work behind live traffic.
@@ -166,8 +163,8 @@ func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConf
 		gwMetrics:   NewMetrics(),
 		quit:        make(chan struct{}),
 	}
-	if !cfg.Sessions.Disabled && scfg.ResultCacheSize > 0 {
-		sess := cfg.Sessions.Normalized()
+	if scfg.ResultCacheSize > 0 {
+		sess := cfg.Sessions.normalized()
 		g.sessions = NewSessionTracker(sess)
 		g.prefetchSem = make(chan struct{}, sess.Workers)
 		g.observeCh = make(chan observation, observeQueueCap)
@@ -429,8 +426,8 @@ func (g *Gateway) Close() error {
 func (g *Gateway) Draining() bool { return g.draining.Load() }
 
 // Recovering reports whether any registered dataset is currently replaying
-// durable state (WAL recovery). Cluster probes use it to hold routed traffic
-// away from a freshly restarted replica until its data is complete.
+// durable state (WAL recovery). The cluster tier reads it to hold routed
+// traffic away from a freshly restarted replica until its data is complete.
 func (g *Gateway) Recovering() bool {
 	for _, name := range g.reg.Names() {
 		if st, _ := g.status(name); st == workload.StatusRecovering {
@@ -512,7 +509,7 @@ func (g *Gateway) serveViz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sid := ""
-	if g.sessions != nil && r.Header.Get(PrefetchHeader) == "" {
+	if g.sessions != nil {
 		sid = SessionID(r)
 	}
 	if sid == "" {

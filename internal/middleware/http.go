@@ -85,32 +85,6 @@ func ParseRequest(body []byte) (Request, error) {
 	return hreq.toRequest()
 }
 
-// EncodeRequest renders a Request back into the /viz JSON wire format: the
-// inverse of ParseRequest for every field the serving path keys on. The
-// cluster routing tier uses it to dispatch predicted (session-prefetch)
-// requests to their owner replicas. The TTL staleness hint is deliberately
-// not representable — speculative requests must never probe stale versions.
-func EncodeRequest(req Request) ([]byte, error) {
-	h := httpRequest{
-		Keyword:  req.Keyword,
-		MinLon:   req.Region.MinLon,
-		MinLat:   req.Region.MinLat,
-		MaxLon:   req.Region.MaxLon,
-		MaxLat:   req.Region.MaxLat,
-		Kind:     string(req.Kind),
-		GridW:    req.GridW,
-		GridH:    req.GridH,
-		BudgetMs: req.BudgetMs,
-	}
-	if !req.From.IsZero() {
-		h.From = req.From.Format(time.RFC3339Nano)
-	}
-	if !req.To.IsZero() {
-		h.To = req.To.Format(time.RFC3339Nano)
-	}
-	return json.Marshal(h)
-}
-
 // Handler returns an http.Handler serving:
 //
 //	POST /viz      — visualization requests (admission-controlled)
@@ -144,8 +118,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // serveHealthz reports liveness plus the lifecycle state. Draining and
-// closed servers answer 503 so health-checked load balancers (and the
-// cluster router's probes) fail over before the listener disappears.
+// closed servers answer 503 so health-checked load balancers fail over
+// before the listener disappears.
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	status := lifecycleStatus(s.state.Load())
 	w.Header().Set("Content-Type", "application/json")
@@ -165,13 +139,7 @@ func writeQueueDepths(w io.Writer, live, prefetch int) {
 }
 
 // serveViz decodes, admits, executes, and encodes one /viz request.
-// Requests carrying the prefetch header take the speculative path instead:
-// prefetch-lane admission, cache warming, no response body.
 func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get(PrefetchHeader) != "" {
-		s.servePrefetch(w, r)
-		return
-	}
 	s.metrics.requests.Add(1)
 	if s.Draining() {
 		s.rejectDraining(w)
@@ -253,28 +221,7 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// servePrefetch handles a /viz request flagged with the prefetch header
-// (the cluster routing tier dispatches speculative work this way, to the
-// key's owner replica). The body is the normal /viz wire format; the
-// response carries no payload — prefetch is fire-and-forget cache warming.
-func (s *Server) servePrefetch(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		// Speculative work is the first thing shed on shutdown.
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	s.fault("prefetch")
-	req, err := decodeViz(w, r)
-	if err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.Prefetch(req)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// decodeViz bounds and decodes one /viz body: the single decode path of the
-// live and prefetch handlers.
+// decodeViz bounds and decodes one /viz body.
 func decodeViz(w http.ResponseWriter, r *http.Request) (Request, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxVizBody)
 	var hreq httpRequest

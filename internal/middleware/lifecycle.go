@@ -40,12 +40,14 @@ func (s *Server) Draining() bool { return s.state.Load() != stateServing }
 
 // Close drains the server and shuts down its write path: the ingest batcher
 // flushes buffered rows (so every acknowledged async row is applied — and,
-// when a WAL is attached, logged) and stops its background flusher. Safe to
-// call more than once; later calls return the first close's error.
+// when a WAL is attached, logged) and stops its background flusher, and the
+// server's flush hook leaves the dataset's DB. Safe to call more than once;
+// later calls return the first close's error.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.Drain()
 		s.closeErr = s.ingest.Close()
+		s.unhookFlush()
 		s.state.Store(stateClosed)
 	})
 	return s.closeErr

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"github.com/maliva/maliva/internal/core"
 	"github.com/maliva/maliva/internal/engine"
@@ -224,6 +226,32 @@ func TestServerDrainAndClose(t *testing.T) {
 	}
 }
 
+// TestClosedServerIsCollected: a closed server over a dataset that outlives
+// it becomes garbage once dropped — its DB flush hook no longer pins it, and
+// with it every plan, result, and lookup cache it filled.
+func TestClosedServerIsCollected(t *testing.T) {
+	ds := testServer(t).DS
+	s, err := NewServer(ds, core.OracleRewriter{}, core.HintOnlySpec(), 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Handle(validRequest()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wp := weak.Make(s)
+	s = nil
+	for i := 0; i < 5 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("closed server is still reachable from its dataset")
+	}
+	runtime.KeepAlive(ds) // the dataset outlives the server
+}
+
 // TestCancelAbortsExecution: a dead request context aborts the engine
 // execution at its first yield — the error is ErrExecCanceled and the
 // counter records it. A live context on the same shape still serves.
@@ -262,7 +290,7 @@ func TestGatewayDrain(t *testing.T) {
 	if err := reg.Register("twitter", func() (*workload.Dataset, error) { return workload.Twitter(cfg) }); err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGateway(reg, nil, GatewayConfig{Space: core.HintOnlySpec(), Sessions: SessionConfig{Disabled: true}})
+	g, err := NewGateway(reg, nil, GatewayConfig{Space: core.HintOnlySpec()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,6 +210,9 @@ type Server struct {
 	admit   *admission
 	metrics *Metrics
 	ingest  *engine.Ingestor
+	// unhookFlush removes the server's DB flush hook on Close, so a closed
+	// server is no longer reachable from a dataset that outlives it.
+	unhookFlush func()
 
 	// Session-aware serving state (nil when the result cache is disabled:
 	// with nothing to warm or share, every request simply executes).
@@ -325,7 +328,7 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 	// ingestor. Plans are only ever asked for at the current version; results
 	// and their containment index stay reachable through the /* ttl:N */
 	// probe window, so those keep the last maxStaleProbes versions.
-	ds.DB.OnFlush(func(table string, version uint64) {
+	s.unhookFlush = ds.DB.OnFlush(func(table string, version uint64) {
 		if table != s.DS.Main {
 			return
 		}

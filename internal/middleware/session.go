@@ -10,23 +10,16 @@ import (
 )
 
 // Session-aware serving: requests may carry an opaque session id (the
-// X-Maliva-Session header or ?session= query parameter). The gateway — or,
-// in a cluster, the routing tier — keeps a small per-session viewport
-// history and, after serving each request, predicts where the session pans
-// next (linear momentum), what it zooms out to (the lattice parent tile),
-// and which neighbors it might drift into. Predictions are dispatched as
-// speculative requests through the admission queue's prefetch lane, so a
-// hit on the next step is served warm and a miss cost nothing a live
-// request would have wanted.
+// X-Maliva-Session header or ?session= query parameter). The gateway keeps
+// a small per-session viewport history and, after serving each request,
+// predicts where the session pans next (linear momentum), what it zooms out
+// to (the lattice parent tile), and which neighbors it might drift into.
+// Predictions are dispatched as speculative requests through the admission
+// queue's prefetch lane, so a hit on the next step is served warm and a miss
+// cost nothing a live request would have wanted.
 
-const (
-	// SessionHeader carries the client's opaque session id.
-	SessionHeader = "X-Maliva-Session"
-	// PrefetchHeader marks a speculative request: it takes the prefetch
-	// admission lane and returns no body. The routing tier sets it when
-	// dispatching predictions to a key's owner replica.
-	PrefetchHeader = "X-Maliva-Prefetch"
-)
+// SessionHeader carries the client's opaque session id.
+const SessionHeader = "X-Maliva-Session"
 
 // SessionID extracts a request's session id (header first, query second);
 // empty means the request is anonymous and never tracked.
@@ -37,10 +30,10 @@ func SessionID(r *http.Request) string {
 	return r.URL.Query().Get("session")
 }
 
-// SessionConfig tunes session tracking and speculative prefetch.
+// SessionConfig tunes session tracking and speculative prefetch. A gateway
+// tracks sessions whenever its result cache is on — with nothing to warm,
+// prediction would be wasted work.
 type SessionConfig struct {
-	// Disabled turns session tracking (and with it all prefetching) off.
-	Disabled bool
 	// MaxSessions bounds tracked sessions (LRU-evicted). Default 1024.
 	MaxSessions int
 	// MaxPrefetch caps predictions issued per observed request, taken in
@@ -59,8 +52,8 @@ type SessionConfig struct {
 	Workers int
 }
 
-// Normalized resolves the config defaults.
-func (c SessionConfig) Normalized() SessionConfig {
+// normalized resolves the config defaults.
+func (c SessionConfig) normalized() SessionConfig {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
 	}
@@ -98,7 +91,7 @@ type SessionTracker struct {
 // NewSessionTracker builds a tracker (cfg is normalized internally).
 func NewSessionTracker(cfg SessionConfig) *SessionTracker {
 	return &SessionTracker{
-		cfg:   cfg.Normalized(),
+		cfg:   cfg.normalized(),
 		elems: make(map[string]*list.Element),
 		lru:   list.New(),
 	}

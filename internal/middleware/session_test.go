@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -126,36 +127,33 @@ func TestSessionTrackerLRU(t *testing.T) {
 	}
 }
 
-// TestEncodeRequestRoundTrip: EncodeRequest and ParseRequest are inverses on
-// the wire fields (the property the prefetch dispatch path depends on).
-func TestEncodeRequestRoundTrip(t *testing.T) {
-	req := Request{
-		Keyword: "storm",
-		From:    time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC),
-		To:      time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC),
-		Region:  engine.Rect{MinLon: -100, MinLat: 30, MaxLon: -90, MaxLat: 40},
-		Kind:    VizHeatmap, GridW: 32, GridH: 16, BudgetMs: 250,
-	}
-	body, err := EncodeRequest(req)
+// vizBody renders a request in the /viz JSON wire format.
+func vizBody(t testing.TB, req Request) []byte {
+	t.Helper()
+	body, err := json.Marshal(httpRequest{
+		Keyword:  req.Keyword,
+		From:     req.From.Format(time.RFC3339Nano),
+		To:       req.To.Format(time.RFC3339Nano),
+		MinLon:   req.Region.MinLon,
+		MinLat:   req.Region.MinLat,
+		MaxLon:   req.Region.MaxLon,
+		MaxLat:   req.Region.MaxLat,
+		Kind:     string(req.Kind),
+		GridW:    req.GridW,
+		GridH:    req.GridH,
+		BudgetMs: req.BudgetMs,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseRequest(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Keyword != req.Keyword || !got.From.Equal(req.From) || !got.To.Equal(req.To) ||
-		got.Region != req.Region || got.Kind != req.Kind ||
-		got.GridW != req.GridW || got.GridH != req.GridH || got.BudgetMs != req.BudgetMs {
-		t.Fatalf("round trip diverged: %+v -> %+v", req, got)
-	}
+	return body
 }
 
 // TestGatewaySessionPrefetchEndToEnd drives a panning session through a
 // sessions-enabled gateway and verifies the pipeline end to end: the
 // observer predicts, the prefetch lane fills the cache, and the session's
 // next step is served warm and counted as a prefetch hit — byte-identical
-// to the same request on a sessions-disabled gateway.
+// to the same request on an uncached gateway, which tracks no sessions.
 func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 	reg := workload.NewRegistry()
 	if err := reg.Register("twitter", tinyTwitterBuilder(8_000)); err != nil {
@@ -181,11 +179,7 @@ func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 	ext := srv.DS.Extent
 	post := func(req Request, sid string) []byte {
 		t.Helper()
-		body, err := EncodeRequest(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hr, _ := http.NewRequest(http.MethodPost, ts.URL+"/viz?dataset=twitter", bytes.NewReader(body))
+		hr, _ := http.NewRequest(http.MethodPost, ts.URL+"/viz?dataset=twitter", bytes.NewReader(vizBody(t, req)))
 		hr.Header.Set("Content-Type", "application/json")
 		if sid != "" {
 			hr.Header.Set(SessionHeader, sid)
@@ -239,9 +233,8 @@ func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2, err := NewGateway(reg2, OracleFactory, GatewayConfig{
-		Server:   ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1},
-		Space:    core.HintOnlySpec(),
-		Sessions: SessionConfig{Disabled: true},
+		Server: ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1},
+		Space:  core.HintOnlySpec(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +245,7 @@ func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 	ts2 := httptest.NewServer(g2.Handler())
 	defer ts2.Close()
 	for i, req := range trace {
-		body, _ := EncodeRequest(req)
-		hr, _ := http.NewRequest(http.MethodPost, ts2.URL+"/viz?dataset=twitter", bytes.NewReader(body))
+		hr, _ := http.NewRequest(http.MethodPost, ts2.URL+"/viz?dataset=twitter", bytes.NewReader(vizBody(t, req)))
 		hr.Header.Set("Content-Type", "application/json")
 		resp, err := http.DefaultClient.Do(hr)
 		if err != nil {

@@ -25,7 +25,7 @@ const (
 	// log) rather than generating fresh data. Operationally a sub-state of
 	// warming — the dataset is not servable yet — but surfaced distinctly so
 	// health endpoints can tell a crash-recovering replica from a cold one
-	// and cluster health pools hold traffic away until replay completes.
+	// and the cluster router holds traffic away until replay completes.
 	StatusRecovering
 )
 
