@@ -101,10 +101,11 @@ type ContextConfig struct {
 	QualityGridW, QualityGridH int
 	// Seed decorrelates sampling noise across experiments.
 	Seed int64
-	// Parallel is the worker count for the per-option execution loop:
-	// 0 means GOMAXPROCS, 1 forces the serial path. Every option execution
-	// is independent and derives its randomness from the plan fingerprint,
-	// so the built context is bit-identical at any worker count.
+	// Parallel is the worker count for the executions a build still runs
+	// (plans it cannot count): 0 means GOMAXPROCS, 1 forces the serial
+	// path. Every execution is independent and derives its randomness from
+	// the plan fingerprint, so the built context is bit-identical at any
+	// worker count.
 	// DefaultContextConfig sets 1: parallelism is opt-in, so online serving
 	// paths don't spawn a worker pool per request.
 	Parallel int
@@ -119,8 +120,8 @@ type ContextConfig struct {
 	// fresh scan would (see engine.LookupCache).
 	Lookups *engine.LookupCache
 	// Yield, when non-nil, is passed to every engine execution the build
-	// performs (baseline plus each option) and called between options. A
-	// context build runs |Ω|+1 query executions back to back — a background
+	// performs and called before each. A build can still run several
+	// executions back to back (approximate options, joins) — a background
 	// build (speculative prefetch planning) passes runtime.Gosched here so
 	// it never holds a processor for the whole burst while live requests
 	// wait. Yielding cannot change the built context: option outcomes are
@@ -133,9 +134,11 @@ func DefaultContextConfig(space SpaceSpec) ContextConfig {
 	return ContextConfig{Space: space, SampleRows: 1000, QualityGridW: 128, QualityGridH: 128, Seed: 1, Parallel: 1}
 }
 
-// BuildContext executes every rewritten query for q once and assembles the
-// ground-truth context. This is the expensive offline step (the paper pays
-// it during training-data collection); everything downstream replays it.
+// BuildContext prices every rewritten query for q once — counting what an
+// exact plan would cost from its posting lists, executing the rest — and
+// assembles the ground-truth context. This is the expensive offline step (the
+// paper pays it during training-data collection); everything downstream
+// replays it.
 func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryContext, error) {
 	t := db.Table(q.Table)
 	if t == nil {
@@ -174,19 +177,20 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 	// never shared: join probes inside each execution.
 	cache := engine.NewLookupMemo(cfg.Lookups)
 
-	// Executions: rewrites that resolve to the same physical plan produce the
-	// same rows, ExecStats and SimMs, so each distinct plan runs once. The
+	// Plans: rewrites that resolve to the same physical plan produce the
+	// same rows, ExecStats and SimMs, so each distinct plan is priced once. The
 	// unhinted baseline is always somebody's plan twice over — the optimizer
 	// picks one of the index subsets Ω forces — and a backend that drops
 	// hints (Profile.HintDropProb) collapses more.
 	chosen := db.ChoosePlan(q)
 	ctx.EstRows = chosen.EstRows
 	type planRun struct {
-		rq    *engine.Query
-		hint  engine.Hint
-		opt   int // first option scheduling the plan; -1: the baseline
-		res   *engine.Result
-		stats engine.ExecStats
+		rq      *engine.Query
+		hint    engine.Hint
+		opt     int // first option scheduling the plan; -1: the baseline
+		res     *engine.Result
+		stats   engine.ExecStats
+		counted bool // stats counted from posting lists; res is nil
 	}
 	runs := make([]planRun, 0, len(opts)+1)
 	runOf := make(map[engine.PlanID]int, len(opts)+1)
@@ -237,14 +241,35 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 		ctx.SelSampled[i] = binomialEstimate(rng, s, sampleRows)
 	}
 
-	// Every run writes only its own slot, so the loop parallelizes without
-	// changing a single output bit; engine noise is a pure function of
-	// (seed, plan fingerprint), not run order.
+	// Count, don't walk: a plan whose rows nobody reads only needs its cost,
+	// and for an exact single-table plan the engine counts that from the
+	// posting lists the selectivity pass just memoized (engine.Counter)
+	// instead of fetching rows. Rows are produced only where they are read:
+	// approximate options (their Quality), the baseline when an approximate
+	// option is judged against it, and plans the engine cannot count (joins,
+	// LIMIT, sample tables, unindexed predicates). Exact options run q itself
+	// under a hint, so one Counter for q serves them all.
+	counter := db.NewCounter(q, cache)
+	baseRows := needPixels || needDistinct
+	for r := range runs {
+		run := &runs[r]
+		exact := run.opt < 0 || !opts[run.opt].IsApprox()
+		if exact && !(r == baseRun && baseRows) {
+			run.stats, run.counted = counter.Stats(run.hint)
+		}
+	}
+
+	// Every execution writes only its own slot, so the loop parallelizes
+	// without changing a single output bit; engine noise is a pure function
+	// of (seed, plan fingerprint), not run order.
 	err := runIndexed(len(runs), cfg.Parallel, func(r int) error {
+		run := &runs[r]
+		if run.counted {
+			return nil
+		}
 		if cfg.Yield != nil {
 			cfg.Yield()
 		}
-		run := &runs[r]
 		var err error
 		run.res, run.stats, err = db.RunCachedYield(run.rq, run.hint, cache, cfg.Yield)
 		switch {
@@ -259,8 +284,8 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 	if err != nil {
 		return nil, err
 	}
-	baseRes := runs[baseRun].res
-	ctx.BaselineMs = runs[baseRun].stats.SimMs
+	baseRes, baseStats := runs[baseRun].res, runs[baseRun].stats
+	ctx.BaselineMs = baseStats.SimMs
 	ctx.BaselineOption = -1
 
 	// What approximate options are judged against, computed only when Ω holds
@@ -275,7 +300,7 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 		grid = qualityGrid(t, q, cfg)
 		origPixels = grid.Rasterize(baseRes.Points)
 	}
-	trueCount := float64(len(baseRes.RowIDs))
+	trueCount := float64(baseStats.RowsOutput)
 	trueDistinct := -1.0
 	if needDistinct {
 		trueDistinct = float64(engine.DistinctWordsExact(t, baseRes.RowIDs, t.Sketch.TextCol))
@@ -289,6 +314,8 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 		ctx.NeedSels[i] = NeededSels(q, o)
 		ctx.PlanEst[i] = db.EstimatePlan(plans[i].rq, plans[i].hint)
 		switch {
+		case !o.IsApprox():
+			ctx.Quality[i] = 1
 		case run.res.HasAgg:
 			// Sketch-served aggregates have no pixels; quality is relative
 			// aggregate accuracy (QTE-comparable: 1 = exact, 0 = useless).
@@ -297,10 +324,8 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 				truth = trueDistinct
 			}
 			ctx.Quality[i] = aggQuality(run.res.AggValue, truth)
-		case o.IsApprox():
-			ctx.Quality[i] = viz.JaccardPixels(origPixels, grid.Rasterize(run.res.Points))
 		default:
-			ctx.Quality[i] = 1
+			ctx.Quality[i] = viz.JaccardPixels(origPixels, grid.Rasterize(run.res.Points))
 		}
 		return nil
 	})

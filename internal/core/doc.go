@@ -11,9 +11,11 @@
 //     rules) and BuildRQ, which turns an option into a rewritten query.
 //   - context.go — QueryContext: one workload query's ground truth (every
 //     option's time and quality). BuildContext is the expensive step; it
-//     executes each distinct physical plan among the options once, fans the
-//     runs out (ContextConfig.Parallel), and scans each predicate's index
-//     once through a per-build memo in front of the optional shared
+//     prices each distinct physical plan among the options once — counting
+//     exact single-table plans from their posting lists (engine.Counter),
+//     executing the rest and fanning those runs out
+//     (ContextConfig.Parallel) — and scans each predicate's index once
+//     through a per-build memo in front of the optional shared
 //     engine.LookupCache (ContextConfig.Lookups).
 //   - env.go, agent.go — the MDP environment and the deep-Q Agent, with
 //     JSON snapshots (SaveAgentFile / LoadAgentFile) interchangeable

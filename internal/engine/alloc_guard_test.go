@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -220,6 +221,26 @@ func TestAllocGuardIndexLookup(t *testing.T) {
 		guardAllocs(t, p.String(), ceiling, func() {
 			if _, _, err := ix.Lookup(p); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestAllocGuardCounter: once a Counter holds a query's intersections,
+// pricing another forced plan of it is pure arithmetic over them — no
+// allocation, whichever index subset the hint forces.
+func TestAllocGuardCounter(t *testing.T) {
+	db := buildTestDB(t, 8_000, 5)
+	q := testQuery(db)
+	c := db.NewCounter(q, NewLookupMemo(nil))
+	if c == nil {
+		t.Fatal("the fixture query is not countable")
+	}
+	for _, positions := range [][]int{nil, {0}, {1}, {2}, {0, 1}, {1, 2}, {0, 2}, {0, 1, 2}} {
+		h := ForcedHint(positions, JoinAuto)
+		guardAllocs(t, fmt.Sprint("Counter.Stats ", positions), 0, func() {
+			if _, ok := c.Stats(h); !ok {
+				t.Fatal("forced plan not counted")
 			}
 		})
 	}

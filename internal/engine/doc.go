@@ -26,6 +26,10 @@
 //     the work accounting everything else is priced in.
 //   - executor.go — plan execution over a pooled execContext with reusable
 //     scratch buffers (the zero-allocation hot path).
+//   - access.go — the one accounting of index access (intersection and
+//     fetch phases) the executor charges through, and Counter, which prices
+//     an exact single-table query's plans from its posting lists without
+//     fetching a row.
 //   - lookup_cache.go — LookupCache memoizes per-predicate index scans
 //     across the executions of related plans (DB.RunCached); safe for
 //     concurrent readers over the immutable dataset. NewLookupMemo layers
@@ -38,8 +42,8 @@
 // ExecStats is bit-identical across every execution strategy of the same
 // plan: pooled or fresh contexts, Visit or Cursor scans, bitset-ordered or
 // sorted posting lists, bound or interpreted predicates, cached or uncached
-// lookups. The virtual clock — and therefore ground-truth labels,
-// trained policies, and every serving-layer cache — prices ExecStats, so
+// lookups — and counted rather than executed. The virtual clock — and
+// therefore ground-truth labels, trained policies, and every serving-layer cache — prices ExecStats, so
 // an optimization that changes the accounting changes answers. New fast
 // paths must ship with a differential test against the slow path (see
 // btree_visit_test.go, join_stats_test.go, and reference_test.go's

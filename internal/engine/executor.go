@@ -90,6 +90,7 @@ type execContext struct {
 	accB  []uint32
 	cand  []uint32
 	resv  []uint32 // reservoir slots (ApproxReservoir)
+	sizes []int    // fetch-phase stage sizes (see chargeFetch)
 	// Predicates bound to column storage for this execution (main table and
 	// join inner table). They alias table columns, so putExecContext clears
 	// them like lists.
@@ -297,8 +298,7 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 		ec.res.SampledRows = len(ec.res.RowIDs)
 	}
 	ec.stats.RowsOutput = len(ec.res.RowIDs)
-	ec.stats.SimMs = db.Profile.Cost.simMs(ec.stats, t.ScaleFactor)
-	ec.stats.SimMs *= db.Profile.noiseFactor(db.Seed, planFingerprint(q, positions, join))
+	db.price(&ec.stats, t, q, positions, join)
 	res, stats = ec.res, ec.stats
 	putExecContext(ec)
 	return res, stats, nil
@@ -419,27 +419,8 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 			ec.yield() // index scans are the longest unchunkable phase
 		}
 	}
-	// Intersect smallest-first, ping-ponging between two scratch buffers so
-	// no intersection allocates. The buffers stay distinct arrays: each
-	// intersection reads the previous result while writing the other buffer.
-	slices.SortFunc(ec.lists, func(a, b []uint32) int { return len(a) - len(b) })
-	acc := ec.lists[0]
-	useA := true
-	for _, l := range ec.lists[1:] {
-		var work int
-		if useA {
-			ec.accA, work = intersectSortedInto(ec.accA[:0], acc, l)
-			acc = ec.accA
-		} else {
-			ec.accB, work = intersectSortedInto(ec.accB[:0], acc, l)
-			acc = ec.accB
-		}
-		useA = !useA
-		ec.stats.IntersectOps += work
-		if ec.yield != nil {
-			ec.yield()
-		}
-	}
+	acc, ops := intersectLists(ec.lists, &ec.accA, &ec.accB, ec.yield)
+	ec.stats.IntersectOps += ops
 	// Residual predicates keep query order: PredEvals counts how far the
 	// short-circuit got.
 	residual := ec.preds[:0]
@@ -453,20 +434,22 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 	// the keep decision comes before the fetch, so the virtual cost of the
 	// fetch+residual phase scales with the sampling rate (the posting-list
 	// work above is already paid — it is the cheap part of the plan).
+	// sizes[j] counts the fetched rows that passed the first j residuals.
+	sizes := append(ec.sizes[:0], make([]int, len(residual)+1)...)
 	out := ec.cand[:0]
 	for _, r := range acc {
 		ec.maybeYield()
 		if ec.sampling && !keepRow(ec.keepSeed, r, ec.keepThresh) {
 			continue
 		}
-		ec.stats.RowsFetched++
+		sizes[0]++
 		ok := true
 		for i := range residual {
-			ec.stats.PredEvals++
 			if !residual[i].eval(r) {
 				ok = false
 				break
 			}
+			sizes[i+1]++
 		}
 		if ok {
 			out = append(out, r)
@@ -476,7 +459,8 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 			}
 		}
 	}
-	ec.cand = out
+	ec.stats.chargeFetch(sizes)
+	ec.sizes, ec.cand = sizes, out
 	return out, nil
 }
 

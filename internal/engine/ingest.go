@@ -342,6 +342,9 @@ type Ingestor struct {
 	lastAdd time.Time
 	ewmaGap time.Duration
 	closed  bool
+	// inFlight counts flushes that have taken a pending buffer and not yet
+	// applied it; Close waits for them.
+	inFlight sync.WaitGroup
 
 	onFlush atomic.Pointer[func(FlushStats)]
 
@@ -471,10 +474,15 @@ func (in *Ingestor) Flush() (uint64, error) {
 		in.timer.Stop()
 		in.timer = nil
 	}
+	apply := b != nil && b.Rows() > 0
+	if apply {
+		in.inFlight.Add(1)
+	}
 	in.mu.Unlock()
-	if b == nil || b.Rows() == 0 {
+	if !apply {
 		return in.Version(), nil
 	}
+	defer in.inFlight.Done()
 	start := in.cfg.Now()
 	v, err := in.db.ApplyBatch(in.table, b, start)
 	if err != nil {
@@ -488,11 +496,14 @@ func (in *Ingestor) Flush() (uint64, error) {
 	return v, nil
 }
 
-// Close flushes any pending rows and rejects further Adds.
+// Close flushes any pending rows and rejects further Adds. It returns once
+// every flush already under way has applied, so closing the table's WAL next
+// cannot cut off an accepted batch.
 func (in *Ingestor) Close() error {
 	in.mu.Lock()
 	in.closed = true
 	in.mu.Unlock()
 	_, err := in.Flush()
+	in.inFlight.Wait()
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -449,6 +450,47 @@ func TestIngestorClose(t *testing.T) {
 	}
 	if _, err := in.Add(ingestBatch(t, 2, 3)); err == nil {
 		t.Error("add after close accepted")
+	}
+}
+
+// TestIngestorCloseWaitsForInFlightFlush: a flush the latency timer started
+// is still applying (held in a flush hook) when Close is called; Close must
+// not return before that flush has, or a caller that closes the WAL next
+// loses the batch.
+func TestIngestorCloseWaitsForInFlightFlush(t *testing.T) {
+	db := buildTestDB(t, 200, 5)
+	in, err := NewIngestor(db, "events", IngestorConfig{
+		MaxBatch: 1 << 20,
+		MinDelay: time.Millisecond,
+		MaxDelay: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hookDone atomic.Bool
+	db.OnFlush(func(string, uint64) {
+		close(entered)
+		<-release
+		hookDone.Store(true)
+	})
+	if _, err := in.Add(ingestBatch(t, 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	closed := make(chan error, 1)
+	go func() { closed <- in.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while the timer's flush was still applying")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if !hookDone.Load() {
+		t.Error("Close returned before the in-flight flush finished")
 	}
 }
 

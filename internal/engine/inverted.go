@@ -1,5 +1,7 @@
 package engine
 
+import "slices"
+
 // InvertedIndex maps word ids to sorted posting lists of row ids, the access
 // path behind "Content contains <keyword>" predicates.
 type InvertedIndex struct {
@@ -57,14 +59,10 @@ func (idx *InvertedIndex) AvgPostingLen() float64 {
 	return float64(idx.entries) / float64(len(idx.postings))
 }
 
-// IntersectSorted intersects two sorted uint32 slices, returning the result
-// and the number of comparisons performed (for costing).
-func IntersectSorted(a, b []uint32) (out []uint32, work int) {
-	return intersectSortedInto(nil, a, b)
-}
-
-// intersectSortedInto is IntersectSorted appending into dst (typically a
-// reused scratch buffer with length 0). dst must not alias a or b.
+// intersectSortedInto intersects sorted sets a and b, appending the rows in
+// both to dst (typically a reused scratch buffer with length 0), and returns
+// the number of comparisons the merge walk performed (for costing). dst must
+// not alias a or b.
 func intersectSortedInto(dst, a, b []uint32) (out []uint32, work int) {
 	out = dst
 	i, j := 0, 0
@@ -82,4 +80,29 @@ func intersectSortedInto(dst, a, b []uint32) (out []uint32, work int) {
 		}
 	}
 	return out, work
+}
+
+// mergeWork returns the comparisons intersectSortedInto makes on sorted sets
+// a and b, given that n rows are in both, without walking them. The walk
+// stops as soon as either list runs out, so it consumes every element up to
+// the smaller of the two last elements, m, and a match consumes one element
+// of each list in one comparison: |{a ≤ m}| + |{b ≤ m}| − n comparisons.
+func mergeWork(a, b []uint32, n int) int {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	m := min(a[len(a)-1], b[len(b)-1])
+	return countUpTo(a, m) + countUpTo(b, m) - n
+}
+
+// countUpTo returns how many rows of the sorted list l are ≤ m.
+func countUpTo(l []uint32, m uint32) int {
+	if len(l) > 0 && l[len(l)-1] <= m {
+		return len(l)
+	}
+	n, found := slices.BinarySearch(l, m)
+	if found {
+		n++
+	}
+	return n
 }

@@ -48,12 +48,13 @@ func TestInvertedIndexPostings(t *testing.T) {
 }
 
 // TestIntersectSortedMatchesSetIntersection: property test against a map
-// implementation.
+// implementation, with mergeWork equal to the comparisons the walk counts —
+// on comparable sizes and on skewed ones alike.
 func TestIntersectSortedMatchesSetIntersection(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		gen := func() []uint32 {
-			n := rng.Intn(300)
+		gen := func(maxLen int) []uint32 {
+			n := rng.Intn(maxLen)
 			set := make(map[uint32]bool, n)
 			for i := 0; i < n; i++ {
 				set[uint32(rng.Intn(500))] = true
@@ -64,9 +65,12 @@ func TestIntersectSortedMatchesSetIntersection(t *testing.T) {
 			}
 			return sortedCopy(out)
 		}
-		a, b := gen(), gen()
-		got, work := IntersectSorted(a, b)
-		if work < 0 || work > len(a)+len(b) {
+		a, b := gen(300), gen(300)
+		if seed%2 == 0 {
+			a = gen(20)
+		}
+		got, work := intersectSortedInto(nil, a, b)
+		if mergeWork(a, b, len(got)) != work {
 			return false
 		}
 		inB := make(map[uint32]bool, len(b))

@@ -98,3 +98,74 @@ func TestExecutorMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// TestCounterMatchesReference: for every rewrite of a generator query that a
+// Counter accepts — exact, single-table, all predicates indexed — the counted
+// ExecStats equal the reference executor's field by field, SimMs included,
+// whether the backend follows hints or drops some of them. One Counter serves
+// all of a query's exact rewrites, as in a context build, so its shared
+// intersections are exercised in every order the option spaces ask for them.
+// Every rewrite it declines must be one the contract excludes.
+func TestCounterMatchesReference(t *testing.T) {
+	for _, drop := range []float64{0, 0.6} {
+		cfg := workload.TwitterConfig()
+		cfg.Rows = 6_000
+		cfg.Scale = 100e6 / float64(cfg.Rows)
+		ds, err := workload.Twitter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.DB.Profile.HintDropProb = drop
+		spaces := []struct {
+			space core.SpaceSpec
+			spec  workload.QuerySpec
+		}{
+			{core.HintOnlySpec(), workload.QuerySpec{NumPreds: 3, Seed: 1}},
+			{core.HintOnlySpec(), workload.QuerySpec{NumPreds: 2, Seed: 7}},
+			{core.HintOnlySpec(), workload.QuerySpec{NumPreds: 1, Seed: 8}},
+			{core.JoinSpec(), workload.QuerySpec{NumPreds: 3, Seed: 2, Join: true}},
+			{core.QualityAwareSpec(), workload.QuerySpec{NumPreds: 3, Seed: 3}},
+			{core.ApproxTierSpec(), workload.QuerySpec{NumPreds: 3, Seed: 4}},
+		}
+		scale := ds.DB.Table(ds.Main).ScaleFactor
+		derived, declined := 0, 0
+		for _, sp := range spaces {
+			for qi, q := range workload.GenerateQueries(ds, 12, sp.spec) {
+				memo := engine.NewLookupMemo(nil)
+				counter := ds.DB.NewCounter(q, memo)
+				est := ds.DB.ChoosePlan(q).EstRows
+				check := func(label string, rq *engine.Query, h engine.Hint) {
+					t.Helper()
+					c := counter
+					if !reflect.DeepEqual(rq, q) {
+						c = ds.DB.NewCounter(rq, memo)
+					}
+					got, ok := c.Stats(h)
+					if !ok {
+						declined++
+						if rq.Join == nil && rq.Limit == 0 && rq.SamplePercent == 0 && rq.Approx.Method == engine.ApproxOff {
+							t.Errorf("drop=%v query %d %s: an exact single-table rewrite was not derived", drop, qi, label)
+						}
+						return
+					}
+					derived++
+					_, want, err := engine.RefRun(ds.DB, rq, h)
+					if err != nil {
+						t.Fatalf("drop=%v query %d %s: reference: %v", drop, qi, label, err)
+					}
+					if got != want {
+						t.Errorf("drop=%v query %d %s: derived ExecStats\n got %+v\nwant %+v", drop, qi, label, got, want)
+					}
+				}
+				check("baseline", q, engine.Hint{})
+				for _, o := range core.EnumerateOptions(ds.DB, q, sp.space) {
+					rq, h := core.BuildRQ(q, o, est, scale)
+					check(o.Label(len(q.Preds)), rq, h)
+				}
+			}
+		}
+		if derived == 0 || declined == 0 {
+			t.Errorf("drop=%v: %d derived, %d declined: one side of the contract went unchecked", drop, derived, declined)
+		}
+	}
+}

@@ -203,7 +203,7 @@ func (e *refExec) indexAccess(positions []int, earlyLimit int) ([]uint32, error)
 	acc := lists[0]
 	for _, l := range lists[1:] {
 		var work int
-		acc, work = IntersectSorted(acc, l)
+		acc, work = intersectSortedInto(nil, acc, l)
 		e.stats.IntersectOps += work
 	}
 	var out []uint32
