@@ -20,7 +20,7 @@ import (
 
 // TestClusterCloseReleasesGoroutines: Close stops everything New and its
 // traffic started — every replica's fill worker, its gateway's session
-// observer and prefetch dispatches, its ingest batchers — so the goroutine
+// observer and prefetch goroutines, its ingest batchers — so the goroutine
 // count settles back to where it was before the cluster existed.
 func TestClusterCloseReleasesGoroutines(t *testing.T) {
 	ds := testDatasets(t) // built before the baseline is taken

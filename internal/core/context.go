@@ -119,14 +119,6 @@ type ContextConfig struct {
 	// output bit — cached lookups return the exact rows and entry counts a
 	// fresh scan would (see engine.LookupCache).
 	Lookups *engine.LookupCache
-	// Yield, when non-nil, is passed to every engine execution the build
-	// performs and called before each. A build can still run several
-	// executions back to back (approximate options, joins) — a background
-	// build (speculative prefetch planning) passes runtime.Gosched here so
-	// it never holds a processor for the whole burst while live requests
-	// wait. Yielding cannot change the built context: option outcomes are
-	// pure functions of (seed, plan fingerprint), not of scheduling.
-	Yield func()
 }
 
 // DefaultContextConfig returns the standard configuration for a space.
@@ -267,11 +259,8 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 		if run.counted {
 			return nil
 		}
-		if cfg.Yield != nil {
-			cfg.Yield()
-		}
 		var err error
-		run.res, run.stats, err = db.RunCachedYield(run.rq, run.hint, cache, cfg.Yield)
+		run.res, run.stats, err = db.RunCached(run.rq, run.hint, cache)
 		switch {
 		case err == nil:
 			return nil

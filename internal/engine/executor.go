@@ -191,18 +191,14 @@ func (db *DB) RunCached(q *Query, h Hint, cache *LookupCache) (*Result, ExecStat
 	return db.RunCachedYield(q, h, cache, nil)
 }
 
-// RunCachedYield is RunCached with an optional cooperative-yield hook,
-// called every few thousand rows of scan/probe work. Background executions
-// (speculative prefetch) pass runtime.Gosched so they hand the processor
-// back to live requests between chunks — on a small GOMAXPROCS a single
-// unyielding execution otherwise holds a P for a full async-preemption
-// quantum (~10ms) and inflates the tail latency of everything concurrent.
-// A nil yield is exactly RunCached.
+// RunCachedYield is RunCached with an optional hook, called every few
+// thousand rows of scan/probe work. A nil yield is exactly RunCached.
 //
-// A yield hook may also cancel the execution by calling AbortExec (the
-// serving layer does this when the client has disconnected): the executor
-// unwinds at the stride boundary, recycles its context, and returns the
-// abort cause — a cooperative cancel with zero cost on the non-canceled path.
+// The hook exists for cancellation: it may call AbortExec (the serving layer
+// does this when a live request's client has disconnected), and the
+// executor then unwinds at the stride boundary, recycles its context, and
+// returns the abort cause — a cooperative cancel with zero cost on the
+// non-canceled path.
 func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func()) (res *Result, stats ExecStats, err error) {
 	t, err := db.resolveTable(q)
 	if err != nil {

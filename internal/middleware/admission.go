@@ -70,24 +70,19 @@ func (q *waiterQueue) Pop() any {
 // under sustained overload favors requests that can still meet their
 // budgets. Everything beyond queue capacity is rejected instantly.
 //
-// A second, strictly lower-priority lane admits speculative prefetches
-// (acquirePrefetch): a prefetch is admitted only out of idle capacity —
-// more than `reserve` slots free and no live waiter queued — and a freed
-// slot is always offered to every feasible live waiter before any prefetch
-// waiter. Prefetch waiters never count against the live queue bound, so a
-// prefetch can never turn a live request's admission verdict into a 429,
-// and the reserve slot keeps at least one slot a live request can take
-// without waiting behind speculative work.
+// Speculative prefetches take a slot only out of idle capacity and never
+// wait (tryPrefetch): more than `reserve` slots free, no live waiter queued
+// and fewer than maxHeld prefetch slots held — or no slot at all. A
+// prefetch therefore never queues, never counts against the live queue
+// bound, and can never turn a live request's verdict into a 429; the
+// reserve slot keeps at least one slot a live request can take without
+// waiting behind speculative work.
 type admission struct {
 	mu       sync.Mutex
-	capacity int // total worker slots
 	free     int // slots not currently held
-	reserve  int // slots never granted to the prefetch lane
+	reserve  int // slots never granted to a prefetch
 	maxQueue int
 	queue    waiterQueue
-	// prefetchQ is the prefetch lane's own (bounded) deadline queue; its
-	// waiters are shed first and served last.
-	prefetchQ waiterQueue
 	// prefetchHeld counts slots currently held by admitted prefetches;
 	// maxHeld caps it well below capacity so speculative executions can
 	// occupy at most a sliver of the pool — without the cap a burst of
@@ -99,11 +94,6 @@ type admission struct {
 	// now is the deadline clock (tests); timers still use real time.
 	now func() time.Time
 }
-
-// prefetchQueue bounds the prefetch lane's wait queue. Prefetches are cheap
-// to shed (the predictor re-issues equivalent ones every step), so the bound
-// is modest.
-const prefetchQueue = 64
 
 // newAdmission sizes the pool. capacity <= 0 disables admission control
 // (returns nil; the nil methods admit everything).
@@ -118,7 +108,7 @@ func newAdmission(capacity, maxQueue int) *admission {
 	if maxHeld < 1 {
 		maxHeld = 1
 	}
-	return &admission{capacity: capacity, free: capacity, reserve: 1, maxQueue: maxQueue, maxHeld: maxHeld, now: time.Now}
+	return &admission{free: capacity, reserve: 1, maxQueue: maxQueue, maxHeld: maxHeld, now: time.Now}
 }
 
 // acquire tries to take a worker slot, waiting at most wait (the request's
@@ -174,54 +164,23 @@ func (a *admission) acquire(wait time.Duration) admitVerdict {
 	}
 }
 
-// acquirePrefetch tries to take a worker slot for a speculative prefetch.
-// Admission comes only from idle capacity: more than `reserve` slots free
-// and no live waiter queued. Otherwise the prefetch queues in its own
-// bounded lane (shed first, served last) for at most wait. A nil admission
-// always admits.
-func (a *admission) acquirePrefetch(wait time.Duration) admitVerdict {
+// tryPrefetch takes a worker slot for a speculative prefetch if one is idle
+// — more than `reserve` slots free, no live waiter queued, and the prefetch
+// hold cap not reached — and reports whether it did. It never waits: a
+// prediction that finds no idle slot is shed, since the predictor issues a
+// fresh one at the session's next step. A nil admission always admits.
+func (a *admission) tryPrefetch() bool {
 	if a == nil {
-		return admitOK
+		return true
 	}
-	now := a.now()
 	a.mu.Lock()
-	if a.free > a.reserve && len(a.queue) == 0 && a.prefetchHeld < a.maxHeld {
-		a.free--
-		a.prefetchHeld++
-		a.mu.Unlock()
-		return admitOK
+	defer a.mu.Unlock()
+	if a.free <= a.reserve || len(a.queue) > 0 || a.prefetchHeld >= a.maxHeld {
+		return false
 	}
-	shedExpired(&a.prefetchQ, now)
-	if len(a.prefetchQ) >= prefetchQueue {
-		a.mu.Unlock()
-		return admitBusy
-	}
-	if wait <= 0 {
-		a.mu.Unlock()
-		return admitTimeout
-	}
-	w := &waiter{deadline: now.Add(wait), seq: a.seq, ch: make(chan struct{})}
-	a.seq++
-	heap.Push(&a.prefetchQ, w)
-	a.mu.Unlock()
-
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-w.ch:
-		return admitOK
-	case <-timer.C:
-		a.mu.Lock()
-		if w.granted {
-			a.mu.Unlock()
-			return admitOK
-		}
-		if w.index >= 0 {
-			heap.Remove(&a.prefetchQ, w.index)
-		}
-		a.mu.Unlock()
-		return admitTimeout
-	}
+	a.free--
+	a.prefetchHeld++
+	return true
 }
 
 // shedExpired drops waiters whose deadlines have passed. Their own timers
@@ -235,13 +194,11 @@ func shedExpired(q *waiterQueue, now time.Time) {
 
 // release returns a slot taken by a successful acquire: the tightest-
 // deadline live waiter still within budget gets it directly; expired
-// waiters are shed on the way. With no feasible live waiter, a queued
-// prefetch gets the slot — but only when handing it over still leaves the
-// reserve free (idle capacity) and the prefetch hold cap isn't reached.
-// Otherwise the slot goes back to the pool.
+// waiters are shed on the way. With no feasible live waiter the slot goes
+// back to the pool.
 func (a *admission) release() { a.releaseSlot(false) }
 
-// releasePrefetch returns a slot taken by a successful acquirePrefetch,
+// releasePrefetch returns a slot taken by a successful tryPrefetch,
 // additionally freeing the caller's entry in the prefetch hold count.
 func (a *admission) releasePrefetch() { a.releaseSlot(true) }
 
@@ -264,24 +221,12 @@ func (a *admission) releaseSlot(heldByPrefetch bool) {
 		a.mu.Unlock()
 		return
 	}
-	if a.free >= a.reserve && a.prefetchHeld < a.maxHeld {
-		for len(a.prefetchQ) > 0 {
-			w := heap.Pop(&a.prefetchQ).(*waiter)
-			if now.After(w.deadline) {
-				continue
-			}
-			w.granted = true
-			a.prefetchHeld++
-			close(w.ch)
-			a.mu.Unlock()
-			return
-		}
-	}
 	a.free++
 	a.mu.Unlock()
 }
 
-// queueLen reports the current number of queued live waiters (for tests).
+// queueLen reports the current number of queued live waiters — the
+// admission queue-depth gauge /metrics exposes.
 func (a *admission) queueLen() int {
 	if a == nil {
 		return 0
@@ -289,29 +234,4 @@ func (a *admission) queueLen() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.queue)
-}
-
-// livePressure reports whether any live request currently holds a slot or
-// waits for one. The background-yield hook polls this: speculative work
-// parks while it's true, which is what turns "prefetch uses idle capacity
-// only" from an admission-time rule into a CPU-time one. A nil admission
-// never reports pressure.
-func (a *admission) livePressure() bool {
-	if a == nil {
-		return false
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return (a.capacity-a.free)-a.prefetchHeld > 0 || len(a.queue) > 0
-}
-
-// queueDepths reports the current live and prefetch queue depths — the
-// per-lane admission gauge /metrics exposes.
-func (a *admission) queueDepths() (live, prefetch int) {
-	if a == nil {
-		return 0, 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.queue), len(a.prefetchQ)
 }

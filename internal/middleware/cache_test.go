@@ -18,10 +18,10 @@ func dummyCtx() *core.QueryContext { return &core.QueryContext{} }
 func TestPlanCacheLRU(t *testing.T) {
 	c := newPlanCache(2)
 	builds := 0
-	build := func(*atomic.Bool) (*core.QueryContext, error) { builds++; return dummyCtx(), nil }
+	build := func() (*core.QueryContext, error) { builds++; return dummyCtx(), nil }
 
 	for _, key := range []string{"a", "b", "a", "c"} { // c evicts b
-		if _, _, err := c.get(key, true, build); err != nil {
+		if _, _, err := c.get(key, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,10 +32,10 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Errorf("len = %d, want 2", c.len())
 	}
 	// a was refreshed, so it's still cached; b was evicted.
-	if _, how, _ := c.get("a", true, build); how != planHit {
+	if _, how, _ := c.get("a", build); how != planHit {
 		t.Errorf("a: %v, want hit", how)
 	}
-	if _, how, _ := c.get("b", true, build); how != planMiss {
+	if _, how, _ := c.get("b", build); how != planMiss {
 		t.Errorf("b: %v, want miss (evicted)", how)
 	}
 }
@@ -46,7 +46,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 	c := newPlanCache(8)
 	var builds atomic.Int32
 	gate := make(chan struct{})
-	build := func(*atomic.Bool) (*core.QueryContext, error) {
+	build := func() (*core.QueryContext, error) {
 		builds.Add(1)
 		<-gate
 		return dummyCtx(), nil
@@ -62,7 +62,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			e, how, err := c.get("k", true, build)
+			e, how, err := c.get("k", build)
 			if err != nil {
 				t.Error(err)
 				return
@@ -109,13 +109,13 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 	c := newPlanCache(4)
 	boom := errors.New("boom")
 	calls := 0
-	if _, _, err := c.get("k", true, func(*atomic.Bool) (*core.QueryContext, error) { calls++; return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.get("k", func() (*core.QueryContext, error) { calls++; return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if c.len() != 0 {
 		t.Fatalf("error was cached: len = %d", c.len())
 	}
-	if _, how, err := c.get("k", true, func(*atomic.Bool) (*core.QueryContext, error) { calls++; return dummyCtx(), nil }); err != nil || how != planMiss {
+	if _, how, err := c.get("k", func() (*core.QueryContext, error) { calls++; return dummyCtx(), nil }); err != nil || how != planMiss {
 		t.Fatalf("retry: how=%v err=%v", how, err)
 	}
 	if calls != 2 {
@@ -133,13 +133,13 @@ func TestPlanCacheBuildPanicUnwedges(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		_, _, _ = c.get("k", true, func(*atomic.Bool) (*core.QueryContext, error) { panic("boom") })
+		_, _, _ = c.get("k", func() (*core.QueryContext, error) { panic("boom") })
 	}()
 	// The key must be retryable, not blocked on a never-closed inflight call.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, how, err := c.get("k", true, func(*atomic.Bool) (*core.QueryContext, error) { return dummyCtx(), nil }); err != nil || how != planMiss {
+		if _, how, err := c.get("k", func() (*core.QueryContext, error) { return dummyCtx(), nil }); err != nil || how != planMiss {
 			t.Errorf("retry after panic: how=%v err=%v", how, err)
 		}
 	}()
@@ -184,7 +184,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 	builds := 0
 	for i := 0; i < 3; i++ {
-		e, how, err := c.get("k", true, func(*atomic.Bool) (*core.QueryContext, error) { builds++; return dummyCtx(), nil })
+		e, how, err := c.get("k", func() (*core.QueryContext, error) { builds++; return dummyCtx(), nil })
 		if err != nil || e == nil || how != planMiss {
 			t.Fatalf("disabled get: entry=%v how=%v err=%v", e, how, err)
 		}

@@ -103,20 +103,14 @@ type Gateway struct {
 	mu      sync.RWMutex
 	entries map[string]*gatewayEntry
 
-	// Session tracking + speculative prefetch (nil/unused without a result
-	// cache).
-	// prefetchSem is a token semaphore bounding concurrently-running
-	// prefetch goroutines; an unavailable token sheds the prediction
-	// immediately rather than queuing dispatch work behind live traffic.
+	// Session tracking + speculative prefetch (nil without a result cache).
 	// observeCh feeds a single observer goroutine: observation (parse,
-	// predict, dispatch) runs entirely off the request goroutine, so the
-	// serving path never waits behind prediction bookkeeping or a cold
-	// plan build in a freshly-spawned prefetch goroutine. Enqueueing
-	// happens before the handler returns, which keeps one session's
-	// observations in request order.
-	sessions    *SessionTracker
-	prefetchSem chan struct{}
-	observeCh   chan observation
+	// predict, hand each prediction to Server.Prefetch) runs entirely off
+	// the request goroutine, so the serving path never waits behind
+	// prediction bookkeeping. Enqueueing happens before the handler
+	// returns, which keeps one session's observations in request order.
+	sessions  *SessionTracker
+	observeCh chan observation
 
 	// Gateway-level counters; per-dataset serving counters live on each
 	// Server's Metrics. gwMetrics backs the panic-recovery middleware for
@@ -164,9 +158,7 @@ func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConf
 		quit:        make(chan struct{}),
 	}
 	if scfg.ResultCacheSize > 0 {
-		sess := cfg.Sessions.normalized()
-		g.sessions = NewSessionTracker(sess)
-		g.prefetchSem = make(chan struct{}, sess.Workers)
+		g.sessions = NewSessionTracker(cfg.Sessions)
 		g.observeCh = make(chan observation, observeQueueCap)
 		go g.observeLoop()
 	}
@@ -186,11 +178,11 @@ type observation struct {
 const observeQueueCap = 256
 
 // observeLoop is the gateway's single observer goroutine: it parses each
-// observed request, advances the session tracker, and dispatches the
-// predictions. It runs until Close; a panic in one observation (tracker or
-// prediction bug) drops that observation — counted on the dataset's metrics
-// — and the loop keeps going, because losing the observer forever would
-// silently disable prefetch for the gateway's whole lifetime.
+// observed request, advances the session tracker, and hands the predictions
+// to Server.Prefetch. It runs until Close; a panic in one observation
+// (tracker or prediction bug) drops that observation — counted on the
+// dataset's metrics — and the loop keeps going, because losing the observer
+// forever would silently disable prefetch for the gateway's whole lifetime.
 func (g *Gateway) observeLoop() {
 	for {
 		select {
@@ -204,7 +196,7 @@ func (g *Gateway) observeLoop() {
 					return
 				}
 				for _, pred := range g.sessions.Observe(obs.sid, req, obs.srv.DS.Extent) {
-					g.dispatchPrefetch(obs.srv, pred)
+					obs.srv.Prefetch(pred)
 				}
 			})
 		}
@@ -370,8 +362,8 @@ func (g *Gateway) ReadyServer(name string) (*Server, bool) {
 
 // Drain stops the gateway admitting new work: /viz and /ingest answer 503 +
 // Retry-After, the health rollup reports "draining" (health-checked routing
-// fails over), speculative prefetch dispatch stops, and every built dataset
-// Server drains too. In-flight requests run to completion. One-way.
+// fails over), and every built dataset Server drains too — which also stops
+// its speculative prefetch. In-flight requests run to completion. One-way.
 func (g *Gateway) Drain() {
 	if !g.draining.CompareAndSwap(false, true) {
 		return
@@ -535,8 +527,7 @@ func (g *Gateway) serveViz(w http.ResponseWriter, r *http.Request) {
 		return // rejected/failed requests don't advance the viewport
 	}
 	// Hand the observation to the observer goroutine and return immediately:
-	// the client's perceived latency must not include prediction bookkeeping
-	// or the cold plan build a dispatched prefetch may pay.
+	// the client's perceived latency must not include prediction bookkeeping.
 	select {
 	case g.observeCh <- observation{srv: srv, sid: sid, body: body}:
 	default: // observer saturated — drop the prediction round, not latency
@@ -553,30 +544,6 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
-}
-
-// dispatchPrefetch runs one predicted request through Server.Prefetch on a
-// semaphore-bounded goroutine. No token free means the machine is saturated
-// with speculative work already: the prediction is shed on the spot (counted
-// as issued + shed, like a prefetch-lane rejection) instead of queuing
-// dispatch goroutines behind live traffic.
-func (g *Gateway) dispatchPrefetch(srv *Server, req Request) {
-	if g.draining.Load() {
-		return // speculative work is the first casualty of shutdown
-	}
-	select {
-	case g.prefetchSem <- struct{}{}:
-		go func() {
-			defer func() { <-g.prefetchSem }()
-			guardPanics(srv.metrics, "prefetch", func() {
-				srv.fault("prefetch")
-				srv.Prefetch(req)
-			})
-		}()
-	default:
-		srv.metrics.prefetchIssued.Add(1)
-		srv.metrics.prefetchShed.Add(1)
-	}
 }
 
 // serveIngest routes one ingest request to its dataset's server write path.
@@ -694,17 +661,16 @@ func (g *Gateway) serveHealthz(w http.ResponseWriter, r *http.Request) {
 
 // GatewaySnapshot is the gateway-level slice of /metrics?format=json.
 type GatewaySnapshot struct {
-	UptimeSec          float64           `json:"uptime_sec"`
-	Requests           int64             `json:"requests"`
-	UnknownDataset     int64             `json:"unknown_dataset"`
-	Warming            int64             `json:"warming_rejections"`
-	FailedDataset      int64             `json:"failed_dataset"`
-	QueueDepthLive     int               `json:"queue_depth_live"`
-	QueueDepthPrefetch int               `json:"queue_depth_prefetch"`
-	Datasets           map[string]string `json:"datasets"`
-	Draining           bool              `json:"draining,omitempty"`
-	DrainRejected      int64             `json:"drain_rejected,omitempty"`
-	Panics             map[string]int64  `json:"panics,omitempty"`
+	UptimeSec      float64           `json:"uptime_sec"`
+	Requests       int64             `json:"requests"`
+	UnknownDataset int64             `json:"unknown_dataset"`
+	Warming        int64             `json:"warming_rejections"`
+	FailedDataset  int64             `json:"failed_dataset"`
+	QueueDepthLive int               `json:"queue_depth_live"`
+	Datasets       map[string]string `json:"datasets"`
+	Draining       bool              `json:"draining,omitempty"`
+	DrainRejected  int64             `json:"drain_rejected,omitempty"`
+	Panics         map[string]int64  `json:"panics,omitempty"`
 }
 
 // GatewayMetricsSnapshot is the full JSON form of GET /metrics?format=json:
@@ -724,6 +690,7 @@ func (g *Gateway) Snapshot() GatewayMetricsSnapshot {
 			UnknownDataset: g.notFound.Load(),
 			Warming:        g.notReady.Load(),
 			FailedDataset:  g.failedDeps.Load(),
+			QueueDepthLive: g.admit.queueLen(),
 			Datasets:       make(map[string]string),
 			Draining:       g.draining.Load(),
 			DrainRejected:  g.gwMetrics.drainRejected.Load(),
@@ -731,7 +698,6 @@ func (g *Gateway) Snapshot() GatewayMetricsSnapshot {
 		},
 		Datasets: make(map[string]MetricsSnapshot),
 	}
-	snap.Gateway.QueueDepthLive, snap.Gateway.QueueDepthPrefetch = g.admit.queueDepths()
 	for _, name := range g.reg.Names() {
 		st, _ := g.status(name)
 		snap.Gateway.Datasets[name] = st.String()
@@ -789,8 +755,7 @@ func (g *Gateway) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, h := range gwHandlers {
 		fmt.Fprintf(w, "maliva_gateway_panics_total{handler=%q} %d\n", h, gwPanics[h])
 	}
-	live, prefetch := g.admit.queueDepths()
-	writeQueueDepths(w, live, prefetch)
+	writeQueueDepth(w, g.admit.queueLen())
 	names := g.reg.Names()
 	sort.Strings(names)
 	for _, name := range names {

@@ -100,17 +100,17 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", recoverPanics(s.metrics, "healthz", s.serveHealthz))
 	mux.HandleFunc("GET /metrics", recoverPanics(s.metrics, "metrics", func(w http.ResponseWriter, r *http.Request) {
-		live, prefetch := s.admit.queueDepths()
+		depth := s.admit.queueLen()
 		if r.URL.Query().Get("format") == "json" {
 			snap := s.metrics.Snapshot()
-			snap.QueueDepthLive, snap.QueueDepthPrefetch = live, prefetch
+			snap.QueueDepthLive = depth
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(snap)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		s.metrics.WritePrometheus(w)
-		writeQueueDepths(w, live, prefetch)
+		writeQueueDepth(w, depth)
 	}))
 	mux.HandleFunc("POST /viz", recoverPanics(s.metrics, "viz", s.serveViz))
 	mux.HandleFunc("POST /ingest", recoverPanics(s.metrics, "ingest", s.serveIngest))
@@ -132,10 +132,10 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeQueueDepths emits the per-lane admission queue-depth gauges.
-func writeQueueDepths(w io.Writer, live, prefetch int) {
+// writeQueueDepth emits the admission queue-depth gauge. Only live requests
+// ever queue; the lane label keeps the series name stable for dashboards.
+func writeQueueDepth(w io.Writer, live int) {
 	fmt.Fprintf(w, "maliva_admission_queue_depth{lane=\"live\"} %d\n", live)
-	fmt.Fprintf(w, "maliva_admission_queue_depth{lane=\"prefetch\"} %d\n", prefetch)
 }
 
 // serveViz decodes, admits, executes, and encodes one /viz request.
@@ -146,14 +146,6 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.fault("viz")
-	// Live-activity window for background parking: spans decode through the
-	// end of response encoding, plus a cooldown stamped on exit — wider than
-	// the admission slot, which misses the request's edges (see liveBusy).
-	s.liveHTTP.Add(1)
-	defer func() {
-		s.lastLiveNs.Store(s.cfg.Now().UnixNano())
-		s.liveHTTP.Add(-1)
-	}()
 	req, err := decodeViz(w, r)
 	if err != nil {
 		s.metrics.clientErr.Add(1)

@@ -28,9 +28,10 @@ func lifecycleStatus(state int32) string {
 }
 
 // Drain stops admitting new /viz, /ingest, and prefetch work: newcomers get
-// 503 + Retry-After and /healthz flips to "draining" so health-checked
-// routing fails over. Requests already past admission run to completion.
-// Draining is one-way; there is no resume.
+// 503 + Retry-After (a prefetch is simply not started) and /healthz flips to
+// "draining" so health-checked routing fails over. Requests and prefetches
+// already past admission run to completion. Draining is one-way; there is
+// no resume.
 func (s *Server) Drain() {
 	s.state.CompareAndSwap(stateServing, stateDraining)
 }
@@ -38,14 +39,18 @@ func (s *Server) Drain() {
 // Draining reports whether the server has stopped admitting new work.
 func (s *Server) Draining() bool { return s.state.Load() != stateServing }
 
-// Close drains the server and shuts down its write path: the ingest batcher
-// flushes buffered rows (so every acknowledged async row is applied — and,
-// when a WAL is attached, logged) and stops its background flusher, and the
-// server's flush hook leaves the dataset's DB. Safe to call more than once;
-// later calls return the first close's error.
+// Close drains the server, waits for admitted prefetches to finish, and
+// shuts down its write path: the ingest batcher flushes buffered rows (so
+// every acknowledged async row is applied — and, when a WAL is attached,
+// logged) and stops its background flusher, and the server's flush hook
+// leaves the dataset's DB. Safe to call more than once; later calls return
+// the first close's error.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
+		s.prefetchMu.Lock()
 		s.Drain()
+		s.prefetchMu.Unlock()
+		s.prefetches.Wait()
 		s.closeErr = s.ingest.Close()
 		s.unhookFlush()
 		s.state.Store(stateClosed)
@@ -97,8 +102,8 @@ func recoverPanics(m *Metrics, handler string, next http.HandlerFunc) http.Handl
 }
 
 // guardPanics runs fn on a worker goroutine's behalf, converting a panic
-// into a counted recovery. Worker goroutines (session observer, prefetch
-// dispatch, cache fill) must never take the process down: their work is
+// into a counted recovery. Worker goroutines (session observer, prefetch,
+// cache fill) must never take the process down: their work is
 // speculative or advisory, so the correct response to a panic is to drop
 // that one unit of work and keep serving.
 func guardPanics(m *Metrics, worker string, fn func()) {

@@ -226,6 +226,78 @@ func TestServerDrainAndClose(t *testing.T) {
 	}
 }
 
+// TestPrefetchAfterDrainComputesNothing: speculative work is refused once
+// the server drains — nothing is computed or cached for it.
+func TestPrefetchAfterDrainComputesNothing(t *testing.T) {
+	s := testServer(t)
+	s.Drain()
+	s.Prefetch(validRequest())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.metrics.prefetchComputed.Load(); got != 0 {
+		t.Fatalf("prefetchComputed = %d after Drain, want 0", got)
+	}
+}
+
+// TestCloseWaitsForPrefetch: an admitted prefetch still running (held in the
+// "prefetch" fault hook) keeps Gateway.Close — and the dataset Server's
+// Close under it — from returning until it finishes, so no speculative
+// execution outlives the server it runs against.
+func TestCloseWaitsForPrefetch(t *testing.T) {
+	reg := workload.NewRegistry()
+	if err := reg.Register("twitter", tinyTwitterBuilder(8_000)); err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGateway(reg, OracleFactory, GatewayConfig{Space: core.HintOnlySpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := g.Server("twitter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}, 8), make(chan struct{})
+	srv.SetFaultHook(func(stage string) {
+		if stage == "prefetch" {
+			entered <- struct{}{}
+			<-release
+		}
+	})
+
+	// One session-tagged request: the observer predicts the parent tile and
+	// hands it to Prefetch, whose goroutine parks in the fault hook.
+	r := httptest.NewRequest(http.MethodPost, "/viz", bytes.NewReader(vizBody(t, sessReq(srv.DS.Extent, 4, 3, 8))))
+	r.Header.Set(SessionHeader, "sess-close")
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, r)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("viz = %d: %s", rec.Code, rec.Body)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no prefetch was ever admitted")
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- g.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted prefetch was still running")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned after the prefetch finished")
+	}
+}
+
 // TestClosedServerIsCollected: a closed server over a dataset that outlives
 // it becomes garbage once dropped — its DB flush hook no longer pins it, and
 // with it every plan, result, and lookup cache it filled.

@@ -104,7 +104,7 @@ type Metrics struct {
 	subsumedHits  atomic.Int64 // requests answered by slicing a containing result
 	execCoalesced atomic.Int64 // requests that rode an identical in-flight execution
 
-	prefetchIssued   atomic.Int64 // speculative requests entering the prefetch lane
+	prefetchIssued   atomic.Int64 // speculative requests offered to admission
 	prefetchShed     atomic.Int64 // prefetches dropped by admission (no idle capacity)
 	prefetchComputed atomic.Int64 // prefetches that executed (cache warmed)
 	prefetchHits     atomic.Int64 // live requests served from a prefetched entry
@@ -185,11 +185,10 @@ type MetricsSnapshot struct {
 	PrefetchComputed int64 `json:"prefetch_computed"`
 	PrefetchHits     int64 `json:"prefetch_hits"`
 
-	// Per-lane admission queue depths — instantaneous gauges filled in by
-	// the HTTP layer (the admission pool is server- or gateway-scoped;
-	// Metrics itself never sees it).
-	QueueDepthLive     int `json:"queue_depth_live"`
-	QueueDepthPrefetch int `json:"queue_depth_prefetch"`
+	// Admission queue depth — an instantaneous gauge filled in by the HTTP
+	// layer (the admission pool is server- or gateway-scoped; Metrics itself
+	// never sees it).
+	QueueDepthLive int `json:"queue_depth_live"`
 
 	BudgetViolations    int64   `json:"budget_violations"`
 	BudgetViolationRate float64 `json:"budget_violation_rate"`

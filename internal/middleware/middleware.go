@@ -234,18 +234,11 @@ type Server struct {
 	closeErr  error
 	faultHook atomic.Pointer[func(string)]
 
-	// liveHTTP counts live /viz requests between handler entry and the end
-	// of response encoding; lastLiveNs is when the count last dropped. The
-	// admission slot's livePressure window misses the edges of a request —
-	// connection read before acquire, response flush after release, the
-	// client goroutine's own wakeups on a co-located load generator — and a
-	// background execution resuming inside those edges adds a sub-ms stall
-	// per goroutine handoff, enough to push a warm hit past its SLO. The
-	// background yield hook therefore parks on this wider signal: any live
-	// request in the handler, or one that finished less than liveCooldown
-	// ago (covering the post-release edges).
-	liveHTTP   atomic.Int64
-	lastLiveNs atomic.Int64
+	// prefetches tracks admitted prefetch goroutines so Close can wait for
+	// them; prefetchMu orders Prefetch's draining check and Add against
+	// Close's Drain, so no Add can follow Close's Wait.
+	prefetchMu sync.Mutex
+	prefetches sync.WaitGroup
 }
 
 // NewServer creates a middleware over a dataset using the given rewriter
@@ -452,34 +445,38 @@ func (s *Server) Handle(req Request) (*Response, error) {
 	return resp, err
 }
 
-// maxPrefetchWait caps how long a speculative request may sit in the
-// admission queue's prefetch lane. Predictions go stale fast (the user pans
-// again); a prefetch that can't start promptly is better shed than queued
-// into irrelevance.
-const maxPrefetchWait = 250 * time.Millisecond
-
-// Prefetch speculatively warms the result cache with req, admitted through
-// the prefetch lane (idle capacity only; shed first under load — a
-// prefetch can never cause a rejection a live request wouldn't have seen).
-// The staleness hint is stripped: speculative entries are only ever stored
-// under the current data version, never reachable solely via `/* ttl:N */`.
-// No-op when the result cache is disabled (nothing to warm).
+// Prefetch speculatively warms the result cache with req and returns at
+// once. The prefetch takes an admission slot only if one is idle (see
+// admission.tryPrefetch) — otherwise it is counted as shed — and then runs
+// to completion on its own goroutine like a live request, so it can never
+// cause a rejection a live request wouldn't have seen. The staleness hint
+// is stripped: speculative entries are only ever stored under the current
+// data version, never reachable solely via `/* ttl:N */`. No-op when the
+// result cache is disabled (nothing to warm) or the server is draining.
 func (s *Server) Prefetch(req Request) {
 	if s.flight == nil {
 		return
 	}
-	s.metrics.prefetchIssued.Add(1)
-	req.TTL = 0
-	wait := s.cfg.QueueTimeout
-	if wait > maxPrefetchWait {
-		wait = maxPrefetchWait
+	s.prefetchMu.Lock()
+	defer s.prefetchMu.Unlock()
+	if s.Draining() {
+		return // speculative work is the first casualty of shutdown
 	}
-	if s.admit.acquirePrefetch(wait) != admitOK {
+	s.metrics.prefetchIssued.Add(1)
+	if !s.admit.tryPrefetch() {
 		s.metrics.prefetchShed.Add(1)
 		return
 	}
-	defer s.admit.releasePrefetch()
-	_, _, _ = s.handle(context.Background(), req, true)
+	req.TTL = 0
+	s.prefetches.Add(1)
+	go func() {
+		defer s.prefetches.Done()
+		defer s.admit.releasePrefetch()
+		guardPanics(s.metrics, "prefetch", func() {
+			s.fault("prefetch")
+			_, _, _ = s.handle(context.Background(), req, true)
+		})
+	}()
 }
 
 // effectiveBudget resolves a request's budget: zero/negative falls back to
@@ -512,16 +509,14 @@ type planned struct {
 // the ResultKey. count selects whether the plan-cache counters observe this
 // resolution — the serving path counts, the routing-side key computation
 // (Server.ResultKeyFor) does not, so a request keyed on one replica and
-// served on another is not double-counted. background marks a speculative
-// resolution: a cold context build (|Ω|+1 engine executions) then runs with
-// a cooperative yield so it cannot hold a processor against live requests.
-// The built context is bit-identical either way — a live request coalescing
-// onto a background build gets exactly the context it would have built.
+// served on another is not double-counted. Speculative and live resolutions
+// build identically, so a live request coalescing onto a prefetch's build
+// gets exactly the context it would have built.
 //
 // Callers must hold the DB's data read lock (see handle): the plan-cache key
 // and the ResultKey both embed the data version, and the version must stay
 // paired with the data the context build reads.
-func (s *Server) plan(req Request, count, background bool) (planned, error) {
+func (s *Server) plan(req Request, count bool) (planned, error) {
 	p := planned{budget: s.effectiveBudget(req)}
 	q, err := s.BuildQuery(req)
 	if err != nil {
@@ -587,12 +582,9 @@ func (s *Server) plan(req Request, count, background bool) (planned, error) {
 	case VizDistinct:
 		class = "#distinct\x00"
 	}
-	entry, how, err := s.plans.get(planCacheKey(version, class, p.sig), !background, func(boost *atomic.Bool) (*core.QueryContext, error) {
+	entry, how, err := s.plans.get(planCacheKey(version, class, p.sig), func() (*core.QueryContext, error) {
 		ccfg := core.DefaultContextConfig(s.spaceFor(kind))
 		ccfg.Lookups = s.lookups
-		if background {
-			ccfg.Yield = s.backgroundYield(boost)
-		}
 		return core.BuildContext(s.DS.DB, q, ccfg)
 	})
 	if count {
@@ -714,7 +706,7 @@ func approxTag(rq *engine.Query) string {
 func (s *Server) ResultKeyFor(req Request) (ResultKey, error) {
 	s.DS.DB.RLockData()
 	defer s.DS.DB.RUnlockData()
-	p, err := s.plan(req, false, false)
+	p, err := s.plan(req, false)
 	return p.rkey, err
 }
 
@@ -770,7 +762,7 @@ func responseShell(p planned) *Response {
 func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Response, bool, error) {
 	s.DS.DB.RLockData()
 	defer s.DS.DB.RUnlockData()
-	p, err := s.plan(req, !prefetch, prefetch)
+	p, err := s.plan(req, !prefetch)
 	if err != nil {
 		return nil, false, err
 	}
@@ -829,11 +821,6 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 	if s.flight != nil {
 		c, primary, ox, oy, exactJoin := s.flight.join(p, prefetch, s.regions != nil)
 		if !primary {
-			if !prefetch {
-				// Waiting on a (possibly speculative) in-flight execution:
-				// boost it out of background parking — see execCall.boost.
-				c.boost.Store(true)
-			}
 			<-c.done
 			if c.err == nil {
 				if !prefetch && s.flight.claimPrefetchCredit(c) {
@@ -872,18 +859,8 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 			// error and waiters re-execute themselves).
 			defer func() { s.flight.finish(call, resp, err) }()
 		}
-		// Speculative executions run at background priority: between scan
-		// chunks they park while live requests are active (see
-		// backgroundYield), so a concurrently arriving live request is never
-		// stuck behind a prefetch for a scheduler quantum.
 		var yield func()
-		if prefetch {
-			var boost *atomic.Bool
-			if call != nil {
-				boost = &call.boost
-			}
-			yield = s.backgroundYield(boost)
-		} else if ctx.Done() != nil {
+		if ctx.Done() != nil {
 			yield = s.cancelYield(ctx)
 		}
 		res, _, err := s.DS.DB.RunCachedYield(p.rq, p.hint, s.lookups, yield)
@@ -932,70 +909,6 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 		s.noteOutcome(resp)
 	}
 	return resp, false, nil
-}
-
-// backgroundNap is one parking interval of a paused background execution;
-// maxBackgroundPause caps the total parked time per execution (or context
-// build). The cap matters for lock safety, not fairness: a background
-// execution holds the DB's data read lock, and an ingest flush (writer)
-// queued behind it blocks *new* readers — so an unbounded pause waiting for
-// live readers to drain could deadlock with the readers waiting on the
-// writer. Bounded, the worst case is a short stall before the prefetch
-// proceeds at plain Gosched priority.
-const (
-	backgroundNap      = time.Millisecond
-	maxBackgroundPause = 100 * time.Millisecond
-)
-
-// liveCooldown extends the live-activity window past a request's completion
-// so background work stays parked while the response drains to the client
-// (and, on a co-located load generator, while the client goroutine consumes
-// it). A few milliseconds cover those handoffs; against interactive think
-// times it costs the prefetcher a negligible slice of idle time.
-const liveCooldown = 3 * time.Millisecond
-
-// liveBusy is the parking signal for background work: a live request holds
-// or awaits an admission slot, is anywhere inside the HTTP handler, or
-// finished less than liveCooldown ago.
-func (s *Server) liveBusy() bool {
-	if s.admit.livePressure() || s.liveHTTP.Load() > 0 {
-		return true
-	}
-	last := s.lastLiveNs.Load()
-	return last != 0 && s.cfg.Now().UnixNano()-last < int64(liveCooldown)
-}
-
-// backgroundYield returns the cooperative-yield hook for one speculative
-// execution or plan build. While any live request is active (see liveBusy),
-// the hook parks in short naps — handing the processor to the live request
-// entirely, not merely sharing it — up to a total pause budget; otherwise
-// (and after the budget) it degrades to runtime.Gosched. This is the
-// CPU-time half of the prefetch lane's "idle capacity only" contract; the
-// admission half (reserve slot, hold cap, shed-first queue) lives in
-// admission.go.
-//
-// boost (nil allowed) breaks a would-be livelock: when a live request
-// coalesces onto THIS speculative computation (single-flight or plan-cache
-// join), its wait keeps liveBusy true while it blocks on our completion —
-// parking would have the waiter waiting on the parker, for the full pause
-// budget. The joiner sets boost; the hook sees it and stops parking for
-// good.
-func (s *Server) backgroundYield(boost *atomic.Bool) func() {
-	pause := maxBackgroundPause
-	return func() {
-		if boost != nil && boost.Load() {
-			runtime.Gosched()
-			return
-		}
-		for pause > 0 && s.liveBusy() {
-			if boost != nil && boost.Load() {
-				break
-			}
-			time.Sleep(backgroundNap)
-			pause -= backgroundNap
-		}
-		runtime.Gosched()
-	}
 }
 
 // cancelYield returns the live path's cooperative-cancellation hook: each

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/maliva/maliva/internal/core"
 )
@@ -35,9 +34,10 @@ func planKeyVersion(key string) (version uint64, ok bool) {
 }
 
 // planEntry is one cached query shape: the ground-truth context (the
-// expensive part — BuildContext executes every rewritten query) plus the
-// rewriter's decision memoized per budget. Both are deterministic functions
-// of the query, so caching them never changes a response bit.
+// expensive part — BuildContext prices every rewritten query, counting exact
+// plans from posting lists and executing the rest) plus the rewriter's
+// decision memoized per budget. Both are deterministic functions of the
+// query, so caching them never changes a response bit.
 type planEntry struct {
 	ctx *core.QueryContext
 
@@ -89,13 +89,8 @@ const (
 
 // planCall is an in-flight context build that later arrivals wait on
 // (single-flight coalescing: N identical concurrent requests build once).
-// boost is set by a live waiter: a background build parks while live
-// requests are active, but once a live request is blocked on THIS build,
-// parking would have the waiter waiting on the parker — the builder's
-// yield hook checks boost and finishes at full speed instead.
 type planCall struct {
 	done  chan struct{}
-	boost atomic.Bool
 	entry *planEntry
 	err   error
 }
@@ -132,14 +127,10 @@ func newPlanCache(cap int) *planCache {
 // get returns the entry for key, building it with build on a miss. Exactly
 // one goroutine runs build per key at a time; concurrent callers for the
 // same key wait and share the result. Build errors are not cached — the
-// next request retries. live marks a caller on the serving path: joining an
-// in-flight build, it boosts the build out of background parking (see
-// planCall.boost). build receives the in-flight call's boost flag to wire
-// into its yield hook; background builders without joiners see it stay
-// false forever.
-func (c *planCache) get(key string, live bool, build func(*atomic.Bool) (*core.QueryContext, error)) (*planEntry, planResult, error) {
+// next request retries.
+func (c *planCache) get(key string, build func() (*core.QueryContext, error)) (*planEntry, planResult, error) {
 	if c == nil {
-		ctx, err := build(new(atomic.Bool))
+		ctx, err := build()
 		if err != nil {
 			return nil, planMiss, err
 		}
@@ -155,9 +146,6 @@ func (c *planCache) get(key string, live bool, build func(*atomic.Bool) (*core.Q
 	}
 	if call, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
-		if live {
-			call.boost.Store(true)
-		}
 		<-call.done
 		if call.err != nil {
 			return nil, planCoalesced, call.err
@@ -191,7 +179,7 @@ func (c *planCache) get(key string, live bool, build func(*atomic.Bool) (*core.Q
 		c.mu.Unlock()
 		close(call.done)
 	}()
-	ctx, err := build(&call.boost)
+	ctx, err := build()
 	if err != nil {
 		call.err = err
 	} else {

@@ -14,9 +14,9 @@ import (
 // a small per-session viewport history and, after serving each request,
 // predicts where the session pans next (linear momentum), what it zooms out
 // to (the lattice parent tile), and which neighbors it might drift into.
-// Predictions are dispatched as speculative requests through the admission
-// queue's prefetch lane, so a hit on the next step is served warm and a miss
-// cost nothing a live request would have wanted.
+// Predictions are dispatched as speculative requests that run only on idle
+// admission capacity (Server.Prefetch), so a hit on the next step is served
+// warm and a miss cost nothing a live request would have wanted.
 
 // SessionHeader carries the client's opaque session id.
 const SessionHeader = "X-Maliva-Session"
@@ -38,18 +38,14 @@ type SessionConfig struct {
 	MaxSessions int
 	// MaxPrefetch caps predictions issued per observed request, taken in
 	// priority order. Default 2 (momentum, then parent): every admitted
-	// prediction with a cold plan pays a full |Ω|+1 context build at
-	// background priority, so on small machines each extra slot buys little
-	// hit rate for a lot of speculative CPU — the compass-neighbor
-	// predictions (slot 3+) rarely earn their builds. Raise it on machines
-	// with idle cores.
+	// prediction with a cold plan pays a context build plus an execution,
+	// so on small machines each extra slot buys little hit rate for a lot
+	// of speculative CPU — the compass-neighbor predictions (slot 3+) rarely
+	// earn their work. Raise it on machines with idle cores.
 	MaxPrefetch int
 	// MaxParentGrid skips the zoom-out (parent-tile) prediction when the
 	// doubled grid would exceed this many cells on either axis. Default 256.
 	MaxParentGrid int
-	// Workers bounds concurrently-executing prefetch dispatches (a token
-	// semaphore; overflow is counted as shed). Default 2.
-	Workers int
 }
 
 // normalized resolves the config defaults.
@@ -62,9 +58,6 @@ func (c SessionConfig) normalized() SessionConfig {
 	}
 	if c.MaxParentGrid <= 0 {
 		c.MaxParentGrid = 256
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
 	}
 	return c
 }

@@ -151,7 +151,7 @@ func vizBody(t testing.TB, req Request) []byte {
 
 // TestGatewaySessionPrefetchEndToEnd drives a panning session through a
 // sessions-enabled gateway and verifies the pipeline end to end: the
-// observer predicts, the prefetch lane fills the cache, and the session's
+// observer predicts, prefetches fill the cache, and the session's
 // next step is served warm and counted as a prefetch hit — byte-identical
 // to the same request on an uncached gateway, which tracks no sessions.
 func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
@@ -201,7 +201,7 @@ func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 
 	// Pan east along a z4 tile row with human-ish think-time gaps. The whole
 	// observe→predict→prefetch pipeline is asynchronous by design (observer
-	// queue, dispatch semaphore, prefetch admission lane), so the test does
+	// queue, prefetch goroutines admitted on idle capacity), so the test does
 	// not pin which step gets served speculatively — it pans until some step
 	// lands on a prefetched entry, bounded by a deadline.
 	var trace []Request
@@ -218,7 +218,7 @@ func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("no pan step was ever served from a prefetched entry; snapshot %+v", srv.Metrics().Snapshot())
 			}
-			time.Sleep(20 * time.Millisecond) // think time the prefetch lane speculates into
+			time.Sleep(20 * time.Millisecond) // think time prefetches speculate into
 		}
 	}
 	after := srv.Metrics().Snapshot()
@@ -277,7 +277,7 @@ func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 		"maliva_prefetch_hits_total",
 		"maliva_prefetch_shed_total",
 		"maliva_subsumed_hits_total",
-		`maliva_admission_queue_depth{lane="prefetch"}`,
+		`maliva_admission_queue_depth{lane="live"}`,
 	} {
 		if !bytes.Contains(mbuf.Bytes(), []byte(metric)) {
 			t.Fatalf("/metrics is missing %s", metric)

@@ -1,7 +1,6 @@
 package middleware
 
 import (
-	"sync/atomic"
 	"time"
 
 	"github.com/maliva/maliva/internal/core"
@@ -68,11 +67,11 @@ func newShardedPlanCache(capacity, shards int) *shardedPlanCache {
 	return c
 }
 
-func (c *shardedPlanCache) get(key string, live bool, build func(*atomic.Bool) (*core.QueryContext, error)) (*planEntry, planResult, error) {
+func (c *shardedPlanCache) get(key string, build func() (*core.QueryContext, error)) (*planEntry, planResult, error) {
 	if c == nil {
-		return (*planCache)(nil).get(key, live, build)
+		return (*planCache)(nil).get(key, build)
 	}
-	return c.shards[fnv64(key)%uint64(len(c.shards))].get(key, live, build)
+	return c.shards[fnv64(key)%uint64(len(c.shards))].get(key, build)
 }
 
 // dropBelow reclaims entries older than version, one shard lock at a time.

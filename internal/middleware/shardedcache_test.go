@@ -3,7 +3,6 @@ package middleware
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,18 +14,18 @@ import (
 func TestShardedPlanCacheBasics(t *testing.T) {
 	c := newShardedPlanCache(64, 8)
 	builds := 0
-	build := func(*atomic.Bool) (*core.QueryContext, error) { builds++; return dummyCtx(), nil }
+	build := func() (*core.QueryContext, error) { builds++; return dummyCtx(), nil }
 	keys := make([]string, 32)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("SELECT %d", i)
 	}
 	for _, k := range keys {
-		if _, how, err := c.get(k, true, build); err != nil || how != planMiss {
+		if _, how, err := c.get(k, build); err != nil || how != planMiss {
 			t.Fatalf("first get %q: how=%v err=%v", k, how, err)
 		}
 	}
 	for _, k := range keys {
-		if _, how, err := c.get(k, true, build); err != nil || how != planHit {
+		if _, how, err := c.get(k, build); err != nil || how != planHit {
 			t.Fatalf("second get %q: how=%v err=%v", k, how, err)
 		}
 	}
@@ -40,7 +39,7 @@ func TestShardedPlanCacheBasics(t *testing.T) {
 	if disabled := newShardedPlanCache(-1, 8); disabled != nil {
 		t.Error("negative capacity should disable the sharded cache")
 	} else {
-		if _, how, err := disabled.get("k", true, build); err != nil || how != planMiss {
+		if _, how, err := disabled.get("k", build); err != nil || how != planMiss {
 			t.Errorf("disabled get: how=%v err=%v", how, err)
 		}
 	}
@@ -51,9 +50,9 @@ func TestShardedPlanCacheBasics(t *testing.T) {
 func TestShardedPlanCacheCapacity(t *testing.T) {
 	const capacity = 32
 	c := newShardedPlanCache(capacity, 8)
-	build := func(*atomic.Bool) (*core.QueryContext, error) { return dummyCtx(), nil }
+	build := func() (*core.QueryContext, error) { return dummyCtx(), nil }
 	for i := 0; i < 10*capacity; i++ {
-		if _, _, err := c.get(fmt.Sprintf("key-%d", i), true, build); err != nil {
+		if _, _, err := c.get(fmt.Sprintf("key-%d", i), build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +121,7 @@ func benchCacheKeys(n int) []string {
 // gateway at high core counts lives in.
 func BenchmarkPlanCacheContention(b *testing.B) {
 	keys := benchCacheKeys(256)
-	build := func(*atomic.Bool) (*core.QueryContext, error) { return dummyCtx(), nil }
+	build := func() (*core.QueryContext, error) { return dummyCtx(), nil }
 
 	run := func(b *testing.B, get func(string) error) {
 		b.Helper()
@@ -143,16 +142,16 @@ func BenchmarkPlanCacheContention(b *testing.B) {
 	b.Run("single-lock", func(b *testing.B) {
 		c := newPlanCache(1024)
 		for _, k := range keys {
-			_, _, _ = c.get(k, true, build)
+			_, _, _ = c.get(k, build)
 		}
-		run(b, func(k string) error { _, _, err := c.get(k, true, build); return err })
+		run(b, func(k string) error { _, _, err := c.get(k, build); return err })
 	})
 	b.Run("sharded", func(b *testing.B) {
 		c := newShardedPlanCache(1024, defaultCacheShards)
 		for _, k := range keys {
-			_, _, _ = c.get(k, true, build)
+			_, _, _ = c.get(k, build)
 		}
-		run(b, func(k string) error { _, _, err := c.get(k, true, build); return err })
+		run(b, func(k string) error { _, _, err := c.get(k, build); return err })
 	})
 }
 
@@ -210,7 +209,7 @@ func TestShardedCacheConcurrentDeterminism(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, k := range keys {
-				e, _, err := c.get(k, true, func(*atomic.Bool) (*core.QueryContext, error) { return dummyCtx(), nil })
+				e, _, err := c.get(k, func() (*core.QueryContext, error) { return dummyCtx(), nil })
 				if err != nil {
 					t.Error(err)
 					return

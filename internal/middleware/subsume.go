@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/maliva/maliva/internal/engine"
 )
@@ -237,14 +236,8 @@ type execCall struct {
 	// request that rides it claims the prefetch-hit credit (see claimed).
 	prefetch bool
 	claimed  bool // guarded by the flight mutex
-	// boost is set by a live request that joins this call. A speculative
-	// primary's background yield checks it: once a live request is blocked
-	// on this very computation, parking to "get out of live requests' way"
-	// would have the waiter waiting on the parker — the build must finish
-	// at full speed instead.
-	boost atomic.Bool
-	resp  *Response
-	err   error
+	resp     *Response
+	err      error
 }
 
 // errExecAborted is what waiters see when a primary died without
