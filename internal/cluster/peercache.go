@@ -85,7 +85,7 @@ func fidelityMatch(key middleware.ResultKey, resp *middleware.Response) bool {
 }
 
 // peerCache is the groupcache-style middleware.ResultCache a cluster node
-// installs around each dataset's local sharded cache:
+// installs around each dataset's local LRU cache:
 //
 //   - Get first consults the local cache. On a miss, if another replica owns
 //     the key (consistent hash of ResultKey.Hash()), it fetches from that

@@ -128,7 +128,7 @@ func (r *Ring) Sequence(key uint64) []int {
 	return seq
 }
 
-// hash64 is 64-bit FNV-1a, the same family the middleware shard selector
+// hash64 is 64-bit FNV-1a, the same family middleware.ResultKey.Hash
 // uses; the ring only needs a fast, stable, well-mixed hash.
 func hash64(s string) uint64 {
 	var h uint64 = 1469598103934665603

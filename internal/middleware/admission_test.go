@@ -152,3 +152,46 @@ func TestHTTPAdmissionControl(t *testing.T) {
 	t.Run("queue full -> 429", func(t *testing.T) { run(t, -1, http.StatusTooManyRequests) })
 	t.Run("deadline in queue -> 503", func(t *testing.T) { run(t, 4, http.StatusServiceUnavailable) })
 }
+
+// TestHugeBudgetWaitsFullQueueTimeout: a budget too large to convert to a
+// time.Duration waits QueueTimeout for a slot like any budget above it, not
+// the 10 ms floor a wrapped-negative wait would give it.
+func TestHugeBudgetWaitsFullQueueTimeout(t *testing.T) {
+	ds := testDataset(t)
+	rw := &blockingRewriter{entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := NewServerWithConfig(ds, rw, core.HintOnlySpec(), ServerConfig{
+		DefaultBudgetMs: 500, MaxConcurrent: 1, QueueTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(budget float64) int {
+		body, _ := json.Marshal(map[string]any{
+			"keyword": "word0005",
+			"min_lon": workload.USExtent.MinLon, "min_lat": workload.USExtent.MinLat,
+			"max_lon": workload.USExtent.MaxLon, "max_lat": workload.USExtent.MaxLat,
+			"kind": "heatmap", "budget_ms": budget,
+		})
+		resp, err := http.Post(srv.URL+"/viz", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return -1
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	firstDone := make(chan int, 1)
+	go func() { firstDone <- post(500) }()
+	<-rw.entered // the first request now holds the only slot
+
+	time.AfterFunc(100*time.Millisecond, func() { close(rw.release) })
+	if got := post(1e13); got != http.StatusOK {
+		t.Errorf("huge-budget request queued behind a 100 ms hold = %d, want 200", got)
+	}
+	if got := <-firstDone; got != http.StatusOK {
+		t.Errorf("held request = %d, want 200", got)
+	}
+}

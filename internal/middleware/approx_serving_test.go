@@ -335,11 +335,11 @@ func TestApproxKeysNeverAnswerExact(t *testing.T) {
 	exactKey := approxKey
 	exactKey.Approx = ""
 	v := 7.0
-	c.put(approxKey, &Response{Kind: VizCount, Value: &v, Approximate: true})
-	if got := c.get(exactKey); got != nil {
+	c.Put(approxKey, &Response{Kind: VizCount, Value: &v, Approximate: true})
+	if got := c.Get(exactKey); got != nil {
 		t.Fatal("exact key returned an approximate entry")
 	}
-	if got := c.get(approxKey); got == nil || !got.Approximate {
+	if got := c.Get(approxKey); got == nil || !got.Approximate {
 		t.Fatal("approximate entry not retrievable under its own key")
 	}
 	if approxKey.Hash() == exactKey.Hash() {

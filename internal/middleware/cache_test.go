@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func dummyCtx() *core.QueryContext { return &core.QueryContext{} }
 
-// TestPlanCacheLRU: the cache holds at most cap entries and evicts the
+// TestPlanCacheLRU: the cache holds exactly cap entries and evicts the
 // least recently used.
 func TestPlanCacheLRU(t *testing.T) {
 	c := newPlanCache(2)
@@ -32,73 +33,107 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Errorf("len = %d, want 2", c.len())
 	}
 	// a was refreshed, so it's still cached; b was evicted.
-	if _, how, _ := c.get("a", build); how != planHit {
-		t.Errorf("a: %v, want hit", how)
+	if _, hit, _ := c.get("a", build); !hit {
+		t.Error("a: miss, want hit")
 	}
-	if _, how, _ := c.get("b", build); how != planMiss {
-		t.Errorf("b: %v, want miss (evicted)", how)
+	if _, hit, _ := c.get("b", build); hit {
+		t.Error("b: hit, want miss (evicted)")
+	}
+
+	// The capacity is exact: many distinct keys fill it and never exceed it.
+	const capacity = 37
+	c = newPlanCache(capacity)
+	for i := 0; i < 10*capacity; i++ {
+		if _, _, err := c.get(fmt.Sprintf("key-%d", i), build); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.len(); got != capacity {
+		t.Errorf("len = %d after %d distinct keys, want exactly %d", got, 10*capacity, capacity)
 	}
 }
 
-// TestPlanCacheSingleFlight: N concurrent gets for the same key run build
-// exactly once; the rest coalesce onto the in-flight call.
-func TestPlanCacheSingleFlight(t *testing.T) {
+// TestPlanCacheRacingBuildsShareEntry: concurrent misses on one key may each
+// build, but the first insert wins — every racer returns that one entry, so
+// they share one outcome memo, and the cache holds one entry.
+func TestPlanCacheRacingBuildsShareEntry(t *testing.T) {
 	c := newPlanCache(8)
-	var builds atomic.Int32
+	const n = 8
+	var entered sync.WaitGroup
+	entered.Add(n)
 	gate := make(chan struct{})
+	var builds atomic.Int32
 	build := func() (*core.QueryContext, error) {
 		builds.Add(1)
+		entered.Done()
 		<-gate
 		return dummyCtx(), nil
 	}
 
-	const n = 8
-	var wg sync.WaitGroup
-	var hits, misses, coalesced atomic.Int32
 	entries := make([]*planEntry, n)
-	started := make(chan struct{}, n)
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
-			e, how, err := c.get("k", build)
-			if err != nil {
-				t.Error(err)
+			e, hit, err := c.get("k", build)
+			if err != nil || hit {
+				t.Errorf("racer %d: hit=%v err=%v, want a miss", i, hit, err)
 				return
 			}
 			entries[i] = e
-			switch how {
-			case planHit:
-				hits.Add(1)
-			case planMiss:
-				misses.Add(1)
-			case planCoalesced:
-				coalesced.Add(1)
-			}
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		<-started
-	}
-	// Give the waiters a moment to reach the in-flight wait, then open the
-	// gate. (Timing only affects the hit/coalesced split, not correctness.)
-	time.Sleep(20 * time.Millisecond)
+	entered.Wait() // all n are inside build: nobody has inserted yet
 	close(gate)
 	wg.Wait()
 
-	if got := builds.Load(); got != 1 {
-		t.Errorf("build ran %d times, want 1", got)
-	}
-	if misses.Load() != 1 {
-		t.Errorf("misses = %d, want exactly 1", misses.Load())
-	}
-	if hits.Load()+coalesced.Load() != n-1 {
-		t.Errorf("hits+coalesced = %d, want %d", hits.Load()+coalesced.Load(), n-1)
+	if got := builds.Load(); got != n {
+		t.Errorf("build ran %d times, want %d (no coalescing)", got, n)
 	}
 	for i := 1; i < n; i++ {
 		if entries[i] != entries[0] {
-			t.Fatalf("goroutine %d got a different entry", i)
+			t.Fatalf("racer %d got a different entry", i)
+		}
+	}
+	if got := c.len(); got != 1 {
+		t.Errorf("len = %d, want 1", got)
+	}
+	if e, hit, _ := c.get("k", build); !hit || e != entries[0] {
+		t.Errorf("later get: hit=%v, same entry=%v", hit, e == entries[0])
+	}
+}
+
+// TestPlanCacheConcurrentDeterminism: hammering one plan cache from many
+// goroutines yields exactly one entry per key — run with -race.
+func TestPlanCacheConcurrentDeterminism(t *testing.T) {
+	c := newPlanCache(256)
+	keys := make([]string, 32)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("SELECT * FROM tweets WHERE shape = %d;", i)
+	}
+	entries := make([]sync.Map, len(keys))
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, k := range keys {
+				e, _, err := c.get(k, func() (*core.QueryContext, error) { return dummyCtx(), nil })
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				entries[i].Store(e, true)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range entries {
+		n := 0
+		entries[i].Range(func(any, any) bool { n++; return true })
+		if n != 1 {
+			t.Errorf("key %d produced %d distinct entries, want 1", i, n)
 		}
 	}
 }
@@ -115,8 +150,8 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 	if c.len() != 0 {
 		t.Fatalf("error was cached: len = %d", c.len())
 	}
-	if _, how, err := c.get("k", func() (*core.QueryContext, error) { calls++; return dummyCtx(), nil }); err != nil || how != planMiss {
-		t.Fatalf("retry: how=%v err=%v", how, err)
+	if _, hit, err := c.get("k", func() (*core.QueryContext, error) { calls++; return dummyCtx(), nil }); err != nil || hit {
+		t.Fatalf("retry: hit=%v err=%v", hit, err)
 	}
 	if calls != 2 {
 		t.Errorf("calls = %d, want 2", calls)
@@ -124,7 +159,7 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 }
 
 // TestPlanCacheBuildPanicUnwedges: a panicking build must not wedge the
-// key — waiters get an error and the next request retries.
+// key — the panic propagates and the next request retries.
 func TestPlanCacheBuildPanicUnwedges(t *testing.T) {
 	c := newPlanCache(4)
 	func() {
@@ -135,12 +170,12 @@ func TestPlanCacheBuildPanicUnwedges(t *testing.T) {
 		}()
 		_, _, _ = c.get("k", func() (*core.QueryContext, error) { panic("boom") })
 	}()
-	// The key must be retryable, not blocked on a never-closed inflight call.
+	// The key must be retryable: nothing was cached and nothing blocks.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, how, err := c.get("k", func() (*core.QueryContext, error) { return dummyCtx(), nil }); err != nil || how != planMiss {
-			t.Errorf("retry after panic: how=%v err=%v", how, err)
+		if _, hit, err := c.get("k", func() (*core.QueryContext, error) { return dummyCtx(), nil }); err != nil || hit {
+			t.Errorf("retry after panic: hit=%v err=%v", hit, err)
 		}
 	}()
 	select {
@@ -184,9 +219,9 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 	builds := 0
 	for i := 0; i < 3; i++ {
-		e, how, err := c.get("k", func() (*core.QueryContext, error) { builds++; return dummyCtx(), nil })
-		if err != nil || e == nil || how != planMiss {
-			t.Fatalf("disabled get: entry=%v how=%v err=%v", e, how, err)
+		e, hit, err := c.get("k", func() (*core.QueryContext, error) { builds++; return dummyCtx(), nil })
+		if err != nil || e == nil || hit {
+			t.Fatalf("disabled get: entry=%v hit=%v err=%v", e, hit, err)
 		}
 	}
 	if builds != 3 {
@@ -203,30 +238,30 @@ func TestResultCacheTTL(t *testing.T) {
 	key := ResultKey{SQL: "SELECT 1", Kind: VizHeatmap, GridW: 8, GridH: 8, Budget: 500}
 	resp := &Response{Kind: VizHeatmap}
 
-	c.put(key, resp)
-	if got := c.get(key); got != resp {
+	c.Put(key, resp)
+	if got := c.Get(key); got != resp {
 		t.Fatal("fresh entry missed")
 	}
 
 	now = now.Add(9 * time.Second)
-	if got := c.get(key); got != resp {
+	if got := c.Get(key); got != resp {
 		t.Fatal("entry expired early")
 	}
 
 	now = now.Add(2 * time.Second) // 11s after put
-	if got := c.get(key); got != nil {
+	if got := c.Get(key); got != nil {
 		t.Fatal("expired entry served")
 	}
-	if c.len() != 0 {
-		t.Errorf("expired entry not dropped: len = %d", c.len())
+	if c.Len() != 0 {
+		t.Errorf("expired entry not dropped: len = %d", c.Len())
 	}
 
 	// put refreshes the expiry of an existing key.
-	c.put(key, resp)
+	c.Put(key, resp)
 	now = now.Add(8 * time.Second)
-	c.put(key, resp)
+	c.Put(key, resp)
 	now = now.Add(8 * time.Second) // 16s after first put, 8s after refresh
-	if got := c.get(key); got != resp {
+	if got := c.Get(key); got != resp {
 		t.Fatal("refreshed entry expired")
 	}
 }
@@ -238,27 +273,37 @@ func TestResultCacheLRU(t *testing.T) {
 	k := func(b float64) ResultKey { return ResultKey{SQL: "q", Budget: b} }
 	r1, r2, r3 := &Response{}, &Response{}, &Response{}
 
-	c.put(k(1), r1)
-	c.put(k(2), r2)
-	c.get(k(1)) // refresh 1
-	c.put(k(3), r3)
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	c.Put(k(1), r1)
+	c.Put(k(2), r2)
+	c.Get(k(1)) // refresh 1
+	c.Put(k(3), r3)
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	if c.get(k(1)) != r1 {
+	if c.Get(k(1)) != r1 {
 		t.Error("recently-used entry evicted")
 	}
-	if c.get(k(2)) != nil {
+	if c.Get(k(2)) != nil {
 		t.Error("LRU entry survived")
 	}
-	if c.get(k(3)) != r3 {
+	if c.Get(k(3)) != r3 {
 		t.Error("newest entry missing")
 	}
 
 	// Region variation keys separately.
 	kr := ResultKey{SQL: "q", Region: engine.Rect{MaxLon: 1}}
-	if c.get(kr) != nil {
+	if c.Get(kr) != nil {
 		t.Error("distinct region aliased an existing key")
+	}
+
+	// The capacity is exact: many distinct keys fill it and never exceed it.
+	const capacity = 37
+	c = newResultCache(capacity, time.Minute, nil)
+	for i := 0; i < 10*capacity; i++ {
+		c.Put(k(float64(i)), r1)
+	}
+	if got := c.Len(); got != capacity {
+		t.Errorf("len = %d after %d distinct keys, want exactly %d", got, 10*capacity, capacity)
 	}
 }
 
@@ -268,11 +313,11 @@ func TestResultCacheDisabled(t *testing.T) {
 	if c != nil {
 		t.Fatal("negative cap should disable the cache")
 	}
-	c.put(ResultKey{SQL: "q"}, &Response{})
-	if c.get(ResultKey{SQL: "q"}) != nil {
+	c.Put(ResultKey{SQL: "q"}, &Response{})
+	if c.Get(ResultKey{SQL: "q"}) != nil {
 		t.Fatal("disabled cache returned a response")
 	}
-	if c.len() != 0 {
+	if c.Len() != 0 {
 		t.Fatal("disabled cache has entries")
 	}
 }

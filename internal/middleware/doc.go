@@ -8,11 +8,11 @@
 //
 // Server binds one dataset to one rewriter and serves it concurrently:
 //
-//   - a signature-keyed plan cache (plancache.go, sharded in
-//     shardedcache.go) memoizes the ground-truth context and the
-//     rewriter's per-budget decision, with single-flight coalescing so N
-//     identical in-flight requests build the context once;
-//   - a TTL'd result cache (resultcache.go) returns finished binned
+//   - a signature-keyed LRU plan cache (plancache.go) memoizes the
+//     ground-truth context and the rewriter's per-budget decision;
+//     concurrent first requests for one shape may each build it, and all
+//     of them keep the entry that was inserted first;
+//   - a TTL'd LRU result cache (resultcache.go) returns finished binned
 //     responses for repeated (rewritten SQL, kind, grid, region, budget)
 //     shapes — the overlap a pan/zoom session generates. The cache sits
 //     behind the ResultCache interface; internal/cluster substitutes a
@@ -34,7 +34,9 @@
 // # Determinism contract
 //
 // Every cache layer is deterministic: a cached response is bit-identical
-// to what the cold path would produce, because rewriting is a pure
+// to what the cold path would produce — which is also why concurrent
+// identical requests need no coordination: each computes the same bytes.
+// Rewriting is a pure
 // function of (context, budget) and all engine randomness derives from
 // per-query/per-plan fingerprints. That is what lets the gateway promise
 // byte-identity with standalone servers, and the cluster layer byte-

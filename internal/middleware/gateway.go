@@ -43,11 +43,6 @@ type GatewayConfig struct {
 	DefaultDataset string
 	// Space is the rewrite option space every dataset serves under.
 	Space core.SpaceSpec
-	// WarmWorkers bounds how many datasets Warm builds concurrently
-	// (dataset generation + rewriter training are the multi-dataset cold
-	// start). 0 means GOMAXPROCS, 1 forces serial warmup. Lazily-built
-	// datasets (first request touch) are unaffected.
-	WarmWorkers int
 	// WrapResultCache, when set, wraps each dataset's result cache as its
 	// Server is built (internal/cluster installs the peer-shared cache
 	// here). It runs once per dataset, on the build goroutine, with the
@@ -98,8 +93,7 @@ type Gateway struct {
 
 	// mu guards entries. Reads vastly dominate (every request resolves its
 	// dataset; writes happen once per dataset lifetime), so the hot path
-	// takes only the read lock — the gateway must not reintroduce the
-	// single-mutex serialization the sharded caches removed.
+	// takes only the read lock and datasets never serialize on each other.
 	mu      sync.RWMutex
 	entries map[string]*gatewayEntry
 
@@ -279,10 +273,10 @@ func (g *Gateway) build(name string, e *gatewayEntry) {
 
 // Warm builds the named datasets (all registered ones when called with no
 // names) and blocks until they are ready, returning the error of the first
-// (lowest-index) failed dataset. Builds fan out on a bounded worker pool
-// (GatewayConfig.WarmWorkers, default GOMAXPROCS) instead of one unbounded
-// goroutine per dataset, so a many-dataset cold start overlaps dataset
-// generation and rewriter training without oversubscribing the machine.
+// (lowest-index) failed dataset. Builds fan out on a GOMAXPROCS-wide worker
+// pool instead of one unbounded goroutine per dataset, so a many-dataset
+// cold start overlaps dataset generation and rewriter training without
+// oversubscribing the machine.
 // Serving binaries call it at startup so eager datasets never answer 503.
 // Entries already warming (a request raced ahead) are waited on, not
 // rebuilt.
@@ -307,7 +301,7 @@ func (g *Gateway) Warm(names ...string) error {
 	// entries whose done channel then never closes (permanent 503s). Every
 	// claimed build must run; failures are collected and reported after.
 	errs := make([]error, len(names))
-	_ = core.RunIndexed(len(names), g.cfg.WarmWorkers, func(i int) error {
+	_ = core.RunIndexed(len(names), 0, func(i int) error {
 		if slots[i].build {
 			g.build(names[i], slots[i].e)
 		}

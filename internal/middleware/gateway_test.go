@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -269,13 +270,23 @@ func TestGatewaySingleFlightFirstTouch(t *testing.T) {
 	}
 }
 
+// withGOMAXPROCS runs fn with GOMAXPROCS — and so Warm's pool width — set
+// to workers, restoring it afterwards. (No middleware test runs in
+// parallel, so the process-wide setting is the test's own.)
+func withGOMAXPROCS(t *testing.T, workers int, fn func(t *testing.T)) {
+	t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		fn(t)
+	})
+}
+
 // TestGatewayWarmBoundedPool: Warm fans dataset builds out on the bounded
 // worker pool — every dataset still builds exactly once (even when Warm
-// races with request-driven first touches and a repeated Warm), at any
-// worker count, and all end up ready.
+// races with request-driven first touches and a repeated Warm), at one
+// worker and at two, and all end up ready.
 func TestGatewayWarmBoundedPool(t *testing.T) {
-	for _, workers := range []int{1, 2, 0} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		withGOMAXPROCS(t, workers, func(t *testing.T) {
 			reg := workload.NewRegistry()
 			var twBuilds, txBuilds atomic.Int32
 			tw, tx := tinyTwitterBuilder(4_000), tinyTaxiBuilder(4_000)
@@ -292,9 +303,8 @@ func TestGatewayWarmBoundedPool(t *testing.T) {
 				t.Fatal(err)
 			}
 			g, err := NewGateway(reg, OracleFactory, GatewayConfig{
-				Server:      ServerConfig{DefaultBudgetMs: 500},
-				Space:       core.HintOnlySpec(),
-				WarmWorkers: workers,
+				Server: ServerConfig{DefaultBudgetMs: 500},
+				Space:  core.HintOnlySpec(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -333,12 +343,12 @@ func TestGatewayWarmBoundedPool(t *testing.T) {
 }
 
 // TestGatewayWarmFailureDoesNotStrand: a failing build must not abandon the
-// other datasets' claimed entries — serial warmup (WarmWorkers=1) was the
+// other datasets' claimed entries — serial warmup (one worker) was the
 // dangerous case, where an early error could leave later entries with a
 // never-closing done channel (permanent 503s and a deadlocked re-Warm).
 func TestGatewayWarmFailureDoesNotStrand(t *testing.T) {
-	for _, workers := range []int{1, 0} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		withGOMAXPROCS(t, workers, func(t *testing.T) {
 			reg := workload.NewRegistry()
 			if err := reg.Register("broken", func() (*workload.Dataset, error) {
 				return nil, fmt.Errorf("synthetic build failure")
@@ -349,9 +359,8 @@ func TestGatewayWarmFailureDoesNotStrand(t *testing.T) {
 				t.Fatal(err)
 			}
 			g, err := NewGateway(reg, OracleFactory, GatewayConfig{
-				Server:      ServerConfig{DefaultBudgetMs: 500},
-				Space:       core.HintOnlySpec(),
-				WarmWorkers: workers,
+				Server: ServerConfig{DefaultBudgetMs: 500},
+				Space:  core.HintOnlySpec(),
 			})
 			if err != nil {
 				t.Fatal(err)

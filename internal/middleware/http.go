@@ -160,10 +160,12 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 	// overload. A small floor keeps tiny budgets from being rejected
 	// spuriously when the warm path would serve them in microseconds.
 	const minQueueWait = 10 * time.Millisecond
-	budget := s.effectiveBudget(req)
+	// The comparison stays in float: converting a huge budget to a Duration
+	// first would overflow to a negative wait.
+	budget := s.effectiveBudget(req) * float64(time.Millisecond)
 	wait := s.cfg.QueueTimeout
-	if b := time.Duration(budget * float64(time.Millisecond)); b < wait {
-		wait = b
+	if budget < float64(wait) {
+		wait = time.Duration(budget)
 	}
 	if wait < minQueueWait {
 		wait = minQueueWait

@@ -300,12 +300,12 @@ func TestResultCachePutSweepsExpiredGhosts(t *testing.T) {
 	key := func(i int) ResultKey { return ResultKey{SQL: "q" + strconv.Itoa(i)} }
 
 	for i := 0; i < 3; i++ {
-		c.put(key(i), resp)
+		c.Put(key(i), resp)
 	}
 	clock = clock.Add(2 * time.Second) // all three expire
 
 	// len excludes expired entries even before anything sweeps them.
-	if got := c.len(); got != 0 {
+	if got := c.Len(); got != 0 {
 		t.Errorf("len = %d with only expired entries, want 0", got)
 	}
 	if got := c.lru.Len(); got != 3 {
@@ -313,25 +313,25 @@ func TestResultCachePutSweepsExpiredGhosts(t *testing.T) {
 	}
 
 	// One put reclaims the whole expired tail.
-	c.put(key(3), resp)
+	c.Put(key(3), resp)
 	if got := c.lru.Len(); got != 1 {
 		t.Errorf("lru holds %d entries post-sweep, want 1", got)
 	}
 	if got := len(c.entries); got != 1 {
 		t.Errorf("entries map holds %d post-sweep, want 1", got)
 	}
-	if c.get(key(3)) == nil {
+	if c.Get(key(3)) == nil {
 		t.Error("live entry swept")
 	}
-	if c.get(key(0)) != nil {
+	if c.Get(key(0)) != nil {
 		t.Error("expired entry served")
 	}
 
 	// The sweep stops at the first live entry: a live head survives puts.
 	clock = clock.Add(2 * time.Second) // key(3) expires
-	c.put(key(4), resp)
-	c.put(key(5), resp)
-	if got, want := c.len(), 2; got != want {
+	c.Put(key(4), resp)
+	c.Put(key(5), resp)
+	if got, want := c.Len(), 2; got != want {
 		t.Errorf("len = %d, want %d", got, want)
 	}
 }

@@ -94,15 +94,13 @@ type Metrics struct {
 	rejectBusy atomic.Int64 // 429: queue full
 	rejectWait atomic.Int64 // 503: deadline expired while queued
 
-	planHits      atomic.Int64 // plan-cache hits (context reused)
-	planMisses    atomic.Int64 // plan-cache misses (BuildContext ran)
-	planCoalesced atomic.Int64 // requests that waited on an in-flight build
-	resultHits    atomic.Int64
-	resultMisses  atomic.Int64
-	staleHits     atomic.Int64 // result hits served from an older version via ttl hint
+	planHits     atomic.Int64 // plan-cache hits (context reused)
+	planMisses   atomic.Int64 // plan-cache misses (BuildContext ran)
+	resultHits   atomic.Int64
+	resultMisses atomic.Int64
+	staleHits    atomic.Int64 // result hits served from an older version via ttl hint
 
-	subsumedHits  atomic.Int64 // requests answered by slicing a containing result
-	execCoalesced atomic.Int64 // requests that rode an identical in-flight execution
+	subsumedHits atomic.Int64 // requests answered by slicing a containing result
 
 	prefetchIssued   atomic.Int64 // speculative requests offered to admission
 	prefetchShed     atomic.Int64 // prefetches dropped by admission (no idle capacity)
@@ -167,8 +165,10 @@ type MetricsSnapshot struct {
 	RejectedBusy int64 `json:"rejected_busy"`
 	RejectedWait int64 `json:"rejected_timeout"`
 
-	PlanHits      int64   `json:"plan_cache_hits"`
-	PlanMisses    int64   `json:"plan_cache_misses"`
+	PlanHits   int64 `json:"plan_cache_hits"`
+	PlanMisses int64 `json:"plan_cache_misses"`
+	// PlanCoalesced is always 0: concurrent misses on one shape each build.
+	// It stays so readers of plan_cache_coalesced keep decoding.
 	PlanCoalesced int64   `json:"plan_cache_coalesced"`
 	PlanHitRate   float64 `json:"plan_cache_hit_rate"`
 	ResultHits    int64   `json:"result_cache_hits"`
@@ -177,7 +177,9 @@ type MetricsSnapshot struct {
 
 	StaleHits int64 `json:"result_cache_stale_hits"`
 
-	SubsumedHits  int64 `json:"subsumed_hits"`
+	SubsumedHits int64 `json:"subsumed_hits"`
+	// ExecCoalesced is always 0: concurrent identical requests each execute.
+	// It stays so readers of exec_coalesced keep decoding.
 	ExecCoalesced int64 `json:"exec_coalesced"`
 
 	PrefetchIssued   int64 `json:"prefetch_issued"`
@@ -231,16 +233,14 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		RejectedBusy: m.rejectBusy.Load(),
 		RejectedWait: m.rejectWait.Load(),
 
-		PlanHits:      m.planHits.Load(),
-		PlanMisses:    m.planMisses.Load(),
-		PlanCoalesced: m.planCoalesced.Load(),
-		ResultHits:    m.resultHits.Load(),
-		ResultMisses:  m.resultMisses.Load(),
+		PlanHits:     m.planHits.Load(),
+		PlanMisses:   m.planMisses.Load(),
+		ResultHits:   m.resultHits.Load(),
+		ResultMisses: m.resultMisses.Load(),
 
 		StaleHits: m.staleHits.Load(),
 
-		SubsumedHits:  m.subsumedHits.Load(),
-		ExecCoalesced: m.execCoalesced.Load(),
+		SubsumedHits: m.subsumedHits.Load(),
 
 		PrefetchIssued:   m.prefetchIssued.Load(),
 		PrefetchShed:     m.prefetchShed.Load(),
@@ -301,14 +301,12 @@ func (m *Metrics) WritePrometheusLabeled(w io.Writer, label string) {
 	p(`admission_rejected_total{reason="timeout"}`, float64(s.RejectedWait))
 	p(`plan_cache_hits_total`, float64(s.PlanHits))
 	p(`plan_cache_misses_total`, float64(s.PlanMisses))
-	p(`plan_cache_coalesced_total`, float64(s.PlanCoalesced))
 	p(`plan_cache_hit_rate`, s.PlanHitRate)
 	p(`result_cache_hits_total`, float64(s.ResultHits))
 	p(`result_cache_misses_total`, float64(s.ResultMisses))
 	p(`result_cache_hit_rate`, s.ResultHitRate)
 	p(`result_cache_stale_hits_total`, float64(s.StaleHits))
 	p(`subsumed_hits_total`, float64(s.SubsumedHits))
-	p(`exec_coalesced_total`, float64(s.ExecCoalesced))
 	p(`prefetch_issued_total`, float64(s.PrefetchIssued))
 	p(`prefetch_hits_total`, float64(s.PrefetchHits))
 	p(`prefetch_shed_total`, float64(s.PrefetchShed))

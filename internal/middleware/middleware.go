@@ -137,7 +137,7 @@ type ServerConfig struct {
 	// WrapResultCache, when set, wraps the server's built-in result cache
 	// before first use — the extension point internal/cluster uses to layer
 	// a peer-aware cache (local miss → fetch from the key's owning replica)
-	// over the local sharded cache. It must return a ResultCache honoring
+	// over the local cache. It must return a ResultCache honoring
 	// the same contract; returning the argument unchanged is a no-op. Not
 	// called when the result cache is disabled (ResultCacheSize < 0):
 	// layering peer round trips over a cache that drops everything would
@@ -201,12 +201,12 @@ type Server struct {
 	textCol, timeCol, geoCol string
 
 	lookups *engine.LookupCache
-	plans   *shardedPlanCache
+	plans   *planCache
 	results ResultCache
 	// local is the built-in cache underneath results (the same value unless
 	// WrapResultCache put a peer-aware cache on top): the flush hook reclaims
 	// dead versions from it directly.
-	local   *shardedResultCache
+	local   *resultCache
 	admit   *admission
 	metrics *Metrics
 	ingest  *engine.Ingestor
@@ -216,7 +216,6 @@ type Server struct {
 
 	// Session-aware serving state (nil when the result cache is disabled:
 	// with nothing to warm or share, every request simply executes).
-	flight     *execFlight    // exact + containment single-flight
 	regions    *regionIndex   // containment index (nil: subsumption disabled)
 	prefetched *prefetchMarks // speculative keys awaiting their first live hit
 
@@ -263,14 +262,13 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 		cfg:      cfg,
 		table:    t,
 		lookups:  engine.NewLookupCacheWithCap(lookupCacheCap),
-		plans:    newShardedPlanCache(cfg.PlanCacheSize, defaultCacheShards),
-		local:    newShardedResultCache(cfg.ResultCacheSize, defaultCacheShards, cfg.ResultTTL, cfg.Now),
+		plans:    newPlanCache(cfg.PlanCacheSize),
+		local:    newResultCache(cfg.ResultCacheSize, cfg.ResultTTL, cfg.Now),
 		admit:    newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		metrics:  NewMetrics(),
 	}
 	s.results = s.local
 	if cfg.ResultCacheSize > 0 {
-		s.flight = newExecFlight()
 		s.prefetched = newPrefetchMarks(0)
 		s.regions = newRegionIndex(0)
 	}
@@ -316,11 +314,11 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 	// hook only reclaims the memory of entries the new version orphaned —
 	// otherwise they leave by LRU/TTL alone, and the faster cold builds get,
 	// the more (shape × version) entries a reader parks between flushes. It
-	// runs outside the data lock, shard by shard, and fires for any flush on
-	// the shared DB, including one applied through a different replica's
-	// ingestor. Plans are only ever asked for at the current version; results
-	// and their containment index stay reachable through the /* ttl:N */
-	// probe window, so those keep the last maxStaleProbes versions.
+	// runs outside the data lock, one cache lock at a time, and fires for any
+	// flush on the shared DB, including one applied through a different
+	// replica's ingestor. Plans are only ever asked for at the current
+	// version; results and their containment index stay reachable through the
+	// /* ttl:N */ probe window, so those keep the last maxStaleProbes versions.
 	s.unhookFlush = ds.DB.OnFlush(func(table string, version uint64) {
 		if table != s.DS.Main {
 			return
@@ -454,7 +452,7 @@ func (s *Server) Handle(req Request) (*Response, error) {
 // data version, never reachable solely via `/* ttl:N */`. No-op when the
 // result cache is disabled (nothing to warm) or the server is draining.
 func (s *Server) Prefetch(req Request) {
-	if s.flight == nil {
+	if s.prefetched == nil {
 		return
 	}
 	s.prefetchMu.Lock()
@@ -510,7 +508,7 @@ type planned struct {
 // resolution — the serving path counts, the routing-side key computation
 // (Server.ResultKeyFor) does not, so a request keyed on one replica and
 // served on another is not double-counted. Speculative and live resolutions
-// build identically, so a live request coalescing onto a prefetch's build
+// build identically, so a live request that hits a prefetch's cached context
 // gets exactly the context it would have built.
 //
 // Callers must hold the DB's data read lock (see handle): the plan-cache key
@@ -562,8 +560,9 @@ func (s *Server) plan(req Request, count bool) (planned, error) {
 		}
 	}
 
-	// Plan cache: one ground-truth context per (data version, query shape),
-	// built once even under a stampede of identical requests. The version
+	// Plan cache: one ground-truth context per (data version, query shape).
+	// Concurrent first requests for a shape may each build it; the first
+	// insert wins and the rest share that entry. The version
 	// prefix retires every pre-flush context at a flush — ground truth (row
 	// counts, selectivities, per-option timings) is data-dependent, so a
 	// stale context would mis-plan and, worse, mis-trace post-flush answers.
@@ -582,18 +581,15 @@ func (s *Server) plan(req Request, count bool) (planned, error) {
 	case VizDistinct:
 		class = "#distinct\x00"
 	}
-	entry, how, err := s.plans.get(planCacheKey(version, class, p.sig), func() (*core.QueryContext, error) {
+	entry, hit, err := s.plans.get(planCacheKey(version, class, p.sig), func() (*core.QueryContext, error) {
 		ccfg := core.DefaultContextConfig(s.spaceFor(kind))
 		ccfg.Lookups = s.lookups
 		return core.BuildContext(s.DS.DB, q, ccfg)
 	})
 	if count {
-		switch how {
-		case planHit:
+		if hit {
 			s.metrics.planHits.Add(1)
-		case planCoalesced:
-			s.metrics.planCoalesced.Add(1)
-		default:
+		} else {
 			s.metrics.planMisses.Add(1)
 		}
 	}
@@ -626,8 +622,8 @@ func (s *Server) plan(req Request, count bool) (planned, error) {
 	// region/grid geometry. Time bounds collapse to the same instants the
 	// query predicate uses, so two spellings of one window share a family.
 	// The approximation tag keeps fidelity classes apart even here — an
-	// approximate in-flight execution must never look like a containment
-	// candidate for an exact request (or vice versa).
+	// approximate cached result must never look like a containment candidate
+	// for an exact request (or vice versa).
 	p.fam = famKey{
 		keyword: req.Keyword,
 		fromMs:  req.From.UnixMilli(),
@@ -674,8 +670,8 @@ func (s *Server) spaceFor(kind VizKind) core.SpaceSpec {
 // key's fidelity fingerprint: empty for exact queries, else a short
 // (method, parameters, seed) tag. The rewritten SQL already differs per
 // option, but the tag is what lets every cache layer — result cache,
-// subsumption, single-flight, cluster peer fetch — refuse cross-fidelity
-// answers without parsing SQL.
+// subsumption, cluster peer fetch — refuse cross-fidelity answers without
+// parsing SQL.
 func approxTag(rq *engine.Query) string {
 	switch rq.Approx.Method {
 	case engine.ApproxRows:
@@ -742,8 +738,8 @@ func responseShell(p planned) *Response {
 }
 
 // handle is Handle plus a flag reporting whether the response came without
-// executing here (cache hit, subsumption slice, or a coalesced in-flight
-// execution — surfaced as the X-Cache header). prefetch marks the
+// executing here (cache hit or subsumption slice — surfaced as the X-Cache
+// header). prefetch marks the
 // speculative path: plan-cache and result-cache counters skip it, computed
 // entries are remembered so their first live consumer counts as a prefetch
 // hit, and staleness hints never apply (Server.Prefetch strips TTL).
@@ -812,97 +808,46 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 		return resp, true, nil
 	}
 
-	// Single-flight: join an identical in-flight execution, or — for
-	// heatmaps — a strictly-containing aligned one whose result this
-	// request can slice. If the primary dies without publishing, fall
-	// through and execute directly (unregistered, so no waiter chain forms
-	// behind a retry).
-	var call *execCall
-	if s.flight != nil {
-		c, primary, ox, oy, exactJoin := s.flight.join(p, prefetch, s.regions != nil)
-		if !primary {
-			<-c.done
-			if c.err == nil {
-				if !prefetch && s.flight.claimPrefetchCredit(c) {
-					s.metrics.prefetchHits.Add(1)
-				}
-				if exactJoin {
-					if !prefetch {
-						s.metrics.execCoalesced.Add(1)
-						s.metrics.resultHits.Add(1)
-						s.noteOutcome(c.resp)
-					}
-					return c.resp, true, nil
-				}
-				resp := responseShell(p)
-				resp.Bins = sliceBins(c.resp.Bins, c.gw, ox, oy, p.rkey.GridW, p.rkey.GridH)
-				s.putResult(p, resp, prefetch)
-				if !prefetch {
-					s.metrics.subsumedHits.Add(1)
-					s.metrics.resultHits.Add(1)
-					s.noteOutcome(resp)
-				}
-				return resp, true, nil
-			}
-		} else {
-			call = c
-		}
-	}
 	if !prefetch {
 		s.metrics.resultMisses.Add(1)
 	}
 
-	resp, err := func() (resp *Response, err error) {
-		if call != nil {
-			// Publish whatever happened — including a panic unwinding —
-			// so waiters never hang (nil/nil is normalized to an abort
-			// error and waiters re-execute themselves).
-			defer func() { s.flight.finish(call, resp, err) }()
-		}
-		var yield func()
-		if ctx.Done() != nil {
-			yield = s.cancelYield(ctx)
-		}
-		res, _, err := s.DS.DB.RunCachedYield(p.rq, p.hint, s.lookups, yield)
-		if err != nil {
-			return nil, err
-		}
-		resp = responseShell(p)
-		switch rkey.Kind {
-		case VizScatter:
-			resp.Points = res.Points
-		case VizCount:
-			v := res.AggValue
-			if !res.HasAgg {
-				// Exact and row-level-sampled paths: the (possibly scaled)
-				// matched-row estimate. Reservoirs report matched/K · K ==
-				// the exact matched count.
-				v = res.Weight * float64(len(res.RowIDs))
-				if res.MatchedRows > 0 {
-					v = float64(res.MatchedRows)
-				}
-			}
-			resp.Value = &v
-		case VizDistinct:
-			v := res.AggValue
-			if !res.HasAgg {
-				v = float64(engine.DistinctWordsExact(s.table, res.RowIDs, s.textCol))
-			}
-			resp.Value = &v
-		default:
-			grid := viz.NewGrid(rkey.Region, rkey.GridW, rkey.GridH)
-			resp.Bins = grid.Counts(res.Points, res.Weight)
-		}
-		annotateApprox(resp, p, res)
-		return resp, nil
-	}()
+	var yield func()
+	if ctx.Done() != nil {
+		yield = s.cancelYield(ctx)
+	}
+	res, _, err := s.DS.DB.RunCachedYield(p.rq, p.hint, s.lookups, yield)
 	if err != nil {
 		return nil, false, err
 	}
-	// A speculative execution a live request already rode (claimed its
-	// credit mid-flight) is consumed, not pending: don't re-mark it.
-	mark := prefetch && (call == nil || !s.flight.wasClaimed(call))
-	s.putResult(p, resp, mark)
+	resp := responseShell(p)
+	switch rkey.Kind {
+	case VizScatter:
+		resp.Points = res.Points
+	case VizCount:
+		v := res.AggValue
+		if !res.HasAgg {
+			// Exact and row-level-sampled paths: the (possibly scaled)
+			// matched-row estimate. Reservoirs report matched/K · K ==
+			// the exact matched count.
+			v = res.Weight * float64(len(res.RowIDs))
+			if res.MatchedRows > 0 {
+				v = float64(res.MatchedRows)
+			}
+		}
+		resp.Value = &v
+	case VizDistinct:
+		v := res.AggValue
+		if !res.HasAgg {
+			v = float64(engine.DistinctWordsExact(s.table, res.RowIDs, s.textCol))
+		}
+		resp.Value = &v
+	default:
+		grid := viz.NewGrid(rkey.Region, rkey.GridW, rkey.GridH)
+		resp.Bins = grid.Counts(res.Points, res.Weight)
+	}
+	annotateApprox(resp, p, res)
+	s.putResult(p, resp, prefetch)
 	if prefetch {
 		s.metrics.prefetchComputed.Add(1)
 	} else {

@@ -2,7 +2,6 @@ package middleware
 
 import (
 	"container/list"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -78,31 +77,13 @@ func (e *planEntry) outcome(budget float64, rewrite func() core.Outcome) core.Ou
 	return out
 }
 
-// planResult reports how a plan-cache lookup was served, for metrics.
-type planResult int
-
-const (
-	planHit       planResult = iota // entry already cached
-	planMiss                        // this call built the context
-	planCoalesced                   // waited on another goroutine's build
-)
-
-// planCall is an in-flight context build that later arrivals wait on
-// (single-flight coalescing: N identical concurrent requests build once).
-type planCall struct {
-	done  chan struct{}
-	entry *planEntry
-	err   error
-}
-
-// planCache is a signature-keyed LRU of planEntry with single-flight
-// coalescing. Keys are the canonical SQL of the original query.
+// planCache is a signature-keyed LRU of planEntry guarded by one mutex.
+// Keys are the canonical SQL of the original query.
 type planCache struct {
-	mu       sync.Mutex
-	cap      int
-	entries  map[string]*list.Element // of *planPair
-	lru      *list.List               // front = most recent
-	inflight map[string]*planCall
+	mu      sync.Mutex
+	cap     int
+	entries map[string]*list.Element // of *planPair
+	lru     *list.List               // front = most recent
 }
 
 type planPair struct {
@@ -117,86 +98,55 @@ func newPlanCache(cap int) *planCache {
 		return nil
 	}
 	return &planCache{
-		cap:      cap,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*planCall),
+		cap:     cap,
+		entries: make(map[string]*list.Element),
+		lru:     list.New(),
 	}
 }
 
-// get returns the entry for key, building it with build on a miss. Exactly
-// one goroutine runs build per key at a time; concurrent callers for the
-// same key wait and share the result. Build errors are not cached — the
-// next request retries.
-func (c *planCache) get(key string, build func() (*core.QueryContext, error)) (*planEntry, planResult, error) {
-	if c == nil {
-		ctx, err := build()
-		if err != nil {
-			return nil, planMiss, err
-		}
-		return &planEntry{ctx: ctx, outcomes: make(map[float64]core.Outcome)}, planMiss, nil
-	}
-
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		entry := el.Value.(*planPair).entry
-		c.mu.Unlock()
-		return entry, planHit, nil
-	}
-	if call, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		<-call.done
-		if call.err != nil {
-			return nil, planCoalesced, call.err
-		}
-		return call.entry, planCoalesced, nil
-	}
-	call := &planCall{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
-
-	// Publish the call result even if build panics (a wedged inflight entry
-	// would block every later request for this key forever, each holding an
-	// admission slot — a self-inflicted outage). On panic the waiters see a
-	// build error and the panic propagates to this caller.
-	finished := false
-	defer func() {
-		if !finished {
-			call.err = fmt.Errorf("middleware: context build panicked")
-		}
+// get returns the entry for key and whether it was already cached, building
+// it with build on a miss. The build runs outside the lock, so concurrent
+// misses on one key each build; contexts are deterministic functions of the
+// key, and the first insert wins — every racer returns that one entry, so
+// they share one outcome memo. Build errors (and panics) leave the cache
+// untouched: the next request retries.
+func (c *planCache) get(key string, build func() (*core.QueryContext, error)) (*planEntry, bool, error) {
+	if c != nil {
 		c.mu.Lock()
-		delete(c.inflight, key)
-		if call.err == nil {
-			el := c.lru.PushFront(&planPair{key: key, entry: call.entry})
-			c.entries[key] = el
-			for c.lru.Len() > c.cap {
-				old := c.lru.Back()
-				c.lru.Remove(old)
-				delete(c.entries, old.Value.(*planPair).key)
-			}
+		if el, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(el)
+			c.mu.Unlock()
+			return el.Value.(*planPair).entry, true, nil
 		}
 		c.mu.Unlock()
-		close(call.done)
-	}()
+	}
 	ctx, err := build()
 	if err != nil {
-		call.err = err
-	} else {
-		call.entry = &planEntry{ctx: ctx, outcomes: make(map[float64]core.Outcome)}
+		return nil, false, err
 	}
-	finished = true
-
-	if call.err != nil {
-		return nil, planMiss, call.err
+	entry := &planEntry{ctx: ctx, outcomes: make(map[float64]core.Outcome)}
+	if c == nil {
+		return entry, false, nil
 	}
-	return call.entry, planMiss, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok { // a racing build inserted first
+		c.lru.MoveToFront(el)
+		return el.Value.(*planPair).entry, false, nil
+	}
+	c.entries[key] = c.lru.PushFront(&planPair{key: key, entry: entry})
+	for c.lru.Len() > c.cap {
+		old := c.lru.Back()
+		c.lru.Remove(old)
+		delete(c.entries, old.Value.(*planPair).key)
+	}
+	return entry, false, nil
 }
 
 // dropBelow removes every entry keyed at a data version older than version
 // (memory reclamation after a flush: such keys are never asked for again).
-// In-flight builds are left alone — they hold the data read lock, so none
-// can be older than the flush that calls this.
+// Builds still running cannot insert an older key afterwards — they hold the
+// data read lock, so none can be older than the flush that calls this.
 func (c *planCache) dropBelow(version uint64) {
 	if c == nil {
 		return

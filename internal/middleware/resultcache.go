@@ -37,44 +37,62 @@ type ResultKey struct {
 	// the result: empty for exact answers, else a (method, parameters, seed)
 	// tag (see approxTag). It keeps approximate entries from ever being
 	// addressed by exact requests — the rewritten SQL already differs, but
-	// the explicit tag lets subsumption, single-flight, and the cluster peer
-	// protocol refuse cross-fidelity traffic without parsing SQL.
+	// the explicit tag lets subsumption and the cluster peer protocol refuse
+	// cross-fidelity traffic without parsing SQL.
 	Approx string `json:"approx,omitempty"`
 }
 
-// Hash spreads a result key over shards (and, in internal/cluster, over the
-// replica hash ring): the rewritten SQL dominates, the remaining fields
-// disambiguate grid/kind/region/budget/version variants that share SQL text.
+// Hash places a result key on internal/cluster's replica hash ring: the
+// rewritten SQL dominates, the remaining fields disambiguate
+// grid/kind/region/budget/version variants that share SQL text.
 func (k ResultKey) Hash() uint64 {
 	h := fnv64(k.SQL)
-	h = mixShard(h, fnv64(string(k.Kind)))
+	h = fnvMix(h, fnv64(string(k.Kind)))
 	// Mask both grid fields to 32 bits so their bit ranges cannot overlap.
-	h = mixShard(h, uint64(uint32(k.GridW))<<32|uint64(uint32(k.GridH)))
-	h = mixShard(h, math.Float64bits(k.Region.MinLon))
-	h = mixShard(h, math.Float64bits(k.Region.MinLat))
-	h = mixShard(h, math.Float64bits(k.Region.MaxLon))
-	h = mixShard(h, math.Float64bits(k.Region.MaxLat))
-	h = mixShard(h, math.Float64bits(k.Budget))
-	h = mixShard(h, k.DataVersion)
+	h = fnvMix(h, uint64(uint32(k.GridW))<<32|uint64(uint32(k.GridH)))
+	h = fnvMix(h, math.Float64bits(k.Region.MinLon))
+	h = fnvMix(h, math.Float64bits(k.Region.MinLat))
+	h = fnvMix(h, math.Float64bits(k.Region.MaxLon))
+	h = fnvMix(h, math.Float64bits(k.Region.MaxLat))
+	h = fnvMix(h, math.Float64bits(k.Budget))
+	h = fnvMix(h, k.DataVersion)
 	if k.Approx != "" {
-		// Mixed only when set, so every exact key hashes — and shards, and
-		// routes — exactly as it did before the approximate tier existed.
-		h = mixShard(h, fnv64(k.Approx))
+		// Mixed only when set, so every exact key hashes — and routes —
+		// exactly as it did before the approximate tier existed.
+		h = fnvMix(h, fnv64(k.Approx))
 	}
 	return h
 }
 
+// fnv64 is 64-bit FNV-1a of a string.
+func fnv64(s string) uint64 {
+	var h uint64 = 1469598103934665603
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// fnvMix folds one value into a running hash (FNV-style xor-multiply).
+func fnvMix(h, v uint64) uint64 {
+	h ^= v
+	h *= 1099511628211
+	return h
+}
+
 // ResultCache is the pluggable result-cache surface the Server executes
-// against. The built-in implementation is the sharded TTL'd LRU; a cluster
+// against. The built-in implementation is the TTL'd LRU resultCache; a cluster
 // deployment wraps it (per dataset, via GatewayConfig.WrapResultCache) with
 // a peer-aware cache that consults the key's owning replica on a miss.
 //
 // Contract: Get returns nil on a miss; a non-nil Response must be treated as
 // immutable by the caller and must be bit-identical to what the cold compute
 // path would produce for the same key. Put must tolerate duplicate and
-// concurrent inserts of the same key (values for equal keys are identical by
-// construction, so last-write-wins is safe). Implementations must be safe
-// for concurrent use.
+// concurrent inserts of the same key: concurrent identical requests each
+// compute and store their answer, and values for equal keys are identical by
+// construction, so last-write-wins is safe. Implementations must be safe for
+// concurrent use.
 type ResultCache interface {
 	// Get returns the cached response for key, or nil.
 	Get(key ResultKey) *Response
@@ -95,7 +113,8 @@ type resultEntry struct {
 // highly-overlapping queries of a pan/zoom session keep producing identical
 // (rewritten SQL, grid) pairs, so the whole execute+bin step is skipped.
 // Cached *Response values are shared — callers must treat them as immutable
-// (the serving layer only encodes them).
+// (the serving layer only encodes them). It implements ResultCache; a nil
+// *resultCache is the disabled cache (Get misses, Put drops).
 type resultCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -106,7 +125,7 @@ type resultCache struct {
 }
 
 // newResultCache builds a cache of at most cap responses living ttl each.
-// cap <= 0 disables caching (nil cache: get misses, put drops).
+// cap <= 0 disables caching (nil cache: Get misses, Put drops).
 func newResultCache(cap int, ttl time.Duration, now func() time.Time) *resultCache {
 	if cap <= 0 {
 		return nil
@@ -126,9 +145,8 @@ func newResultCache(cap int, ttl time.Duration, now func() time.Time) *resultCac
 	}
 }
 
-// get returns the cached response for key, or nil. Expired entries are
-// dropped lazily on access.
-func (c *resultCache) get(key ResultKey) *Response {
+// Get implements ResultCache. Expired entries are dropped lazily on access.
+func (c *resultCache) Get(key ResultKey) *Response {
 	if c == nil {
 		return nil
 	}
@@ -148,9 +166,10 @@ func (c *resultCache) get(key ResultKey) *Response {
 	return e.resp
 }
 
-// put stores a response, refreshing the TTL if the key already exists and
-// evicting the least-recently-used entries beyond capacity.
-func (c *resultCache) put(key ResultKey, resp *Response) {
+// Put implements ResultCache: it stores a response, refreshing the TTL if the
+// key already exists and evicting the least-recently-used entries beyond
+// capacity.
+func (c *resultCache) Put(key ResultKey, resp *Response) {
 	if c == nil {
 		return
 	}
@@ -172,7 +191,7 @@ func (c *resultCache) put(key ResultKey, resp *Response) {
 	}
 	// Sweep expired entries from the LRU tail. Without this, a churning key
 	// population (e.g. version-keyed entries after ingest flushes) pins
-	// expired *Response values until capacity eviction, since get only drops
+	// expired *Response values until capacity eviction, since Get only drops
 	// the exact key it was asked for. Entries are TTL-ordered from the tail
 	// up to MoveToFront perturbation, so stopping at the first live entry
 	// bounds the sweep while reclaiming the common ghost pile-up.
@@ -192,8 +211,12 @@ func (c *resultCache) put(key ResultKey, resp *Response) {
 }
 
 // dropBelow removes every response computed at a data version older than
-// version, live or expired.
+// version, live or expired. It is deliberately not part of the ResultCache
+// interface: only this replica's own memory is reclaimed.
 func (c *resultCache) dropBelow(version uint64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, el := range c.entries {
@@ -204,8 +227,9 @@ func (c *resultCache) dropBelow(version uint64) {
 	}
 }
 
-// len reports the number of live (non-expired) cached responses.
-func (c *resultCache) len() int {
+// Len implements ResultCache: the number of live (non-expired) cached
+// responses.
+func (c *resultCache) Len() int {
 	if c == nil {
 		return 0
 	}

@@ -1,7 +1,6 @@
 package middleware
 
 import (
-	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -9,9 +8,9 @@ import (
 	"github.com/maliva/maliva/internal/engine"
 )
 
-// This file extends the single-flight machinery from exact request identity
-// to containment ("request subsumption"): a cached — or still in-flight —
-// heatmap whose region contains the requested region, with matching
+// This file extends result-cache lookup from exact request identity to
+// containment ("request subsumption"): a cached heatmap whose region
+// contains the requested region, with matching
 // keyword/time/kind/budget/data-version and exactly-aligned grid cells, can
 // answer the sub-request by slicing its bins, byte-identical to direct
 // execution. Non-aligned (or scatter) requests fall through to normal
@@ -50,7 +49,7 @@ type famKey struct {
 	// approx separates fidelity classes: an approximate result must never be
 	// a containment candidate for an exact request, and vice versa. Beyond
 	// the family split, containment answering is gated to exact requests
-	// entirely (see join and subsumeFromCache): a Bernoulli sample's seed
+	// entirely (see subsumeFromCache): a Bernoulli sample's seed
 	// derives from the query fingerprint, which embeds the region predicate,
 	// so a parent's sampled rows restricted to a sub-region are NOT the
 	// sub-request's sample — slicing would not be byte-identical.
@@ -222,119 +221,6 @@ func (ri *regionIndex) dropLocked(fam famKey, key ResultKey) {
 			delete(ri.fams, fam)
 		}
 	}
-}
-
-// execCall is one in-flight execute+bin, joinable both by exact key and —
-// for heatmaps — by contained, aligned sub-requests.
-type execCall struct {
-	done   chan struct{}
-	fam    famKey
-	rkey   ResultKey
-	region engine.Rect
-	gw, gh int
-	// prefetch marks a call whose primary is speculative; the first live
-	// request that rides it claims the prefetch-hit credit (see claimed).
-	prefetch bool
-	claimed  bool // guarded by the flight mutex
-	resp     *Response
-	err      error
-}
-
-// errExecAborted is what waiters see when a primary died without
-// publishing (a panic unwound through handle); they fall back to executing
-// themselves.
-var errExecAborted = errors.New("middleware: in-flight execution aborted")
-
-// execFlight coalesces concurrent executions: exact duplicates share one
-// execution, and an aligned sub-request can wait on a strictly-containing
-// in-flight parent and slice its result. Waiting forms no cycles —
-// containment is a strict partial order and equal keys join exactly — so a
-// chain of waiters always bottoms out at a running primary.
-type execFlight struct {
-	mu    sync.Mutex
-	exact map[ResultKey]*execCall
-	fams  map[famKey][]*execCall
-}
-
-func newExecFlight() *execFlight {
-	return &execFlight{exact: make(map[ResultKey]*execCall), fams: make(map[famKey][]*execCall)}
-}
-
-// join finds (or registers) the execution for a planned request. primary
-// reports whether the caller must execute and finish the returned call;
-// otherwise the caller waits on done. exact distinguishes an identical
-// in-flight request from a containing parent (ox/oy are the slice offsets
-// in the latter case). subsume gates containment joins.
-func (f *execFlight) join(p planned, prefetch, subsume bool) (c *execCall, primary bool, ox, oy int, exact bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c := f.exact[p.rkey]; c != nil {
-		return c, false, 0, 0, true
-	}
-	if subsume && p.rkey.Kind == VizHeatmap && p.rkey.Approx == "" {
-		for _, c := range f.fams[p.fam] {
-			if c.rkey.Kind != VizHeatmap || c.rkey == p.rkey {
-				continue
-			}
-			if ox, oy, ok := gridAlign(c.region, c.gw, c.gh, p.rkey.Region, p.rkey.GridW, p.rkey.GridH); ok {
-				return c, false, ox, oy, false
-			}
-		}
-	}
-	c = &execCall{
-		done: make(chan struct{}), fam: p.fam, rkey: p.rkey,
-		region: p.rkey.Region, gw: p.rkey.GridW, gh: p.rkey.GridH,
-		prefetch: prefetch,
-	}
-	f.exact[p.rkey] = c
-	f.fams[p.fam] = append(f.fams[p.fam], c)
-	return c, true, 0, 0, false
-}
-
-// claimPrefetchCredit atomically claims the one prefetch-hit credit of a
-// speculative in-flight call; the first live rider wins.
-func (f *execFlight) claimPrefetchCredit(c *execCall) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !c.prefetch || c.claimed {
-		return false
-	}
-	c.claimed = true
-	return true
-}
-
-// claimed reports whether a live rider already took the call's credit.
-func (f *execFlight) wasClaimed(c *execCall) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return c.claimed
-}
-
-// finish publishes a primary's outcome and deregisters the call. A nil
-// response with a nil error (the primary unwound without publishing) is
-// normalized to errExecAborted so waiters retry on their own.
-func (f *execFlight) finish(c *execCall, resp *Response, err error) {
-	f.mu.Lock()
-	delete(f.exact, c.rkey)
-	calls := f.fams[c.fam]
-	for i, fc := range calls {
-		if fc == c {
-			calls[i] = calls[len(calls)-1]
-			calls = calls[:len(calls)-1]
-			break
-		}
-	}
-	if len(calls) == 0 {
-		delete(f.fams, c.fam)
-	} else {
-		f.fams[c.fam] = calls
-	}
-	f.mu.Unlock()
-	if resp == nil && err == nil {
-		err = errExecAborted
-	}
-	c.resp, c.err = resp, err
-	close(c.done)
 }
 
 // prefetchMarks remembers which cached keys were computed speculatively, so

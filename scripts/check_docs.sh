@@ -13,6 +13,10 @@
 #      `maliva-server` on a command line (or its `\` continuation lines), or
 #      in backticks in prose — unless another command of this repo or the go
 #      tool defines it.
+#   5. Every backticked `Test…`/`Benchmark…` name in README.md and docs/*.md
+#      is a func of this repo, and every backticked `*.go` file there is a
+#      file of the repo (matched by path suffix, so `engine/access.go` and
+#      `doc.go` both count). Names starting with `_` are skipped.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -104,5 +108,25 @@ while read -r where flag kind; do
   echo "$where names maliva-server $flag, which go run ./cmd/maliva-server -h does not print" >&2
   fail=1
 done <<<"$named"
+
+go_files=$(git ls-files --cached --others --exclude-standard '*.go')
+while IFS=: read -r file name; do
+  [ -n "$name" ] || continue
+  name=${name//\`/}
+  # shellcheck disable=SC2086 # one path per word
+  if ! grep -qE "^func ${name}\(" $go_files; then
+    echo "$file names \`$name\`, which no .go file defines" >&2
+    fail=1
+  fi
+done < <(grep -oE '`(Test|Benchmark)[A-Za-z0-9_]*`' README.md docs/*.md | sort -u)
+while IFS=: read -r file name; do
+  [ -n "$name" ] || continue
+  name=${name//\`/}
+  case "$name" in _*) continue ;; esac
+  if ! grep -qE "(^|/)${name//./\\.}\$" <<<"$go_files"; then
+    echo "$file names \`$name\`, which is not a file of this repo" >&2
+    fail=1
+  fi
+done < <(grep -oE '`[A-Za-z0-9_./-]+\.go`' README.md docs/*.md | sort -u)
 
 exit "$fail"
