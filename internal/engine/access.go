@@ -7,7 +7,8 @@ import "slices"
 //
 //   - lookups: IndexEntries is what the index scans report;
 //   - intersection: the hinted posting lists are merged smallest first, and
-//     IntersectOps is what the merge walk compares (intersectSortedInto);
+//     IntersectOps is what the merge walk compares (intersectSortedInto),
+//     given by mergeWork when the range path skips the walk;
 //   - fetch: the intersection's rows are fetched and tested against the
 //     residual predicates in query order, each predicate only on the rows
 //     every earlier one passed. So with stage j the rows surviving the first

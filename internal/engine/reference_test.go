@@ -187,6 +187,27 @@ func (e *refExec) seqScan(earlyLimit int) []uint32 {
 	return out
 }
 
+// refIntersect is the plain merge walk over sorted sets a and b: the rows in
+// both, and one comparison counted per step. It is the oracle for
+// intersectSortedInto, which skips the walk when either set is an id range.
+func refIntersect(a, b []uint32) (out []uint32, work int) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		work++
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out, work
+}
+
 func (e *refExec) indexAccess(positions []int, earlyLimit int) ([]uint32, error) {
 	var lists [][]uint32
 	used := make(map[int]bool)
@@ -203,7 +224,7 @@ func (e *refExec) indexAccess(positions []int, earlyLimit int) ([]uint32, error)
 	acc := lists[0]
 	for _, l := range lists[1:] {
 		var work int
-		acc, work = intersectSortedInto(nil, acc, l)
+		acc, work = refIntersect(acc, l)
 		e.stats.IntersectOps += work
 	}
 	var out []uint32
