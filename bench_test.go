@@ -400,7 +400,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(rows)), "rows")
+			b.ReportMetric(float64(rows.Len()), "rows")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -132,13 +132,25 @@ func DefaultContextConfig(space SpaceSpec) ContextConfig {
 // paper pays it during training-data collection); everything downstream
 // replays it.
 func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryContext, error) {
+	ctx, _, err := BuildContextRows(db, q, cfg)
+	return ctx, err
+}
+
+// BuildContextRows is BuildContext that also hands out the engine.Counter the
+// build priced q's exact plans with, nil when q is not countable. Its Result
+// is what executing any exact option of q returns, so a caller about to serve
+// one of them — the serving layer on the miss that built the context — reads
+// the answer from the lists the build already intersected instead of
+// executing the plan again. The Counter reads the table: use it under the
+// same data read lock as the build.
+func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryContext, *engine.Counter, error) {
 	t := db.Table(q.Table)
 	if t == nil {
-		return nil, fmt.Errorf("core: unknown table %q", q.Table)
+		return nil, nil, fmt.Errorf("core: unknown table %q", q.Table)
 	}
 	opts := EnumerateOptions(db, q, cfg.Space)
 	if len(opts) == 0 {
-		return nil, fmt.Errorf("core: no rewriting options for query on %q", q.Table)
+		return nil, nil, fmt.Errorf("core: no rewriting options for query on %q", q.Table)
 	}
 	ctx := &QueryContext{
 		Query:       q,
@@ -169,12 +181,16 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 	// never shared: join probes inside each execution.
 	cache := engine.NewLookupMemo(cfg.Lookups)
 
+	// Optimizer estimates: every rewrite keeps q's table and predicates
+	// (BuildRQ), so they all share q's selectivity estimates.
+	//
 	// Plans: rewrites that resolve to the same physical plan produce the
 	// same rows, ExecStats and SimMs, so each distinct plan is priced once. The
 	// unhinted baseline is always somebody's plan twice over — the optimizer
 	// picks one of the index subsets Ω forces — and a backend that drops
 	// hints (Profile.HintDropProb) collapses more.
-	chosen := db.ChoosePlan(q)
+	estSels := db.EstimateSels(q)
+	chosen := db.EstimatePlanSels(q, engine.Hint{}, estSels)
 	ctx.EstRows = chosen.EstRows
 	type planRun struct {
 		rq      *engine.Query
@@ -271,7 +287,7 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	baseRes, baseStats := runs[baseRun].res, runs[baseRun].stats
 	ctx.BaselineMs = baseStats.SimMs
@@ -301,7 +317,7 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 		run := &runs[plans[i].run]
 		ctx.TrueMs[i] = run.stats.SimMs
 		ctx.NeedSels[i] = NeededSels(q, o)
-		ctx.PlanEst[i] = db.EstimatePlan(plans[i].rq, plans[i].hint)
+		ctx.PlanEst[i] = db.EstimatePlanSels(plans[i].rq, plans[i].hint, estSels)
 		switch {
 		case !o.IsApprox():
 			ctx.Quality[i] = 1
@@ -319,7 +335,7 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Identify the baseline's plan among exact options (last match, as in
 	// the original serial loop).
@@ -330,7 +346,7 @@ func BuildContext(db *engine.DB, q *engine.Query, cfg ContextConfig) (*QueryCont
 			ctx.BaselineOption = i
 		}
 	}
-	return ctx, nil
+	return ctx, counter, nil
 }
 
 // aggQuality maps an aggregate estimate's relative error onto [0,1]:

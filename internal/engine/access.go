@@ -6,9 +6,9 @@ import "slices"
 // phases, and each phase's counters are a function of row-id lists:
 //
 //   - lookups: IndexEntries is what the index scans report;
-//   - intersection: the hinted posting lists are merged smallest first, and
-//     IntersectOps is what the merge walk compares (intersectSortedInto),
-//     given by mergeWork when the range path skips the walk;
+//   - intersection: the hinted posting lists are intersected smallest first,
+//     and IntersectOps is what a merge walk of each pair compares, given by
+//     mergeWork whichever kernel the pair's encodings select (posting.go);
 //   - fetch: the intersection's rows are fetched and tested against the
 //     residual predicates in query order, each predicate only on the rows
 //     every earlier one passed. So with stage j the rows surviving the first
@@ -26,23 +26,28 @@ func sortByLen[T any](xs []T, length func(T) int) {
 	slices.SortFunc(xs, func(a, b T) int { return length(a) - length(b) })
 }
 
-// intersectLists intersects lists smallest first, ping-ponging between the two
-// scratch buffers so no intersection allocates, and returns the rows in all of
-// them with the merge comparisons charged. It reorders lists. yield, when
-// non-nil, runs after every pairwise step.
-func intersectLists(lists [][]uint32, bufA, bufB *[]uint32, yield func()) (acc []uint32, ops int) {
-	sortByLen(lists, func(l []uint32) int { return len(l) })
-	acc = lists[0]
+// intersectLists intersects lists smallest first and returns the rows in all
+// of them with the merge comparisons charged. The smallest list is the
+// accumulator, swept into a scratch buffer when it is a bitmap; every later
+// list is merged into it (an array) or probed (a bitmap), ping-ponging between
+// the two scratch buffers so no intersection allocates. It reorders lists.
+// yield, when non-nil, runs after every pairwise step.
+func intersectLists(lists []Posting, bufA, bufB *[]uint32, yield func()) (acc []uint32, ops int) {
+	sortByLen(lists, Posting.Len)
+	acc = lists[0].ids
+	if lists[0].bits != nil {
+		*bufB = lists[0].AppendTo((*bufB)[:0])
+		acc = *bufB
+	}
 	useA := true
 	for _, l := range lists[1:] {
-		var work int
+		buf := bufB
 		if useA {
-			*bufA, work = intersectSortedInto((*bufA)[:0], acc, l)
-			acc = *bufA
-		} else {
-			*bufB, work = intersectSortedInto((*bufB)[:0], acc, l)
-			acc = *bufB
+			buf = bufA
 		}
+		var work int
+		*buf, work = intersectInto((*buf)[:0], acc, l)
+		acc = *buf
 		useA = !useA
 		ops += work
 		if yield != nil {
@@ -84,16 +89,17 @@ func (db *DB) price(s *ExecStats, t *Table, q *Query, positions []int, join Join
 // All of these are intersections of some subset of the lists, and a query's
 // plans keep asking for the same subsets, so the Counter computes each one
 // once. This is Maliva's Accurate-QTE taken literally: knowing the exact
-// selectivities is knowing the exact cost.
+// selectivities is knowing the exact cost. The intersection of every list is
+// also the answer itself, which Result hands out without executing a plan.
 //
 // A Counter is not safe for concurrent use.
 type Counter struct {
 	db      *DB
 	q       *Query
 	t       *Table
-	lists   [][]uint32          // each predicate's posting list, query order
-	entries []int               // each lookup's index entries touched
-	inter   map[uint64][]uint32 // predicate mask → rows in all its lists
+	lists   []Posting          // each predicate's posting list, query order
+	entries []int              // each lookup's index entries touched
+	inter   map[uint64]Posting // predicate mask → rows in all its lists
 }
 
 // NewCounter looks up q's posting lists through cache (nil: straight to the
@@ -107,9 +113,9 @@ func (db *DB) NewCounter(q *Query, cache *LookupCache) *Counter {
 	}
 	c := &Counter{
 		db: db, q: q, t: t,
-		lists:   make([][]uint32, len(q.Preds)),
+		lists:   make([]Posting, len(q.Preds)),
 		entries: make([]int, len(q.Preds)),
-		inter:   make(map[uint64][]uint32),
+		inter:   make(map[uint64]Posting),
 	}
 	for i, p := range q.Preds {
 		ix := t.Index(p.Col)
@@ -138,7 +144,7 @@ func (c *Counter) Stats(h Hint) (stats ExecStats, ok bool) {
 		stats.RowsScanned = c.t.Rows
 		stats.RowsOutput = c.t.Rows
 		if all != 0 {
-			stats.RowsOutput = len(c.rows(all))
+			stats.RowsOutput = c.rows(all).Len()
 		}
 		c.db.price(&stats, c.t, c.q, positions, join)
 		return stats, true
@@ -152,21 +158,21 @@ func (c *Counter) Stats(h Hint) (stats ExecStats, ok bool) {
 	// result is the intersection of the lists merged so far.
 	var orderBuf [8]int
 	order := append(orderBuf[:0], positions...)
-	sortByLen(order, func(p int) int { return len(c.lists[p]) })
+	sortByLen(order, func(p int) int { return c.lists[p].n })
 	used := uint64(1) << uint(order[0])
 	stats.IndexEntries = c.entries[order[0]]
 	for _, pos := range order[1:] {
 		next := used | 1<<uint(pos)
 		stats.IndexEntries += c.entries[pos]
-		stats.IntersectOps += mergeWork(c.rows(used), c.lists[pos], len(c.rows(next)))
+		stats.IntersectOps += mergeWork(c.rows(used), c.lists[pos], c.rows(next).Len())
 		used = next
 	}
 	var sizeBuf [8]int
-	sizes := append(sizeBuf[:0], len(c.rows(used)))
+	sizes := append(sizeBuf[:0], c.rows(used).Len())
 	for i := range c.lists {
 		if used&(1<<uint(i)) == 0 {
 			used |= 1 << uint(i)
-			sizes = append(sizes, len(c.rows(used)))
+			sizes = append(sizes, c.rows(used).Len())
 		}
 	}
 	stats.chargeFetch(sizes)
@@ -178,10 +184,10 @@ func (c *Counter) Stats(h Hint) (stats ExecStats, ok bool) {
 // rows returns the rows in every posting list of mask (non-zero), computing
 // each subset's intersection once: the mask's longest list is intersected
 // with the rest's (memoized) intersection.
-func (c *Counter) rows(mask uint64) []uint32 {
+func (c *Counter) rows(mask uint64) Posting {
 	longest := -1
 	for i := range c.lists {
-		if mask&(1<<uint(i)) != 0 && (longest < 0 || len(c.lists[i]) >= len(c.lists[longest])) {
+		if mask&(1<<uint(i)) != 0 && (longest < 0 || c.lists[i].n >= c.lists[longest].n) {
 			longest = i
 		}
 	}
@@ -192,8 +198,38 @@ func (c *Counter) rows(mask uint64) []uint32 {
 	if r, ok := c.inter[mask]; ok {
 		return r
 	}
-	base := c.rows(rest)
-	r, _ := intersectSortedInto(make([]uint32, 0, len(base)), base, c.lists[longest])
+	r, _ := intersect(c.rows(rest), c.lists[longest])
 	c.inter[mask] = r
 	return r
+}
+
+// Result returns what RunCached returns for every exact plan of the Counter's
+// query — by the determinism contract they all return the same answer — from
+// the intersection the Counter already holds: the matching rows ascending,
+// the projected point column's points, the bins when the query bins, and
+// weight 1. Its slices are freshly allocated and never alias a posting list.
+func (c *Counter) Result() *Result {
+	res := &Result{Weight: 1}
+	if c.q.Bin != nil {
+		res.Bins = make(map[int]float64)
+	}
+	if len(c.lists) == 0 {
+		// No predicate: every row matches.
+		for r := range c.t.Rows {
+			res.RowIDs = append(res.RowIDs, uint32(r))
+		}
+	} else if rows := c.rows(uint64(1)<<uint(len(c.lists)) - 1); rows.Len() > 0 {
+		res.RowIDs = rows.AppendTo(make([]uint32, 0, rows.Len()))
+	}
+	if points := pointColumn(c.t, c.q); points != nil && len(res.RowIDs) > 0 {
+		res.Points = make([]Point, len(res.RowIDs))
+		for i, r := range res.RowIDs {
+			p := points[r]
+			res.Points[i] = p
+			if c.q.Bin != nil {
+				res.Bins[binID(c.q.Bin, p)] += res.Weight
+			}
+		}
+	}
+	return res
 }

@@ -215,7 +215,7 @@ func TestAllocGuardIndexLookup(t *testing.T) {
 		ceiling := 1.0
 		if rows, _, err := ix.Lookup(p); err != nil {
 			t.Fatal(err)
-		} else if len(rows) == 0 || ix.Kind == IndexInverted {
+		} else if rows.Len() == 0 || ix.Kind == IndexInverted {
 			ceiling = 0
 		}
 		guardAllocs(t, p.String(), ceiling, func() {

@@ -236,12 +236,12 @@ func TestLookupMemoInFrontOfFullCache(t *testing.T) {
 		t.Errorf("full shared cache now holds %d entries, want 1", shared.Len())
 	}
 
-	// A predicate the shared cache does hold comes back as the shared slice,
-	// so every consumer aliases one canonical posting list.
+	// A predicate the shared cache does hold comes back as the shared
+	// storage, so every consumer aliases one canonical posting list.
 	tb := db.Table("events")
 	fromShared, _, _ := shared.lookup(tb, tb.Index("ts"), other)
 	fromMemo, _, _ := NewLookupMemo(shared).lookup(tb, tb.Index("ts"), other)
-	if len(fromShared) > 0 && &fromShared[0] != &fromMemo[0] {
+	if fromShared.Len() > 0 && !sameStorage(fromShared, fromMemo) {
 		t.Error("memo copied a posting list the shared cache already holds")
 	}
 }

@@ -85,7 +85,7 @@ type execContext struct {
 	keepThresh uint64
 
 	// Scratch buffers reused across executions via ecPool.
-	lists [][]uint32
+	lists []Posting
 	accA  []uint32
 	accB  []uint32
 	cand  []uint32
@@ -160,9 +160,7 @@ func putExecContext(ec *execContext) {
 	ec.baseRows = nil
 	ec.points = nil
 	ec.yield = nil
-	for i := range ec.lists {
-		ec.lists[i] = nil
-	}
+	clear(ec.lists)
 	ec.lists = ec.lists[:0]
 	clear(ec.preds)
 	ec.preds = ec.preds[:0]
@@ -259,20 +257,7 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 	if t.SampleOf != nil {
 		ec.baseRows = t.Col("__base_row").Ints
 	}
-	pointCol := ""
-	if q.Bin != nil {
-		pointCol = q.Bin.Col
-	} else {
-		for _, oc := range q.OutputCols {
-			if t.HasColumn(oc) && t.Col(oc).Type == ColPoint {
-				pointCol = oc
-				break
-			}
-		}
-	}
-	if pointCol != "" {
-		ec.points = t.Col(pointCol).Points
-	}
+	ec.points = pointColumn(t, q)
 	candidates, err := ec.access(positions)
 	if err != nil {
 		putExecContext(ec)
@@ -298,6 +283,20 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 	res, stats = ec.res, ec.stats
 	putExecContext(ec)
 	return res, stats, nil
+}
+
+// pointColumn returns the point column an execution of q over t projects or
+// bins, nil when none: the bin column, else the first point output column.
+func pointColumn(t *Table, q *Query) []Point {
+	if q.Bin != nil {
+		return t.Col(q.Bin.Col).Points
+	}
+	for _, oc := range q.OutputCols {
+		if t.HasColumn(oc) && t.Col(oc).Type == ColPoint {
+			return t.Col(oc).Points
+		}
+	}
+	return nil
 }
 
 // resolvePlan maps (q, h) to the physical plan an execution follows: the
@@ -381,7 +380,7 @@ func (db *DB) resolveTable(q *Query) (*Table, error) {
 
 // lookup serves one predicate's index scan, through the memoization cache
 // when one is attached (a nil cache falls through to the direct scan).
-func (ec *execContext) lookup(ix *Index, p Predicate) ([]uint32, int, error) {
+func (ec *execContext) lookup(ix *Index, p Predicate) (Posting, int, error) {
 	return ec.cache.lookup(ec.t, ix, p)
 }
 

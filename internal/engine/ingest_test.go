@@ -135,7 +135,7 @@ func TestAppendBatchFlushBoundaryIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(ra, rb) {
+		if !slices.Equal(ra.AppendTo(nil), rb.AppendTo(nil)) {
 			t.Errorf("%s lookup rows diverge across flush boundaries", p.Col)
 		}
 		if ea != eb {
@@ -192,9 +192,9 @@ func TestIncrementalIndexMatchesBulkBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, want) {
+		if !slices.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
 			t.Errorf("%s: incremental index answers diverge from bulk rebuild (%d vs %d rows)",
-				p.Col, len(got), len(want))
+				p.Col, got.Len(), want.Len())
 		}
 	}
 }

@@ -74,7 +74,7 @@ func checkIntersect(a, b []uint32) error {
 	if !equalRows(got, want) || work != wantWork {
 		return fmt.Errorf("intersectSortedInto = %v (work %d), want %v (work %d)", got, work, want, wantWork)
 	}
-	if n := mergeWork(a, b, len(got)); n != work {
+	if n := mergeWork(arrayPosting(a), arrayPosting(b), len(got)); n != work {
 		return fmt.Errorf("mergeWork = %d, walk counted %d", n, work)
 	}
 	for i := range got {
@@ -182,6 +182,152 @@ func TestIntersectSortedMatchesSetIntersection(t *testing.T) {
 	}
 }
 
+// maxBitmapRow bounds the row ids the tests encode as bitmaps, keeping a
+// fuzzed bitmap (and a popcount rank over it) at table size.
+const maxBitmapRow = 1 << 16
+
+// sameStorage reports whether postings a and b share their backing storage.
+func sameStorage(a, b Posting) bool {
+	if a.bits != nil {
+		return b.bits != nil && &a.bits[0] == &b.bits[0]
+	}
+	return len(a.ids) > 0 && len(b.ids) > 0 && &a.ids[0] == &b.ids[0]
+}
+
+// toBitmap encodes the non-empty strictly increasing set l as a bitmap of
+// pad words beyond the one its last row needs.
+func toBitmap(l []uint32, pad int) Posting {
+	words := make([]uint64, int(l[len(l)-1]>>6)+1+pad)
+	for _, r := range l {
+		words[r>>6] |= 1 << (r & 63)
+	}
+	return bitmapPosting(words, len(l))
+}
+
+// encodings returns the strictly increasing set l in every encoding a test
+// can hold it in: the array, and for a non-empty set of small enough rows a
+// bitmap sized to its last row and one padded past it (a table's tail).
+func encodings(l []uint32) []Posting {
+	out := []Posting{arrayPosting(l)}
+	if len(l) > 0 && l[len(l)-1] < maxBitmapRow {
+		out = append(out, toBitmap(l, 0), toBitmap(l, 3))
+	}
+	return out
+}
+
+// checkPostings holds every intersection kernel to the oracle walk on
+// strictly increasing sets a and b, over all four encoding pairs: the rows,
+// their count and last row, the work, fresh storage that never aliases an
+// input, and the executor's scratch-buffer kernel for an array left side.
+// countUpTo is held to a linear count on each encoding.
+func checkPostings(a, b []uint32) error {
+	want, wantWork := refIntersect(a, b)
+	for _, ea := range encodings(a) {
+		if err := checkCountUpTo(ea, a, b); err != nil {
+			return err
+		}
+		for _, eb := range encodings(b) {
+			label := fmt.Sprintf("%s × %s", encName(ea), encName(eb))
+			got, work := intersect(ea, eb)
+			rows := got.AppendTo(nil)
+			if !equalRows(rows, want) || got.Len() != len(want) || work != wantWork {
+				return fmt.Errorf("%s: intersect = %v (len %d, work %d), want %v (work %d)", label, rows, got.Len(), work, want, wantWork)
+			}
+			if len(want) > 0 && got.last != want[len(want)-1] {
+				return fmt.Errorf("%s: last = %d, want %d", label, got.last, want[len(want)-1])
+			}
+			if got.bits != nil && !bitmapIsSmaller(got.n, len(got.bits)) {
+				return fmt.Errorf("%s: %d rows kept as a %d-word bitmap, the larger encoding", label, got.n, len(got.bits))
+			}
+			if sameStorage(got, ea) || sameStorage(got, eb) {
+				return fmt.Errorf("%s: the result aliases an input", label)
+			}
+			if ea.bits != nil {
+				continue
+			}
+			buf := make([]uint32, 0, len(a)+1) // room for every row of a, as a probe needs
+			into, work := intersectInto(buf, a, eb)
+			if !equalRows(into, want) || work != wantWork {
+				return fmt.Errorf("%s: intersectInto = %v (work %d), want %v (work %d)", label, into, work, want, wantWork)
+			}
+			if cap(into) == 0 || &into[:1][0] != &buf[:1][0] {
+				return fmt.Errorf("%s: intersectInto did not reuse the destination buffer", label)
+			}
+		}
+	}
+	return nil
+}
+
+// checkCountUpTo holds countUpTo on p, an encoding of l, to a linear count at
+// both ends of the ids and at rows of l and of other and their neighbours —
+// every row of a short set, an even spread of about a hundred of a long one.
+func checkCountUpTo(p Posting, l, other []uint32) error {
+	probes := []uint32{0, math.MaxUint32}
+	rows := slices.Concat(l, other)
+	for i := 0; i < len(rows); i += 1 + len(rows)/100 {
+		r := rows[i]
+		probes = append(probes, r, r-1, r+1)
+	}
+	slices.Sort(probes)
+	want := 0 // rows of l ≤ m, counted by one walk in step with the probes
+	for _, m := range probes {
+		for want < len(l) && l[want] <= m {
+			want++
+		}
+		if got := countUpTo(p, m); got != want {
+			return fmt.Errorf("%s: countUpTo(%d) = %d, want %d", encName(p), m, got, want)
+		}
+	}
+	return nil
+}
+
+func encName(p Posting) string {
+	if p.bits != nil {
+		return fmt.Sprintf("bitmap(%d words)", len(p.bits))
+	}
+	return "array"
+}
+
+// postingCases are kernel inputs for the bitmap encodings over a table of
+// rows 0…999: dense lists, an empty one, the whole table, and a bitmap
+// shorter than the other list's rows (probes beyond its length).
+func postingCases() []struct {
+	name string
+	a, b []uint32
+} {
+	every := func(step, lo, hi uint32) []uint32 {
+		var out []uint32
+		for r := lo; r <= hi; r += step {
+			out = append(out, r)
+		}
+		return out
+	}
+	return []struct {
+		name string
+		a, b []uint32
+	}{
+		{"dense × dense", every(2, 0, 998), every(3, 1, 997)},
+		{"sparse × dense", every(97, 5, 990), every(2, 0, 998)},
+		{"dense × whole table", every(3, 0, 999), idRange(0, 999)},
+		{"empty × dense", nil, every(2, 0, 998)},
+		{"beyond length", every(2, 0, 100), every(5, 0, 995)},
+		{"disjoint words", every(2, 0, 300), every(2, 501, 999)},
+	}
+}
+
+// TestIntersectPostings: every kernel, on every encoding pair, gives the rows
+// and the work of the merge walk, on the id-range cases and the dense ones.
+func TestIntersectPostings(t *testing.T) {
+	for _, tc := range slices.Concat(intersectRangeCases(), postingCases()) {
+		if err := checkPostings(tc.a, tc.b); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if err := checkPostings(tc.b, tc.a); err != nil {
+			t.Errorf("%s, swapped: %v", tc.name, err)
+		}
+	}
+}
+
 // decodeSet reads a strictly increasing set from a first row and gaps: each
 // gap byte g adds g+1 to the previous row. Decoding stops before a row would
 // pass math.MaxUint32.
@@ -206,11 +352,12 @@ func encodeSet(l []uint32) (first uint32, gaps []byte) {
 	return l[0], gaps
 }
 
-// FuzzIntersectSorted holds intersectSortedInto to the oracle walk on
-// arbitrary strictly increasing sets, one of them optionally empty. The
-// id-range cases seed the corpus, so plain go test runs them.
+// FuzzIntersectSorted holds every intersection kernel, on all four encoding
+// pairs, and countUpTo to the oracle walk on arbitrary strictly increasing
+// sets, one of them optionally empty. The id-range and posting cases seed the
+// corpus, so plain go test runs them.
 func FuzzIntersectSorted(f *testing.F) {
-	for _, tc := range intersectRangeCases() {
+	for _, tc := range slices.Concat(intersectRangeCases(), postingCases()) {
 		if len(tc.a) == 0 {
 			bFirst, bGaps := encodeSet(tc.b)
 			f.Add(uint32(0), []byte(nil), bFirst, bGaps, true)
@@ -231,12 +378,21 @@ func FuzzIntersectSorted(f *testing.F) {
 		if err := checkIntersect(b, a); err != nil {
 			t.Fatalf("swapped: %v", err)
 		}
+		if err := checkPostings(a, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkPostings(b, a); err != nil {
+			t.Fatalf("swapped: %v", err)
+		}
 	})
 }
 
-// BenchmarkIntersectSorted times the kernel at the list sizes a cold build
-// intersects: a 1 385-row list against a 6 810-row sparse list (the merge
-// walk) and against the whole 60 000-row table (the id-range path).
+// BenchmarkIntersectSorted times the kernels at the list sizes a cold build
+// intersects, over a 60 000-row table: a 1 385-row array against a 6 810-row
+// array (the merge walk), against the whole table as an array (the id-range
+// path) and against the 6 810 rows as a bitmap (the probe); and the 6 810-row
+// bitmap against the whole table as a bitmap (the word AND, which allocates
+// its result as a Counter's intersections do).
 func BenchmarkIntersectSorted(b *testing.B) {
 	const tableRows = 60_000
 	rng := rand.New(rand.NewSource(1))
@@ -247,22 +403,31 @@ func BenchmarkIntersectSorted(b *testing.B) {
 		}
 		return sortedCopy(rows)
 	}
-	small := sample(1385)
+	small, mid, whole := sample(1385), sample(6810), idRange(0, tableRows-1)
+	const words = (tableRows + 63) / 64
 	for _, bc := range []struct {
 		name  string
-		other []uint32
+		other Posting
 	}{
-		{"sparse", sample(6810)},
-		{"whole_table", idRange(0, tableRows-1)},
+		{"sparse", arrayPosting(mid)},
+		{"whole_table", arrayPosting(whole)},
+		{"array_bitmap", toBitmap(mid, words-1-int(mid[len(mid)-1]>>6))},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			buf := make([]uint32, 0, len(small))
 			b.ReportAllocs()
 			for b.Loop() {
-				buf, _ = intersectSortedInto(buf[:0], small, bc.other)
+				buf, _ = intersectInto(buf[:0], small, bc.other)
 			}
 		})
 	}
+	b.Run("bitmap_bitmap", func(b *testing.B) {
+		x, y := toBitmap(mid, words-1-int(mid[len(mid)-1]>>6)), toBitmap(whole, 0)
+		b.ReportAllocs()
+		for b.Loop() {
+			intersect(x, y)
+		}
+	})
 }
 
 func TestSortTokens(t *testing.T) {

@@ -54,7 +54,7 @@ func referenceJoin(t *testing.T, db *DB, q *Query, jm JoinMethod) (entries, pred
 	}
 	entries += accessEntries
 	var candidates []uint32
-	for _, r := range tsRows {
+	for _, r := range tsRows.AppendTo(nil) {
 		ok := true
 		for i, p := range q.Preds {
 			if i == 1 {

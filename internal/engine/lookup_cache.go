@@ -11,17 +11,18 @@ import (
 // for the same predicate. Keying on (table, predicate) lets those executions
 // share one posting-list scan.
 //
-// Cached slices are shared and must not be mutated by consumers — the
-// executor only reads candidate lists, and Index.Lookup already returns
-// fresh (btree/rtree) or shared-immutable (inverted) slices, so caching
-// preserves results exactly. The reported entries-touched count is also
-// cached, keeping ExecStats (and therefore virtual time) bit-identical to
-// uncached execution.
+// An entry is the lookup's Posting, in whichever encoding the lookup chose:
+// a dense one costs one bit per table row, a sparse one four bytes per match.
+// Cached postings are shared and never mutated — the executor and Counter
+// only read them, and Index.Lookup already returns fresh (btree/rtree) or
+// shared-immutable (inverted) storage, so caching preserves results exactly.
+// The reported entries-touched count is also cached, keeping ExecStats (and
+// therefore virtual time) bit-identical to uncached execution.
 //
 // The cache deliberately sits only on the materializing lookup path: a hit
-// must hand out a stable slice, so cached scans keep using Index.Lookup.
+// must hand out a stable posting, so cached scans keep using Index.Lookup.
 // The zero-allocation visitor paths (BTree.Visit, Cursor join probes) never
-// produce a slice to share and therefore bypass the cache entirely.
+// produce a posting to share and therefore bypass the cache entirely.
 //
 // A LookupCache is safe for concurrent use.
 //
@@ -62,7 +63,7 @@ type lookupKey struct {
 }
 
 type lookupVal struct {
-	rows    []uint32
+	rows    Posting
 	entries int
 }
 
@@ -95,7 +96,7 @@ func NewLookupMemo(shared *LookupCache) *LookupCache {
 
 // lookup serves ix.Lookup(p) through the cache. A nil receiver falls
 // through to the direct lookup, so call sites need no cache-presence branch.
-func (c *LookupCache) lookup(t *Table, ix *Index, p Predicate) ([]uint32, int, error) {
+func (c *LookupCache) lookup(t *Table, ix *Index, p Predicate) (Posting, int, error) {
 	if c == nil {
 		return ix.Lookup(p)
 	}
@@ -110,11 +111,11 @@ func (c *LookupCache) lookup(t *Table, ix *Index, p Predicate) ([]uint32, int, e
 	c.misses.Add(1)
 	rows, entries, err := c.next.lookup(t, ix, p)
 	if err != nil {
-		return nil, 0, err
+		return Posting{}, 0, err
 	}
 	c.mu.Lock()
 	// A racing goroutine may have filled the slot; keep the first value so
-	// every consumer aliases one canonical slice.
+	// every consumer aliases one canonical posting.
 	if w, ok := c.m[key]; ok {
 		rows, entries = w.rows, w.entries
 	} else if c.cap <= 0 || len(c.m) < c.cap {
@@ -142,7 +143,7 @@ func (c *LookupCache) Len() int {
 }
 
 // Reset drops every memoized lookup. Concurrent readers that already hold a
-// cached slice keep a consistent view; new lookups re-scan the indexes.
+// cached posting keep a consistent view; new lookups re-scan the indexes.
 func (c *LookupCache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

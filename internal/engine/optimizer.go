@@ -114,23 +114,35 @@ func estimateJoin(m CostModel, method JoinMethod, leftRows, innerReal, innerSel 
 // estimates use the coarse statistics in TableStats, so the choice is often
 // wrong for textual and spatial conditions — by design (see DESIGN.md §3).
 func (db *DB) ChoosePlan(q *Query) PlanEstimate {
-	return db.bestPlan(q, db.statsFor(q.Table).estimateSels(q))
+	return db.bestPlan(q, db.EstimateSels(q))
 }
 
 // EstimatePlan returns the optimizer's estimate for one specific hint,
 // without choosing. Bao featurizes these. An unforced hint falls back to the
 // optimizer's own choice, as the backend would.
 func (db *DB) EstimatePlan(q *Query, h Hint) PlanEstimate {
+	return db.EstimatePlanSels(q, h, db.EstimateSels(q))
+}
+
+// EstimateSels returns the optimizer's selectivity estimates for q's
+// predicates. They depend only on q's table and predicates, so the rewrites
+// of one query, which share both, share them too.
+func (db *DB) EstimateSels(q *Query) []float64 {
+	return db.statsFor(q.Table).estimateSels(q)
+}
+
+// EstimatePlanSels is EstimatePlan given sels = EstimateSels(q), which a
+// caller estimating many rewrites of one query computes once. sels is only
+// read.
+func (db *DB) EstimatePlanSels(q *Query, h Hint, sels []float64) PlanEstimate {
 	if !h.Forced {
-		pe := db.ChoosePlan(q)
+		pe := db.bestPlan(q, sels)
 		if h.Join != JoinAuto {
 			pe.Join = h.Join
 		}
 		return pe
 	}
-	sels := db.statsFor(q.Table).estimateSels(q)
-	t := db.table(q.Table)
-	return db.planEstimate(q, t, sels, h.UseIndex, h.Join)
+	return db.planEstimate(q, db.table(q.Table), sels, h.UseIndex, h.Join)
 }
 
 // estimateSels returns the optimizer's selectivity estimates for all main

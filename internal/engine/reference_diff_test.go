@@ -169,3 +169,53 @@ func TestCounterMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCounterResultMatchesReference: the answer a Counter hands out without
+// executing is the reference executor's whole Result — rows, points, bins and
+// weight — under every exact hint of the generator's queries, one predicate to
+// three, binned or not. These lists mix the array and bitmap encodings in
+// every pairing a build meets.
+func TestCounterResultMatchesReference(t *testing.T) {
+	cfg := workload.TwitterConfig()
+	cfg.Rows = 6_000
+	cfg.Scale = 100e6 / float64(cfg.Rows)
+	ds, err := workload.Twitter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared, nonEmpty := 0, 0
+	for _, spec := range []workload.QuerySpec{{NumPreds: 3, Seed: 1}, {NumPreds: 2, Seed: 7}, {NumPreds: 1, Seed: 8}} {
+		for qi, q := range workload.GenerateQueries(ds, 12, spec) {
+			if qi%2 == 1 {
+				for _, p := range q.Preds {
+					if p.Kind == engine.PredGeo {
+						q.Bin = &engine.BinSpec{Col: p.Col, Extent: p.Box, W: 16, H: 16}
+					}
+				}
+			}
+			counter := ds.DB.NewCounter(q, engine.NewLookupMemo(nil))
+			if counter == nil {
+				t.Fatalf("query %d (%d preds) is not countable", qi, spec.NumPreds)
+			}
+			got := counter.Result()
+			if len(got.RowIDs) > 0 {
+				nonEmpty++
+			}
+			for _, o := range core.EnumerateOptions(ds.DB, q, core.HintOnlySpec()) {
+				rq, h := core.BuildRQ(q, o, 0, 1)
+				want, _, err := engine.RefRun(ds.DB, rq, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d preds, query %d, %s: counted result (%d rows) differs from the reference (%d rows)",
+						spec.NumPreds, qi, o.Label(len(q.Preds)), len(got.RowIDs), len(want.RowIDs))
+				}
+				compared++
+			}
+		}
+	}
+	if compared == 0 || nonEmpty == 0 {
+		t.Fatalf("%d comparisons, %d non-empty answers: the test exercised nothing", compared, nonEmpty)
+	}
+}

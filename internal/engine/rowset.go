@@ -1,16 +1,16 @@
 package engine
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 )
 
 // rowSet collects the row ids an index scan produces in index order (key
-// order for a B-tree, tile order for an R-tree) and hands them back in
-// row-id order — the "bitmap index scan" posting-list consumers need for
-// merge intersection. Rows are marked in a bitset and swept out with
-// bits.TrailingZeros64, which is linear in matches plus table words where a
+// order for a B-tree, tile order for an R-tree) and hands them back as a
+// Posting in row-id order — the "bitmap index scan" posting-list consumers
+// need for intersection. Rows are marked in a bitset, which is itself the
+// posting list when it is the smaller encoding and is otherwise swept out
+// with bits.TrailingZeros64: linear in matches plus table words where a
 // comparison sort is n·log n with a poorly predicted branch per compare.
 //
 // Sets too small (or too sparse against the table) to be worth a sweep never
@@ -21,8 +21,9 @@ import (
 // Row ids within one index are distinct (one entry per table row), which is
 // what makes a bitset a faithful ordering device here.
 //
-// Sets are pooled; drain returns the set to the pool with every bit clear, so
-// a steady-state lookup allocates only the slice it returns.
+// Sets are pooled; posting returns the set to the pool with every bit clear
+// or its bitset handed out, so a steady-state lookup allocates only the
+// storage it returns.
 type rowSet struct {
 	words     []uint64 // bitset over row ids; all zero between uses
 	pend      []uint32 // rows buffered while the set may still be sorted
@@ -79,32 +80,32 @@ func (s *rowSet) mark(row uint32) {
 	s.n++
 }
 
-// drain returns the collected rows in ascending order in a freshly allocated
-// slice (nil when empty) and releases the set.
-func (s *rowSet) drain() []uint32 {
-	var out []uint32
-	if !s.marking {
+// posting returns the collected rows and releases the set. A set that ended
+// marking hands out its bitset when that is the smaller encoding and sweeps it
+// into a fresh array otherwise; a buffered set is sorted into a fresh array
+// (nil when empty).
+func (s *rowSet) posting() Posting {
+	var p Posting
+	switch {
+	case !s.marking:
 		if len(s.pend) > 0 {
-			out = slices.Clone(s.pend)
+			out := slices.Clone(s.pend)
 			slices.Sort(out)
+			p = arrayPosting(out)
 		}
-	} else {
-		out = make([]uint32, s.n)
-		i := 0
+	case bitmapIsSmaller(s.n, len(s.words)):
+		p = bitmapPosting(s.words, s.n)
+		s.words = nil // handed out: the next checkout allocates afresh
+	default:
+		out := make([]uint32, 0, s.n)
 		for w, word := range s.words {
-			if word == 0 {
-				continue
-			}
-			s.words[w] = 0
-			base := uint32(w) << 6
-			for word != 0 {
-				out[i] = base + uint32(bits.TrailingZeros64(word))
-				i++
-				word &= word - 1
+			if word != 0 {
+				s.words[w] = 0
+				out = appendWord(out, w, word)
 			}
 		}
-		out = out[:i]
+		p = arrayPosting(out)
 	}
 	rowSetPool.Put(s)
-	return out
+	return p
 }

@@ -7,9 +7,10 @@ import (
 	"time"
 )
 
-// TestRowSetMatchesSort: whatever order distinct row ids arrive in, drain
-// hands them back exactly as a comparison sort would — across the buffered
-// (tiny / sparse) and the marked regimes, ids past the sizing hint included.
+// TestRowSetMatchesSort: whatever order distinct row ids arrive in, the
+// set's posting holds them exactly as a comparison sort would — across the
+// buffered (tiny / sparse) and the marked regimes, ids past the sizing hint
+// included — in the smaller of the two encodings.
 func TestRowSetMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, c := range []struct {
@@ -27,7 +28,7 @@ func TestRowSetMatchesSort(t *testing.T) {
 		{"zero-hint", 0, 500, 3_000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			for trial := 0; trial < 3; trial++ { // reuse pooled sets: drain must leave them clean
+			for trial := 0; trial < 3; trial++ { // reuse pooled sets: posting must leave them clean
 				ids := rng.Perm(c.max)[:c.n]
 				set := getRowSet(c.nbits)
 				want := make([]uint32, 0, c.n)
@@ -36,27 +37,58 @@ func TestRowSetMatchesSort(t *testing.T) {
 					want = append(want, uint32(id))
 				}
 				slices.Sort(want)
-				got := set.drain()
-				if !slices.Equal(got, want) {
-					t.Fatalf("trial %d: drain diverges from sort (%d vs %d rows)", trial, len(got), len(want))
+				words, marking := len(set.words), set.marking
+				p := set.posting()
+				got := p.AppendTo(nil)
+				if !slices.Equal(got, want) || p.Len() != len(want) {
+					t.Fatalf("trial %d: posting diverges from sort (%d vs %d rows)", trial, len(got), len(want))
 				}
-				if c.n == 0 && got != nil {
-					t.Fatalf("empty set drained to %v, want nil", got)
+				if len(want) > 0 && p.last != want[len(want)-1] {
+					t.Fatalf("trial %d: last = %d, want %d", trial, p.last, want[len(want)-1])
+				}
+				if dense := marking && bitmapIsSmaller(len(want), words); (p.bits != nil) != dense {
+					t.Fatalf("trial %d: bitmap %v, want %v (%d rows over %d words)", trial, p.bits != nil, dense, len(want), words)
+				}
+				if c.n == 0 && p.ids != nil {
+					t.Fatalf("empty set drained to %v, want nil", p.ids)
 				}
 			}
 		})
 	}
-	// A drained set is all zeros again, whichever regime it ended in.
+	// A set swept into an array is all zeros again; a dense one hands its
+	// bitset out and keeps no reference to it.
 	set := getRowSet(10_000)
+	for i := 0; i < 200; i++ { // marked, but under 2 rows a word
+		set.add(uint32(i * 20))
+	}
+	words := set.words
+	if p := set.posting(); p.bits != nil {
+		t.Fatal("a sparse marked set handed out its bitset")
+	}
+	for w, word := range words {
+		if word != 0 {
+			t.Fatalf("word %d = %#x after the sweep, want 0", w, word)
+		}
+	}
+	set = getRowSet(10_000)
 	for i := 0; i < 5_000; i++ {
 		set.add(uint32(i * 2))
 	}
-	words := set.words
-	set.drain()
-	for w, word := range words {
-		if word != 0 {
-			t.Fatalf("word %d = %#x after drain, want 0", w, word)
+	words = set.words
+	p := set.posting()
+	if p.bits == nil || &p.bits[0] != &words[0] {
+		t.Fatal("a dense set did not hand out its bitset")
+	}
+	want := p.AppendTo(nil)
+	for trial := 0; trial < 4; trial++ { // later checkouts must not reuse it
+		next := getRowSet(10_000)
+		for i := 0; i < 6_000; i++ {
+			next.add(uint32(i + 1))
 		}
+		next.posting()
+	}
+	if !slices.Equal(p.AppendTo(nil), want) {
+		t.Fatal("a later checkout of the pool wrote into a handed-out bitset")
 	}
 }
 
@@ -99,7 +131,8 @@ func TestIndexLookupMatchesSortOracle(t *testing.T) {
 		sawBuffered, sawMarked := false, false
 		for _, p := range preds() {
 			ix := tb.Index(p.Col)
-			got, gotEntries, err := ix.Lookup(p)
+			list, gotEntries, err := ix.Lookup(p)
+			got := list.AppendTo(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,5 +173,5 @@ func mustLookup(t *testing.T, tb *Table, p Predicate) []uint32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows
+	return rows.AppendTo(nil)
 }

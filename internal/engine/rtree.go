@@ -253,12 +253,12 @@ func (n *rtreeNode) splitInternal() *rtreeNode {
 	return right
 }
 
-// Search returns the row ids of points inside box in ascending order, plus
-// the number of node entries examined (for costing).
-func (t *RTree) Search(box Rect) (rows []uint32, entries int) {
+// Search returns the posting list of the rows whose points fall inside box,
+// plus the number of node entries examined (for costing).
+func (t *RTree) Search(box Rect) (rows Posting, entries int) {
 	set := getRowSet(t.size)
 	entries = t.root.search(box, set)
-	return set.drain(), entries
+	return set.posting(), entries
 }
 
 // search adds the rows of n's subtree that fall inside box to set and returns

@@ -23,7 +23,8 @@ func TestRTreeSearchMatchesBruteForce(t *testing.T) {
 			cx, cy := rng.Float64()*100-50, rng.Float64()*60-30
 			w, h := rng.Float64()*30, rng.Float64()*20
 			box := Rect{MinLon: cx - w/2, MinLat: cy - h/2, MaxLon: cx + w/2, MaxLat: cy + h/2}
-			got, entries := tree.Search(box)
+			rows, entries := tree.Search(box)
+			got := rows.AppendTo(nil)
 			if entries <= 0 {
 				return false
 			}
@@ -47,7 +48,7 @@ func TestRTreeSearchMatchesBruteForce(t *testing.T) {
 func TestRTreeEmpty(t *testing.T) {
 	tree := NewRTree(nil, nil)
 	rows, _ := tree.Search(Rect{MinLon: -180, MinLat: -90, MaxLon: 180, MaxLat: 90})
-	if len(rows) != 0 {
+	if rows.Len() != 0 {
 		t.Errorf("empty tree returned rows: %v", rows)
 	}
 	if tree.Len() != 0 {
@@ -65,7 +66,8 @@ func TestRTreeResultSorted(t *testing.T) {
 		rows[i] = uint32(i)
 	}
 	tree := NewRTree(points, rows)
-	got, _ := tree.Search(Rect{MinLon: 0.2, MinLat: 0.2, MaxLon: 0.8, MaxLat: 0.8})
+	found, _ := tree.Search(Rect{MinLon: 0.2, MinLat: 0.2, MaxLon: 0.8, MaxLat: 0.8})
+	got := found.AppendTo(nil)
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
 			t.Fatalf("result not strictly sorted at %d: %d ≥ %d", i, got[i-1], got[i])

@@ -277,7 +277,7 @@ func trueSelectivityCached(t *Table, p Predicate, c *LookupCache) float64 {
 			return float64(ix.btree.CountRange(p.Lo, p.Hi)) / float64(t.Rows)
 		}
 		if rows, _, err := c.lookup(t, ix, p); err == nil {
-			return float64(len(rows)) / float64(t.Rows)
+			return float64(rows.Len()) / float64(t.Rows)
 		}
 	}
 	b := p.bind(t)

@@ -42,39 +42,40 @@ type Index struct {
 	invidx *InvertedIndex
 }
 
-// Lookup returns the sorted row ids matching p via the index and the number
-// of index entries touched. Tree scans produce rows in key (btree) or tile
-// (rtree) order; posting-list consumers (intersection) require row-id order,
-// so both are ordered like a bitmap index scan — marked into a pooled rowSet
-// straight from the tree walk and swept out ascending, never comparison-sorted
-// unless the set is tiny. The returned slice is freshly allocated (btree,
-// rtree) or shared-immutable (inverted), so it is stable enough to live in a
-// LookupCache; executor paths that never cache a probe — join probes, true
-// selectivity without a cache — use BTree.Visit / Cursor instead and skip the
-// materialization entirely.
-func (ix *Index) Lookup(p Predicate) (rows []uint32, entries int, err error) {
+// Lookup returns the posting list of the rows matching p via the index and
+// the number of index entries touched. Tree scans produce rows in key (btree)
+// or tile (rtree) order; posting-list consumers (intersection) require row-id
+// order, so both are ordered like a bitmap index scan — marked into a pooled
+// rowSet straight from the tree walk and handed out as that bitset when it is
+// the smaller encoding, swept out ascending otherwise, never
+// comparison-sorted unless the set is tiny. The returned list is freshly
+// allocated (btree, rtree) or shared-immutable (inverted), so it is stable
+// enough to live in a LookupCache; executor paths that never cache a probe —
+// join probes, true selectivity without a cache — use BTree.Visit / Cursor
+// instead and skip the materialization entirely.
+func (ix *Index) Lookup(p Predicate) (rows Posting, entries int, err error) {
 	switch ix.Kind {
 	case IndexBTree:
 		if p.Kind != PredRange {
-			return nil, 0, fmt.Errorf("engine: btree index on %s cannot serve %s predicate", ix.Col, p.Kind)
+			return Posting{}, 0, fmt.Errorf("engine: btree index on %s cannot serve %s predicate", ix.Col, p.Kind)
 		}
 		set := getRowSet(ix.btree.Len())
 		entries = ix.btree.Visit(p.Lo, p.Hi, func(row uint32) bool { set.add(row); return true })
-		return set.drain(), entries, nil
+		return set.posting(), entries, nil
 	case IndexRTree:
 		if p.Kind != PredGeo {
-			return nil, 0, fmt.Errorf("engine: rtree index on %s cannot serve %s predicate", ix.Col, p.Kind)
+			return Posting{}, 0, fmt.Errorf("engine: rtree index on %s cannot serve %s predicate", ix.Col, p.Kind)
 		}
 		rows, entries = ix.rtree.Search(p.Box)
 		return rows, entries, nil
 	case IndexInverted:
 		if p.Kind != PredKeyword {
-			return nil, 0, fmt.Errorf("engine: inverted index on %s cannot serve %s predicate", ix.Col, p.Kind)
+			return Posting{}, 0, fmt.Errorf("engine: inverted index on %s cannot serve %s predicate", ix.Col, p.Kind)
 		}
-		rows, entries = ix.invidx.Lookup(p.Word)
-		return rows, entries, nil
+		ids, n := ix.invidx.Lookup(p.Word)
+		return arrayPosting(ids), n, nil
 	}
-	return nil, 0, fmt.Errorf("engine: unknown index kind %d", ix.Kind)
+	return Posting{}, 0, fmt.Errorf("engine: unknown index kind %d", ix.Kind)
 }
 
 // Table is an in-memory columnar table. ScaleFactor maps the stored row

@@ -78,7 +78,7 @@ func TestIndexLookupKindMismatch(t *testing.T) {
 		t.Error("btree serving keyword predicate should fail")
 	}
 	rows, _, err := ix.Lookup(Predicate{Col: "n", Kind: PredRange, Lo: 2, Hi: 3})
-	if err != nil || len(rows) != 2 {
+	if err != nil || rows.Len() != 2 {
 		t.Errorf("Lookup = %v, %v", rows, err)
 	}
 }

@@ -75,13 +75,11 @@ func sameRecoveredState(t *testing.T, a, b *DB) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ea != eb || len(ra) != len(rb) {
+		if ea != eb || ra.Len() != rb.Len() {
 			t.Fatalf("%s lookup diverges after replay", p.Col)
 		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("%s lookup rows diverge after replay", p.Col)
-			}
+		if !equalRows(ra.AppendTo(nil), rb.AppendTo(nil)) {
+			t.Fatalf("%s lookup rows diverge after replay", p.Col)
 		}
 	}
 }

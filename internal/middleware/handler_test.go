@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -317,6 +318,74 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	snap := cached.Metrics().Snapshot()
 	if snap.ResultHits == 0 || snap.PlanHits == 0 {
 		t.Errorf("caches were not exercised: %+v", snap)
+	}
+}
+
+// TestCountedServingMatchesExecution: the miss that builds a plan serves the
+// exact option it chose from the rows the build counted (engine.Counter); a
+// request whose plan is already cached executes the chosen plan. Both give
+// byte-identical responses for every viz kind, on empty, small and large
+// answers.
+func TestCountedServingMatchesExecution(t *testing.T) {
+	executed := testServer(t)
+	counted, err := NewServerWithConfig(executed.DS, core.OracleRewriter{}, core.HintOnlySpec(),
+		ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(s *Server, req Request) planned {
+		t.Helper()
+		s.DS.DB.RLockData()
+		defer s.DS.DB.RUnlockData()
+		p, err := s.plan(req, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	wide := validRequest()
+	wide.Keyword = "word0002"
+	wide.From = time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+	wide.To = time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
+	small := validRequest()
+	small.Region = engine.Rect{MinLon: -100, MinLat: 35, MaxLon: -95, MaxLat: 40}
+	none := validRequest()
+	none.From = time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	none.To = time.Date(2010, 2, 1, 0, 0, 0, 0, time.UTC)
+	nonEmpty := 0
+	for _, kind := range []VizKind{VizHeatmap, VizScatter, VizCount, VizDistinct} {
+		for i, req := range []Request{validRequest(), wide, small, none} {
+			req.Kind = kind
+			// Without a plan cache every request builds its plan, so it counts.
+			if p := resolve(counted, req); p.counter == nil || p.rkey.Approx != "" {
+				t.Fatalf("%s request %d: not served from the build's count", kind, i)
+			}
+			got, _, err := counted.handle(context.Background(), req, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := executed.ResultKeyFor(req); err != nil {
+				t.Fatal(err)
+			}
+			if p := resolve(executed, req); p.counter != nil {
+				t.Fatalf("%s request %d: a plan-cache hit holds a count", kind, i)
+			}
+			want, _, err := executed.handle(context.Background(), req, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotB, _ := json.Marshal(got)
+			wantB, _ := json.Marshal(want)
+			if !bytes.Equal(gotB, wantB) {
+				t.Errorf("%s request %d: counted response differs from the executed one\ncounted  %s\nexecuted %s", kind, i, gotB, wantB)
+			}
+			if len(got.Bins) > 0 || len(got.Points) > 0 || got.Value != nil && *got.Value > 0 {
+				nonEmpty++
+			}
+		}
+	}
+	if nonEmpty == 0 {
+		t.Fatal("every answer was empty: the comparison exercised nothing")
 	}
 }
 

@@ -177,10 +177,10 @@ func (c ServerConfig) normalized() ServerConfig {
 }
 
 // lookupCacheCap bounds the server-scope predicate-lookup cache. Entries
-// are keyed on client-supplied predicate values and each pins a row-ID
-// slice, so a server facing unbounded distinct shapes must stop memoizing
+// are keyed on client-supplied predicate values and each pins a posting
+// list, so a server facing unbounded distinct shapes must stop memoizing
 // at some point (the plan/result caches have LRU caps; this one freezes
-// when full, which keeps the canonical-slice aliasing invariant trivially).
+// when full, which keeps the canonical-posting aliasing invariant trivially).
 // A frozen cache only stops sharing scans *across* requests: within one
 // context build core.BuildContext's own memo sits in front of it, so a cold
 // request scans each predicate once either way.
@@ -499,6 +499,10 @@ type planned struct {
 	optLabel string
 	rkey     ResultKey
 	fam      famKey
+	// counter is the engine.Counter of the context build this resolution
+	// ran, nil on a plan-cache hit or an uncountable shape: on the miss
+	// that built the plan, its Result is the answer of every exact option.
+	counter *engine.Counter
 }
 
 // plan resolves a request to its rewrite decision and result-cache key
@@ -584,7 +588,9 @@ func (s *Server) plan(req Request, count bool) (planned, error) {
 	entry, hit, err := s.plans.get(planCacheKey(version, class, p.sig), func() (*core.QueryContext, error) {
 		ccfg := core.DefaultContextConfig(s.spaceFor(kind))
 		ccfg.Lookups = s.lookups
-		return core.BuildContext(s.DS.DB, q, ccfg)
+		ctx, counter, err := core.BuildContextRows(s.DS.DB, q, ccfg)
+		p.counter = counter
+		return ctx, err
 	})
 	if count {
 		if hit {
@@ -812,13 +818,22 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 		s.metrics.resultMisses.Add(1)
 	}
 
-	var yield func()
-	if ctx.Done() != nil {
-		yield = s.cancelYield(ctx)
-	}
-	res, _, err := s.DS.DB.RunCachedYield(p.rq, p.hint, s.lookups, yield)
-	if err != nil {
-		return nil, false, err
+	// The miss that built the plan serves an exact option from the rows its
+	// build already counted; every other miss executes the plan.
+	var res *engine.Result
+	if p.counter != nil && rkey.Approx == "" {
+		if ctx.Err() != nil {
+			return nil, false, s.canceled(ctx) // as the executor's first yield would
+		}
+		res = p.counter.Result()
+	} else {
+		var yield func()
+		if ctx.Done() != nil {
+			yield = s.cancelYield(ctx)
+		}
+		if res, _, err = s.DS.DB.RunCachedYield(p.rq, p.hint, s.lookups, yield); err != nil {
+			return nil, false, err
+		}
 	}
 	resp := responseShell(p)
 	switch rkey.Kind {
@@ -868,11 +883,17 @@ func (s *Server) cancelYield(ctx context.Context) func() {
 	return func() {
 		select {
 		case <-ctx.Done():
-			s.metrics.execCanceled.Add(1)
-			engine.AbortExec(fmt.Errorf("%w: %v", engine.ErrExecCanceled, context.Cause(ctx)))
+			engine.AbortExec(s.canceled(ctx))
 		default:
 		}
 	}
+}
+
+// canceled counts one execution abandoned because ctx is done and returns
+// the error that reports it.
+func (s *Server) canceled(ctx context.Context) error {
+	s.metrics.execCanceled.Add(1)
+	return fmt.Errorf("%w: %v", engine.ErrExecCanceled, context.Cause(ctx))
 }
 
 // ResultCache exposes the server's (possibly wrapped) result cache for
