@@ -1,10 +1,12 @@
-// Twitter heatmap: run the full Fig. 5 middleware pipeline — a frontend
+// Twitter heatmap: run the steps of the Fig. 5 pipeline — a frontend
 // request becomes SQL, the MDP rewriter picks a rewritten query under the
 // budget, and the binned result is rendered as an ASCII heatmap of the US.
 //
 // The request deliberately reproduces the paper's Fig. 2 situation: a
 // country-wide heatmap over a month that no exact plan can serve in time,
-// so the quality-aware agent substitutes a random sample table.
+// so the quality-aware agent substitutes a random sample table. The serving
+// layer (internal/middleware) answers exactly only, so this example runs the
+// steps itself: build the context, rewrite, execute, bin.
 //
 //	go run ./examples/twitter_heatmap
 package main
@@ -15,9 +17,10 @@ import (
 	"time"
 
 	"github.com/maliva/maliva/internal/core"
+	"github.com/maliva/maliva/internal/engine"
 	"github.com/maliva/maliva/internal/harness"
-	"github.com/maliva/maliva/internal/middleware"
 	"github.com/maliva/maliva/internal/qte"
+	"github.com/maliva/maliva/internal/viz"
 	"github.com/maliva/maliva/internal/workload"
 )
 
@@ -67,38 +70,47 @@ func main() {
 		Agent: agentCfg, QTE: est, Beta: 0.7, Seeds: []int64{7},
 	})
 
-	srv, err := middleware.NewServer(ds,
-		&core.MDPRewriter{Agent: agent, QTE: est, Beta: 0.7, Tag: "quality-aware"},
-		space, 1000)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rw := &core.MDPRewriter{Agent: agent, QTE: est, Beta: 0.7, Tag: "quality-aware"}
 
 	// A Thanksgiving-month heatmap over the continental US with a frequent
 	// keyword — far too heavy for any exact plan.
-	req := middleware.Request{
-		Keyword: "word0001",
-		From:    time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC),
-		To:      time.Date(2016, 12, 1, 0, 0, 0, 0, time.UTC),
-		Region:  workload.USExtent,
-		Kind:    middleware.VizHeatmap,
-		GridW:   56, GridH: 18,
+	const budgetMs, gridW, gridH = 1000, 56, 18
+	from := time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC)
+	to := time.Date(2016, 12, 1, 0, 0, 0, 0, time.UTC)
+	q := &engine.Query{
+		Table:      "tweets",
+		OutputCols: ds.OutputCols,
+		Preds: []engine.Predicate{
+			{Col: "text", Kind: engine.PredKeyword, Word: tweets.Vocab.ID("word0001"), WordText: "word0001"},
+			{Col: "created_at", Kind: engine.PredRange, Lo: float64(from.UnixMilli()), Hi: float64(to.UnixMilli())},
+			{Col: "coordinates", Kind: engine.PredGeo, Box: workload.USExtent},
+		},
 	}
-	resp, err := srv.Handle(req)
+	ctx, err := core.BuildContext(ds.DB, q, core.DefaultContextConfig(space))
+	if err != nil {
+		log.Fatal(err)
+	}
+	out := rw.Rewrite(ctx, budgetMs)
+	rq, hint, label := q, engine.Hint{}, "original"
+	if out.Option >= 0 {
+		rq, hint = core.BuildRQ(q, ctx.Options[out.Option], ctx.EstRows, ctx.Scale)
+		label = ctx.Options[out.Option].Label(len(q.Preds))
+	}
+	res, _, err := ds.DB.Run(rq, hint)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("\nrequest SQL:")
-	fmt.Println("  " + resp.Trace.SQL)
+	fmt.Println("  " + q.SQL(engine.Hint{}))
 	fmt.Println("rewritten SQL:")
-	fmt.Println("  " + resp.Trace.RewrittenSQL)
-	fmt.Printf("decision: %s after exploring %d rewritten queries\n",
-		resp.Trace.Option, resp.Trace.NumExplored)
+	fmt.Println("  " + rq.SQL(hint))
+	fmt.Printf("decision: %s after exploring %d rewritten queries\n", label, out.Explored)
 	fmt.Printf("virtual total time: %.0f ms (plan %.0f + exec %.0f), viable=%v, quality=%.2f\n\n",
-		resp.Trace.TotalMs, resp.Trace.PlanMs, resp.Trace.ExecMs, resp.Trace.Viable, resp.Trace.Quality)
+		out.TotalMs, out.PlanMs, out.ExecMs, out.Viable, out.Quality)
 
-	renderHeatmap(resp.Bins, resp.GridW, resp.GridH)
+	bins := viz.NewGrid(workload.USExtent, gridW, gridH).Counts(res.Points, res.Weight)
+	renderHeatmap(bins, gridW, gridH)
 }
 
 // renderHeatmap prints the count grid with density glyphs (north on top).

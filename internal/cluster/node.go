@@ -363,10 +363,6 @@ func (n *Node) fetchLocal(dataset string, key middleware.ResultKey) (*middleware
 		return nil, false
 	}
 	resp := pc.local.Get(key)
-	if resp != nil && !fidelityMatch(key, resp) {
-		n.stats.fetchFidelityRejects.Add(1)
-		return nil, false
-	}
 	return resp, resp != nil
 }
 
@@ -382,10 +378,6 @@ func (n *Node) fillLocal(dataset string, key middleware.ResultKey, resp *middlew
 	}
 	if v, ok := n.dataVersion(dataset); ok && key.DataVersion != v {
 		n.stats.fillVersionRejects.Add(1)
-		return
-	}
-	if !fidelityMatch(key, resp) {
-		n.stats.fillFidelityRejects.Add(1)
 		return
 	}
 	pc.local.Put(key, resp)

@@ -24,9 +24,6 @@ type cacheStats struct {
 
 	fetchVersionRejects atomic.Int64 // peer fetches refused: key at another data version
 	fillVersionRejects  atomic.Int64 // fills refused: key at another data version
-
-	fetchFidelityRejects atomic.Int64 // peer fetches refused: payload fidelity ≠ key fidelity
-	fillFidelityRejects  atomic.Int64 // fills refused: payload fidelity ≠ key fidelity
 }
 
 // CacheSnapshot is the JSON form of one replica's peer-cache counters.
@@ -46,9 +43,6 @@ type CacheSnapshot struct {
 
 	FetchVersionRejects int64 `json:"fetch_version_rejects"`
 	FillVersionRejects  int64 `json:"fill_version_rejects"`
-
-	FetchFidelityRejects int64 `json:"fetch_fidelity_rejects"`
-	FillFidelityRejects  int64 `json:"fill_fidelity_rejects"`
 }
 
 func (s *cacheStats) snapshot() CacheSnapshot {
@@ -68,20 +62,7 @@ func (s *cacheStats) snapshot() CacheSnapshot {
 
 		FetchVersionRejects: s.fetchVersionRejects.Load(),
 		FillVersionRejects:  s.fillVersionRejects.Load(),
-
-		FetchFidelityRejects: s.fetchFidelityRejects.Load(),
-		FillFidelityRejects:  s.fillFidelityRejects.Load(),
 	}
-}
-
-// fidelityMatch checks a response payload against its key's fidelity class:
-// an approximate-tagged key must carry an approximate-marked payload and an
-// exact key an exact one. Local lookups can't violate this (the tag is part
-// of the cache key), so a mismatch only ever means a confused or
-// version-skewed peer — and serving it would hand an approximate answer to
-// an exact request, the one substitution the tier forbids.
-func fidelityMatch(key middleware.ResultKey, resp *middleware.Response) bool {
-	return resp.Approximate == (key.Approx != "")
 }
 
 // peerCache is the groupcache-style middleware.ResultCache a cluster node
@@ -156,12 +137,6 @@ func (c *peerCache) Get(key middleware.ResultKey) *middleware.Response {
 		return nil
 	case !ok:
 		n.stats.peerMisses.Add(1)
-		return nil
-	}
-	// Requester-side fidelity gate: never serve (or cache) a peer payload
-	// whose approximation class contradicts the key's.
-	if !fidelityMatch(key, resp) {
-		n.stats.fetchFidelityRejects.Add(1)
 		return nil
 	}
 	n.stats.peerHits.Add(1)

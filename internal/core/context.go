@@ -219,17 +219,11 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 		run  int // index into runs
 	}
 	plans := make([]optPlan, len(opts))
-	needPixels, needDistinct := false, false
+	needPixels := false
 	for i, o := range opts {
 		rq, h := BuildRQ(q, o, ctx.EstRows, ctx.Scale)
 		plans[i] = optPlan{rq: rq, hint: h, run: schedule(rq, h, i)}
-		switch o.Approx.Kind {
-		case ApproxNone, ApproxCMS:
-		case ApproxHLL:
-			needDistinct = true
-		default:
-			needPixels = true
-		}
+		needPixels = needPixels || o.IsApprox()
 	}
 	// True selectivities and deterministic sampled estimates. Collected
 	// before the runs fan out: this serial pass looks up every indexed
@@ -258,11 +252,10 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 	// LIMIT, sample tables, unindexed predicates). Exact options run q itself
 	// under a hint, so one Counter for q serves them all.
 	counter := db.NewCounter(q, cache)
-	baseRows := needPixels || needDistinct
 	for r := range runs {
 		run := &runs[r]
 		exact := run.opt < 0 || !opts[run.opt].IsApprox()
-		if exact && !(r == baseRun && baseRows) {
+		if exact && !(r == baseRun && needPixels) {
 			run.stats, run.counted = counter.Stats(run.hint)
 		}
 	}
@@ -294,21 +287,13 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 	ctx.BaselineOption = -1
 
 	// What approximate options are judged against, computed only when Ω holds
-	// an option that reads it: the baseline's pixels on the quality grid
-	// (over the query's spatial extent when present) for sampled/limited
-	// results, the true matched-row count (the baseline's cardinality) for
-	// CMS, and the true distinct-word count for HLL — exactly the expensive
-	// scan the HLL action exists to avoid.
+	// one: the baseline's pixels on the quality grid (over the query's
+	// spatial extent when present).
 	var grid viz.Grid
 	var origPixels map[int]struct{}
 	if needPixels {
 		grid = qualityGrid(t, q, cfg)
 		origPixels = grid.Rasterize(baseRes.Points)
-	}
-	trueCount := float64(baseStats.RowsOutput)
-	trueDistinct := -1.0
-	if needDistinct {
-		trueDistinct = float64(engine.DistinctWordsExact(t, baseRes.RowIDs, t.Sketch.TextCol))
 	}
 
 	// Per-option ground truth from the option's run.
@@ -318,19 +303,10 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 		ctx.TrueMs[i] = run.stats.SimMs
 		ctx.NeedSels[i] = NeededSels(q, o)
 		ctx.PlanEst[i] = db.EstimatePlanSels(plans[i].rq, plans[i].hint, estSels)
-		switch {
-		case !o.IsApprox():
-			ctx.Quality[i] = 1
-		case run.res.HasAgg:
-			// Sketch-served aggregates have no pixels; quality is relative
-			// aggregate accuracy (QTE-comparable: 1 = exact, 0 = useless).
-			truth := trueCount
-			if o.Approx.Kind == ApproxHLL {
-				truth = trueDistinct
-			}
-			ctx.Quality[i] = aggQuality(run.res.AggValue, truth)
-		default:
+		if o.IsApprox() {
 			ctx.Quality[i] = viz.JaccardPixels(origPixels, grid.Rasterize(run.res.Points))
+		} else {
+			ctx.Quality[i] = 1
 		}
 		return nil
 	})
@@ -347,16 +323,6 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 		}
 	}
 	return ctx, counter, nil
-}
-
-// aggQuality maps an aggregate estimate's relative error onto [0,1]:
-// 1 − min(1, |est − truth| / max(truth, 1)).
-func aggQuality(est, truth float64) float64 {
-	relErr := math.Abs(est-truth) / math.Max(truth, 1)
-	if relErr > 1 {
-		relErr = 1
-	}
-	return 1 - relErr
 }
 
 // qualityGrid picks the raster extent: the query's geo predicate box when

@@ -106,7 +106,6 @@ func TestBuildContextMatchesIndependentRuns(t *testing.T) {
 			{"hint-only", q, HintOnlySpec()},
 			{"join", joined, JoinSpec()},
 			{"quality-aware", q, QualityAwareSpec()},
-			{"approx-tier", q, ApproxTierSpec()},
 		} {
 			cfg := DefaultContextConfig(c.space)
 			ctx, err := BuildContext(db, c.q, cfg)

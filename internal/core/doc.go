@@ -1,6 +1,7 @@
 // Package core implements Maliva's contribution: MDP-based query rewriting
 // under a time constraint. It defines rewriting options (query-hint sets
-// and approximation rules, Def. 2.1/2.2 in the paper), the per-query
+// and approximation rules, Def. 2.1/2.2 in the paper; the approximation
+// rules are the paper's own, sample tables and LIMIT), the per-query
 // context that captures ground truth for training, the MDP model (states,
 // actions, transitions, rewards — §4), the deep-Q agent (Algorithm 1/2 —
 // §5), and the quality-aware one-stage/two-stage rewriters (§6).
@@ -9,6 +10,9 @@
 //
 //   - option.go — the rewriting-option space Ω (hint sets × approximation
 //     rules) and BuildRQ, which turns an option into a rewritten query.
+//     The serving layer enumerates hint sets only (HintOnlySpec), so every
+//     served answer is exact; approximation rules serve the harness
+//     experiments and the examples.
 //   - context.go — QueryContext: one workload query's ground truth (every
 //     option's time and quality). BuildContext is the expensive step; it
 //     prices each distinct physical plan among the options once — counting

@@ -19,20 +19,6 @@ const (
 	// ApproxLimit adds a LIMIT clause sized to Percent% of the optimizer's
 	// estimated cardinality (§7.7).
 	ApproxLimit
-	// ApproxRowSample samples candidate rows at Percent% via the engine's
-	// Bernoulli keep-hash (scan-time skip, 1/rate count scaling) — unlike
-	// ApproxSample it needs no pre-built sample table and the virtual cost
-	// scales with the rate on any base table.
-	ApproxRowSample
-	// ApproxReservoir draws a uniform reservoir sample sized to Percent% of
-	// the estimated cardinality; the matched count stays exact.
-	ApproxReservoir
-	// ApproxCMS answers a keyword-count query from the table's Count-Min
-	// sketch (overestimate-only error bound, near-zero cost).
-	ApproxCMS
-	// ApproxHLL answers a distinct-words query from the table's HyperLogLog
-	// summaries (relative-standard-error bound, near-zero cost).
-	ApproxHLL
 )
 
 // String names the approximation kind.
@@ -44,14 +30,6 @@ func (k ApproxKind) String() string {
 		return "sample"
 	case ApproxLimit:
 		return "limit"
-	case ApproxRowSample:
-		return "rows"
-	case ApproxReservoir:
-		return "reservoir"
-	case ApproxCMS:
-		return "cms"
-	case ApproxHLL:
-		return "hll"
 	}
 	return fmt.Sprintf("ApproxKind(%d)", uint8(k))
 }
@@ -108,14 +86,6 @@ func (o Option) Label(numPreds int) string {
 		s += fmt.Sprintf("+sample%g%%", o.Approx.Percent)
 	case ApproxLimit:
 		s += fmt.Sprintf("+limit%g%%", o.Approx.Percent)
-	case ApproxRowSample:
-		s += fmt.Sprintf("+rows%g%%", o.Approx.Percent)
-	case ApproxReservoir:
-		s += fmt.Sprintf("+res%g%%", o.Approx.Percent)
-	case ApproxCMS:
-		s += "+cms"
-	case ApproxHLL:
-		s += "+hll"
 	}
 	return s
 }
@@ -171,26 +141,6 @@ func QualityAwareSpec() SpaceSpec {
 	}
 }
 
-// ApproxTierSpec returns the approximate-tier space: all index subsets plus
-// Bernoulli row sampling at three rates, a reservoir rule, and the
-// sketch-served aggregates (the latter two survive enumeration only for
-// queries their shapes can answer — see EnumerateOptions). Row-sampling
-// rates ladder down so some rate fits any budget: each step cuts the
-// fetch/scan cost ~5x at a √rate cost in relative error.
-func ApproxTierSpec() SpaceSpec {
-	return SpaceSpec{
-		IncludeEmptyHint: true,
-		ApproxRules: []ApproxRule{
-			{Kind: ApproxRowSample, Percent: 20},
-			{Kind: ApproxRowSample, Percent: 4},
-			{Kind: ApproxRowSample, Percent: 0.8},
-			{Kind: ApproxReservoir, Percent: 4},
-			{Kind: ApproxCMS},
-			{Kind: ApproxHLL},
-		},
-	}
-}
-
 // EnumerateOptions builds Ω for a query under the spec. Only predicates with
 // a usable index participate in hint masks.
 func EnumerateOptions(db *engine.DB, q *engine.Query, spec SpaceSpec) []Option {
@@ -224,9 +174,6 @@ func EnumerateOptions(db *engine.DB, q *engine.Query, spec SpaceSpec) []Option {
 		}
 	}
 	for _, ar := range spec.ApproxRules {
-		if !ruleEligible(t, q, ar.Kind) {
-			continue
-		}
 		opts = append(opts, Option{Approx: ar})
 		if spec.CrossApprox {
 			for _, mask := range masks {
@@ -240,45 +187,6 @@ func EnumerateOptions(db *engine.DB, q *engine.Query, spec SpaceSpec) []Option {
 		}
 	}
 	return opts
-}
-
-// ruleEligible reports whether an approximation rule is defined for the
-// query's shape. Row/reservoir sampling needs the single-table path (the
-// engine defines no sampled joins); sketch rules additionally need the
-// table's summary store and a predicate shape the summaries can answer —
-// CMS: exactly one keyword plus at most one time window; HLL: a time window
-// (or nothing) only. Ineligible rules simply don't enter Ω, so the agent
-// never has to learn to avoid an action that would error.
-func ruleEligible(t *engine.Table, q *engine.Query, kind ApproxKind) bool {
-	switch kind {
-	case ApproxRowSample, ApproxReservoir:
-		return q.Join == nil && q.SamplePercent == 0
-	case ApproxCMS, ApproxHLL:
-	default:
-		return true
-	}
-	sk := t.Sketch
-	if sk == nil || q.Join != nil || q.SamplePercent > 0 || q.Limit > 0 {
-		return false
-	}
-	words, windows := 0, 0
-	for _, p := range q.Preds {
-		switch {
-		case p.Kind == engine.PredKeyword:
-			words++
-		case p.Kind == engine.PredRange && p.Col == sk.TimeCol:
-			windows++
-		default:
-			return false
-		}
-	}
-	if windows > 1 {
-		return false
-	}
-	if kind == ApproxCMS {
-		return words == 1
-	}
-	return words == 0
 }
 
 // indexablePreds returns predicate positions that can be served by an index.
@@ -315,20 +223,12 @@ func BuildRQ(q *engine.Query, o Option, estRows, scale float64) (*engine.Query, 
 		rq.SamplePercent = int(o.Approx.Percent)
 	case ApproxLimit:
 		rq.Limit = scaledRows(estRows, o.Approx.Percent, scale)
-	case ApproxRowSample:
-		rq.Approx = engine.ApproxSpec{Method: engine.ApproxRows, Rate: o.Approx.Percent / 100}
-	case ApproxReservoir:
-		rq.Approx = engine.ApproxSpec{Method: engine.ApproxReservoir, K: scaledRows(estRows, o.Approx.Percent, scale)}
-	case ApproxCMS:
-		rq.Approx = engine.ApproxSpec{Method: engine.ApproxSketchCount}
-	case ApproxHLL:
-		rq.Approx = engine.ApproxSpec{Method: engine.ApproxSketchDistinct}
 	}
 	return rq, h
 }
 
 // scaledRows converts a percent of the real-scale cardinality estimate into
-// a stored-row count (min 1) — the sizing rule LIMIT and reservoir share.
+// a stored-row count (min 1) — the sizing rule of LIMIT options.
 func scaledRows(estRows, percent, scale float64) int {
 	n := int(math.Ceil(estRows * percent / 100 / math.Max(scale, 1)))
 	if n < 1 {

@@ -115,59 +115,6 @@ func (r *MDPRewriter) betaOrDefault() float64 {
 	return r.Beta
 }
 
-// QualityOracle is the quality-aware upper bound for spaces that include
-// the approximate tier: serve exact when any exact option fits the budget;
-// otherwise serve the highest-quality approximate option that fits
-// ("approximate now" beats "exact late"); if nothing fits, fall back to the
-// fastest option overall. Zero planning cost, like OracleRewriter — it
-// bounds what a learned policy over the same space could achieve.
-type QualityOracle struct{}
-
-// Name implements Rewriter.
-func (QualityOracle) Name() string { return "Quality-Oracle" }
-
-// Rewrite implements Rewriter.
-func (QualityOracle) Rewrite(ctx *QueryContext, budget float64) Outcome {
-	bestExact, bestExactT := -1, math.Inf(1)
-	bestApprox, bestApproxQ := -1, -1.0
-	fastest, fastestT := -1, math.Inf(1)
-	for i, o := range ctx.Options {
-		t := ctx.TrueMs[i]
-		if t < fastestT {
-			fastest, fastestT = i, t
-		}
-		if !o.IsApprox() {
-			if t < bestExactT {
-				bestExact, bestExactT = i, t
-			}
-			continue
-		}
-		if t <= budget {
-			// Among budget-feasible approximate options prefer quality,
-			// breaking ties toward the faster one.
-			if q := ctx.Quality[i]; q > bestApproxQ ||
-				(q == bestApproxQ && bestApprox >= 0 && t < ctx.TrueMs[bestApprox]) {
-				bestApprox, bestApproxQ = i, q
-			}
-		}
-	}
-	pick := fastest
-	switch {
-	case bestExact >= 0 && bestExactT <= budget:
-		pick = bestExact
-	case bestApprox >= 0:
-		pick = bestApprox
-	}
-	t := ctx.TrueMs[pick]
-	return Outcome{
-		Option:  pick,
-		ExecMs:  t,
-		TotalMs: t,
-		Viable:  t <= budget,
-		Quality: ctx.Quality[pick],
-	}
-}
-
 // OracleRewriter picks the truly fastest exact option with zero planning
 // cost — an upper bound used in tests and ablations, not a paper comparator.
 type OracleRewriter struct{}

@@ -104,11 +104,11 @@ type Counter struct {
 
 // NewCounter looks up q's posting lists through cache (nil: straight to the
 // indexes) and returns a Counter for q's plans, or nil when q is not
-// countable: a join, a LIMIT, a sample table, an approximation, more than 64
-// predicates, or a predicate no index serves. Those are executed instead.
+// countable: a join, a LIMIT, a sample table, more than 64 predicates, or a
+// predicate no index serves. Those are executed instead.
 func (db *DB) NewCounter(q *Query, cache *LookupCache) *Counter {
 	t := db.Tables[q.Table]
-	if t == nil || q.Join != nil || q.Limit > 0 || q.SamplePercent > 0 || q.Approx.Method != ApproxOff || len(q.Preds) > 64 {
+	if t == nil || q.Join != nil || q.Limit > 0 || q.SamplePercent > 0 || len(q.Preds) > 64 {
 		return nil
 	}
 	c := &Counter{

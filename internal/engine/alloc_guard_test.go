@@ -106,82 +106,6 @@ func TestAllocGuardExecutorIndexScan(t *testing.T) {
 	})
 }
 
-// TestAllocGuardSketchUpdates: the summary write path is allocation-free in
-// steady state — CMS and HLL inserts touch only their flat arrays, and
-// TableSketch.AddRow allocates nothing once the row's bucket exists. This is
-// what lets the ingest hot loop maintain sketches per row.
-func TestAllocGuardSketchUpdates(t *testing.T) {
-	cms := NewCountMinSketch(512, 4)
-	guardAllocs(t, "CMS.Add", 0, func() {
-		for k := uint64(0); k < 256; k++ {
-			cms.Add(k, 1)
-		}
-	})
-	var est uint64
-	guardAllocs(t, "CMS.Estimate", 0, func() {
-		for k := uint64(0); k < 256; k++ {
-			est += cms.Estimate(k)
-		}
-	})
-	hll := NewHyperLogLog()
-	guardAllocs(t, "HLL.Add", 0, func() {
-		for i := uint64(0); i < 256; i++ {
-			hll.Add(mix64(i))
-		}
-	})
-	sk := NewTableSketch("text", "ts", 0)
-	tokens := []uint32{3, 7, 7, 12}
-	guardAllocs(t, "TableSketch.AddRow", 0, func() {
-		for i := int64(0); i < 64; i++ {
-			sk.AddRow(i*1000, tokens) // same weekly bucket after warm-up
-		}
-	})
-	_ = est
-}
-
-// TestAllocGuardSketchProbes: reads are allocation-free too — KeywordCount
-// merges counters in place and DistinctWords reuses a caller scratch HLL.
-func TestAllocGuardSketchProbes(t *testing.T) {
-	db := buildTestDB(t, 8_000, 5)
-	sk, err := db.Table("events").BuildSketch("text", "ts", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc float64
-	guardAllocs(t, "KeywordCount", 0, func() {
-		est, bound, _ := sk.KeywordCount(3, 0, 0, false)
-		acc += est + bound
-	})
-	scratch := NewHyperLogLog()
-	guardAllocs(t, "DistinctWords", 0, func() {
-		est, _, _ := sk.DistinctWords(0, 0, false, scratch)
-		acc += est
-	})
-	_ = acc
-}
-
-// TestAllocGuardApproxExecutor: approximate executions stay at the exact
-// path's pooled-scratch floor — the Bernoulli keep test adds zero
-// allocations per row, and the reservoir draw reuses a pooled slot slice
-// (amortized under one allocation per step, surfacing as no increase over
-// the exact Run ceiling).
-func TestAllocGuardApproxExecutor(t *testing.T) {
-	db := buildTestDB(t, 8_000, 5)
-	q := testQuery(db)
-	q.Approx = ApproxSpec{Method: ApproxRows, Rate: 0.3}
-	guardAllocs(t, "ApproxRows", 40, func() {
-		if _, _, err := db.Run(q, ForcedHint([]int{0, 1}, JoinAuto)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	q.Approx = ApproxSpec{Method: ApproxReservoir, K: 32}
-	guardAllocs(t, "ApproxReservoir", 40, func() {
-		if _, _, err := db.Run(q, ForcedHint([]int{0, 1}, JoinAuto)); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestAllocGuardTrueSelectivity: the uncached btree range path counts via
 // Visit and must not materialize row ids.
 func TestAllocGuardTrueSelectivity(t *testing.T) {

@@ -273,11 +273,6 @@ func TestResolvePlan(t *testing.T) {
 	limited := q.Clone()
 	limited.Limit = 10
 	note("limit", limited, ForcedHint(nil, JoinAuto))
-	sampled := q.Clone()
-	sampled.Approx = ApproxSpec{Method: ApproxRows, Rate: 0.2}
-	note("row sample", sampled, ForcedHint(nil, JoinAuto))
-	sampled.Approx.Rate = 0.04
-	note("sparser row sample", sampled, ForcedHint(nil, JoinAuto))
 	joined := q.Clone()
 	joined.Join = &JoinClause{Table: "dims", LeftCol: "fk", RightCol: "id"}
 	if db.ResolvePlan(joined, ForcedHint([]int{1}, HashJoin)) == db.ResolvePlan(joined, ForcedHint([]int{1}, MergeJoin)) {

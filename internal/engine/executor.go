@@ -40,17 +40,7 @@ type Result struct {
 	Points    []Point         // output points, parallel to RowIDs, when a point column is projected or binned
 	Bins      map[int]float64 // BIN_ID → (scaled) count, when Bin != nil
 	Truncated bool            // a LIMIT stopped execution early
-	Weight    float64         // per-row weight (100/SamplePercent for samples, 1/Rate for row sampling, matched/K for reservoirs)
-
-	// Approximate-tier fields (see ApproxSpec). Approx marks any result
-	// produced by the approximate tier; exact executions leave every field
-	// below at its zero value.
-	Approx      bool    // result came from an approximate execution
-	SampledRows int     // rows the sample actually kept (ApproxRows/ApproxReservoir)
-	MatchedRows int     // exact matched-row count, when known (ApproxReservoir)
-	HasAgg      bool    // AggValue/AggBound carry a sketch-served aggregate
-	AggValue    float64 // the aggregate estimate (keyword count or distinct count)
-	AggBound    float64 // stated error bound (overestimate for CMS, 95% CI half-width for HLL)
+	Weight    float64         // per-row weight (100/SamplePercent for samples, 1 otherwise)
 }
 
 // execContext carries state through one query execution. Contexts are pooled:
@@ -78,19 +68,12 @@ type execContext struct {
 	yield     func()
 	yieldTick int
 
-	// Bernoulli row-sampling state (ApproxRows): rows whose keep hash
-	// misses the threshold are skipped before any per-row cost accrues.
-	sampling   bool
-	keepSeed   uint64
-	keepThresh uint64
-
 	// Scratch buffers reused across executions via ecPool.
 	lists []Posting
 	accA  []uint32
 	accB  []uint32
 	cand  []uint32
-	resv  []uint32 // reservoir slots (ApproxReservoir)
-	sizes []int    // fetch-phase stage sizes (see chargeFetch)
+	sizes []int // fetch-phase stage sizes (see chargeFetch)
 	// Predicates bound to column storage for this execution (main table and
 	// join inner table). They alias table columns, so putExecContext clears
 	// them like lists.
@@ -128,8 +111,6 @@ func getExecContext() *execContext {
 	ec.points = nil
 	ec.yield = nil
 	ec.yieldTick = 0
-	ec.sampling = false
-	ec.keepSeed, ec.keepThresh = 0, 0
 	return ec
 }
 
@@ -202,13 +183,6 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
-	if err := q.Approx.validate(q); err != nil {
-		return nil, ExecStats{}, err
-	}
-	if q.Approx.Method.IsSketch() {
-		// Summary-served aggregates never touch rows or plans.
-		return db.runSketch(q, t)
-	}
 	positions, join := db.resolvePlan(q, h)
 	for _, pos := range positions {
 		if pos < 0 || pos >= len(q.Preds) {
@@ -221,9 +195,6 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 	weight := 1.0
 	if q.SamplePercent > 0 {
 		weight = 100.0 / float64(q.SamplePercent)
-	}
-	if q.Approx.Method == ApproxRows {
-		weight = 1 / q.Approx.Rate
 	}
 	ec := getExecContext()
 	defer func() {
@@ -246,13 +217,6 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 	if q.Bin != nil {
 		ec.res.Bins = make(map[int]float64)
 	}
-	if q.Approx.Method == ApproxRows || q.Approx.Method == ApproxReservoir {
-		ec.keepSeed = q.Approx.effSeed(db.Seed, q)
-		if q.Approx.Method == ApproxRows {
-			ec.sampling = true
-			ec.keepThresh = keepThreshold(q.Approx.Rate)
-		}
-	}
 	// Resolve emit-time projection state once per execution.
 	if t.SampleOf != nil {
 		ec.baseRows = t.Col("__base_row").Ints
@@ -263,20 +227,11 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 		putExecContext(ec)
 		return nil, ExecStats{}, err
 	}
-	switch {
-	case q.Approx.Method == ApproxReservoir:
-		ec.reservoirEmit(candidates)
-	case q.Join == nil:
+	if q.Join == nil {
 		ec.emitAll(candidates)
-	default:
-		if err := ec.join(candidates, join); err != nil {
-			putExecContext(ec)
-			return nil, ExecStats{}, err
-		}
-	}
-	if q.Approx.Method != ApproxOff {
-		ec.res.Approx = true
-		ec.res.SampledRows = len(ec.res.RowIDs)
+	} else if err := ec.join(candidates, join); err != nil {
+		putExecContext(ec)
+		return nil, ExecStats{}, err
 	}
 	ec.stats.RowsOutput = len(ec.res.RowIDs)
 	db.price(&ec.stats, t, q, positions, join)
@@ -302,9 +257,9 @@ func pointColumn(t *Table, q *Query) []Point {
 // resolvePlan maps (q, h) to the physical plan an execution follows: the
 // index positions and join method after the backend has had its say — a
 // forced hint may be dropped, and anything unforced is the optimizer's pick.
-// Together with q's own LIMIT / sample / approximation clauses these are
-// exactly planFingerprint's inputs, so two executions of one query's rewrites
-// that resolve alike produce the same rows, ExecStats and SimMs.
+// Together with q's own LIMIT and sample clauses these are exactly
+// planFingerprint's inputs, so two executions of one query's rewrites that
+// resolve alike produce the same rows, ExecStats and SimMs.
 func (db *DB) resolvePlan(q *Query, h Hint) (positions []int, join JoinMethod) {
 	positions, join = h.UseIndex, h.Join
 	forced := h.Forced
@@ -329,28 +284,23 @@ func (db *DB) resolvePlan(q *Query, h Hint) (positions []int, join JoinMethod) {
 // PlanID names the physical plan one execution follows, among the rewrites
 // of a single query (same table, predicates, join clause and projection): the
 // resolved index positions in scan order, the resolved join method, and the
-// rewrite's own LIMIT / sample / approximation clauses — planFingerprint's
-// inputs, and so everything rows, ExecStats and SimMs depend on. It is
-// comparable, so it can key a map.
+// rewrite's own LIMIT and sample clauses — planFingerprint's inputs, and so
+// everything rows, ExecStats and SimMs depend on. It is comparable, so it can
+// key a map.
 type PlanID struct {
 	Positions     string // resolved positions, comma-separated
 	Join          JoinMethod
 	Limit         int
 	SamplePercent int
-	Approx        ApproxSpec
 }
 
 // ResolvePlan reports which physical plan RunCached(q, h, …) executes, without
 // executing it. Callers that run many rewrites of one query (core.BuildContext)
 // use it to execute each distinct plan once: an unhinted run and the forced
 // hint the optimizer would have picked anyway are the same PlanID, as is every
-// hint the backend drops. Sketch-served aggregates touch no plan; their
-// PlanID is the approximation clause alone.
+// hint the backend drops.
 func (db *DB) ResolvePlan(q *Query, h Hint) PlanID {
-	id := PlanID{Limit: q.Limit, SamplePercent: q.SamplePercent, Approx: q.Approx}
-	if q.Approx.Method.IsSketch() {
-		return id
-	}
+	id := PlanID{Limit: q.Limit, SamplePercent: q.SamplePercent}
 	positions, join := db.resolvePlan(q, h)
 	var buf [32]byte
 	b := buf[:0]
@@ -425,18 +375,12 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 		}
 	}
 	ec.preds = residual
-	// Fetch candidates, evaluate residual predicates. Under row sampling
-	// the keep decision comes before the fetch, so the virtual cost of the
-	// fetch+residual phase scales with the sampling rate (the posting-list
-	// work above is already paid — it is the cheap part of the plan).
-	// sizes[j] counts the fetched rows that passed the first j residuals.
+	// Fetch candidates, evaluate residual predicates. sizes[j] counts the
+	// fetched rows that passed the first j residuals.
 	sizes := append(ec.sizes[:0], make([]int, len(residual)+1)...)
 	out := ec.cand[:0]
 	for _, r := range acc {
 		ec.maybeYield()
-		if ec.sampling && !keepRow(ec.keepSeed, r, ec.keepThresh) {
-			continue
-		}
 		sizes[0]++
 		ok := true
 		for i := range residual {
@@ -470,13 +414,6 @@ func (ec *execContext) seqScan(earlyLimit int) []uint32 {
 	out := ec.cand[:0]
 	for r := 0; r < t.Rows; r++ {
 		ec.maybeYield()
-		// Row sampling skips before the per-row cost accrues: the virtual
-		// clock treats the sample as a block-sampled scan whose cost is
-		// Rate × the full scan, which is what makes "approximate now" fit
-		// budgets the exact scan blows.
-		if ec.sampling && !keepRow(ec.keepSeed, uint32(r), ec.keepThresh) {
-			continue
-		}
 		ec.stats.RowsScanned++
 		if evalAll(preds, uint32(r)) {
 			out = append(out, uint32(r))
@@ -635,38 +572,6 @@ func (ec *execContext) probeInner(key float64, leftRow uint32) bool {
 	return emitted
 }
 
-// reservoirEmit draws the K-row Algorithm R sample of the candidate set and
-// emits it. Candidates arrive in ascending row order from every access path
-// (seqScan scans forward; posting lists are sorted and intersection/fetch
-// preserve order), and the PRNG stream is a pure function of the sampling
-// seed, so the drawn sample — and therefore the output bytes — is
-// independent of the physical plan. The matched count is exact; per-row
-// weight matched/K makes the scaled per-cell counts unbiased.
-func (ec *execContext) reservoirEmit(candidates []uint32) {
-	k := ec.q.Approx.K
-	matched := len(candidates)
-	ec.res.MatchedRows = matched
-	if matched <= k {
-		ec.emitAll(candidates)
-		return
-	}
-	rng := sprng{state: ec.keepSeed}
-	res := ec.resv[:0]
-	res = append(res, candidates[:k]...)
-	for i := k; i < matched; i++ {
-		ec.maybeYield()
-		if j := rng.next() % uint64(i+1); j < uint64(k) {
-			res[j] = candidates[i]
-		}
-	}
-	ec.resv = res
-	slices.Sort(res)
-	ec.res.Weight = float64(matched) / float64(k)
-	for _, r := range res {
-		ec.emit(r)
-	}
-}
-
 // emitAll emits every candidate row (no join), honoring the LIMIT.
 func (ec *execContext) emitAll(candidates []uint32) {
 	for _, r := range candidates {
@@ -739,16 +644,6 @@ func planFingerprint(q *Query, positions []int, join JoinMethod) uint64 {
 	mix(uint64(join) + 7)
 	mix(uint64(q.Limit) + 13)
 	mix(uint64(q.SamplePercent) + 17)
-	// Approximate-tier clause: mixed only when present, so every exact
-	// query's fingerprint — and with it the hint-drop and noise draws the
-	// golden traces pin — is byte-for-byte what it was before the tier
-	// existed.
-	if q.Approx.Method != ApproxOff {
-		mix(uint64(q.Approx.Method) + 53)
-		mix(uint64(int64(q.Approx.Rate*1e6)) + 59)
-		mix(uint64(q.Approx.K) + 61)
-		mix(q.Approx.Seed + 67)
-	}
 	for _, p := range q.Preds {
 		mix(uint64(p.Kind))
 		mix(uint64(p.Word))

@@ -123,16 +123,6 @@ func (t *Table) appendBatch(b *Batch) error {
 	}
 	t.Rows += b.rows
 	t.maintainIndexes(start, b.rows)
-	// Maintain the summary sketches incrementally. Sketch updates are
-	// commutative, so any batching of the same row stream — including WAL
-	// replay and checkpoint compaction — converges on the identical sketch.
-	if t.Sketch != nil {
-		times := t.Col(t.Sketch.TimeCol).Ints
-		texts := t.Col(t.Sketch.TextCol).Texts
-		for i := start; i < start+b.rows; i++ {
-			t.Sketch.AddRow(times[i], texts[i])
-		}
-	}
 	// Extend samples: membership of appended rows is a pure hash of
 	// (sample seed, percent, base row id), so replaying the same appends on a
 	// freshly built dataset reproduces identical samples — the property the

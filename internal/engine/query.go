@@ -73,10 +73,6 @@ type Query struct {
 	// SamplePercent in (0,100) substitutes the table with its random sample
 	// (an approximation rule). 0 means the base table.
 	SamplePercent int
-	// Approx selects the approximate execution tier (row sampling,
-	// reservoir sampling, or sketch-served aggregates). The zero value is
-	// the exact path. See ApproxSpec.
-	Approx ApproxSpec
 }
 
 // Clone returns a deep-enough copy: slices are shared except Preds, and the
@@ -163,10 +159,6 @@ func (q *Query) SQL(h Hint) string {
 	}
 	b.WriteString("SELECT ")
 	switch {
-	case q.Approx.Method == ApproxSketchCount:
-		b.WriteString("APPROX_COUNT(*)")
-	case q.Approx.Method == ApproxSketchDistinct:
-		b.WriteString("APPROX_DISTINCT(*)")
 	case q.Bin != nil:
 		b.WriteString(fmt.Sprintf("BIN_ID(%s), COUNT(*)", q.Bin.Col))
 	case len(q.OutputCols) > 0:
@@ -176,12 +168,6 @@ func (q *Query) SQL(h Hint) string {
 	}
 	b.WriteString(" FROM ")
 	b.WriteString(table)
-	switch q.Approx.Method {
-	case ApproxRows:
-		b.WriteString(fmt.Sprintf(" TABLESAMPLE BERNOULLI (%.4f) REPEATABLE (%d)", q.Approx.Rate*100, q.Approx.Seed))
-	case ApproxReservoir:
-		b.WriteString(fmt.Sprintf(" TABLESAMPLE RESERVOIR (%d ROWS) REPEATABLE (%d)", q.Approx.K, q.Approx.Seed))
-	}
 	if q.Join != nil {
 		b.WriteString(fmt.Sprintf(" JOIN %s ON %s.%s = %s.%s",
 			q.Join.Table, table, q.Join.LeftCol, q.Join.Table, q.Join.RightCol))

@@ -11,11 +11,11 @@ import (
 
 // TestExecutorMatchesReference runs the workload generator's queries through
 // every rewriting option of the four option spaces — index subsets, forced
-// join methods, LIMIT early-stop, Bernoulli row sampling, reservoirs,
-// sketches — plus the unhinted baseline, and requires the production executor
-// (bitset-ordered lookups, column-bound predicates, cheap-first scans, pooled
-// everything) to agree with the reference executor on the whole Result and on
-// every ExecStats field, virtual time included.
+// join methods, LIMIT early-stop, sample tables — plus the unhinted baseline,
+// and requires the production executor (bitset-ordered lookups,
+// column-bound predicates, cheap-first scans, pooled everything) to agree
+// with the reference executor on the whole Result and on every ExecStats
+// field, virtual time included.
 func TestExecutorMatchesReference(t *testing.T) {
 	cfg := workload.TwitterConfig()
 	cfg.Rows = 6_000
@@ -39,8 +39,6 @@ func TestExecutorMatchesReference(t *testing.T) {
 		{"hint-only", core.HintOnlySpec(), workload.QuerySpec{NumPreds: 3, Seed: 1}},
 		{"join", core.JoinSpec(), workload.QuerySpec{NumPreds: 3, Seed: 2, Join: true}},
 		{"quality-aware", core.QualityAwareSpec(), workload.QuerySpec{NumPreds: 3, Seed: 3}},
-		{"approx-tier", core.ApproxTierSpec(), workload.QuerySpec{NumPreds: 3, Seed: 4}},
-		{"approx-tier-2preds", core.ApproxTierSpec(), workload.QuerySpec{NumPreds: 2, Seed: 5}},
 		{"sample-table", sampled, workload.QuerySpec{NumPreds: 3, Seed: 6}},
 	}
 	scale := ds.DB.Table(ds.Main).ScaleFactor
@@ -125,7 +123,6 @@ func TestCounterMatchesReference(t *testing.T) {
 			{core.HintOnlySpec(), workload.QuerySpec{NumPreds: 1, Seed: 8}},
 			{core.JoinSpec(), workload.QuerySpec{NumPreds: 3, Seed: 2, Join: true}},
 			{core.QualityAwareSpec(), workload.QuerySpec{NumPreds: 3, Seed: 3}},
-			{core.ApproxTierSpec(), workload.QuerySpec{NumPreds: 3, Seed: 4}},
 		}
 		scale := ds.DB.Table(ds.Main).ScaleFactor
 		derived, declined := 0, 0
@@ -143,7 +140,7 @@ func TestCounterMatchesReference(t *testing.T) {
 					got, ok := c.Stats(h)
 					if !ok {
 						declined++
-						if rq.Join == nil && rq.Limit == 0 && rq.SamplePercent == 0 && rq.Approx.Method == engine.ApproxOff {
+						if rq.Join == nil && rq.Limit == 0 && rq.SamplePercent == 0 {
 							t.Errorf("drop=%v query %d %s: an exact single-table rewrite was not derived", drop, qi, label)
 						}
 						return

@@ -15,8 +15,8 @@ import (
 // (reference_diff_test.go) hold the production executor to it field by field:
 // rows, points, bins, flags and every ExecStats counter, SimMs included.
 //
-// It shares with production only what is not under test: plan resolution,
-// the sketch path, the sampling hashes and the cost model.
+// It shares with production only what is not under test: plan resolution
+// and the cost model.
 
 // refLookup is Index.Lookup as it was before the bitset: materialize in index
 // order, then sort by row id.
@@ -80,9 +80,6 @@ type refExec struct {
 	res      *Result
 	baseRows []int64
 	points   []Point
-	sampling bool
-	seed     uint64
-	thresh   uint64
 }
 
 // refRun is DB.Run by the reference executor.
@@ -90,12 +87,6 @@ func (db *DB) refRun(q *Query, h Hint) (*Result, ExecStats, error) {
 	t, err := db.resolveTable(q)
 	if err != nil {
 		return nil, ExecStats{}, err
-	}
-	if err := q.Approx.validate(q); err != nil {
-		return nil, ExecStats{}, err
-	}
-	if q.Approx.Method.IsSketch() {
-		return db.runSketch(q, t)
 	}
 	positions, join := db.resolvePlan(q, h)
 	for _, pos := range positions {
@@ -109,14 +100,6 @@ func (db *DB) refRun(q *Query, h Hint) (*Result, ExecStats, error) {
 	}
 	if q.Bin != nil {
 		e.res.Bins = make(map[int]float64)
-	}
-	switch q.Approx.Method {
-	case ApproxRows:
-		e.res.Weight = 1 / q.Approx.Rate
-		e.sampling, e.thresh = true, keepThreshold(q.Approx.Rate)
-		e.seed = q.Approx.effSeed(db.Seed, q)
-	case ApproxReservoir:
-		e.seed = q.Approx.effSeed(db.Seed, q)
 	}
 	if t.SampleOf != nil {
 		e.baseRows = t.Col("__base_row").Ints
@@ -142,19 +125,10 @@ func (db *DB) refRun(q *Query, h Hint) (*Result, ExecStats, error) {
 	} else if candidates, err = e.indexAccess(positions, earlyLimit); err != nil {
 		return nil, ExecStats{}, err
 	}
-	switch {
-	case q.Approx.Method == ApproxReservoir:
-		e.reservoir(candidates)
-	case q.Join == nil:
+	if q.Join == nil {
 		e.emitAll(candidates)
-	default:
-		if err := e.join(candidates, join); err != nil {
-			return nil, ExecStats{}, err
-		}
-	}
-	if q.Approx.Method != ApproxOff {
-		e.res.Approx = true
-		e.res.SampledRows = len(e.res.RowIDs)
+	} else if err := e.join(candidates, join); err != nil {
+		return nil, ExecStats{}, err
 	}
 	e.stats.RowsOutput = len(e.res.RowIDs)
 	e.stats.SimMs = db.Profile.Cost.simMs(e.stats, t.ScaleFactor)
@@ -165,9 +139,6 @@ func (db *DB) refRun(q *Query, h Hint) (*Result, ExecStats, error) {
 func (e *refExec) seqScan(earlyLimit int) []uint32 {
 	var out []uint32
 	for r := 0; r < e.t.Rows; r++ {
-		if e.sampling && !keepRow(e.seed, uint32(r), e.thresh) {
-			continue
-		}
 		e.stats.RowsScanned++
 		ok := true
 		for _, p := range e.q.Preds {
@@ -229,9 +200,6 @@ func (e *refExec) indexAccess(positions []int, earlyLimit int) ([]uint32, error)
 	}
 	var out []uint32
 	for _, r := range acc {
-		if e.sampling && !keepRow(e.seed, r, e.thresh) {
-			continue
-		}
 		e.stats.RowsFetched++
 		ok := true
 		for i, p := range e.q.Preds {
@@ -284,27 +252,6 @@ func (e *refExec) emitAll(candidates []uint32) {
 		if e.limitReached() {
 			return
 		}
-	}
-}
-
-func (e *refExec) reservoir(candidates []uint32) {
-	k, matched := e.q.Approx.K, len(candidates)
-	e.res.MatchedRows = matched
-	if matched <= k {
-		e.emitAll(candidates)
-		return
-	}
-	rng := sprng{state: e.seed}
-	slots := slices.Clone(candidates[:k])
-	for i := k; i < matched; i++ {
-		if j := rng.next() % uint64(i+1); j < uint64(k) {
-			slots[j] = candidates[i]
-		}
-	}
-	slices.Sort(slots)
-	e.res.Weight = float64(matched) / float64(k)
-	for _, r := range slots {
-		e.emit(r)
 	}
 }
 

@@ -92,11 +92,6 @@ type Table struct {
 	Indexes map[string]*Index // by column name
 	Samples map[int]*Table    // by percent (e.g. 20 → 20% sample)
 
-	// Sketch is the table's time-bucketed summary store (Count-Min keyword
-	// frequencies + HyperLogLog distinct words), nil until BuildSketch.
-	// Maintained incrementally by appendBatch under the data write lock.
-	Sketch *TableSketch
-
 	// SampleOf is the base table when this table is a sample, else nil.
 	SampleOf *Table
 	// SamplePercent is the sampling rate when SampleOf != nil.
@@ -379,4 +374,17 @@ func (t *Table) BaseRowIDs(rows []uint32) []uint32 {
 		out[i] = uint32(c.Ints[r])
 	}
 	return out
+}
+
+// DistinctWordsExact counts the distinct words among the given rows of the
+// table's text column.
+func DistinctWordsExact(t *Table, rows []uint32, textCol string) int {
+	c := t.Col(textCol)
+	seen := make(map[uint32]struct{})
+	for _, r := range rows {
+		for _, w := range c.Texts[r] {
+			seen[w] = struct{}{}
+		}
+	}
+	return len(seen)
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -392,76 +391,6 @@ func TestWALAppendAfterRecovery(t *testing.T) {
 		t.Fatalf("second recovery stats %+v, want clean replay to version 3", st2)
 	}
 	sameRecoveredState(t, mid, final)
-}
-
-// approxProbeSet returns the four approximate-tier probes (row sample,
-// reservoir, CMS count, HLL distinct) the replay-determinism test compares.
-func approxProbeSet() []*Query {
-	win := []Predicate{{Col: "ts", Kind: PredRange, Lo: 2000, Hi: 7000}}
-	return []*Query{
-		{Table: "events", Preds: win,
-			Bin:    &BinSpec{Col: "loc", Extent: Rect{MinLon: 0, MinLat: 0, MaxLon: 100, MaxLat: 50}, W: 8, H: 8},
-			Approx: ApproxSpec{Method: ApproxRows, Rate: 0.3}},
-		{Table: "events", Preds: win,
-			Approx: ApproxSpec{Method: ApproxReservoir, K: 40}},
-		{Table: "events", Preds: append([]Predicate{{Col: "text", Kind: PredKeyword, Word: 3}}, win...),
-			Approx: ApproxSpec{Method: ApproxSketchCount}},
-		{Table: "events", Preds: win,
-			Approx: ApproxSpec{Method: ApproxSketchDistinct}},
-	}
-}
-
-// TestWALReplayApproxDeterminism extends the bit-identity recovery contract
-// to the approximate tier: after a crash and WAL replay, every approximate
-// method returns byte-identical results and identical virtual timings for
-// the same (seed, fingerprint) — samples because the keep hash is a pure
-// function of (seed, row id), sketches because their updates commute, so
-// replayed batches rebuild the identical summary state.
-func TestWALReplayApproxDeterminism(t *testing.T) {
-	dir := t.TempDir()
-	live := walTestDB(t, 7)
-	if _, err := live.Table("events").BuildSketch("text", "ts", time.Second); err != nil {
-		t.Fatal(err)
-	}
-	w, _, err := live.AttachWAL("events", dir, WALConfig{Policy: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	walTestApply(t, live, 5)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recover: fresh base build, sketch attached BEFORE replay so the
-	// replayed batches maintain it incrementally — the production order.
-	recovered := walTestDB(t, 7)
-	if _, err := recovered.Table("events").BuildSketch("text", "ts", time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, st, err := recovered.AttachWAL("events", dir, WALConfig{Policy: FsyncNever}); err != nil || st.Records != 5 {
-		t.Fatalf("replay: %v, stats %+v", err, st)
-	}
-	sameRecoveredState(t, live, recovered)
-
-	for i, q := range approxProbeSet() {
-		resLive, statsLive, err := live.Run(q, AutoHint())
-		if err != nil {
-			t.Fatalf("probe %d live: %v", i, err)
-		}
-		resRec, statsRec, err := recovered.Run(q, AutoHint())
-		if err != nil {
-			t.Fatalf("probe %d recovered: %v", i, err)
-		}
-		if !reflect.DeepEqual(resLive, resRec) {
-			t.Errorf("probe %d (%s): results diverge after replay", i, q.Approx.Method)
-		}
-		if statsLive.SimMs != statsRec.SimMs {
-			t.Errorf("probe %d (%s): SimMs %v vs %v after replay", i, q.Approx.Method, statsLive.SimMs, statsRec.SimMs)
-		}
-		if !resLive.Approx {
-			t.Errorf("probe %d (%s): result not marked approximate", i, q.Approx.Method)
-		}
-	}
 }
 
 // TestWALFsyncPolicies: every policy accepts appends and closes cleanly, and

@@ -111,6 +111,22 @@ func TestNewServerResolvesColumns(t *testing.T) {
 	}
 }
 
+// TestNewServerIsExactOnly: serving fails fast on an option space with any
+// approximation rule, and accepts the hint-only space every server uses.
+func TestNewServerIsExactOnly(t *testing.T) {
+	ds := tinyDataset(t, true, true)
+	sampled := core.HintOnlySpec()
+	sampled.ApproxRules = []core.ApproxRule{{Kind: core.ApproxSample, Percent: 20}}
+	for name, space := range map[string]core.SpaceSpec{"quality-aware": core.QualityAwareSpec(), "sample": sampled} {
+		if _, err := NewServer(ds, core.OracleRewriter{}, space, 500); err == nil {
+			t.Errorf("%s space: server constructed, want an error", name)
+		}
+	}
+	if _, err := NewServer(ds, core.OracleRewriter{}, core.HintOnlySpec(), 500); err != nil {
+		t.Errorf("hint-only space: %v", err)
+	}
+}
+
 // TestHandleErrorPaths drives Server.Handle through every request-caused
 // failure and asserts each is marked ErrBadRequest.
 func TestHandleErrorPaths(t *testing.T) {
@@ -135,6 +151,9 @@ func TestHandleErrorPaths(t *testing.T) {
 		{"empty predicate set", twitter, Request{Kind: VizHeatmap}},
 		{"missing geo column", timeOnly, Request{Keyword: "alpha", Region: engine.Rect{MaxLon: 5, MaxLat: 5}}},
 		{"missing time column", geoOnly, Request{Keyword: "alpha", From: from, To: to}},
+		{"inverted window", twitter, Request{Keyword: "word0005", From: to, To: from}},
+		{"inverted region lon", twitter, Request{Keyword: "word0005", Region: engine.Rect{MinLon: -90, MinLat: 30, MaxLon: -100, MaxLat: 40}}},
+		{"inverted region lat", twitter, Request{Keyword: "word0005", Region: engine.Rect{MinLon: -100, MinLat: 40, MaxLon: -90, MaxLat: 30}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,18 +168,19 @@ func TestHandleErrorPaths(t *testing.T) {
 	}
 }
 
-// TestHTTPErrorPaths is the table-driven HTTP suite over every error path
-// and the success shapes, including the status-code mapping.
-func TestHTTPErrorPaths(t *testing.T) {
-	s := testServer(t)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+// httpCase is one row of TestHTTPErrorPaths.
+type httpCase struct {
+	name       string
+	method     string
+	body       string
+	wantStatus int
+	session    string // non-empty: sent to the gateway with this session id
+	wantBody   string // substring of the error text, when set
+}
 
-	// Rows naming a session go through a gateway: its session branch buffers
-	// the body before Server.serveViz sees it.
-	gwSrv := httptest.NewServer(testGateway(t).Handler())
-	defer gwSrv.Close()
-
+// httpCases are TestHTTPErrorPaths' rows; their bodies also seed
+// FuzzParseRequest.
+func httpCases() []httpCase {
 	valid := func(mutate func(m map[string]any)) []byte {
 		m := map[string]any{
 			"keyword": "word0005",
@@ -179,15 +199,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 
 	oversize := string(valid(func(m map[string]any) { m["keyword"] = strings.Repeat("a", MaxVizBody) }))
 	const tooLarge = "request body too large"
-
-	cases := []struct {
-		name       string
-		method     string
-		body       string
-		wantStatus int
-		session    string // non-empty: sent to the gateway with this session id
-		wantBody   string // substring of the error text, when set
-	}{
+	return []httpCase{
 		{"heatmap ok", http.MethodPost, string(valid(nil)), http.StatusOK, "", ""},
 		{"scatter ok", http.MethodPost, string(valid(func(m map[string]any) { m["kind"] = "scatter" })), http.StatusOK, "", ""},
 		{"malformed json", http.MethodPost, "{nope", http.StatusBadRequest, "", ""},
@@ -199,10 +211,25 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"heatmap ok, largest grid", http.MethodPost, string(valid(func(m map[string]any) { m["grid_w"] = maxGridSide })), http.StatusOK, "", ""},
 		{"grid_w too large", http.MethodPost, string(valid(func(m map[string]any) { m["grid_w"] = maxGridSide + 1 })), http.StatusBadRequest, "", "exceeds"},
 		{"grid_h overflows int32", http.MethodPost, string(valid(func(m map[string]any) { m["grid_h"] = 1 << 40 })), http.StatusBadRequest, "", "exceeds"},
+		{"inverted region", http.MethodPost, string(valid(func(m map[string]any) { m["min_lat"], m["max_lat"] = 40.0, 30.0 })), http.StatusBadRequest, "", "inverted"},
 		{"oversize body", http.MethodPost, oversize, http.StatusBadRequest, "", tooLarge},
 		{"oversize body, session", http.MethodPost, oversize, http.StatusBadRequest, "pan-1", tooLarge},
 	}
-	for _, tc := range cases {
+}
+
+// TestHTTPErrorPaths is the table-driven HTTP suite over every error path
+// and the success shapes, including the status-code mapping.
+func TestHTTPErrorPaths(t *testing.T) {
+	s := testServer(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	// Rows naming a session go through a gateway: its session branch buffers
+	// the body before Server.serveViz sees it.
+	gwSrv := httptest.NewServer(testGateway(t).Handler())
+	defer gwSrv.Close()
+
+	for _, tc := range httpCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			base := srv.URL
 			if tc.session != "" {
@@ -248,6 +275,43 @@ func TestHTTPErrorPaths(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseRequest decodes arbitrary /viz bodies and builds the engine query
+// of every one the decoder accepts. Nothing may panic, and every request
+// BuildQuery accepts has grid sides within maxGridSide, a window whose from
+// is not after its to, and a region that is empty or ordered. The
+// TestHTTPErrorPaths bodies and a golden request seed the corpus, so plain
+// go test runs them.
+func FuzzParseRequest(f *testing.F) {
+	for _, tc := range httpCases() {
+		if tc.method == http.MethodPost && len(tc.body) <= MaxVizBody {
+			f.Add([]byte(tc.body))
+		}
+	}
+	f.Add(vizBody(f, validRequest()))
+	s := testServer(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := ParseRequest(body)
+		if err != nil {
+			return
+		}
+		if _, err := s.BuildQuery(req); err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("BuildQuery error %v is not ErrBadRequest", err)
+			}
+			return
+		}
+		if req.GridW > maxGridSide || req.GridH > maxGridSide {
+			t.Errorf("accepted a %dx%d grid", req.GridW, req.GridH)
+		}
+		if !req.From.IsZero() && !req.To.IsZero() && req.From.After(req.To) {
+			t.Errorf("accepted an inverted window %v .. %v", req.From, req.To)
+		}
+		if r := req.Region; r.MinLon > r.MaxLon || r.MinLat > r.MaxLat {
+			t.Errorf("accepted an inverted region %+v", r)
+		}
+	})
 }
 
 // TestBudgetFallback: zero or negative budget_ms falls back to the server
@@ -357,7 +421,7 @@ func TestCountedServingMatchesExecution(t *testing.T) {
 		for i, req := range []Request{validRequest(), wide, small, none} {
 			req.Kind = kind
 			// Without a plan cache every request builds its plan, so it counts.
-			if p := resolve(counted, req); p.counter == nil || p.rkey.Approx != "" {
+			if p := resolve(counted, req); p.counter == nil {
 				t.Fatalf("%s request %d: not served from the build's count", kind, i)
 			}
 			got, _, err := counted.handle(context.Background(), req, false)
@@ -460,5 +524,83 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestCountServingExact: a count request's value is the matched-row count,
+// the same whether a caching server or a cache-less one serves it.
+func TestCountServingExact(t *testing.T) {
+	subject, reference := subsumeServers(t)
+	req := Request{
+		Keyword: "word0003",
+		From:    time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC),
+		To:      time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC),
+		Kind:    VizCount,
+	}
+	got, err := subject.Handle(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := reference.Handle(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Value == nil || want.Value == nil {
+		t.Fatal("count response missing value")
+	}
+	if *got.Value <= 0 || *got.Value != *want.Value {
+		t.Fatalf("count = %v, cache-less server %v; want equal and positive", *got.Value, *want.Value)
+	}
+}
+
+// TestDistinctServingExact: a distinct request counts the distinct words of
+// the rows inside exactly its own window — here one that starts and ends
+// mid-week — whether a caching server or a cache-less one serves it.
+func TestDistinctServingExact(t *testing.T) {
+	subject, reference := subsumeServers(t)
+	req := Request{
+		From: time.Date(2016, 3, 3, 5, 0, 0, 0, time.UTC),
+		To:   time.Date(2016, 4, 14, 13, 30, 0, 0, time.UTC),
+		Kind: VizDistinct,
+	}
+	tb := subject.DS.DB.Table(subject.DS.Main)
+	window := engine.Predicate{Col: "created_at", Kind: engine.PredRange,
+		Lo: float64(req.From.UnixMilli()), Hi: float64(req.To.UnixMilli())}
+	var rows []uint32
+	for r := 0; r < tb.Rows; r++ {
+		if window.Eval(tb, uint32(r)) {
+			rows = append(rows, uint32(r))
+		}
+	}
+	exact := float64(engine.DistinctWordsExact(tb, rows, "text"))
+	if exact == 0 {
+		t.Fatal("the window holds no words: the test exercises nothing")
+	}
+	for name, s := range map[string]*Server{"caching": subject, "cache-less": reference} {
+		resp, err := s.Handle(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Value == nil {
+			t.Fatalf("%s server: distinct response has no value", name)
+		}
+		if *resp.Value != exact {
+			t.Errorf("%s server: distinct value %v, want %v (the words of the request's own window)", name, *resp.Value, exact)
+		}
+	}
+}
+
+// TestDistinctWithoutTextColumn: a distinct request against a dataset with no
+// text column is a client error, not a panic or a zero.
+func TestDistinctWithoutTextColumn(t *testing.T) {
+	srv := testServer(t)
+	srv.textCol = "" // simulate a text-less dataset without building one
+	req := Request{
+		From: time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC),
+		To:   time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC),
+		Kind: VizDistinct,
+	}
+	if _, err := srv.Handle(req); err == nil {
+		t.Fatal("distinct request on a text-less dataset succeeded")
 	}
 }

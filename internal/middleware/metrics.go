@@ -108,7 +108,6 @@ type Metrics struct {
 	prefetchHits     atomic.Int64 // live requests served from a prefetched entry
 
 	budgetViolations atomic.Int64 // served responses with Trace.Viable == false
-	approxServed     atomic.Int64 // served responses with Approximate == true
 
 	ingestRows    atomic.Int64 // rows accepted by the write path
 	ingestFlushes atomic.Int64 // applied ingest flushes (data-version bumps)
@@ -194,7 +193,6 @@ type MetricsSnapshot struct {
 
 	BudgetViolations    int64   `json:"budget_violations"`
 	BudgetViolationRate float64 `json:"budget_violation_rate"`
-	ApproxServed        int64   `json:"approx_served"`
 
 	IngestRows    int64 `json:"ingest_rows"`
 	IngestFlushes int64 `json:"ingest_flushes"`
@@ -248,7 +246,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		PrefetchHits:     m.prefetchHits.Load(),
 
 		BudgetViolations: m.budgetViolations.Load(),
-		ApproxServed:     m.approxServed.Load(),
 
 		IngestRows:    m.ingestRows.Load(),
 		IngestFlushes: m.ingestFlushes.Load(),
@@ -313,7 +310,6 @@ func (m *Metrics) WritePrometheusLabeled(w io.Writer, label string) {
 	p(`prefetch_computed_total`, float64(s.PrefetchComputed))
 	p(`budget_violations_total`, float64(s.BudgetViolations))
 	p(`budget_violation_rate`, s.BudgetViolationRate)
-	p(`approx_served_total`, float64(s.ApproxServed))
 	p(`ingest_rows_total`, float64(s.IngestRows))
 	p(`ingest_flushes_total`, float64(s.IngestFlushes))
 	p(`exec_canceled_total`, float64(s.ExecCanceled))

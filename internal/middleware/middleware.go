@@ -22,11 +22,9 @@ const (
 	VizHeatmap VizKind = "heatmap"
 	// VizScatter returns raw points.
 	VizScatter VizKind = "scatter"
-	// VizCount returns a single matching-row count (exact, sampled, or
-	// CMS-sketch-served depending on the chosen rewrite option).
+	// VizCount returns a single matching-row count.
 	VizCount VizKind = "count"
-	// VizDistinct returns the number of distinct words among matching rows
-	// (exact or HLL-sketch-served).
+	// VizDistinct returns the number of distinct words among matching rows.
 	VizDistinct VizKind = "distinct"
 )
 
@@ -60,38 +58,7 @@ type Response struct {
 	Value *float64 `json:"value,omitempty"`
 	GridW int      `json:"grid_w"`
 	GridH int      `json:"grid_h"`
-	// Approximate marks any answer whose rewrite option changes query
-	// results (sampling, LIMIT truncation, sketch-served aggregates); Approx
-	// then states the error contract. Exact answers leave both fields at
-	// their zero values, so exact response bytes are unchanged by the tier.
-	Approximate bool        `json:"approximate,omitempty"`
-	Approx      *ApproxMeta `json:"approx,omitempty"`
-	Trace       Trace       `json:"trace"`
-}
-
-// ApproxMeta is the error contract attached to an approximate answer: what
-// method produced it, the stated bound on the aggregate estimate, and the
-// fingerprint that — together with the data version inside the cache key —
-// pins the answer's bytes (see docs/ARCHITECTURE.md, "Approximation & the
-// bit-identity carve-out").
-type ApproxMeta struct {
-	// Method names the approximation: "rows", "reservoir", "cms", "hll",
-	// "sample", or "limit".
-	Method string `json:"method"`
-	// Confidence is the stated coverage of CIHalfWidth (0.95 for two-sided
-	// intervals; zero when no probabilistic bound applies, e.g. "limit").
-	Confidence float64 `json:"confidence,omitempty"`
-	// CIHalfWidth bounds the error of Value: a two-sided CI half-width for
-	// sampling/HLL, the one-sided overestimate bound for CMS.
-	CIHalfWidth float64 `json:"ci_half_width,omitempty"`
-	// Bound classifies the bound: "two-sided", "overestimate", "exact-count"
-	// (reservoir: the count is exact, only per-cell values are scaled), or
-	// "truncation" (LIMIT: no bound is stated).
-	Bound string `json:"bound"`
-	// Fingerprint is the approximation clause of the result-cache key — the
-	// (method, parameters, seed) tag that keeps approximate entries from
-	// ever answering exact requests.
-	Fingerprint string `json:"fingerprint"`
+	Trace Trace    `json:"trace"`
 }
 
 // Trace records the rewriting decision for a request.
@@ -248,8 +215,12 @@ func NewServer(ds *workload.Dataset, rw core.Rewriter, space core.SpaceSpec, def
 	return NewServerWithConfig(ds, rw, space, ServerConfig{DefaultBudgetMs: defaultBudgetMs})
 }
 
-// NewServerWithConfig is NewServer with explicit serving knobs.
+// NewServerWithConfig is NewServer with explicit serving knobs. Serving is
+// exact-only: it fails if space holds any approximation rule.
 func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.SpaceSpec, cfg ServerConfig) (*Server, error) {
+	if n := len(space.ApproxRules); n > 0 {
+		return nil, fmt.Errorf("middleware: serving is exact-only, but the option space has %d approximation rules", n)
+	}
 	t := ds.DB.Table(ds.Main)
 	if t == nil {
 		return nil, fmt.Errorf("middleware: dataset has no table %q", ds.Main)
@@ -413,10 +384,20 @@ func (s *Server) BuildQuery(req Request) (*engine.Query, error) {
 		if s.timeCol == "" {
 			return nil, badRequestf("dataset has no time column")
 		}
+		if !req.From.IsZero() && !req.To.IsZero() && req.From.After(req.To) {
+			return nil, badRequestf("time window is inverted: from %s is after to %s",
+				req.From.Format(time.RFC3339), req.To.Format(time.RFC3339))
+		}
 		preds = append(preds, engine.Predicate{
 			Col: s.timeCol, Kind: engine.PredRange,
 			Lo: float64(req.From.UnixMilli()), Hi: float64(req.To.UnixMilli()),
 		})
+	}
+	// An inverted box has zero area, so without this check it would drop
+	// the geo predicate and be served the whole dataset extent.
+	if r := req.Region; r.MinLon > r.MaxLon || r.MinLat > r.MaxLat {
+		return nil, badRequestf("region is inverted: min (%g, %g) exceeds max (%g, %g)",
+			r.MinLon, r.MinLat, r.MaxLon, r.MaxLat)
 	}
 	if req.Region.Area() > 0 {
 		if s.geoCol == "" {
@@ -548,21 +529,6 @@ func (s *Server) plan(req Request, count bool) (planned, error) {
 			gh = 64
 		}
 	}
-	if kind == VizDistinct {
-		// Snap the time window to the sketch's bucket lattice, so the exact
-		// and HLL options of one distinct request count the same row set (the
-		// summaries only resolve whole buckets). The aligned window is a
-		// deterministic function of (table, request) — every replica computes
-		// the same one, so routing keys stay consistent.
-		if sk := s.table.Sketch; sk != nil {
-			for i := range q.Preds {
-				if q.Preds[i].Kind == engine.PredRange && q.Preds[i].Col == sk.TimeCol {
-					alo, ahi := sk.AlignWindow(int64(q.Preds[i].Lo), int64(q.Preds[i].Hi))
-					q.Preds[i].Lo, q.Preds[i].Hi = float64(alo), float64(ahi)
-				}
-			}
-		}
-	}
 
 	// Plan cache: one ground-truth context per (data version, query shape).
 	// Concurrent first requests for a shape may each build it; the first
@@ -570,23 +536,11 @@ func (s *Server) plan(req Request, count bool) (planned, error) {
 	// prefix retires every pre-flush context at a flush — ground truth (row
 	// counts, selectivities, per-option timings) is data-dependent, so a
 	// stale context would mis-plan and, worse, mis-trace post-flush answers.
-	// Trace.SQL stays the pure signature.
-	//
-	// Aggregate kinds get their own key class: their option space is filtered
-	// differently (see spaceFor), so a count request and a heatmap request
-	// over the same SQL shape must not share a context. Viz kinds keep the
-	// original key format — their space is identical to the server's whenever
-	// it holds no sketch rules, which preserves every pre-tier key byte.
+	// Trace.SQL stays the pure signature. Every viz kind of one SQL shape
+	// shares the context: the kind only decides how the rows are folded.
 	p.sig = q.SQL(engine.Hint{})
-	class := ""
-	switch kind {
-	case VizCount:
-		class = "#count\x00"
-	case VizDistinct:
-		class = "#distinct\x00"
-	}
-	entry, hit, err := s.plans.get(planCacheKey(version, class, p.sig), func() (*core.QueryContext, error) {
-		ccfg := core.DefaultContextConfig(s.spaceFor(kind))
+	entry, hit, err := s.plans.get(planCacheKey(version, p.sig), func() (*core.QueryContext, error) {
+		ccfg := core.DefaultContextConfig(s.Space)
 		ccfg.Lookups = s.lookups
 		ctx, counter, err := core.BuildContextRows(s.DS.DB, q, ccfg)
 		p.counter = counter
@@ -622,14 +576,10 @@ func (s *Server) plan(req Request, count bool) (planned, error) {
 	p.rkey = ResultKey{
 		SQL: p.rq.SQL(p.hint), Kind: kind, GridW: gw, GridH: gh,
 		Region: s.regionOrExtent(req), Budget: p.budget, DataVersion: version,
-		Approx: approxTag(p.rq),
 	}
 	// The subsumption family: everything the key pins except the
 	// region/grid geometry. Time bounds collapse to the same instants the
 	// query predicate uses, so two spellings of one window share a family.
-	// The approximation tag keeps fidelity classes apart even here — an
-	// approximate cached result must never look like a containment candidate
-	// for an exact request (or vice versa).
 	p.fam = famKey{
 		keyword: req.Keyword,
 		fromMs:  req.From.UnixMilli(),
@@ -637,65 +587,8 @@ func (s *Server) plan(req Request, count bool) (planned, error) {
 		kind:    kind,
 		budget:  p.budget,
 		version: version,
-		approx:  p.rkey.Approx,
 	}
 	return p, nil
-}
-
-// spaceFor filters the server's rewrite-option space to the rules that can
-// answer a given visualization kind: grid/point kinds need row-producing
-// options (sketch aggregates return no points), counts need count-unbiased
-// options (LIMIT truncates, HLL answers a different aggregate), and distinct
-// requests can only be approximated by HLL. Exact hint options always stay.
-func (s *Server) spaceFor(kind VizKind) core.SpaceSpec {
-	sp := s.Space
-	if len(sp.ApproxRules) == 0 {
-		return sp
-	}
-	keep := func(k core.ApproxKind) bool {
-		switch kind {
-		case VizCount:
-			return k != core.ApproxLimit && k != core.ApproxHLL
-		case VizDistinct:
-			return k == core.ApproxHLL
-		default:
-			return k != core.ApproxCMS && k != core.ApproxHLL
-		}
-	}
-	filtered := sp.ApproxRules[:0:0]
-	for _, r := range sp.ApproxRules {
-		if keep(r.Kind) {
-			filtered = append(filtered, r)
-		}
-	}
-	sp.ApproxRules = filtered
-	return sp
-}
-
-// approxTag renders a rewritten query's approximation clause as the cache
-// key's fidelity fingerprint: empty for exact queries, else a short
-// (method, parameters, seed) tag. The rewritten SQL already differs per
-// option, but the tag is what lets every cache layer — result cache,
-// subsumption, cluster peer fetch — refuse cross-fidelity answers without
-// parsing SQL.
-func approxTag(rq *engine.Query) string {
-	switch rq.Approx.Method {
-	case engine.ApproxRows:
-		return fmt.Sprintf("rows:%g:%d", rq.Approx.Rate, rq.Approx.Seed)
-	case engine.ApproxReservoir:
-		return fmt.Sprintf("res:%d:%d", rq.Approx.K, rq.Approx.Seed)
-	case engine.ApproxSketchCount:
-		return "cms"
-	case engine.ApproxSketchDistinct:
-		return "hll"
-	}
-	switch {
-	case rq.SamplePercent > 0:
-		return fmt.Sprintf("sample:%d", rq.SamplePercent)
-	case rq.Limit > 0:
-		return fmt.Sprintf("limit:%d", rq.Limit)
-	}
-	return ""
 }
 
 // ResultKeyFor resolves a request to the result-cache key the serving path
@@ -821,7 +714,7 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 	// The miss that built the plan serves an exact option from the rows its
 	// build already counted; every other miss executes the plan.
 	var res *engine.Result
-	if p.counter != nil && rkey.Approx == "" {
+	if p.counter != nil {
 		if ctx.Err() != nil {
 			return nil, false, s.canceled(ctx) // as the executor's first yield would
 		}
@@ -840,28 +733,15 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 	case VizScatter:
 		resp.Points = res.Points
 	case VizCount:
-		v := res.AggValue
-		if !res.HasAgg {
-			// Exact and row-level-sampled paths: the (possibly scaled)
-			// matched-row estimate. Reservoirs report matched/K · K ==
-			// the exact matched count.
-			v = res.Weight * float64(len(res.RowIDs))
-			if res.MatchedRows > 0 {
-				v = float64(res.MatchedRows)
-			}
-		}
+		v := float64(len(res.RowIDs))
 		resp.Value = &v
 	case VizDistinct:
-		v := res.AggValue
-		if !res.HasAgg {
-			v = float64(engine.DistinctWordsExact(s.table, res.RowIDs, s.textCol))
-		}
+		v := float64(engine.DistinctWordsExact(s.table, res.RowIDs, s.textCol))
 		resp.Value = &v
 	default:
 		grid := viz.NewGrid(rkey.Region, rkey.GridW, rkey.GridH)
 		resp.Bins = grid.Counts(res.Points, res.Weight)
 	}
-	annotateApprox(resp, p, res)
 	s.putResult(p, resp, prefetch)
 	if prefetch {
 		s.metrics.prefetchComputed.Add(1)
@@ -905,52 +785,6 @@ func (s *Server) noteOutcome(resp *Response) {
 	if !resp.Trace.Viable {
 		s.metrics.budgetViolations.Add(1)
 	}
-	if resp.Approximate {
-		s.metrics.approxServed.Add(1)
-	}
-}
-
-// annotateApprox stamps an executed response with its approximation
-// contract. Exact executions (empty fingerprint) are left untouched, so
-// their encoded bytes cannot change.
-func annotateApprox(resp *Response, p planned, res *engine.Result) {
-	if p.rkey.Approx == "" {
-		return
-	}
-	resp.Approximate = true
-	meta := &ApproxMeta{Fingerprint: p.rkey.Approx}
-	switch p.rq.Approx.Method {
-	case engine.ApproxRows:
-		meta.Method = "rows"
-		meta.Bound = "two-sided"
-		meta.Confidence = 0.95
-		meta.CIHalfWidth = engine.SampleCountCI(res.SampledRows, p.rq.Approx.Rate, 1.96)
-	case engine.ApproxReservoir:
-		// The matched count is exact; only per-cell values are scaled.
-		meta.Method = "reservoir"
-		meta.Bound = "exact-count"
-	case engine.ApproxSketchCount:
-		meta.Method = "cms"
-		meta.Bound = "overestimate"
-		meta.CIHalfWidth = res.AggBound
-	case engine.ApproxSketchDistinct:
-		meta.Method = "hll"
-		meta.Bound = "two-sided"
-		meta.Confidence = 0.95
-		meta.CIHalfWidth = res.AggBound
-	default:
-		switch {
-		case p.rq.SamplePercent > 0:
-			meta.Method = "sample"
-			meta.Bound = "two-sided"
-			meta.Confidence = 0.95
-			meta.CIHalfWidth = engine.SampleCountCI(len(res.RowIDs), float64(p.rq.SamplePercent)/100, 1.96)
-		case p.rq.Limit > 0:
-			meta.Method = "limit"
-			meta.Bound = "truncation"
-		}
-	}
-	resp.Approx = meta
 }
 
 func (s *Server) regionOrExtent(req Request) engine.Rect {

@@ -10,11 +10,11 @@ import (
 )
 
 // planCacheKey is the plan-cache key of a query shape at one data version:
-// "v<version>\x00<class><signature>". The version prefix retires every
+// "v<version>\x00<signature>". The version prefix retires every
 // pre-flush context at a flush without touching the cache; planKeyVersion
 // reads it back so the flush hook can reclaim what the prefix orphaned.
-func planCacheKey(version uint64, class, sig string) string {
-	return "v" + strconv.FormatUint(version, 10) + "\x00" + class + sig
+func planCacheKey(version uint64, sig string) string {
+	return "v" + strconv.FormatUint(version, 10) + "\x00" + sig
 }
 
 // planKeyVersion is planCacheKey's inverse for the version field; ok is

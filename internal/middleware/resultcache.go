@@ -33,13 +33,6 @@ type ResultKey struct {
 	// stop being addressed. See docs/ARCHITECTURE.md, "Data versions &
 	// staleness".
 	DataVersion uint64 `json:"data_version"`
-	// Approx is the fidelity fingerprint of the rewrite option that produced
-	// the result: empty for exact answers, else a (method, parameters, seed)
-	// tag (see approxTag). It keeps approximate entries from ever being
-	// addressed by exact requests — the rewritten SQL already differs, but
-	// the explicit tag lets subsumption and the cluster peer protocol refuse
-	// cross-fidelity traffic without parsing SQL.
-	Approx string `json:"approx,omitempty"`
 }
 
 // Hash places a result key on internal/cluster's replica hash ring: the
@@ -55,13 +48,7 @@ func (k ResultKey) Hash() uint64 {
 	h = fnvMix(h, math.Float64bits(k.Region.MaxLon))
 	h = fnvMix(h, math.Float64bits(k.Region.MaxLat))
 	h = fnvMix(h, math.Float64bits(k.Budget))
-	h = fnvMix(h, k.DataVersion)
-	if k.Approx != "" {
-		// Mixed only when set, so every exact key hashes — and routes —
-		// exactly as it did before the approximate tier existed.
-		h = fnvMix(h, fnv64(k.Approx))
-	}
-	return h
+	return fnvMix(h, k.DataVersion)
 }
 
 // fnv64 is 64-bit FNV-1a of a string.

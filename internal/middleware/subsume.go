@@ -46,14 +46,6 @@ type famKey struct {
 	kind    VizKind
 	budget  float64
 	version uint64
-	// approx separates fidelity classes: an approximate result must never be
-	// a containment candidate for an exact request, and vice versa. Beyond
-	// the family split, containment answering is gated to exact requests
-	// entirely (see subsumeFromCache): a Bernoulli sample's seed
-	// derives from the query fingerprint, which embeds the region predicate,
-	// so a parent's sampled rows restricted to a sub-region are NOT the
-	// sub-request's sample — slicing would not be byte-identical.
-	approx string
 }
 
 // alignEps is the lattice-alignment tolerance, measured in cells. Real
@@ -303,7 +295,7 @@ func (s *Server) notePrefetchHit(key ResultKey) {
 // sliced response is cached under the sub-request's own key (a normal,
 // version-stamped entry) so repeats are exact hits.
 func (s *Server) subsumeFromCache(p planned, prefetch bool) *Response {
-	if s.regions == nil || p.rkey.Kind != VizHeatmap || p.rkey.Approx != "" {
+	if s.regions == nil || p.rkey.Kind != VizHeatmap {
 		return nil
 	}
 	for _, e := range s.regions.candidates(p.fam) {
@@ -336,7 +328,7 @@ func (s *Server) subsumeFromCache(p planned, prefetch bool) *Response {
 // marked so their first live consumer counts as a prefetch hit.
 func (s *Server) putResult(p planned, resp *Response, prefetch bool) {
 	s.results.Put(p.rkey, resp)
-	if s.regions != nil && p.rkey.Kind == VizHeatmap && p.rkey.Approx == "" {
+	if s.regions != nil && p.rkey.Kind == VizHeatmap {
 		s.regions.add(p.fam, regionEntry{key: p.rkey, region: p.rkey.Region, gw: p.rkey.GridW, gh: p.rkey.GridH})
 	}
 	if prefetch {

@@ -255,3 +255,48 @@ func TestRegionIndexEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestCoarserGridNotSubsumed is the regression pin for the subsumption
+// alignment contract: a cached finer-celled parent must never answer a
+// coarser-celled request over the same region (aggregating 2×2 parent cells
+// would re-sum floats in an order direct execution never uses), and a
+// finer-celled request must not be answered either. Both must execute and
+// match direct execution byte for byte.
+func TestCoarserGridNotSubsumed(t *testing.T) {
+	subject, reference := subsumeServers(t)
+	ext := subject.DS.Extent
+	parent := Request{
+		Keyword: "word0003",
+		From:    time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC),
+		To:      time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC),
+		Region:  ext, Kind: VizHeatmap, GridW: 32, GridH: 16, BudgetMs: 500,
+	}
+	if _, err := subject.Handle(parent); err != nil {
+		t.Fatal(err)
+	}
+
+	before := subject.Metrics().Snapshot().SubsumedHits
+	for _, grid := range []struct{ w, h int }{
+		{16, 8},  // coarser cells, same region: boundaries align, sizes don't
+		{64, 32}, // finer cells, same region
+	} {
+		sub := parent
+		sub.GridW, sub.GridH = grid.w, grid.h
+		got, err := subject.Handle(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := reference.Handle(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, _ := json.Marshal(got)
+		wb, _ := json.Marshal(want)
+		if string(gb) != string(wb) {
+			t.Fatalf("%dx%d regrid diverged from direct execution\ngot:  %s\nwant: %s", grid.w, grid.h, gb, wb)
+		}
+	}
+	if hits := subject.Metrics().Snapshot().SubsumedHits - before; hits != 0 {
+		t.Fatalf("a regridded request was answered by slicing a different-cell-size parent (%d subsumed hits)", hits)
+	}
+}

@@ -190,13 +190,6 @@ func Twitter(cfg Config) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	// Summary sketches for the approximate tier (Count-Min keyword counts,
-	// HyperLogLog distinct words, weekly buckets). Built here — not at
-	// server construction — because datasets are shared immutably across
-	// replicas; ingest maintains the sketch incrementally afterwards.
-	if _, err := t.BuildSketch("text", "created_at", 0); err != nil {
-		return nil, err
-	}
 	if err := db.AddTable(t); err != nil {
 		return nil, err
 	}

@@ -6,7 +6,9 @@
 #   1. README.md references docs/ARCHITECTURE.md (the architecture doc must
 #      stay discoverable, not just exist).
 #   2. Every relative markdown link in README.md and docs/*.md points at a
-#      file that exists.
+#      file that exists, and its #anchor, if any, names a heading of the
+#      markdown file it points at (the linking file itself for a bare
+#      #anchor).
 #   3. Every internal/ package ships a doc.go package overview.
 #   4. Every maliva-server flag README.md and docs/*.md name is one
 #      `go run ./cmd/maliva-server -h` prints. A flag is named after
@@ -28,20 +30,53 @@ if ! grep -q 'docs/ARCHITECTURE\.md' README.md; then
   fail=1
 fi
 
-# Relative markdown links: [text](path) where path is not a URL or anchor.
+# slugs prints the anchor GitHub gives each heading of a markdown file: the
+# heading text lowercased, every character but letters, digits, spaces,
+# hyphens and underscores dropped, spaces turned into hyphens, and -1, -2, …
+# appended to repeats. Headings inside fenced code blocks are not headings.
+slugs() {
+  awk '
+    /^```/ { fence = !fence; next }
+    fence || !/^#+[ \t]/ { next }
+    {
+      s = $0
+      sub(/^#+[ \t]+/, "", s)
+      sub(/[ \t]+$/, "", s)
+      s = tolower(s)
+      gsub(/[^a-z0-9 _-]/, "", s)
+      gsub(/ /, "-", s)
+      if (s in seen) print s "-" seen[s]++
+      else { seen[s] = 1; print s }
+    }' "$1"
+}
+
+# Relative markdown links: [text](path#anchor) where path is not a URL.
 check_links() {
   local file="$1" dir
   dir=$(dirname "$file")
-  # One link per line; strip anchors; ignore absolute URLs. (grep exits 1
-  # on link-free files — that is a pass, not a failure.)
-  { grep -oE '\]\(([^)#]+)(#[^)]*)?\)' "$file" || true; } \
-    | sed -E 's/^\]\(//; s/#[^)]*//; s/\)$//' \
-    | while read -r target; do
+  # One link per line, split into path and anchor; ignore absolute URLs.
+  # (grep exits 1 on link-free files — that is a pass, not a failure.)
+  { grep -oE '\]\(([^)#]*)(#[^)]*)?\)' "$file" || true; } \
+    | sed -E 's/^\]\(//; s/\)$//' \
+    | while IFS='#' read -r target anchor; do
         case "$target" in
-          http://*|https://*|mailto:*|"") continue ;;
+          http://*|https://*|mailto:*) continue ;;
         esac
-        if [ ! -e "$dir/$target" ] && [ ! -e "$target" ]; then
-          echo "$file: broken relative link: $target" >&2
+        path=$file
+        if [ -n "$target" ]; then
+          if [ -e "$dir/$target" ]; then
+            path=$dir/$target
+          elif [ -e "$target" ]; then
+            path=$target
+          else
+            echo "$file: broken relative link: $target" >&2
+            echo broken >> "$BROKEN_MARKER"
+            continue
+          fi
+        fi
+        case "$path" in *.md) ;; *) continue ;; esac
+        if [ -n "$anchor" ] && ! slugs "$path" | grep -qxF -e "$anchor"; then
+          echo "$file: link anchor #$anchor names no heading of $path" >&2
           echo broken >> "$BROKEN_MARKER"
         fi
       done
