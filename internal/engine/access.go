@@ -31,8 +31,7 @@ func sortByLen[T any](xs []T, length func(T) int) {
 // accumulator, swept into a scratch buffer when it is a bitmap; every later
 // list is merged into it (an array) or probed (a bitmap), ping-ponging between
 // the two scratch buffers so no intersection allocates. It reorders lists.
-// yield, when non-nil, runs after every pairwise step.
-func intersectLists(lists []Posting, bufA, bufB *[]uint32, yield func()) (acc []uint32, ops int) {
+func intersectLists(lists []Posting, bufA, bufB *[]uint32) (acc []uint32, ops int) {
 	sortByLen(lists, Posting.Len)
 	acc = lists[0].ids
 	if lists[0].bits != nil {
@@ -50,9 +49,6 @@ func intersectLists(lists []Posting, bufA, bufB *[]uint32, yield func()) (acc []
 		acc = *buf
 		useA = !useA
 		ops += work
-		if yield != nil {
-			yield()
-		}
 	}
 	return acc, ops
 }

@@ -1,36 +1,12 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
 	"sync"
 )
-
-// ErrExecCanceled is the error a canceled execution returns. A yield hook
-// cancels by calling AbortExec; the executor unwinds at the next stride
-// boundary, returns its pooled context, and reports this error (or the cause
-// passed to AbortExec).
-var ErrExecCanceled = errors.New("engine: execution canceled")
-
-// execAbort carries the cancellation cause through the panic-based unwind
-// from a yield hook back to RunCachedYield's recover. Using a private type
-// keeps genuine panics propagating unchanged.
-type execAbort struct{ err error }
-
-// AbortExec aborts the execution whose yield hook is currently running. It
-// must only be called from inside a yield hook passed to RunCachedYield; the
-// serving layer's cancellation check (client disconnected, deadline blown)
-// piggybacks on the existing yield stride this way, so the hot path pays
-// nothing new. A nil err reports ErrExecCanceled.
-func AbortExec(err error) {
-	if err == nil {
-		err = ErrExecCanceled
-	}
-	panic(execAbort{err: err})
-}
 
 // Result holds the rows produced by a query execution. Row ids always refer
 // to the *base* table (sample-table hits are translated back), so results of
@@ -60,13 +36,6 @@ type execContext struct {
 	// per emitted row.
 	baseRows []int64 // sample → base row translation (nil for base tables)
 	points   []Point // projected/binned point column (nil when none)
-
-	// yield, when non-nil, is called every yieldStride rows of scan/probe
-	// work so a low-priority execution (speculative prefetch) can hand the
-	// processor back between chunks instead of holding it for a full
-	// scheduler quantum.
-	yield     func()
-	yieldTick int
 
 	// Scratch buffers reused across executions via ecPool.
 	lists []Posting
@@ -109,28 +78,7 @@ func getExecContext() *execContext {
 	ec.limit = 0
 	ec.baseRows = nil
 	ec.points = nil
-	ec.yield = nil
-	ec.yieldTick = 0
 	return ec
-}
-
-// yieldStride is how many rows of scan/probe work run between yield calls.
-// At typical per-row costs this bounds a background execution's contiguous
-// hold on a processor to well under a millisecond.
-const yieldStride = 4096
-
-// maybeYield ticks the row counter and invokes the yield hook on stride
-// boundaries. The nil check is a predictable branch; foreground executions
-// (yield == nil) pay essentially nothing.
-func (ec *execContext) maybeYield() {
-	if ec.yield == nil {
-		return
-	}
-	ec.yieldTick++
-	if ec.yieldTick >= yieldStride {
-		ec.yieldTick = 0
-		ec.yield()
-	}
 }
 
 // putExecContext returns a context to the pool. Scratch buffers are kept;
@@ -140,7 +88,6 @@ func putExecContext(ec *execContext) {
 	ec.res = nil
 	ec.baseRows = nil
 	ec.points = nil
-	ec.yield = nil
 	clear(ec.lists)
 	ec.lists = ec.lists[:0]
 	clear(ec.preds)
@@ -167,18 +114,6 @@ func (db *DB) Run(q *Query, h Hint) (*Result, ExecStats, error) {
 // for identical predicates are memoized instead of re-scanned. A nil cache
 // disables memoization. The cache is safe for concurrent use.
 func (db *DB) RunCached(q *Query, h Hint, cache *LookupCache) (*Result, ExecStats, error) {
-	return db.RunCachedYield(q, h, cache, nil)
-}
-
-// RunCachedYield is RunCached with an optional hook, called every few
-// thousand rows of scan/probe work. A nil yield is exactly RunCached.
-//
-// The hook exists for cancellation: it may call AbortExec (the serving layer
-// does this when a live request's client has disconnected), and the
-// executor then unwinds at the stride boundary, recycles its context, and
-// returns the abort cause — a cooperative cancel with zero cost on the
-// non-canceled path.
-func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func()) (res *Result, stats ExecStats, err error) {
 	t, err := db.resolveTable(q)
 	if err != nil {
 		return nil, ExecStats{}, err
@@ -197,21 +132,10 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 		weight = 100.0 / float64(q.SamplePercent)
 	}
 	ec := getExecContext()
-	defer func() {
-		if r := recover(); r != nil {
-			ab, ok := r.(execAbort)
-			if !ok {
-				panic(r)
-			}
-			putExecContext(ec)
-			res, stats, err = nil, ExecStats{}, ab.err
-		}
-	}()
 	ec.db = db
 	ec.q = q
 	ec.t = t
 	ec.cache = cache
-	ec.yield = yield
 	ec.res = &Result{Weight: weight}
 	ec.limit = q.Limit
 	if q.Bin != nil {
@@ -235,7 +159,7 @@ func (db *DB) RunCachedYield(q *Query, h Hint, cache *LookupCache, yield func())
 	}
 	ec.stats.RowsOutput = len(ec.res.RowIDs)
 	db.price(&ec.stats, t, q, positions, join)
-	res, stats = ec.res, ec.stats
+	res, stats := ec.res, ec.stats
 	putExecContext(ec)
 	return res, stats, nil
 }
@@ -360,11 +284,8 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 		ec.stats.IndexEntries += entries
 		ec.lists = append(ec.lists, rows)
 		usedMask |= 1 << uint(pos)
-		if ec.yield != nil {
-			ec.yield() // index scans are the longest unchunkable phase
-		}
 	}
-	acc, ops := intersectLists(ec.lists, &ec.accA, &ec.accB, ec.yield)
+	acc, ops := intersectLists(ec.lists, &ec.accA, &ec.accB)
 	ec.stats.IntersectOps += ops
 	// Residual predicates keep query order: PredEvals counts how far the
 	// short-circuit got.
@@ -380,7 +301,6 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 	sizes := append(ec.sizes[:0], make([]int, len(residual)+1)...)
 	out := ec.cand[:0]
 	for _, r := range acc {
-		ec.maybeYield()
 		sizes[0]++
 		ok := true
 		for i := range residual {
@@ -413,7 +333,6 @@ func (ec *execContext) seqScan(earlyLimit int) []uint32 {
 	preds := ec.preds
 	out := ec.cand[:0]
 	for r := 0; r < t.Rows; r++ {
-		ec.maybeYield()
 		ec.stats.RowsScanned++
 		if evalAll(preds, uint32(r)) {
 			out = append(out, uint32(r))
@@ -451,7 +370,6 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		ec.cur.Reset(ix.btree)
 		ec.jpreds = bindPreds(ec.jpreds[:0], inner, q.Join.Preds, false)
 		for _, lr := range candidates {
-			ec.maybeYield()
 			ec.stats.NestProbes++
 			if ec.probeInner(leftKeys.NumericAt(lr), lr) {
 				if ec.limitReached() {
@@ -473,7 +391,6 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		innerKeys := inner.Col(q.Join.RightCol)
 		ec.jpreds = bindPreds(ec.jpreds[:0], inner, q.Join.Preds, true) // row-charged scan, like seqScan
 		for r := 0; r < inner.Rows; r++ {
-			ec.maybeYield()
 			ec.stats.RowsScanned++
 			if evalAll(ec.jpreds, uint32(r)) {
 				ec.stats.HashBuilds++
@@ -523,7 +440,6 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		ec.cur.Reset(ix.btree)
 		ec.jpreds = bindPreds(ec.jpreds[:0], inner, q.Join.Preds, false)
 		for _, l := range left {
-			ec.maybeYield()
 			if ec.probeInner(l.key, l.row) {
 				if ec.limitReached() {
 					return nil
@@ -575,7 +491,6 @@ func (ec *execContext) probeInner(key float64, leftRow uint32) bool {
 // emitAll emits every candidate row (no join), honoring the LIMIT.
 func (ec *execContext) emitAll(candidates []uint32) {
 	for _, r := range candidates {
-		ec.maybeYield()
 		ec.emit(r)
 		if ec.limitReached() {
 			return

@@ -1,8 +1,8 @@
 // Package middleware implements the paper's Fig. 5 architecture: a
 // visualization middleware that translates frontend requests into SQL
 // queries, rewrites them with the MDP-based Query Rewriter so the total
-// response time stays within a budget, executes them on the backend
-// engine, and returns binned visualization results.
+// response time stays within a budget, answers them from the backend
+// engine's posting lists, and returns binned visualization results.
 //
 // # The serving stack
 //

@@ -11,6 +11,11 @@ import (
 // else is a 500. Test with errors.Is(err, ErrBadRequest).
 var ErrBadRequest = errors.New("bad request")
 
+// ErrCanceled is the error a result-cache miss returns when its request's
+// context is done before the answer is computed (the client went away). The
+// HTTP handler maps it to 499 and counts it in exec_canceled_total.
+var ErrCanceled = errors.New("middleware: request canceled")
+
 // requestError is an error that errors.Is-matches ErrBadRequest while
 // keeping a clean message.
 type requestError struct{ msg string }

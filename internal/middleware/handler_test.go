@@ -385,18 +385,23 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCountedServingMatchesExecution: the miss that builds a plan serves the
-// exact option it chose from the rows the build counted (engine.Counter); a
-// request whose plan is already cached executes the chosen plan. Both give
-// byte-identical responses for every viz kind, on empty, small and large
-// answers.
+// TestCountedServingMatchesExecution: every result-cache miss serves the
+// exact option it chose from posting-list counts (engine.Counter) — the build's
+// Counter on the miss that builds the plan, a fresh one on a plan-cache hit.
+// Both give responses byte-identical to folding the executor's rows for the
+// chosen plan, for every viz kind, on empty, small and large answers.
 func TestCountedServingMatchesExecution(t *testing.T) {
-	executed := testServer(t)
-	counted, err := NewServerWithConfig(executed.DS, core.OracleRewriter{}, core.HintOnlySpec(),
-		ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
+	ds := testServer(t).DS
+	newServer := func(planCache int) *Server {
+		t.Helper()
+		s, err := NewServerWithConfig(ds, core.OracleRewriter{}, core.HintOnlySpec(),
+			ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: planCache, ResultCacheSize: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	built, hit := newServer(-1), newServer(0)
 	resolve := func(s *Server, req Request) planned {
 		t.Helper()
 		s.DS.DB.RLockData()
@@ -420,36 +425,47 @@ func TestCountedServingMatchesExecution(t *testing.T) {
 	for _, kind := range []VizKind{VizHeatmap, VizScatter, VizCount, VizDistinct} {
 		for i, req := range []Request{validRequest(), wide, small, none} {
 			req.Kind = kind
-			// Without a plan cache every request builds its plan, so it counts.
-			if p := resolve(counted, req); p.counter == nil {
-				t.Fatalf("%s request %d: not served from the build's count", kind, i)
+			// The reference: the executor runs the chosen plan.
+			p := resolve(built, req)
+			if p.counter == nil {
+				t.Fatalf("%s request %d: the plan build holds no count", kind, i)
 			}
-			got, _, err := counted.handle(context.Background(), req, false)
+			res, _, err := ds.DB.Run(p.rq, p.hint)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := executed.ResultKeyFor(req); err != nil {
+			want, _ := json.Marshal(built.fold(p, res))
+
+			// Without a plan cache every request builds its plan.
+			gotBuilt, _, err := built.handle(context.Background(), req, false)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if p := resolve(executed, req); p.counter != nil {
+			// The first resolution fills the plan cache; the second, and the
+			// request after it, hit it.
+			resolve(hit, req)
+			if p := resolve(hit, req); p.counter != nil {
 				t.Fatalf("%s request %d: a plan-cache hit holds a count", kind, i)
 			}
-			want, _, err := executed.handle(context.Background(), req, false)
+			gotHit, _, err := hit.handle(context.Background(), req, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotB, _ := json.Marshal(got)
-			wantB, _ := json.Marshal(want)
-			if !bytes.Equal(gotB, wantB) {
-				t.Errorf("%s request %d: counted response differs from the executed one\ncounted  %s\nexecuted %s", kind, i, gotB, wantB)
+			for name, got := range map[string]*Response{"plan build": gotBuilt, "plan hit": gotHit} {
+				if b, _ := json.Marshal(got); !bytes.Equal(b, want) {
+					t.Errorf("%s request %d, %s: counted response differs from the executed one\ncounted  %s\nexecuted %s", kind, i, name, b, want)
+				}
 			}
-			if len(got.Bins) > 0 || len(got.Points) > 0 || got.Value != nil && *got.Value > 0 {
+			if len(gotHit.Bins) > 0 || len(gotHit.Points) > 0 || gotHit.Value != nil && *gotHit.Value > 0 {
 				nonEmpty++
 			}
 		}
 	}
 	if nonEmpty == 0 {
 		t.Fatal("every answer was empty: the comparison exercised nothing")
+	}
+	if got := hit.metrics.planHits.Load(); got != 16 {
+		t.Fatalf("plan-cache hits served = %d, want 16", got)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"regexp"
 	"strconv"
 	"time"
-
-	"github.com/maliva/maliva/internal/engine"
 )
 
 // statusClientClosedRequest is the nginx-convention status for requests
@@ -138,7 +136,7 @@ func writeQueueDepth(w io.Writer, live int) {
 	fmt.Fprintf(w, "maliva_admission_queue_depth{lane=\"live\"} %d\n", live)
 }
 
-// serveViz decodes, admits, executes, and encodes one /viz request.
+// serveViz decodes, admits, serves, and encodes one /viz request.
 func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Add(1)
 	if s.Draining() {
@@ -192,7 +190,7 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrBadRequest):
 			s.metrics.clientErr.Add(1)
 			http.Error(w, err.Error(), http.StatusBadRequest)
-		case errors.Is(err, engine.ErrExecCanceled):
+		case errors.Is(err, ErrCanceled):
 			// The client is gone; the status code is for the access log only
 			// (nginx's 499 convention). Not a server error — nothing failed.
 			http.Error(w, err.Error(), statusClientClosedRequest)

@@ -289,6 +289,53 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
+// TestRejectedIngestLeavesVocabulary: an /ingest body rejected for a bad
+// cell interns none of its words. A keyword only that body carried stays
+// unknown, so /viz for it is still a 400, and the vocabulary a WAL replay of
+// the accepted batches rebuilds is the one the server serves from.
+func TestRejectedIngestLeavesVocabulary(t *testing.T) {
+	s := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const word = "zzrejectedword"
+	vocab := s.table.Vocab
+	words := vocab.Len()
+
+	stream, err := workload.NewIngestStream(s.DS, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := stream.Next(1)[0]
+	row["text"] = word
+	delete(row, "coordinates") // converted after the text column
+	body, _ := json.Marshal(map[string]any{"rows": []any{row}, "sync": true})
+	resp, err := http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("ingest without coordinates: status %d, want 400", resp.StatusCode)
+	}
+	if id := vocab.ID(word); id != 0 || vocab.Len() != words {
+		t.Fatalf("rejected ingest interned %q as id %d (vocabulary %d → %d words)", word, id, words, vocab.Len())
+	}
+
+	body, _ = json.Marshal(map[string]any{
+		"keyword": word,
+		"min_lon": workload.USExtent.MinLon, "min_lat": workload.USExtent.MinLat,
+		"max_lon": workload.USExtent.MaxLon, "max_lat": workload.USExtent.MaxLat,
+	})
+	resp, err = http.Post(ts.URL+"/viz", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/viz for the rejected word: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestResultCachePutSweepsExpiredGhosts pins the ghost-entry fix: put
 // reclaims expired entries from the LRU tail instead of letting a churning
 // (e.g. version-keyed) key population pin dead responses until capacity

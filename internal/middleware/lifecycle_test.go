@@ -14,7 +14,6 @@ import (
 	"weak"
 
 	"github.com/maliva/maliva/internal/core"
-	"github.com/maliva/maliva/internal/engine"
 	"github.com/maliva/maliva/internal/workload"
 )
 
@@ -324,31 +323,50 @@ func TestClosedServerIsCollected(t *testing.T) {
 	runtime.KeepAlive(ds) // the dataset outlives the server
 }
 
-// TestCancelAbortsExecution: a dead request context aborts the engine
-// execution at its first yield — the error is ErrExecCanceled and the
-// counter records it. A live context on the same shape still serves.
+// TestCancelAbortsExecution: a dead request context stops a result-cache
+// miss before it counts — the error is ErrCanceled and the counter records
+// it — whether the miss builds its plan or finds it in the plan cache. A live
+// context on the same shape still serves.
 func TestCancelAbortsExecution(t *testing.T) {
 	s := testServer(t)
+	hitServer, err := NewServerWithConfig(s.DS, core.OracleRewriter{}, core.HintOnlySpec(),
+		ServerConfig{DefaultBudgetMs: 500, ResultCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	req := validRequest()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // the client is already gone when execution starts
-	_, _, err := s.handle(ctx, req, false)
-	if !errors.Is(err, engine.ErrExecCanceled) {
-		t.Fatalf("err = %v, want ErrExecCanceled", err)
-	}
-	if got := s.metrics.execCanceled.Load(); got == 0 {
-		t.Fatal("execCanceled counter not incremented")
+	// Warm hitServer's plan cache; with no result cache the next request for
+	// the shape is a plan hit that misses the result cache.
+	if _, err := hitServer.ResultKeyFor(req); err != nil {
+		t.Fatal(err)
 	}
 
-	// Nothing was cached for the canceled request; a live retry executes and
-	// serves normally.
-	resp, cached, err := s.handle(context.Background(), req, false)
-	if err != nil || resp == nil {
-		t.Fatalf("retry after cancel: cached=%v err=%v", cached, err)
-	}
-	if len(resp.Bins) == 0 {
-		t.Fatal("retry served empty heatmap")
+	for _, tc := range []struct {
+		name string
+		s    *Server
+	}{{"plan build", s}, {"plan hit", hitServer}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // the client is already gone when the miss is served
+		_, _, err := tc.s.handle(ctx, req, false)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s: err = %v, want ErrCanceled", tc.name, err)
+		}
+		if got := tc.s.metrics.execCanceled.Load(); got == 0 {
+			t.Fatalf("%s: execCanceled counter not incremented", tc.name)
+		}
+		if got := tc.s.metrics.planHits.Load(); (got > 0) != (tc.s == hitServer) {
+			t.Fatalf("%s: %d plan-cache hits", tc.name, got)
+		}
+
+		// Nothing was cached for the canceled request; a live retry serves
+		// normally.
+		resp, cached, err := tc.s.handle(context.Background(), req, false)
+		if err != nil || resp == nil {
+			t.Fatalf("%s: retry after cancel: cached=%v err=%v", tc.name, cached, err)
+		}
+		if len(resp.Bins) == 0 {
+			t.Fatalf("%s: retry served empty heatmap", tc.name)
+		}
 	}
 }
 

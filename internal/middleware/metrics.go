@@ -104,7 +104,7 @@ type Metrics struct {
 
 	prefetchIssued   atomic.Int64 // speculative requests offered to admission
 	prefetchShed     atomic.Int64 // prefetches dropped by admission (no idle capacity)
-	prefetchComputed atomic.Int64 // prefetches that executed (cache warmed)
+	prefetchComputed atomic.Int64 // prefetches that computed and stored an answer (cache warmed)
 	prefetchHits     atomic.Int64 // live requests served from a prefetched entry
 
 	budgetViolations atomic.Int64 // served responses with Trace.Viable == false
@@ -112,7 +112,7 @@ type Metrics struct {
 	ingestRows    atomic.Int64 // rows accepted by the write path
 	ingestFlushes atomic.Int64 // applied ingest flushes (data-version bumps)
 
-	execCanceled  atomic.Int64 // executions aborted because the client went away
+	execCanceled  atomic.Int64 // misses abandoned before counting because the client went away
 	drainRejected atomic.Int64 // requests refused while draining or closed
 
 	// panics counts recovered handler/worker panics by handler name. Panics

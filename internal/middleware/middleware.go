@@ -177,12 +177,14 @@ type Server struct {
 	admit   *admission
 	metrics *Metrics
 	ingest  *engine.Ingestor
+	// ingestMu orders Ingest calls' vocabulary interning as their Adds.
+	ingestMu sync.Mutex
 	// unhookFlush removes the server's DB flush hook on Close, so a closed
 	// server is no longer reachable from a dataset that outlives it.
 	unhookFlush func()
 
 	// Session-aware serving state (nil when the result cache is disabled:
-	// with nothing to warm or share, every request simply executes).
+	// with nothing to warm or share, every request simply computes).
 	regions    *regionIndex   // containment index (nil: subsumption disabled)
 	prefetched *prefetchMarks // speculative keys awaiting their first live hit
 
@@ -216,7 +218,10 @@ func NewServer(ds *workload.Dataset, rw core.Rewriter, space core.SpaceSpec, def
 }
 
 // NewServerWithConfig is NewServer with explicit serving knobs. Serving is
-// exact-only: it fails if space holds any approximation rule.
+// exact-only: it fails if space holds any approximation rule. Every answer is
+// counted from its predicates' posting lists (engine.Counter), so it also
+// fails if the text, time or point filter column it resolves lacks the index
+// that serves its predicate: inverted, B-tree or R-tree.
 func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.SpaceSpec, cfg ServerConfig) (*Server, error) {
 	if n := len(space.ApproxRules); n > 0 {
 		return nil, fmt.Errorf("middleware: serving is exact-only, but the option space has %d approximation rules", n)
@@ -253,20 +258,25 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 		if !t.HasColumn(col) {
 			continue
 		}
+		var slot *string
+		var kind engine.IndexKind
 		switch t.Col(col).Type {
 		case engine.ColText:
-			if s.textCol == "" {
-				s.textCol = col
-			}
+			slot, kind = &s.textCol, engine.IndexInverted
 		case engine.ColTime:
-			if s.timeCol == "" {
-				s.timeCol = col
-			}
+			slot, kind = &s.timeCol, engine.IndexBTree
 		case engine.ColPoint:
-			if s.geoCol == "" {
-				s.geoCol = col
-			}
+			slot, kind = &s.geoCol, engine.IndexRTree
+		default:
+			continue
 		}
+		if *slot != "" {
+			continue
+		}
+		if ix := t.Index(col); ix == nil || ix.Kind != kind {
+			return nil, fmt.Errorf("middleware: dataset %q filter column %q has no %v index", ds.Name, col, kind)
+		}
+		*slot = col
 	}
 	if s.timeCol == "" && s.geoCol == "" {
 		return nil, fmt.Errorf("middleware: dataset %q has neither a time nor a point filter column", ds.Name)
@@ -295,11 +305,6 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 			return
 		}
 		s.lookups.InvalidateTable(table)
-		if t := ds.DB.Table(table); t != nil {
-			for _, sample := range t.Samples {
-				s.lookups.InvalidateTable(sample.Name)
-			}
-		}
 		s.plans.dropBelow(version)
 		if version > maxStaleProbes {
 			s.local.dropBelow(version - maxStaleProbes)
@@ -335,12 +340,19 @@ type IngestResult struct {
 // workload.RowsToBatch) through the adaptive batcher. sync forces a flush
 // before returning, so the rows are visible — and every cache layer is on
 // the new version — when the call returns.
+//
+// Conversion interns new words, and a WAL replay re-interns them in the order
+// the batches were applied. ingestMu keeps the two orders one: no other
+// Ingest interns between this call's conversion and its Add.
 func (s *Server) Ingest(rows []map[string]any, sync bool) (IngestResult, error) {
+	s.ingestMu.Lock()
 	b, err := workload.RowsToBatch(s.DS, rows)
 	if err != nil {
+		s.ingestMu.Unlock()
 		return IngestResult{}, badRequestf("bad ingest rows: %v", err)
 	}
 	flushed, err := s.ingest.Add(b)
+	s.ingestMu.Unlock()
 	if err != nil {
 		return IngestResult{}, badRequestf("ingest rejected: %v", err)
 	}
@@ -413,8 +425,8 @@ func (s *Server) BuildQuery(req Request) (*engine.Query, error) {
 }
 
 // Handle serves one request end to end: build SQL, rewrite under the
-// budget, execute the chosen rewritten query, bin the result — reusing
-// cached plans and results where possible.
+// budget, count the chosen rewritten query's rows from its predicates'
+// posting lists, bin them — reusing cached plans and results where possible.
 //
 // The returned Response may be shared with the result cache and with
 // concurrent requests for the same shape: treat it as immutable. (Disable
@@ -481,8 +493,8 @@ type planned struct {
 	rkey     ResultKey
 	fam      famKey
 	// counter is the engine.Counter of the context build this resolution
-	// ran, nil on a plan-cache hit or an uncountable shape: on the miss
-	// that built the plan, its Result is the answer of every exact option.
+	// ran, nil on a plan-cache hit: its Result is the answer of every exact
+	// option, so the miss that built the plan serves it.
 	counter *engine.Counter
 }
 
@@ -612,7 +624,7 @@ const maxStaleProbes = 8
 
 // responseShell builds a response with the planned request's own trace,
 // leaving Bins/Points for the caller. A sliced (subsumed) response and a
-// directly-executed one therefore carry identical traces: the plan runs for
+// directly-counted one therefore carry identical traces: the plan runs for
 // every request either way, and every trace field is a deterministic
 // function of (data version, shape, budget) — never of how the bins were
 // obtained.
@@ -637,21 +649,20 @@ func responseShell(p planned) *Response {
 }
 
 // handle is Handle plus a flag reporting whether the response came without
-// executing here (cache hit or subsumption slice — surfaced as the X-Cache
+// computing it here (cache hit or subsumption slice — surfaced as the X-Cache
 // header). prefetch marks the
 // speculative path: plan-cache and result-cache counters skip it, computed
 // entries are remembered so their first live consumer counts as a prefetch
 // hit, and staleness hints never apply (Server.Prefetch strips TTL).
 //
-// ctx is the request's cancellation scope: when it has a Done channel (the
-// HTTP path passes r.Context()), the execution checks it at every yield
-// stride and aborts once the client is gone — a disconnected pan/zoom burst
-// must not keep burning worker slots on answers nobody will read. Cache and
-// plan layers are unaffected; only the engine execution is cancelable.
+// ctx is the request's cancellation scope (the HTTP path passes
+// r.Context()): a result-cache miss checks it once, before it counts, and a
+// done context gets ErrCanceled instead of an answer nobody will read. Cache
+// hits and the plan are served regardless.
 //
-// The whole plan+probe+execute sequence runs under the DB's data read lock,
+// The whole plan+probe+count sequence runs under the DB's data read lock,
 // so it observes exactly one (data, version) pair: an ingest flush either
-// happens entirely before this request (which then plans, executes, and
+// happens entirely before this request (which then plans, counts, and
 // caches at the new version) or entirely after it. That lock is what turns
 // "version-stamped keys" into the stale-read guarantee.
 func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Response, bool, error) {
@@ -663,7 +674,7 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 	}
 
 	// Result cache: repeated (rewritten SQL, kind, grid, region, budget,
-	// version) shapes skip execution and binning entirely. In a cluster, Get
+	// version) shapes skip counting and binning entirely. In a cluster, Get
 	// may be answered by the key's owning replica's cache (internal/cluster).
 	rkey := p.rkey
 	if resp := s.results.Get(rkey); resp != nil {
@@ -675,7 +686,7 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 		return resp, true, nil
 	}
 	// Staleness-tolerance hint: probe bounded-recent versions before paying
-	// for execution. Strictly a wider lookup — a stale hit is served as-is
+	// for a count. Strictly a wider lookup — a stale hit is served as-is
 	// (its trace and bins are exactly the old version's answer) and nothing
 	// is ever stored under an old version's key. Subsumption never joins in
 	// here: containment candidates live at the current version only.
@@ -711,37 +722,20 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 		s.metrics.resultMisses.Add(1)
 	}
 
-	// The miss that built the plan serves an exact option from the rows its
-	// build already counted; every other miss executes the plan.
-	var res *engine.Result
-	if p.counter != nil {
-		if ctx.Err() != nil {
-			return nil, false, s.canceled(ctx) // as the executor's first yield would
-		}
-		res = p.counter.Result()
-	} else {
-		var yield func()
-		if ctx.Done() != nil {
-			yield = s.cancelYield(ctx)
-		}
-		if res, _, err = s.DS.DB.RunCachedYield(p.rq, p.hint, s.lookups, yield); err != nil {
-			return nil, false, err
+	// Every miss serves its exact option from the posting lists' intersection:
+	// the build's Counter when this miss built the plan, otherwise a fresh one
+	// over the shared lookup cache. NewServerWithConfig checked that every
+	// filter column has its index, so a shape that cannot be counted is a bug.
+	if ctx.Err() != nil {
+		return nil, false, s.canceled(ctx)
+	}
+	counter := p.counter
+	if counter == nil {
+		if counter = s.DS.DB.NewCounter(p.rq, s.lookups); counter == nil {
+			return nil, false, fmt.Errorf("middleware: %s cannot be counted", p.rkey.SQL)
 		}
 	}
-	resp := responseShell(p)
-	switch rkey.Kind {
-	case VizScatter:
-		resp.Points = res.Points
-	case VizCount:
-		v := float64(len(res.RowIDs))
-		resp.Value = &v
-	case VizDistinct:
-		v := float64(engine.DistinctWordsExact(s.table, res.RowIDs, s.textCol))
-		resp.Value = &v
-	default:
-		grid := viz.NewGrid(rkey.Region, rkey.GridW, rkey.GridH)
-		resp.Bins = grid.Counts(res.Points, res.Weight)
-	}
+	resp := s.fold(p, counter.Result())
 	s.putResult(p, resp, prefetch)
 	if prefetch {
 		s.metrics.prefetchComputed.Add(1)
@@ -751,29 +745,32 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 	return resp, false, nil
 }
 
-// cancelYield returns the live path's cooperative-cancellation hook: each
-// executor yield checks whether the request's context is done (client
-// disconnected, caller deadline blown) and aborts the zombie execution
-// instead of finishing an answer nobody will read. Virtual budgets
-// deliberately do not cancel — a blown budget still wants its (non-viable)
-// answer — so the only trigger is the context itself. When the hook never
-// fires, execution is byte-identical to an unhooked run (pinned by
-// TestCancelCheckYieldPreservesResults in the engine).
-func (s *Server) cancelYield(ctx context.Context) func() {
-	return func() {
-		select {
-		case <-ctx.Done():
-			engine.AbortExec(s.canceled(ctx))
-		default:
-		}
-	}
-}
-
-// canceled counts one execution abandoned because ctx is done and returns
-// the error that reports it.
+// canceled counts one miss abandoned because ctx is done and returns the
+// error that reports it. Virtual budgets never cancel — a blown budget still
+// wants its (non-viable) answer — so the only trigger is the context itself.
 func (s *Server) canceled(ctx context.Context) error {
 	s.metrics.execCanceled.Add(1)
-	return fmt.Errorf("%w: %v", engine.ErrExecCanceled, context.Cause(ctx))
+	return fmt.Errorf("%w: %v", ErrCanceled, context.Cause(ctx))
+}
+
+// fold builds p's response from the rows of its query: the points, the
+// count, the distinct words or the binned grid, as p's kind asks.
+func (s *Server) fold(p planned, res *engine.Result) *Response {
+	resp := responseShell(p)
+	switch p.rkey.Kind {
+	case VizScatter:
+		resp.Points = res.Points
+	case VizCount:
+		v := float64(len(res.RowIDs))
+		resp.Value = &v
+	case VizDistinct:
+		v := float64(engine.DistinctWordsExact(s.table, res.RowIDs, s.textCol))
+		resp.Value = &v
+	default:
+		grid := viz.NewGrid(p.rkey.Region, p.rkey.GridW, p.rkey.GridH)
+		resp.Bins = grid.Counts(res.Points, res.Weight)
+	}
+	return resp
 }
 
 // ResultCache exposes the server's (possibly wrapped) result cache for

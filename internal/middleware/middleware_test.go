@@ -44,6 +44,33 @@ func validRequest() Request {
 	}
 }
 
+// TestNewServerRejectsUnindexedFilterColumn: every served answer is counted
+// from its predicates' posting lists, so a filter column without its index
+// fails the constructor rather than the first request that filters on it.
+func TestNewServerRejectsUnindexedFilterColumn(t *testing.T) {
+	cfg := workload.TwitterConfig()
+	cfg.Rows = 2_000
+	ds, err := workload.Twitter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := ds.DB.Table(ds.Main)
+	timeCol := ""
+	for _, col := range ds.FilterCols {
+		if tbl.Col(col).Type == engine.ColTime {
+			timeCol = col
+		}
+	}
+	if timeCol == "" || tbl.Index(timeCol) == nil {
+		t.Fatalf("dataset has no indexed time column (filter columns %v)", ds.FilterCols)
+	}
+	delete(tbl.Indexes, timeCol)
+	_, err = NewServer(ds, core.OracleRewriter{}, core.HintOnlySpec(), 500)
+	if err == nil || !strings.Contains(err.Error(), timeCol) {
+		t.Fatalf("err = %v, want a rejection naming column %q", err, timeCol)
+	}
+}
+
 func TestBuildQuery(t *testing.T) {
 	s := testServer(t)
 	q, err := s.BuildQuery(validRequest())

@@ -22,15 +22,19 @@ import (
 //	text           — whitespace-separated words in one string; new words are
 //	                 interned into the table's vocabulary
 //
-// Every row must provide every column of the main table.
+// Every row must provide every column of the main table. Words are interned
+// only once every cell has converted, so a rejected batch leaves the
+// vocabulary as it found it.
 func RowsToBatch(ds *Dataset, rows []map[string]any) (*engine.Batch, error) {
 	t := ds.DB.Table(ds.Main)
 	if t == nil {
 		return nil, fmt.Errorf("workload: dataset %q has no table %q", ds.Name, ds.Main)
 	}
-	b := engine.NewBatch()
-	for _, tc := range t.Cols {
+	cols := make([]*engine.Column, len(t.Cols))
+	words := make([][][]string, len(t.Cols)) // text cells' words, per column
+	for j, tc := range t.Cols {
 		c := &engine.Column{Name: tc.Name, Type: tc.Type}
+		cols[j] = c
 		for i, row := range rows {
 			v, ok := row[tc.Name]
 			if !ok {
@@ -66,12 +70,18 @@ func RowsToBatch(ds *Dataset, rows []map[string]any) (*engine.Batch, error) {
 				if !ok {
 					return nil, fmt.Errorf("workload: row %d column %q: want a string of words", i, tc.Name)
 				}
-				var toks []uint32
-				for _, w := range splitWords(s) {
-					toks = append(toks, t.Vocab.Intern(w))
-				}
-				c.Texts = append(c.Texts, engine.SortTokens(toks))
+				words[j] = append(words[j], splitWords(s))
 			}
+		}
+	}
+	b := engine.NewBatch()
+	for j, c := range cols {
+		for _, ws := range words[j] {
+			var toks []uint32
+			for _, w := range ws {
+				toks = append(toks, t.Vocab.Intern(w))
+			}
+			c.Texts = append(c.Texts, engine.SortTokens(toks))
 		}
 		if err := b.AddColumn(c); err != nil {
 			return nil, err
