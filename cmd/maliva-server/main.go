@@ -64,9 +64,9 @@ func (d *stringList) Set(v string) error {
 	return nil
 }
 
-// agentMap collects repeated path flags: "dataset=path" pins a path to one
-// dataset; a bare "path" is the fallback for every dataset without a pinned
-// one (the spelling for a single-dataset server).
+// agentMap collects repeated -agent values: "dataset=path" pins a snapshot
+// to one dataset; a bare "path" is the fallback for every dataset without a
+// pinned one (the spelling for a single-dataset server).
 type agentMap map[string]string
 
 func (a agentMap) String() string {
@@ -97,14 +97,14 @@ func (a agentMap) snapshotFor(dataset string) (string, bool) {
 
 // validatePins fails on a pinned dataset that is not served — a mistyped
 // pin would otherwise silently fall through.
-func (a agentMap) validatePins(flagName string, datasets stringList) {
+func (a agentMap) validatePins(datasets stringList) {
 	for name := range a {
 		if name == "" {
 			continue
 		}
 		if !slices.Contains(datasets, name) {
-			fatal(fmt.Errorf("%s %s=%s pins a dataset that is not served (have: %s)",
-				flagName, name, a[name], datasets.String()))
+			fatal(fmt.Errorf("-agent %s=%s pins a dataset that is not served (have: %s)",
+				name, a[name], datasets.String()))
 		}
 	}
 }
@@ -113,9 +113,7 @@ func main() {
 	var datasets stringList
 	flag.Var(&datasets, "dataset", "dataset to serve: twitter | taxi | tpch (repeatable or comma-separated; default twitter)")
 	agents := make(agentMap)
-	flag.Var(agents, "agent", "trained MDP policy snapshot (from maliva-train or -save-agent): 'dataset=path' pins one dataset, bare 'path' covers the rest; skips that dataset's startup training (repeatable)")
-	saves := make(agentMap)
-	flag.Var(saves, "save-agent", "persist the MDP policy trained at startup: 'dataset=path' or bare 'path' (repeatable); datasets that loaded an -agent snapshot skip training and are not re-saved")
+	flag.Var(agents, "agent", "trained MDP policy snapshot (from maliva-train): 'dataset=path' pins one dataset, bare 'path' covers the rest; skips that dataset's startup training (repeatable)")
 	var peers stringList
 	flag.Var(&peers, "peer", "full ordered replica URL list for a one-process-per-replica cluster, self included (repeatable); requires -replica-id")
 	var (
@@ -165,14 +163,7 @@ func main() {
 	if len(datasets) == 0 {
 		datasets = stringList{"twitter"}
 	}
-	agents.validatePins("-agent", datasets)
-	saves.validatePins("-save-agent", datasets)
-	// A bare save path with several datasets would have concurrently-warming
-	// trainers race os.WriteFile on one file (last writer wins at best,
-	// interleaved corruption at worst).
-	if _, bare := saves[""]; bare && len(datasets) > 1 {
-		fatal(fmt.Errorf("-save-agent with a bare path serves %d datasets into one file; use 'dataset=path' pins", len(datasets)))
-	}
+	agents.validatePins(datasets)
 	if len(peers) > 0 && (*replicaID < 0 || *replicaID >= len(peers)) {
 		fatal(fmt.Errorf("-replica-id %d outside the %d-entry -peer list", *replicaID, len(peers)))
 	}
@@ -182,7 +173,7 @@ func main() {
 	}
 	walCfg := engine.WALConfig{Policy: fsyncPolicy}
 
-	factory := buildFactory(*rewriter, agents, saves, *queries, *budget)
+	factory := buildFactory(*rewriter, agents, *queries, *budget)
 	scfg := middleware.ServerConfig{
 		DefaultBudgetMs: *budget,
 		PlanCacheSize:   *planCache,
@@ -361,8 +352,9 @@ func newRegistry(datasets stringList, rows int, walDir string, wcfg engine.WALCo
 }
 
 // buildFactory resolves the per-dataset rewriter factory: oracle, snapshot
-// load, or startup MDP training (optionally persisted via -save-agent).
-func buildFactory(rewriter string, agents, saves agentMap, queries int, budget float64) middleware.RewriterFactory {
+// load, or startup MDP training. A policy worth keeping is trained offline
+// with maliva-train and served with -agent.
+func buildFactory(rewriter string, agents agentMap, queries int, budget float64) middleware.RewriterFactory {
 	switch rewriter {
 	case "oracle":
 		return middleware.OracleFactory
@@ -397,13 +389,6 @@ func buildFactory(rewriter string, agents, saves agentMap, queries int, budget f
 				Seeds: []int64{7},
 			})
 			fmt.Fprintf(os.Stderr, "%s agent ready (validation score %.3f)\n", ds.Name, score)
-			if path, ok := saves.snapshotFor(name); ok {
-				if err := core.SaveAgentFile(path, agent); err != nil {
-					return nil, err
-				}
-				fmt.Fprintf(os.Stderr, "%s: policy snapshot saved to %s (reload with -agent %s=%s)\n",
-					name, path, name, path)
-			}
 			return &core.MDPRewriter{Agent: agent, QTE: est, Tag: "Accurate-QTE"}, nil
 		}
 	default:

@@ -1,9 +1,12 @@
 // Command maliva-train trains an MDP query-rewriting agent on a workload and
-// saves its policy network as JSON.
+// saves its policy network as JSON — the one way to make a policy snapshot.
+// maliva-server loads it with -agent and serves it with the Accurate-QTE,
+// the estimator it was trained against.
 //
 // Usage:
 //
 //	maliva-train -dataset twitter -budget 500 -out agent.json
+//	maliva-server -dataset twitter -agent twitter=agent.json
 package main
 
 import (
@@ -24,7 +27,6 @@ func main() {
 		budget   = flag.Float64("budget", 500, "time budget τ in virtual ms")
 		numPreds = flag.Int("preds", 3, "number of filtering conditions (3-5)")
 		queries  = flag.Int("queries", 600, "workload size")
-		estName  = flag.String("qte", "accurate", "query-time estimator: accurate | sampling")
 		out      = flag.String("out", "maliva-agent.json", "output policy file")
 		small    = flag.Bool("small", true, "use reduced dataset size")
 	)
@@ -47,20 +49,9 @@ func main() {
 		fatal(err)
 	}
 
-	var est core.Estimator
-	switch *estName {
-	case "accurate":
-		est = qte.NewAccurateQTE()
-	case "sampling":
-		s, err := lab.NewSamplingQTE()
-		if err != nil {
-			fatal(err)
-		}
-		est = s
-	default:
-		fatal(fmt.Errorf("unknown QTE %q", *estName))
-	}
-
+	// maliva-server serves every snapshot with the Accurate-QTE, so the
+	// policy is trained against that estimator.
+	est := qte.NewAccurateQTE()
 	fmt.Fprintf(os.Stderr, "training MDP agent (%s, τ=%.0fms)\n", est.Name(), *budget)
 	start := time.Now()
 	agent, valScore := lab.TrainAgent(harness.TrainAgentConfig{

@@ -101,14 +101,6 @@ func (c *peerCache) Get(key middleware.ResultKey) *middleware.Response {
 		n.stats.localHits.Add(1)
 		return resp
 	}
-	// Keys at a non-current data version never cross the wire: they are the
-	// server's `/* ttl:N */` stale-tolerance probes, which are a local-only
-	// bonus (owners refuse them anyway — see Node.fetchLocal), and spending a
-	// peer round-trip on a probe would put a flush-lagging replica's latency
-	// on the serving path.
-	if v, ok := n.dataVersion(c.dataset); ok && key.DataVersion != v {
-		return nil
-	}
 	// Ownership is resolved over the ROUTABLE replica set (Ring.OwnerAmong),
 	// the same restricted key space the router walks. The full-ring owner
 	// may be down or draining; asking it anyway would burn the peer timeout

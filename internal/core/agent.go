@@ -288,10 +288,9 @@ func (a *Agent) MarshalJSON() ([]byte, error) {
 	return json.Marshal(agentJSON{NumOpts: a.NumOpts, Net: netB})
 }
 
-// SaveAgentFile writes a policy snapshot readable by LoadAgentFile — the
-// same JSON format cmd/maliva-train emits, so a snapshot persisted by a
-// serving binary after startup training (maliva-server -save-agent) is
-// interchangeable with one produced by the offline trainer.
+// SaveAgentFile writes a policy snapshot readable by LoadAgentFile.
+// cmd/maliva-train is its one writer, and maliva-server -agent loads what it
+// writes.
 func SaveAgentFile(path string, a *Agent) error {
 	data, err := json.MarshalIndent(a, "", " ")
 	if err != nil {

@@ -140,8 +140,8 @@ func TestLoadAgentFile(t *testing.T) {
 		t.Error("expected error for missing file")
 	}
 
-	// SaveAgentFile writes the same format (the maliva-server -save-agent
-	// persist-after-train path): decisions survive a save/load round trip.
+	// SaveAgentFile writes the same format (the cmd/maliva-train path):
+	// decisions survive a save/load round trip.
 	saved := filepath.Join(t.TempDir(), "saved.json")
 	if err := SaveAgentFile(saved, agent); err != nil {
 		t.Fatal(err)

@@ -22,8 +22,8 @@
 //     through a per-build memo in front of the optional shared
 //     engine.LookupCache (ContextConfig.Lookups).
 //   - env.go, agent.go — the MDP environment and the deep-Q Agent, with
-//     JSON snapshots (SaveAgentFile / LoadAgentFile) interchangeable
-//     between cmd/maliva-train and maliva-server -save-agent.
+//     JSON snapshots: cmd/maliva-train writes them (SaveAgentFile) and
+//     maliva-server -agent loads them (LoadAgentFile).
 //   - rewriter.go, quality.go, qte.go — the Rewriter interface and its
 //     implementations (Baseline, Naive, MDP, Oracle, quality-aware
 //     one/two-stage), plus query-time-estimator plumbing.

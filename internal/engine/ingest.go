@@ -206,13 +206,13 @@ func sampleKeep(seed int64, percent, row int) bool {
 }
 
 // ApplyBatch applies one append batch to the named base table: it takes the
-// data write lock, logs the batch to the table's write-ahead log (when one is
-// attached) so the flush is durable before it is visible, appends rows,
-// maintains indexes and samples, bumps the table's (and its samples') data
-// version with flush time at, and drops the now-stale optimizer statistics —
-// then, outside the write lock, eagerly rebuilds statistics, checkpoints the
-// WAL if it has grown past its bound, and fires the registered flush hooks.
-// It returns the new data version.
+// data write lock, logs the batch with flush time at to the table's
+// write-ahead log (when one is attached) so the flush is durable before it is
+// visible, appends rows, maintains indexes and samples, bumps the table's
+// (and its samples') data version, and drops the now-stale optimizer
+// statistics — then, outside the write lock, eagerly rebuilds statistics,
+// checkpoints the WAL if it has grown past its bound, and fires the
+// registered flush hooks. It returns the new data version.
 func (db *DB) ApplyBatch(name string, b *Batch, at time.Time) (uint64, error) {
 	return db.applyBatch(name, b, at, true)
 }
@@ -247,9 +247,9 @@ func (db *DB) applyBatch(name string, b *Batch, at time.Time, logIt bool) (uint6
 		db.dataMu.Unlock()
 		return 0, err
 	}
-	v := t.bumpVersion(at)
+	v := t.version.Add(1)
 	for _, s := range t.Samples {
-		s.bumpVersion(at)
+		s.version.Add(1)
 	}
 	db.mu.Lock()
 	delete(db.stats, name)

@@ -227,53 +227,6 @@ func TestSampleKeepStateless(t *testing.T) {
 	}
 }
 
-// TestVersionsWithin pins the ttl-hint version-window semantics.
-func TestVersionsWithin(t *testing.T) {
-	tb := NewTable("t", 1)
-	t0 := time.Unix(1700000000, 0)
-	// Flushes at t0, t0+10s, t0+20s → versions 1, 2, 3.
-	for i := 0; i < 3; i++ {
-		tb.bumpVersion(t0.Add(time.Duration(i*10) * time.Second))
-	}
-	now := t0.Add(25 * time.Second)
-
-	if got := tb.VersionsWithin(0, now); !slices.Equal(got, []uint64{3}) {
-		t.Errorf("ttl 0 → %v, want [3]", got)
-	}
-	// 6s window: only the t0+20s bump (to v3) is inside → v2 still fresh.
-	if got := tb.VersionsWithin(6*time.Second, now); !slices.Equal(got, []uint64{3, 2}) {
-		t.Errorf("ttl 6s → %v, want [3 2]", got)
-	}
-	// 16s window: bumps at t0+20s and t0+10s → v2 and v1 acceptable.
-	if got := tb.VersionsWithin(16*time.Second, now); !slices.Equal(got, []uint64{3, 2, 1}) {
-		t.Errorf("ttl 16s → %v, want [3 2 1]", got)
-	}
-	// Huge window: every recorded bump, down to version 0.
-	if got := tb.VersionsWithin(time.Hour, now); !slices.Equal(got, []uint64{3, 2, 1, 0}) {
-		t.Errorf("ttl 1h → %v, want [3 2 1 0]", got)
-	}
-}
-
-// TestVersionHistoryBounded: the flush history ring never exceeds its cap.
-func TestVersionHistoryBounded(t *testing.T) {
-	tb := NewTable("t", 1)
-	t0 := time.Unix(1700000000, 0)
-	for i := 0; i < versionHistoryCap*3; i++ {
-		tb.bumpVersion(t0.Add(time.Duration(i) * time.Second))
-	}
-	tb.histMu.Lock()
-	n := len(tb.history)
-	tb.histMu.Unlock()
-	if n > versionHistoryCap {
-		t.Errorf("history holds %d stamps, cap %d", n, versionHistoryCap)
-	}
-	// A window covering everything still returns at most cap+1 versions.
-	got := tb.VersionsWithin(time.Hour, t0.Add(time.Duration(versionHistoryCap*3)*time.Second))
-	if len(got) > versionHistoryCap+1 {
-		t.Errorf("VersionsWithin returned %d versions, cap %d", len(got), versionHistoryCap+1)
-	}
-}
-
 // TestApplyBatchErrors: schema and targeting mistakes are rejected before
 // any mutation.
 func TestApplyBatchErrors(t *testing.T) {

@@ -3,9 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // IndexKind enumerates the index types the engine supports.
@@ -103,98 +101,25 @@ type Table struct {
 	// version into its key, so a bump atomically invalidates plan, result,
 	// lookup, and peer caches without touching them.
 	version atomic.Uint64
-	// history records recent (version, flush time) pairs, newest first, for
-	// the /* ttl:N */ staleness-tolerance hint: a reader may accept answers
-	// from any version whose successor flushed within its tolerance window.
-	// Bounded to versionHistoryCap entries; guarded by histMu.
-	histMu  sync.Mutex
-	history []VersionStamp
-
 	// sampleSeeds remembers the seed each sample was built with so ingest
 	// can extend samples deterministically (by percent).
 	sampleSeeds map[int]int64
 }
 
-// VersionStamp records when a data version became current.
-type VersionStamp struct {
-	Version uint64
-	At      time.Time
-}
-
-// versionHistoryCap bounds the retained flush history per table. It only
-// limits how far back a ttl hint can reach, never correctness.
-const versionHistoryCap = 32
-
 // DataVersion returns the table's current data version. Version 0 is the
 // freshly built (pre-ingest) state.
 func (t *Table) DataVersion() uint64 { return t.version.Load() }
 
-// bumpVersion advances the data version by one and records the flush time.
-// Callers must hold the owning DB's data write lock.
-func (t *Table) bumpVersion(at time.Time) uint64 {
-	v := t.version.Add(1)
-	t.histMu.Lock()
-	t.history = append(t.history, VersionStamp{Version: v, At: at})
-	if len(t.history) > versionHistoryCap {
-		t.history = t.history[len(t.history)-versionHistoryCap:]
-	}
-	t.histMu.Unlock()
-	return v
-}
-
-// historySnapshot copies the retained flush history, oldest first.
-func (t *Table) historySnapshot() []VersionStamp {
-	t.histMu.Lock()
-	defer t.histMu.Unlock()
-	return append([]VersionStamp(nil), t.history...)
-}
-
-// restoreVersion force-sets the data version and flush history, mirroring the
-// version onto every sample (ApplyBatch bumps base and samples in lockstep,
-// so after N flushes they agree). WAL checkpoint recovery uses it: the
-// checkpoint's compacted batch applies in one append without bumps, then this
-// reinstates the version state the compaction collapsed. Callers hold the
-// owning DB's data write lock.
-func (t *Table) restoreVersion(v uint64, stamps []VersionStamp) {
+// restoreVersion force-sets the data version, mirroring it onto every sample
+// (ApplyBatch bumps base and samples in lockstep, so after N flushes they
+// agree). WAL checkpoint recovery uses it: the checkpoint's compacted batch
+// applies in one append without bumps, then this reinstates the version the
+// compaction collapsed. Callers hold the owning DB's data write lock.
+func (t *Table) restoreVersion(v uint64) {
 	t.version.Store(v)
-	t.histMu.Lock()
-	t.history = append(t.history[:0], stamps...)
-	t.histMu.Unlock()
 	for _, s := range t.Samples {
 		s.version.Store(v)
-		s.histMu.Lock()
-		s.history = append(s.history[:0], stamps...)
-		s.histMu.Unlock()
 	}
-}
-
-// VersionsWithin returns data versions acceptable to a reader tolerating
-// maxAge of staleness at time now, newest first, always starting with the
-// current version. A historical version v is acceptable when the flush that
-// replaced it (the bump to v+1) happened within maxAge — until then, v was
-// the current answer.
-func (t *Table) VersionsWithin(maxAge time.Duration, now time.Time) []uint64 {
-	cur := t.version.Load()
-	out := []uint64{cur}
-	if maxAge <= 0 {
-		return out
-	}
-	cutoff := now.Add(-maxAge)
-	t.histMu.Lock()
-	defer t.histMu.Unlock()
-	for i := len(t.history) - 1; i >= 0; i-- {
-		s := t.history[i]
-		if s.Version > cur {
-			continue
-		}
-		if s.At.Before(cutoff) {
-			break
-		}
-		// The bump to s.Version happened within the window, so the version
-		// it replaced (s.Version-1) is still acceptably fresh.
-		out = append(out, s.Version-1)
-	}
-	return out
 }
 
 // NewTable creates an empty table. ScaleFactor must be ≥ 1.

@@ -387,11 +387,7 @@ func (w *WAL) append(seq uint64, at time.Time, b *Batch, vocab *Vocab) error {
 	if w.closed {
 		return fmt.Errorf("engine: wal for %q is closed", w.table)
 	}
-	payload := encodeWALRecord(nil, seq, at, b, vocab)
-	frame := make([]byte, 0, len(payload)+8)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
+	frame := walFrame(encodeWALRecord(nil, seq, at, b, vocab))
 
 	if w.size > 0 && w.size+int64(len(frame)) > w.cfg.MaxSegmentBytes {
 		if err := w.rotateLocked(seq); err != nil {
@@ -500,7 +496,7 @@ func (w *WAL) Stats() WALStats {
 func (w *WAL) Dir() string { return w.dir }
 
 // maybeCheckpoint compacts the log once enough sealed segments accumulate:
-// it writes {version, flush history, every row appended since the base build}
+// it writes {version, every row appended since the base build}
 // to the checkpoint file (durably, via rename) and deletes the sealed
 // segments it supersedes. The caller holds the DB data read lock, so the
 // table state it serializes is the exact state the newest record produced.
@@ -510,11 +506,7 @@ func (w *WAL) maybeCheckpoint(t *Table) error {
 	if w.closed || len(w.sealed) <= w.cfg.CheckpointSegments {
 		return nil
 	}
-	payload := encodeWALCheckpoint(nil, t, w.baseRows)
-	frame := make([]byte, 0, len(payload)+8)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
+	frame := walFrame(encodeWALCheckpoint(nil, t, w.baseRows))
 	if err := writeFileSync(filepath.Join(w.dir, walCheckpointFile), frame); err != nil {
 		return err
 	}
@@ -531,7 +523,7 @@ func (w *WAL) maybeCheckpoint(t *Table) error {
 // --- record encoding ---------------------------------------------------
 
 // encodeWALRecord serializes one applied flush: the data version it produced,
-// the flush timestamp (replayed into the version history), and the batch
+// the flush timestamp (passed back to ApplyBatch on replay), and the batch
 // columns. Text cells are stored as word strings in id order; since token
 // slices are id-sorted and ids are assigned densely in first-appearance
 // order, re-interning the stored strings during replay reproduces the exact
@@ -646,9 +638,55 @@ func (d *walDecoder) bytes(n int) []byte {
 	return v
 }
 
-// decodeWALColumns decodes n serialized columns into a Batch, interning text
-// words into vocab in stored (id) order.
-func decodeWALColumns(d *walDecoder, n int, vocab *Vocab) (*Batch, error) {
+// walMinRowBytes is the fewest bytes one row of a column type takes in a
+// record: a count claiming more rows than the bytes left can hold is corrupt,
+// and is rejected before it sizes an allocation.
+func walMinRowBytes(typ ColType) int {
+	switch typ {
+	case ColText:
+		return 2 // the row's token count
+	case ColPoint:
+		return 16
+	}
+	return 8
+}
+
+// walWords is what a decoded payload still has to intern: each word token's
+// cell and word, in stored order, and every raw token id. Decoding fills it
+// without touching the vocabulary; intern runs only once the whole payload
+// has decoded, so a rejected payload leaves the vocabulary as it found it.
+type walWords struct {
+	cells []*uint32
+	words []string
+	raw   []uint32
+}
+
+// intern resolves the pending words into vocab, in stored order. A raw id is
+// written only for a token with no word, and replay hands every word its old
+// id back, so a raw id that would name a word once this payload's words are
+// interned marks a corrupt payload; it is rejected before anything interns.
+func (w *walWords) intern(vocab *Vocab) error {
+	base := uint64(vocab.Len())
+	fresh := make(map[string]bool)
+	for _, word := range w.words {
+		if vocab.ID(word) == 0 {
+			fresh[word] = true
+		}
+	}
+	for _, id := range w.raw {
+		if vocab.Word(id) != "" || (uint64(id) > base && uint64(id) <= base+uint64(len(fresh))) {
+			return fmt.Errorf("engine: wal raw token id %d names a word", id)
+		}
+	}
+	for i, cell := range w.cells {
+		*cell = vocab.Intern(w.words[i])
+	}
+	return nil
+}
+
+// decodeWALColumns decodes n serialized columns into a Batch, leaving the
+// text columns' words in pending for the caller to intern.
+func decodeWALColumns(d *walDecoder, n int, pending *walWords) (*Batch, error) {
 	b := NewBatch()
 	for i := 0; i < n; i++ {
 		name := string(d.bytes(int(d.u16())))
@@ -656,6 +694,9 @@ func decodeWALColumns(d *walDecoder, n int, vocab *Vocab) (*Batch, error) {
 		rows := int(d.u32())
 		if d.err != nil {
 			return nil, d.err
+		}
+		if left := len(d.buf) - d.off; rows > left/walMinRowBytes(typ) {
+			return nil, fmt.Errorf("engine: wal column %q claims %d rows in %d bytes", name, rows, left)
 		}
 		c := &Column{Name: name, Type: typ}
 		switch typ {
@@ -678,18 +719,26 @@ func decodeWALColumns(d *walDecoder, n int, vocab *Vocab) (*Batch, error) {
 			c.Texts = make([][]uint32, rows)
 			for r := 0; r < rows; r++ {
 				nw := int(d.u16())
-				ids := make([]uint32, 0, nw)
-				for j := 0; j < nw; j++ {
+				if nw > (len(d.buf)-d.off)/2 {
+					return nil, fmt.Errorf("engine: wal text row claims %d tokens in %d bytes", nw, len(d.buf)-d.off)
+				}
+				ids := make([]uint32, nw)
+				for j := range ids {
 					n := d.u16()
 					if n == walRawTokenMark {
-						ids = append(ids, d.u32())
+						ids[j] = d.u32()
+						pending.raw = append(pending.raw, ids[j])
 						continue
 					}
 					word := string(d.bytes(int(n)))
 					if d.err != nil {
 						return nil, d.err
 					}
-					ids = append(ids, vocab.Intern(word))
+					if word == "" {
+						return nil, fmt.Errorf("engine: wal text token has an empty word")
+					}
+					pending.cells = append(pending.cells, &ids[j])
+					pending.words = append(pending.words, word)
 				}
 				c.Texts[r] = ids
 			}
@@ -706,7 +755,8 @@ func decodeWALColumns(d *walDecoder, n int, vocab *Vocab) (*Batch, error) {
 	return b, nil
 }
 
-// decodeWALRecord decodes one record payload.
+// decodeWALRecord decodes one record payload, interning its words into vocab
+// only if the whole payload decodes.
 func decodeWALRecord(payload []byte, vocab *Vocab) (seq uint64, at time.Time, b *Batch, err error) {
 	d := &walDecoder{buf: payload}
 	seq = d.u64()
@@ -715,31 +765,32 @@ func decodeWALRecord(payload []byte, vocab *Vocab) (seq uint64, at time.Time, b 
 	if d.err != nil {
 		return 0, time.Time{}, nil, d.err
 	}
-	b, err = decodeWALColumns(d, ncols, vocab)
+	var pending walWords
+	b, err = decodeWALColumns(d, ncols, &pending)
 	if err != nil {
 		return 0, time.Time{}, nil, err
 	}
 	if d.off != len(payload) {
 		return 0, time.Time{}, nil, fmt.Errorf("engine: wal record has %d trailing bytes", len(payload)-d.off)
 	}
+	if err := pending.intern(vocab); err != nil {
+		return 0, time.Time{}, nil, err
+	}
 	return seq, at, b, nil
 }
 
 // encodeWALCheckpoint serializes the table's full post-base state: current
-// version, flush history, and every row appended since the base build as one
-// compacted batch. Applying that batch in one append on a fresh base yields
-// the same rows, samples, and indexes as the original flush sequence
-// (flush-boundary independence), and restoreVersion reinstates the version
-// and history the compaction collapsed.
+// version and every row appended since the base build as one compacted
+// batch. Applying that batch in one append on a fresh base yields the same
+// rows, samples, and indexes as the original flush sequence (flush-boundary
+// independence), and restoreVersion reinstates the version the compaction
+// collapsed. Between the base row count and the columns sits a count of
+// (version, flush time) stamps; the writer puts 0 there, and the decoder
+// skips any stamps a checkpoint written by an older build carries.
 func encodeWALCheckpoint(buf []byte, t *Table, baseRows int) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, t.DataVersion())
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(baseRows))
-	hist := t.historySnapshot()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hist)))
-	for _, s := range hist {
-		buf = binary.LittleEndian.AppendUint64(buf, s.Version)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.At.UnixNano()))
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // stamps
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Cols)))
 	for _, c := range t.Cols {
 		buf = appendWALColumn(buf, c, baseRows, t.Rows, t.Vocab)
@@ -747,33 +798,29 @@ func encodeWALCheckpoint(buf []byte, t *Table, baseRows int) []byte {
 	return buf
 }
 
-// decodeWALCheckpoint decodes a checkpoint payload.
-func decodeWALCheckpoint(payload []byte, vocab *Vocab) (version uint64, baseRows int, hist []VersionStamp, b *Batch, err error) {
+// decodeWALCheckpoint decodes a checkpoint payload, interning its words into
+// vocab only if the whole payload decodes.
+func decodeWALCheckpoint(payload []byte, vocab *Vocab) (version uint64, baseRows int, b *Batch, err error) {
 	d := &walDecoder{buf: payload}
 	version = d.u64()
 	baseRows = int(d.u64())
-	n := int(d.u32())
-	if d.err != nil {
-		return 0, 0, nil, nil, d.err
-	}
-	hist = make([]VersionStamp, 0, n)
-	for i := 0; i < n; i++ {
-		v := d.u64()
-		at := time.Unix(0, int64(d.u64()))
-		hist = append(hist, VersionStamp{Version: v, At: at})
-	}
+	d.bytes(16 * int(d.u32())) // stamps: 8-byte version, 8-byte flush time
 	ncols := int(d.u32())
 	if d.err != nil {
-		return 0, 0, nil, nil, d.err
+		return 0, 0, nil, d.err
 	}
-	b, err = decodeWALColumns(d, ncols, vocab)
+	var pending walWords
+	b, err = decodeWALColumns(d, ncols, &pending)
 	if err != nil {
-		return 0, 0, nil, nil, err
+		return 0, 0, nil, err
 	}
 	if d.off != len(payload) {
-		return 0, 0, nil, nil, fmt.Errorf("engine: wal checkpoint has %d trailing bytes", len(payload)-d.off)
+		return 0, 0, nil, fmt.Errorf("engine: wal checkpoint has %d trailing bytes", len(payload)-d.off)
 	}
-	return version, baseRows, hist, b, nil
+	if err := pending.intern(vocab); err != nil {
+		return 0, 0, nil, err
+	}
+	return version, baseRows, b, nil
 }
 
 // --- replay -------------------------------------------------------------
@@ -790,7 +837,7 @@ func (db *DB) replayWAL(w *WAL, t *Table, stats *WALReplayStats) error {
 		if !ok || len(payload) != len(frame)-8 {
 			return fmt.Errorf("engine: wal checkpoint %s is corrupt", path)
 		}
-		version, baseRows, hist, b, err := decodeWALCheckpoint(payload, t.Vocab)
+		version, baseRows, b, err := decodeWALCheckpoint(payload, t.Vocab)
 		if err != nil {
 			return fmt.Errorf("engine: wal checkpoint %s: %w", path, err)
 		}
@@ -803,7 +850,7 @@ func (db *DB) replayWAL(w *WAL, t *Table, stats *WALReplayStats) error {
 			}
 		}
 		db.dataMu.Lock()
-		t.restoreVersion(version, hist)
+		t.restoreVersion(version)
 		db.dataMu.Unlock()
 		stats.Checkpoint = true
 		stats.CheckpointRows = b.Rows()
@@ -832,6 +879,14 @@ func (db *DB) replayWAL(w *WAL, t *Table, stats *WALReplayStats) error {
 		}
 	}
 	return nil
+}
+
+// walFrame wraps a record or checkpoint payload in its [len][crc] header.
+func walFrame(payload []byte) []byte {
+	frame := make([]byte, 0, len(payload)+8)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
 }
 
 // splitWALFrame splits one [len][crc][payload] frame off buf, verifying the

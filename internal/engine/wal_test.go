@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +29,7 @@ func walTestApply(t *testing.T, db *DB, n int) uint64 {
 
 // walTestDB builds the standard test DB with a 20% sample (so replay must
 // reconstruct sample membership too).
-func walTestDB(t *testing.T, seed int64) *DB {
+func walTestDB(t testing.TB, seed int64) *DB {
 	t.Helper()
 	db := buildTestDB(t, 1000, seed)
 	if _, err := db.Table("events").BuildSample(20, seed); err != nil {
@@ -35,25 +38,16 @@ func walTestDB(t *testing.T, seed int64) *DB {
 	return db
 }
 
-// sameVersionState compares version and flush history between two tables.
+// sameVersionState compares the data versions of two tables.
 func sameVersionState(t *testing.T, a, b *Table) {
 	t.Helper()
 	if a.DataVersion() != b.DataVersion() {
 		t.Fatalf("version %d vs %d", a.DataVersion(), b.DataVersion())
 	}
-	ha, hb := a.historySnapshot(), b.historySnapshot()
-	if len(ha) != len(hb) {
-		t.Fatalf("history length %d vs %d", len(ha), len(hb))
-	}
-	for i := range ha {
-		if ha[i].Version != hb[i].Version || !ha[i].At.Equal(hb[i].At) {
-			t.Fatalf("history[%d] = %+v vs %+v", i, ha[i], hb[i])
-		}
-	}
 }
 
 // sameRecoveredState is the full bit-identity check: table data, sample data,
-// versions, history, and index answers.
+// versions, and index answers.
 func sameRecoveredState(t *testing.T, a, b *DB) {
 	t.Helper()
 	ta, tb := a.Table("events"), b.Table("events")
@@ -85,7 +79,7 @@ func sameRecoveredState(t *testing.T, a, b *DB) {
 
 // TestWALReplayBitIdentical: a crashed-and-restarted table (fresh base build
 // + WAL replay) is bit-identical to the table that never crashed — rows,
-// samples, indexes, versions, and flush history.
+// samples, indexes, and versions.
 func TestWALReplayBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	live := walTestDB(t, 7)
@@ -424,4 +418,156 @@ func TestWALFsyncPolicies(t *testing.T) {
 	if _, err := ParseFsyncPolicy("bogus"); err == nil {
 		t.Fatal("ParseFsyncPolicy accepted bogus")
 	}
+}
+
+// oldLayoutCheckpoint hand-encodes tb's checkpoint the way builds that kept
+// a flush history wrote it: three (version, flush time) stamps between the
+// base row count and the columns.
+func oldLayoutCheckpoint(tb *Table, baseRows int) []byte {
+	buf := binary.LittleEndian.AppendUint64(nil, tb.DataVersion())
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(baseRows))
+	buf = binary.LittleEndian.AppendUint32(buf, 3)
+	for i := uint64(0); i < 3; i++ {
+		buf = binary.LittleEndian.AppendUint64(buf, tb.DataVersion()-2+i)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(time.Unix(1700000000+int64(i), 0).UnixNano()))
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tb.Cols)))
+	for _, c := range tb.Cols {
+		buf = appendWALColumn(buf, c, baseRows, tb.Rows, tb.Vocab)
+	}
+	return buf
+}
+
+// TestWALOldLayoutCheckpointReplays: a checkpoint that still carries flush
+// stamps replays to the same rows, samples, indexes and data version; the
+// stamps are skipped.
+func TestWALOldLayoutCheckpointReplays(t *testing.T) {
+	dir := t.TempDir()
+	live := walTestDB(t, 7)
+	w, _, err := live.AttachWAL("events", dir, WALConfig{Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walTestApply(t, live, 5)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint supersedes every segment, as after a compaction.
+	segs, err := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"*"+walSegmentSuffix))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v: %v", segs, err)
+	}
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := walFrame(oldLayoutCheckpoint(live.Table("events"), 1000))
+	if err := os.WriteFile(filepath.Join(dir, walCheckpointFile), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := walTestDB(t, 7)
+	_, st, err := recovered.AttachWAL("events", dir, WALConfig{Policy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Checkpoint || st.Version != 5 || st.CheckpointRows != 200 {
+		t.Fatalf("replay stats %+v, want the 200-row checkpoint at version 5", st)
+	}
+	sameRecoveredState(t, live, recovered)
+}
+
+// TestWALRowCountBoundedByPayload: a short record claiming 2^24 int64 rows is
+// rejected before the count sizes an allocation.
+func TestWALRowCountBoundedByPayload(t *testing.T) {
+	payload := binary.LittleEndian.AppendUint64(nil, 1) // seq
+	payload = binary.LittleEndian.AppendUint64(payload, 0)
+	payload = binary.LittleEndian.AppendUint32(payload, 1) // one column
+	payload = binary.LittleEndian.AppendUint16(payload, 2)
+	payload = append(payload, "ts"...)
+	payload = append(payload, byte(ColInt64))
+	payload = binary.LittleEndian.AppendUint32(payload, 1<<24)
+	payload = binary.LittleEndian.AppendUint64(payload, 42) // one row's bytes
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := decodeWALRecord(payload, NewVocab())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a record claiming 2^24 rows in 8 bytes decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting the record allocated %d bytes, want < 1 MiB", grew)
+	}
+}
+
+// TestWALRejectedRecordInternsNothing: a framed record that fails to decode
+// — here, one trailing byte — leaves the vocabulary as it was, although its
+// text column carries words the vocabulary does not know.
+func TestWALRejectedRecordInternsNothing(t *testing.T) {
+	vocab := NewVocab()
+	vocab.Intern("known")
+	b := NewBatch()
+	if err := b.AddColumn(&Column{Name: "text", Type: ColText, Texts: [][]uint32{{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	src := NewVocab()
+	src.Intern("fresh")
+	payload := append(encodeWALRecord(nil, 1, time.Unix(0, 0), b, src), 0)
+	if _, _, _, err := decodeWALRecord(payload, vocab); err == nil {
+		t.Fatal("a record with a trailing byte decoded")
+	}
+	if vocab.Len() != 1 || vocab.ID("fresh") != 0 {
+		t.Fatalf("rejected record interned its word: vocabulary %d words, id(fresh) = %d", vocab.Len(), vocab.ID("fresh"))
+	}
+}
+
+// walFuzzVocab is the vocabulary buildTestDB starts from: words a…z as ids
+// 1…26, so token ids above 26 are stored raw.
+func walFuzzVocab() *Vocab {
+	v := NewVocab()
+	for w := 0; w < 26; w++ {
+		v.Intern(string(rune('a' + w)))
+	}
+	return v
+}
+
+// FuzzWALRecord feeds arbitrary payloads to the record and checkpoint
+// decoders: neither panics, a rejected payload interns no word, and an
+// accepted record re-encodes to the bytes it was decoded from.
+func FuzzWALRecord(f *testing.F) {
+	db := walTestDB(f, 7)
+	tb := db.Table("events")
+	at := time.Unix(1700000000, 0)
+	for i := 0; i < 3; i++ {
+		b := ingestBatch(f, 300+int64(i), 1+i*3)
+		rec := encodeWALRecord(nil, uint64(i+1), at, b, tb.Vocab)
+		if _, _, _, err := decodeWALRecord(rec, walFuzzVocab()); err != nil {
+			f.Fatalf("seed record %d does not decode: %v", i, err)
+		}
+		f.Add(rec)
+		if _, err := db.ApplyBatch("events", b, at); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(encodeWALRecord(nil, 9, at, NewBatch(), tb.Vocab))
+	f.Add(encodeWALCheckpoint(nil, tb, 1000))
+	f.Add(oldLayoutCheckpoint(tb, 1000))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		vocab := walFuzzVocab()
+		words := vocab.Len()
+		seq, at, b, err := decodeWALRecord(payload, vocab)
+		if err != nil {
+			if vocab.Len() != words {
+				t.Fatalf("rejected record (%v) grew the vocabulary %d → %d", err, words, vocab.Len())
+			}
+		} else if again := encodeWALRecord(nil, seq, at, b, vocab); !bytes.Equal(again, payload) {
+			t.Fatalf("record re-encodes differently\n got %x\nwant %x", again, payload)
+		}
+		vocab = walFuzzVocab()
+		if _, _, _, err := decodeWALCheckpoint(payload, vocab); err != nil && vocab.Len() != words {
+			t.Fatalf("rejected checkpoint (%v) grew the vocabulary %d → %d", err, words, vocab.Len())
+		}
+	})
 }

@@ -16,6 +16,11 @@ var ErrBadRequest = errors.New("bad request")
 // HTTP handler maps it to 499 and counts it in exec_canceled_total.
 var ErrCanceled = errors.New("middleware: request canceled")
 
+// ErrDraining is the error Ingest returns once the server is draining or
+// closed: the rows were not taken, and the client should retry elsewhere or
+// later. The HTTP handler maps it to 503 + Retry-After.
+var ErrDraining = errors.New("middleware: server is draining")
+
 // requestError is an error that errors.Is-matches ErrBadRequest while
 // keeping a clean message.
 type requestError struct{ msg string }

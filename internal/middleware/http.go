@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"regexp"
-	"strconv"
 	"time"
 )
 
@@ -33,7 +31,10 @@ const (
 // tile lattice tops out at 128).
 const maxGridSide = 4096
 
-// httpRequest is the JSON wire format of a visualization request.
+// httpRequest is the JSON wire format of a visualization request. The
+// decoders do not disallow unknown fields: a body carrying one, such as a
+// `"hint"` string, still decodes and the field is ignored. Every answer is
+// at the current data version.
 type httpRequest struct {
 	Keyword  string  `json:"keyword"`
 	From     string  `json:"from"` // RFC 3339
@@ -46,28 +47,6 @@ type httpRequest struct {
 	GridW    int     `json:"grid_w"`
 	GridH    int     `json:"grid_h"`
 	BudgetMs float64 `json:"budget_ms"`
-	// Hint carries SQL-comment-style serving hints. The one understood today
-	// is `/* ttl:N */` (N in seconds): the client tolerates answers computed
-	// at a data version that was current within the last N seconds —
-	// tqdbproxy's staleness-hint idiom. Unknown hint text is ignored.
-	Hint string `json:"hint,omitempty"`
-}
-
-// ttlHintRe matches the `/* ttl:N */` staleness hint.
-var ttlHintRe = regexp.MustCompile(`/\*\s*ttl:(\d+)\s*\*/`)
-
-// parseTTLHint extracts the staleness tolerance from a hint string; zero
-// means exact (current-version) answers only.
-func parseTTLHint(hint string) time.Duration {
-	m := ttlHintRe.FindStringSubmatch(hint)
-	if m == nil {
-		return 0
-	}
-	sec, err := strconv.Atoi(m[1])
-	if err != nil || sec <= 0 {
-		return 0
-	}
-	return time.Duration(sec) * time.Second
 }
 
 // ParseRequest decodes the /viz JSON wire format into a Request. It is the
@@ -250,7 +229,6 @@ func (h httpRequest) toRequest() (Request, error) {
 	}
 	req.Region.MinLon, req.Region.MinLat = h.MinLon, h.MinLat
 	req.Region.MaxLon, req.Region.MaxLat = h.MaxLon, h.MaxLat
-	req.TTL = parseTTLHint(h.Hint)
 	return req, nil
 }
 
@@ -285,10 +263,13 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.Ingest(hin.Rows, hin.Sync)
 	if err != nil {
-		if errors.Is(err, ErrBadRequest) {
+		switch {
+		case errors.Is(err, ErrDraining):
+			s.rejectDraining(w)
+		case errors.Is(err, ErrBadRequest):
 			s.metrics.clientErr.Add(1)
 			http.Error(w, err.Error(), http.StatusBadRequest)
-		} else {
+		default:
 			s.metrics.serverErr.Add(1)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}

@@ -2,9 +2,10 @@ package middleware
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"github.com/maliva/maliva/internal/core"
-	"github.com/maliva/maliva/internal/engine"
 	"github.com/maliva/maliva/internal/workload"
 )
 
@@ -51,14 +51,12 @@ func ingestRequests() []Request {
 	return reqs
 }
 
-// TestReadsDuringIngestByteIdentity is the PR's stale-read acceptance test:
-// a fully cached server under live ingestion answers, after every flush,
+// TestReadsDuringIngestByteIdentity is the stale-read acceptance test: a
+// fully cached server under live ingestion answers, after every flush,
 // byte-identically to a cache-free server that replayed the same row stream
-// to the same data version — while concurrent readers race the flushes, half
-// of them with a /* ttl:N */ hint so stale-version probes race the flush
-// hook's reclamation too. The rounds outnumber maxStaleProbes, so the hook
-// drops plan entries every round and result entries in the later ones. Run
-// with -race.
+// to the same data version — while concurrent readers race the flushes and
+// the flush hook's reclamation of every older version's plans, results and
+// containment families. Run with -race.
 func TestReadsDuringIngestByteIdentity(t *testing.T) {
 	live := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
 	oracle := freshIngestServer(t, ServerConfig{
@@ -85,11 +83,7 @@ func TestReadsDuringIngestByteIdentity(t *testing.T) {
 					return
 				default:
 				}
-				req := reqs[(w+i)%len(reqs)]
-				if w%2 == 1 {
-					req.TTL = time.Minute
-				}
-				if _, err := live.Handle(req); err != nil {
+				if _, err := live.Handle(reqs[(w+i)%len(reqs)]); err != nil {
 					t.Errorf("reader: %v", err)
 					return
 				}
@@ -97,7 +91,7 @@ func TestReadsDuringIngestByteIdentity(t *testing.T) {
 		}(w)
 	}
 
-	for round := 0; round < maxStaleProbes+4; round++ {
+	for round := 0; round < 12; round++ {
 		rows := stream.Next(64)
 		ra, err := live.Ingest(rows, true)
 		if err != nil {
@@ -130,103 +124,6 @@ func TestReadsDuringIngestByteIdentity(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestTTLHintBoundedStaleness pins the `/* ttl:N */` contract: a hinted
-// request may be served from a version whose successor flushed within the
-// window, served answers are exactly the old version's bytes, nothing is
-// stored under old keys, and an expired window falls back to fresh compute.
-func TestTTLHintBoundedStaleness(t *testing.T) {
-	var mu sync.Mutex
-	clock := time.Unix(1_700_000_000, 0)
-	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
-	advance := func(d time.Duration) { mu.Lock(); clock = clock.Add(d); mu.Unlock() }
-
-	s := freshIngestServer(t, ServerConfig{
-		DefaultBudgetMs: 500,
-		ResultTTL:       time.Hour, // cache-entry TTL out of the picture
-		Now:             now,
-		Ingest:          engine.IngestorConfig{Now: now},
-	})
-	stream, err := workload.NewIngestStream(s.DS, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := validRequest()
-
-	// Cache at v0, then flush.
-	v0resp, cached, err := s.handle(context.Background(), req, false)
-	if err != nil || cached {
-		t.Fatalf("cold handle: cached=%v err=%v", cached, err)
-	}
-	v0bytes, _ := json.Marshal(v0resp)
-	advance(10 * time.Second)
-	if _, err := s.Ingest(stream.Next(32), true); err != nil {
-		t.Fatal(err)
-	}
-	if v := s.DataVersion(); v != 1 {
-		t.Fatalf("version = %d, want 1", v)
-	}
-
-	// Hinted request within the window: served the v0 answer, byte for byte.
-	withTTL := req
-	withTTL.TTL = time.Minute
-	got, cached, err := s.handle(context.Background(), withTTL, false)
-	if err != nil || !cached {
-		t.Fatalf("ttl-hinted handle: cached=%v err=%v, want stale hit", cached, err)
-	}
-	gb, _ := json.Marshal(got)
-	if !bytes.Equal(gb, v0bytes) {
-		t.Error("stale hit is not the old version's exact answer")
-	}
-	if n := s.metrics.staleHits.Load(); n != 1 {
-		t.Errorf("stale hits = %d, want 1", n)
-	}
-
-	// The stale hit stored nothing at the current version: an un-hinted
-	// request still recomputes — the v0 entry is unreachable without the hint.
-	if _, cached, err := s.handle(context.Background(), req, false); err != nil || cached {
-		t.Fatalf("post-stale-hit handle: cached=%v err=%v, want recompute", cached, err)
-	}
-
-	// Window expiry: flush again, let the window pass, and the hint no
-	// longer reaches any old version.
-	advance(10 * time.Second)
-	if _, err := s.Ingest(stream.Next(32), true); err != nil {
-		t.Fatal(err)
-	}
-	advance(5 * time.Minute)
-	shape := req
-	shape.GridW, shape.GridH = 8, 4 // never served → no entry at any version
-	shape.TTL = time.Minute
-	if _, cached, err := s.handle(context.Background(), shape, false); err != nil || cached {
-		t.Fatalf("expired-window handle: cached=%v err=%v, want recompute", cached, err)
-	}
-	if n := s.metrics.staleHits.Load(); n != 1 {
-		t.Errorf("expired window produced a stale hit (total %d)", n)
-	}
-}
-
-// TestParseTTLHint covers the wire form of the staleness hint.
-func TestParseTTLHint(t *testing.T) {
-	cases := []struct {
-		hint string
-		want time.Duration
-	}{
-		{"", 0},
-		{"/* ttl:30 */", 30 * time.Second},
-		{"/*ttl:5*/", 5 * time.Second},
-		{"  /* ttl:120 */ trailing", 120 * time.Second},
-		{"/* ttl:0 */", 0},
-		{"/* ttl:-3 */", 0},
-		{"/* freshness:30 */", 0},
-		{"ttl:30", 0},
-	}
-	for _, c := range cases {
-		if got := parseTTLHint(c.hint); got != c.want {
-			t.Errorf("parseTTLHint(%q) = %v, want %v", c.hint, got, c.want)
-		}
-	}
 }
 
 // TestIngestEndpoint drives POST /ingest through the HTTP surface and
@@ -333,6 +230,104 @@ func TestRejectedIngestLeavesVocabulary(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("/viz for the rejected word: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHintNeverServesAnOlderVersion: the wire's old `/* ttl:N */` staleness
+// hint is an unknown field now. After a flush, a /viz body carrying it is
+// answered byte for byte like the same body without it, and like a server
+// with no caches at all — never from the pre-flush entry still in memory.
+func TestHintNeverServesAnOlderVersion(t *testing.T) {
+	live := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
+	uncached := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1})
+	lts, uts := httptest.NewServer(live.Handler()), httptest.NewServer(uncached.Handler())
+	defer lts.Close()
+	defer uts.Close()
+	body := map[string]any{
+		"keyword": "word0005",
+		"min_lon": workload.USExtent.MinLon, "min_lat": workload.USExtent.MinLat,
+		"max_lon": workload.USExtent.MaxLon, "max_lat": workload.USExtent.MaxLat,
+		"kind": "heatmap", "grid_w": 16, "grid_h": 8,
+	}
+	plain, _ := json.Marshal(body)
+	body["hint"] = "/* ttl:60 */"
+	hinted, _ := json.Marshal(body)
+	post := func(url string, b []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(url+"/viz", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/viz: status %d err %v: %s", resp.StatusCode, err, out)
+		}
+		return out
+	}
+
+	before := post(lts.URL, hinted) // cached at v0
+	stream, err := workload.NewIngestStream(live.DS, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := stream.Next(64)
+	for _, row := range rows {
+		row["text"] = "word0005"
+	}
+	for _, s := range []*Server{live, uncached} {
+		if _, err := s.Ingest(rows, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, want := post(lts.URL, hinted), post(uts.URL, plain)
+	if bytes.Equal(before, want) {
+		t.Fatal("the flush did not change the answer; the test cannot tell versions apart")
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("hinted body after a flush diverges from an uncached server\n got %s\nwant %s", got, want)
+	}
+	if again := post(lts.URL, plain); !bytes.Equal(again, got) {
+		t.Errorf("hinted and plain bodies diverge\nhinted %s\n plain %s", got, again)
+	}
+}
+
+// TestIngestOnClosedServerIsDraining: an Ingest after Close converts nothing
+// — the vocabulary keeps its size — and reports ErrDraining, never a client
+// error; over HTTP it is a 503 with Retry-After.
+func TestIngestOnClosedServerIsDraining(t *testing.T) {
+	s := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	stream, err := workload.NewIngestStream(s.DS, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := stream.Next(1)
+	rows[0]["text"] = "zzclosedword"
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	words := s.table.Vocab.Len()
+
+	_, err = s.Ingest(rows, true)
+	if !errors.Is(err, ErrDraining) || errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Ingest after Close: err = %v, want ErrDraining and no ErrBadRequest", err)
+	}
+	if got := s.table.Vocab.Len(); got != words {
+		t.Fatalf("Ingest after Close grew the vocabulary %d → %d", words, got)
+	}
+
+	body, _ := json.Marshal(map[string]any{"rows": rows, "sync": true})
+	resp, err := http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("/ingest after Close: status %d Retry-After %q, want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
 

@@ -51,7 +51,9 @@ func (s *Server) Close() error {
 		s.Drain()
 		s.prefetchMu.Unlock()
 		s.prefetches.Wait()
+		s.ingestMu.Lock()
 		s.closeErr = s.ingest.Close()
+		s.ingestMu.Unlock()
 		s.unhookFlush()
 		s.state.Store(stateClosed)
 	})

@@ -98,7 +98,6 @@ type Metrics struct {
 	planMisses   atomic.Int64 // plan-cache misses (BuildContext ran)
 	resultHits   atomic.Int64
 	resultMisses atomic.Int64
-	staleHits    atomic.Int64 // result hits served from an older version via ttl hint
 
 	subsumedHits atomic.Int64 // requests answered by slicing a containing result
 
@@ -174,8 +173,6 @@ type MetricsSnapshot struct {
 	ResultMisses  int64   `json:"result_cache_misses"`
 	ResultHitRate float64 `json:"result_cache_hit_rate"`
 
-	StaleHits int64 `json:"result_cache_stale_hits"`
-
 	SubsumedHits int64 `json:"subsumed_hits"`
 	// ExecCoalesced is always 0: concurrent identical requests each execute.
 	// It stays so readers of exec_coalesced keep decoding.
@@ -235,8 +232,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		PlanMisses:   m.planMisses.Load(),
 		ResultHits:   m.resultHits.Load(),
 		ResultMisses: m.resultMisses.Load(),
-
-		StaleHits: m.staleHits.Load(),
 
 		SubsumedHits: m.subsumedHits.Load(),
 
@@ -302,7 +297,6 @@ func (m *Metrics) WritePrometheusLabeled(w io.Writer, label string) {
 	p(`result_cache_hits_total`, float64(s.ResultHits))
 	p(`result_cache_misses_total`, float64(s.ResultMisses))
 	p(`result_cache_hit_rate`, s.ResultHitRate)
-	p(`result_cache_stale_hits_total`, float64(s.StaleHits))
 	p(`subsumed_hits_total`, float64(s.SubsumedHits))
 	p(`prefetch_issued_total`, float64(s.PrefetchIssued))
 	p(`prefetch_hits_total`, float64(s.PrefetchHits))

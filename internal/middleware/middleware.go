@@ -39,13 +39,6 @@ type Request struct {
 	GridW    int         `json:"grid_w"`
 	GridH    int         `json:"grid_h"`
 	BudgetMs float64     `json:"budget_ms"`
-	// TTL is the request's staleness tolerance (the parsed form of the
-	// `/* ttl:N */` wire hint): zero demands the current data version, a
-	// positive value lets the server answer from a cached result computed at
-	// any data version that was current within the last TTL of wall time.
-	// TTL only widens the result-cache probe — it never changes what gets
-	// computed or stored.
-	TTL time.Duration `json:"ttl,omitempty"`
 }
 
 // Response is the visualization result plus a trace of what the middleware
@@ -297,20 +290,17 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 	// the more (shape × version) entries a reader parks between flushes. It
 	// runs outside the data lock, one cache lock at a time, and fires for any
 	// flush on the shared DB, including one applied through a different
-	// replica's ingestor. Plans are only ever asked for at the current
-	// version; results and their containment index stay reachable through the
-	// /* ttl:N */ probe window, so those keep the last maxStaleProbes versions.
+	// replica's ingestor. Every read is at the current version, so plans,
+	// results and containment families below it are all dead.
 	s.unhookFlush = ds.DB.OnFlush(func(table string, version uint64) {
 		if table != s.DS.Main {
 			return
 		}
 		s.lookups.InvalidateTable(table)
 		s.plans.dropBelow(version)
-		if version > maxStaleProbes {
-			s.local.dropBelow(version - maxStaleProbes)
-			if s.regions != nil {
-				s.regions.dropBelow(version - maxStaleProbes)
-			}
+		s.local.dropBelow(version)
+		if s.regions != nil {
+			s.regions.dropBelow(version)
 		}
 	})
 	return s, nil
@@ -343,9 +333,16 @@ type IngestResult struct {
 //
 // Conversion interns new words, and a WAL replay re-interns them in the order
 // the batches were applied. ingestMu keeps the two orders one: no other
-// Ingest interns between this call's conversion and its Add.
+// Ingest interns between this call's conversion and its Add. A draining or
+// closed server returns ErrDraining before converting anything; Close shuts
+// the batcher under ingestMu, so an Ingest that passed that check adds to an
+// open batcher.
 func (s *Server) Ingest(rows []map[string]any, sync bool) (IngestResult, error) {
 	s.ingestMu.Lock()
+	if s.Draining() {
+		s.ingestMu.Unlock()
+		return IngestResult{}, ErrDraining
+	}
 	b, err := workload.RowsToBatch(s.DS, rows)
 	if err != nil {
 		s.ingestMu.Unlock()
@@ -440,9 +437,7 @@ func (s *Server) Handle(req Request) (*Response, error) {
 // once. The prefetch takes an admission slot only if one is idle (see
 // admission.tryPrefetch) — otherwise it is counted as shed — and then runs
 // to completion on its own goroutine like a live request, so it can never
-// cause a rejection a live request wouldn't have seen. The staleness hint
-// is stripped: speculative entries are only ever stored under the current
-// data version, never reachable solely via `/* ttl:N */`. No-op when the
+// cause a rejection a live request wouldn't have seen. No-op when the
 // result cache is disabled (nothing to warm) or the server is draining.
 func (s *Server) Prefetch(req Request) {
 	if s.prefetched == nil {
@@ -458,7 +453,6 @@ func (s *Server) Prefetch(req Request) {
 		s.metrics.prefetchShed.Add(1)
 		return
 	}
-	req.TTL = 0
 	s.prefetches.Add(1)
 	go func() {
 		defer s.prefetches.Done()
@@ -617,11 +611,6 @@ func (s *Server) ResultKeyFor(req Request) (ResultKey, error) {
 	return p.rkey, err
 }
 
-// maxStaleProbes caps how many historical versions a ttl-hinted request may
-// probe in the result cache — the "bounded version window" of the staleness
-// contract.
-const maxStaleProbes = 8
-
 // responseShell builds a response with the planned request's own trace,
 // leaving Bins/Points for the caller. A sliced (subsumed) response and a
 // directly-counted one therefore carry identical traces: the plan runs for
@@ -653,7 +642,7 @@ func responseShell(p planned) *Response {
 // header). prefetch marks the
 // speculative path: plan-cache and result-cache counters skip it, computed
 // entries are remembered so their first live consumer counts as a prefetch
-// hit, and staleness hints never apply (Server.Prefetch strips TTL).
+// hit.
 //
 // ctx is the request's cancellation scope (the HTTP path passes
 // r.Context()): a result-cache miss checks it once, before it counts, and a
@@ -685,28 +674,6 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 		}
 		return resp, true, nil
 	}
-	// Staleness-tolerance hint: probe bounded-recent versions before paying
-	// for a count. Strictly a wider lookup — a stale hit is served as-is
-	// (its trace and bins are exactly the old version's answer) and nothing
-	// is ever stored under an old version's key. Subsumption never joins in
-	// here: containment candidates live at the current version only.
-	if req.TTL > 0 && !prefetch {
-		versions := s.table.VersionsWithin(req.TTL, s.cfg.Now())
-		if len(versions) > maxStaleProbes+1 {
-			versions = versions[:maxStaleProbes+1]
-		}
-		for _, v := range versions[1:] { // [0] is current, already probed
-			k := rkey
-			k.DataVersion = v
-			if resp := s.results.Get(k); resp != nil {
-				s.metrics.resultHits.Add(1)
-				s.metrics.staleHits.Add(1)
-				s.noteOutcome(resp)
-				return resp, true, nil
-			}
-		}
-	}
-
 	// Containment: a cached result whose region contains this one, with
 	// exactly-aligned cells, answers by slicing — byte-identical to direct
 	// execution (see subsume.go).

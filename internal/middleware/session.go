@@ -207,7 +207,6 @@ func predictNext(prev Request, hasPrev bool, cur Request, extent engine.Rect, ma
 		seen = append(seen, r)
 		c := cur
 		c.Region = r
-		c.TTL = 0
 		if grid {
 			c.GridW, c.GridH = gw, gh
 		}

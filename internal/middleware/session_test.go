@@ -83,22 +83,6 @@ func TestPredictParentAligns(t *testing.T) {
 	}
 }
 
-// TestPredictionsNeverCarryTTL: speculative entries must be reachable only
-// at the current version — a prediction derived from a ttl-hinted request
-// strips the hint.
-func TestPredictionsNeverCarryTTL(t *testing.T) {
-	ext := engine.Rect{MinLon: 0, MinLat: 0, MaxLon: 64, MaxLat: 64}
-	tr := NewSessionTracker(SessionConfig{MaxPrefetch: 3})
-	r1, r2 := sessReq(ext, 3, 2, 4), sessReq(ext, 3, 3, 4)
-	r1.TTL, r2.TTL = 5*time.Second, 5*time.Second
-	tr.Observe("s1", r1, ext)
-	for _, p := range tr.Observe("s1", r2, ext) {
-		if p.TTL != 0 {
-			t.Fatalf("prediction carries TTL %v", p.TTL)
-		}
-	}
-}
-
 // TestSessionTrackerLRU: the tracker is bounded and evicts the least
 // recently observed session.
 func TestSessionTrackerLRU(t *testing.T) {
