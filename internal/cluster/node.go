@@ -429,6 +429,9 @@ func (n *Node) deliverFill(f fillReq) {
 
 // serveFetch answers POST /cluster/fetch?dataset=<name>: body is a
 // middleware.ResultKey; 200 + Response JSON on a local hit, 204 on a miss.
+// The answer is the held response's stored bytes (Response.WriteJSON): a
+// fetched result is asked for twice, once here and once where it was
+// computed.
 func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request) {
 	if !n.authorizePeer(w, r) {
 		return
@@ -445,7 +448,7 @@ func (n *Node) serveFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	_ = resp.WriteJSON(w)
 }
 
 // serveFill accepts POST /cluster/fill?dataset=<name>: body is a peerFill;

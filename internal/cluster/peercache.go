@@ -139,11 +139,6 @@ func (c *peerCache) Get(key middleware.ResultKey) *middleware.Response {
 // Put implements middleware.ResultCache.
 func (c *peerCache) Put(key middleware.ResultKey, resp *middleware.Response) {
 	c.local.Put(key, resp)
-	// A response computed just before a flush landed carries a superseded
-	// version; the owner would refuse the fill, so don't bother sending it.
-	if v, ok := c.node.dataVersion(c.dataset); ok && key.DataVersion != v {
-		return
-	}
 	if owner := c.node.ownerFor(key.Hash()); owner != c.node.id {
 		c.node.enqueueFill(fillReq{dataset: c.dataset, owner: owner, key: key, resp: resp})
 	}

@@ -15,45 +15,47 @@ type Experience struct {
 }
 
 // Replay is a fixed-capacity FIFO experience buffer (the paper's replay
-// memory M with capacity C, replaced FIFO when full).
+// memory M with capacity C, replaced FIFO when full). buf grows by append
+// up to cap and rings from then on, so a policy that is only served — and
+// never adds — holds no slots.
 type Replay struct {
-	cap   int
-	buf   []Experience
-	next  int
-	count int
+	cap  int
+	buf  []Experience
+	next int // the slot the next Add overwrites once buf is full
 }
 
-// NewReplay creates a replay memory with the given capacity.
+// NewReplay creates an empty replay memory with the given capacity.
 func NewReplay(capacity int) *Replay {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &Replay{cap: capacity, buf: make([]Experience, capacity)}
+	return &Replay{cap: capacity}
 }
 
 // Add stores an experience, evicting the oldest when full.
 func (r *Replay) Add(e Experience) {
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, e)
+		return
+	}
 	r.buf[r.next] = e
 	r.next = (r.next + 1) % r.cap
-	if r.count < r.cap {
-		r.count++
-	}
 }
 
 // Len returns the number of stored experiences.
-func (r *Replay) Len() int { return r.count }
+func (r *Replay) Len() int { return len(r.buf) }
 
 // Cap returns the capacity.
 func (r *Replay) Cap() int { return r.cap }
 
 // Sample draws n experiences uniformly with replacement.
 func (r *Replay) Sample(rng *rand.Rand, n int) []Experience {
-	if r.count == 0 {
+	if len(r.buf) == 0 {
 		return nil
 	}
 	out := make([]Experience, n)
 	for i := range out {
-		out[i] = r.buf[rng.Intn(r.count)]
+		out[i] = r.buf[rng.Intn(len(r.buf))]
 	}
 	return out
 }

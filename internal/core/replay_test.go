@@ -68,3 +68,57 @@ func TestReplayZeroCapacityClamped(t *testing.T) {
 		t.Errorf("Len=%d Cap=%d", r.Len(), r.Cap())
 	}
 }
+
+// TestReplayEmptyHoldsNoSlots: a replay memory that is never added to — a
+// served policy's — holds no experience slots, whatever its capacity.
+func TestReplayEmptyHoldsNoSlots(t *testing.T) {
+	r := NewReplay(20000)
+	if cap(r.buf) != 0 || r.Len() != 0 || r.Cap() != 20000 {
+		t.Errorf("fresh replay: %d slots, Len=%d Cap=%d; want 0 slots, 0, 20000", cap(r.buf), r.Len(), r.Cap())
+	}
+}
+
+// preallocRing is the replay memory as a ring over all cap slots allocated
+// up front: the reference the growing buffer must match draw for draw.
+type preallocRing struct {
+	buf         []Experience
+	next, count int
+}
+
+func (r *preallocRing) add(e Experience) {
+	r.buf[r.next] = e
+	r.next = (r.next + 1) % len(r.buf)
+	if r.count < len(r.buf) {
+		r.count++
+	}
+}
+
+func (r *preallocRing) sample(rng *rand.Rand, n int) []Experience {
+	out := make([]Experience, n)
+	for i := range out {
+		out[i] = r.buf[rng.Intn(r.count)]
+	}
+	return out
+}
+
+// TestReplayMatchesPreallocatedRing: a seeded Add/Sample run past capacity
+// draws exactly what the preallocated ring draws, so training is unchanged.
+func TestReplayMatchesPreallocatedRing(t *testing.T) {
+	const capacity = 37
+	r := NewReplay(capacity)
+	ref := &preallocRing{buf: make([]Experience, capacity)}
+	rngA, rngB := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+	for i := 0; i < 5*capacity; i++ {
+		r.Add(Experience{Action: i})
+		ref.add(Experience{Action: i})
+		if r.Len() != ref.count {
+			t.Fatalf("after %d adds: Len=%d, ring holds %d", i+1, r.Len(), ref.count)
+		}
+		got, want := r.Sample(rngA, 4), ref.sample(rngB, 4)
+		for j := range want {
+			if got[j].Action != want[j].Action {
+				t.Fatalf("after %d adds, draw %d: action %d, ring draws %d", i+1, j, got[j].Action, want[j].Action)
+			}
+		}
+	}
+}

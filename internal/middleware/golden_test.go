@@ -22,18 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestGoldenTraces(t *testing.T) {
 	s := testServer(t)
 
-	reqs := []Request{validRequest()}
-	wide := validRequest()
-	wide.Keyword = "word0002"
-	wide.From = time.Date(2016, 6, 1, 0, 0, 0, 0, time.UTC)
-	wide.To = time.Date(2016, 10, 1, 0, 0, 0, 0, time.UTC)
-	wide.BudgetMs = 800
-	reqs = append(reqs, wide)
-	scatter := validRequest()
-	scatter.Kind = VizScatter
-	scatter.BudgetMs = 300
-	reqs = append(reqs, scatter)
-
+	reqs := goldenRequests()
 	got := make([]Trace, len(reqs))
 	for i, req := range reqs {
 		resp, err := s.Handle(req)
@@ -76,4 +65,18 @@ func TestGoldenTraces(t *testing.T) {
 			t.Errorf("trace %d diverges from golden\n got %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// goldenRequests are the requests whose traces testdata/trace_golden.json
+// pins, in file order.
+func goldenRequests() []Request {
+	wide := validRequest()
+	wide.Keyword = "word0002"
+	wide.From = time.Date(2016, 6, 1, 0, 0, 0, 0, time.UTC)
+	wide.To = time.Date(2016, 10, 1, 0, 0, 0, 0, time.UTC)
+	wide.BudgetMs = 800
+	scatter := validRequest()
+	scatter.Kind = VizScatter
+	scatter.BudgetMs = 300
+	return []Request{validRequest(), wide, scatter}
 }

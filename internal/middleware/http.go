@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -162,7 +163,7 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 	defer s.admit.release()
 
 	start := time.Now()
-	resp, cached, err := s.handle(r.Context(), req, false)
+	resp, src, err := s.handle(r.Context(), req, false)
 	s.metrics.latency.observe(time.Since(start))
 	if err != nil {
 		switch {
@@ -181,15 +182,48 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.ok.Add(1)
 	w.Header().Set("Content-Type", "application/json")
-	if cached {
-		w.Header().Set("X-Cache", "hit")
-	} else {
+	if src == computed {
 		w.Header().Set("X-Cache", "miss")
+	} else {
+		w.Header().Set("X-Cache", "hit")
 	}
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		// Headers already sent; nothing more to do.
-		return
+	// A result-cache hit is a result asked for twice, so it writes (and on
+	// its first write keeps) stored bytes; a miss or a slice streams. A
+	// write error leaves nothing to do: the headers are already sent.
+	if src == fromCache {
+		_ = resp.WriteJSON(w)
+	} else {
+		_ = json.NewEncoder(w).Encode(resp)
 	}
+}
+
+// WriteJSON writes r's JSON encoding to w: exactly the bytes
+// json.NewEncoder(w).Encode(r) writes, HTML escaping and trailing newline
+// included. The first call encodes and keeps the bytes on r; every later
+// call writes the kept bytes without encoding. Concurrent first calls agree
+// through CompareAndSwap: all of them write the first kept encoding.
+//
+// The bytes are never invalidated, so call it only on a response that is
+// immutable from here on — one read back from a result cache. The serving
+// paths do: a /viz result-cache hit and a /cluster/fetch answer. A miss
+// streams through the encoder instead, so a result that is never asked for
+// twice keeps no bytes.
+func (r *Response) WriteJSON(w io.Writer) error {
+	b, _ := r.body.Load().([]byte)
+	if b == nil {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(r); err != nil {
+			return err
+		}
+		// Clone trims the buffer's growth slack: the bytes live as long as
+		// the cache entry.
+		b = bytes.Clone(buf.Bytes())
+		if !r.body.CompareAndSwap(nil, b) {
+			b = r.body.Load().([]byte)
+		}
+	}
+	_, err := w.Write(b)
+	return err
 }
 
 // decodeViz bounds and decodes one /viz body.

@@ -360,9 +360,9 @@ func TestCancelAbortsExecution(t *testing.T) {
 
 		// Nothing was cached for the canceled request; a live retry serves
 		// normally.
-		resp, cached, err := tc.s.handle(context.Background(), req, false)
+		resp, src, err := tc.s.handle(context.Background(), req, false)
 		if err != nil || resp == nil {
-			t.Fatalf("%s: retry after cancel: cached=%v err=%v", tc.name, cached, err)
+			t.Fatalf("%s: retry after cancel: source=%d err=%v", tc.name, src, err)
 		}
 		if len(resp.Bins) == 0 {
 			t.Fatalf("%s: retry served empty heatmap", tc.name)

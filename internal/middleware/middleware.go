@@ -52,6 +52,12 @@ type Response struct {
 	GridW int      `json:"grid_w"`
 	GridH int      `json:"grid_h"`
 	Trace Trace    `json:"trace"`
+
+	// body holds the []byte WriteJSON keeps: this response's own encoding,
+	// written once by the first result-cache hit that writes it. An
+	// atomic.Value, not an atomic.Pointer, because the latter's no-copy
+	// marker would make every by-value use of a Response a vet error.
+	body atomic.Value
 }
 
 // Trace records the rewriting decision for a request.
@@ -637,12 +643,20 @@ func responseShell(p planned) *Response {
 	}
 }
 
-// handle is Handle plus a flag reporting whether the response came without
-// computing it here (cache hit or subsumption slice — surfaced as the X-Cache
-// header). prefetch marks the
-// speculative path: plan-cache and result-cache counters skip it, computed
-// entries are remembered so their first live consumer counts as a prefetch
-// hit.
+// source says where handle found a response. Anything but computed is an
+// X-Cache hit; only fromCache writes stored bytes (see Response.WriteJSON).
+type source uint8
+
+const (
+	computed  source = iota // counted and folded by this request
+	sliced                  // cut from a cached containing heatmap
+	fromCache               // read back from the result cache
+)
+
+// handle is Handle plus where the response came from (see source). prefetch
+// marks the speculative path: plan-cache and result-cache counters skip it,
+// computed entries are remembered so their first live consumer counts as a
+// prefetch hit.
 //
 // ctx is the request's cancellation scope (the HTTP path passes
 // r.Context()): a result-cache miss checks it once, before it counts, and a
@@ -654,12 +668,12 @@ func responseShell(p planned) *Response {
 // happens entirely before this request (which then plans, counts, and
 // caches at the new version) or entirely after it. That lock is what turns
 // "version-stamped keys" into the stale-read guarantee.
-func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Response, bool, error) {
+func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Response, source, error) {
 	s.DS.DB.RLockData()
 	defer s.DS.DB.RUnlockData()
 	p, err := s.plan(req, !prefetch)
 	if err != nil {
-		return nil, false, err
+		return nil, computed, err
 	}
 
 	// Result cache: repeated (rewritten SQL, kind, grid, region, budget,
@@ -672,7 +686,7 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 			s.notePrefetchHit(rkey)
 			s.noteOutcome(resp)
 		}
-		return resp, true, nil
+		return resp, fromCache, nil
 	}
 	// Containment: a cached result whose region contains this one, with
 	// exactly-aligned cells, answers by slicing — byte-identical to direct
@@ -682,7 +696,7 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 			s.metrics.resultHits.Add(1)
 			s.noteOutcome(resp)
 		}
-		return resp, true, nil
+		return resp, sliced, nil
 	}
 
 	if !prefetch {
@@ -694,12 +708,12 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 	// over the shared lookup cache. NewServerWithConfig checked that every
 	// filter column has its index, so a shape that cannot be counted is a bug.
 	if ctx.Err() != nil {
-		return nil, false, s.canceled(ctx)
+		return nil, computed, s.canceled(ctx)
 	}
 	counter := p.counter
 	if counter == nil {
 		if counter = s.DS.DB.NewCounter(p.rq, s.lookups); counter == nil {
-			return nil, false, fmt.Errorf("middleware: %s cannot be counted", p.rkey.SQL)
+			return nil, computed, fmt.Errorf("middleware: %s cannot be counted", p.rkey.SQL)
 		}
 	}
 	resp := s.fold(p, counter.Result())
@@ -709,7 +723,7 @@ func (s *Server) handle(ctx context.Context, req Request, prefetch bool) (*Respo
 	} else {
 		s.noteOutcome(resp)
 	}
-	return resp, false, nil
+	return resp, computed, nil
 }
 
 // canceled counts one miss abandoned because ctx is done and returns the

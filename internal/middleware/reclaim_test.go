@@ -71,8 +71,8 @@ func TestFlushReclaimsDeadVersions(t *testing.T) {
 		t.Errorf("reclaim at the current version dropped live entries: plans 3→%d, results %d→%d, families %d→%d",
 			s.plans.len(), len(reqs), s.local.Len(), fams, after)
 	}
-	if _, cached, err := s.handle(context.Background(), reqs[0], false); err != nil || !cached {
-		t.Errorf("current-version entry after reclaim: cached=%v err=%v, want a hit", cached, err)
+	if _, src, err := s.handle(context.Background(), reqs[0], false); err != nil || src != fromCache {
+		t.Errorf("current-version entry after reclaim: source=%d err=%v, want a result-cache hit", src, err)
 	}
 }
 

@@ -100,7 +100,8 @@ type resultEntry struct {
 // highly-overlapping queries of a pan/zoom session keep producing identical
 // (rewritten SQL, grid) pairs, so the whole execute+bin step is skipped.
 // Cached *Response values are shared — callers must treat them as immutable
-// (the serving layer only encodes them). It implements ResultCache; a nil
+// (the serving layer only encodes them, and a hit keeps that encoding on the
+// response: see Response.WriteJSON). It implements ResultCache; a nil
 // *resultCache is the disabled cache (Get misses, Put drops).
 type resultCache struct {
 	mu      sync.Mutex
