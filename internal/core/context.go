@@ -177,8 +177,8 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 	// possibly nil). Repeats within the build are served by the memo whether
 	// or not the shared cache has room; first sightings fall through to it,
 	// which extends the sharing across contexts. The engine's zero-allocation
-	// visitor paths (BTree.Visit / Cursor) only take over where a scan is
-	// never shared: join probes inside each execution.
+	// visitor path (BTree.Visit) only takes over where a scan is never
+	// shared: join probes inside each execution.
 	cache := engine.NewLookupMemo(cfg.Lookups)
 
 	// Optimizer estimates: every rewrite keeps q's table and predicates

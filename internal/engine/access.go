@@ -202,13 +202,10 @@ func (c *Counter) rows(mask uint64) Posting {
 // Result returns what RunCached returns for every exact plan of the Counter's
 // query — by the determinism contract they all return the same answer — from
 // the intersection the Counter already holds: the matching rows ascending,
-// the projected point column's points, the bins when the query bins, and
-// weight 1. Its slices are freshly allocated and never alias a posting list.
+// the projected point column's points, and weight 1. Its slices are freshly
+// allocated and never alias a posting list.
 func (c *Counter) Result() *Result {
 	res := &Result{Weight: 1}
-	if c.q.Bin != nil {
-		res.Bins = make(map[int]float64)
-	}
 	if len(c.lists) == 0 {
 		// No predicate: every row matches.
 		for r := range c.t.Rows {
@@ -220,11 +217,7 @@ func (c *Counter) Result() *Result {
 	if points := pointColumn(c.t, c.q); points != nil && len(res.RowIDs) > 0 {
 		res.Points = make([]Point, len(res.RowIDs))
 		for i, r := range res.RowIDs {
-			p := points[r]
-			res.Points[i] = p
-			if c.q.Bin != nil {
-				res.Bins[binID(c.q.Bin, p)] += res.Weight
-			}
+			res.Points[i] = points[r]
 		}
 	}
 	return res

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// The allocation-guard tests pin steady-state allocs/op ceilings for the
-// executor hot paths, so a regression reintroducing per-probe slices (or any
-// new per-row allocation) fails in CI instead of only showing up in benchmark
-// diffs. Ceilings leave headroom over the measured numbers (joins measure
-// ~35, dominated by the escaping Result and the one cached index lookup) but
-// sit far below the pre-cursor ~224.
+// The allocation-guard tests pin allocs/op ceilings for the executor and
+// index hot paths, so a regression reintroducing per-probe slices (or any
+// new per-row allocation) fails in CI instead of only showing up in
+// benchmark diffs. Each execution allocates its own scratch, so the
+// executor guards bound what grows with the rows and probes of a run, not
+// the constant per-run cost.
 //
-// testing.AllocsPerRun averages over runs after a warm-up call has populated
-// the execContext pool, so pooled scratch does not count.
+// testing.AllocsPerRun averages over runs after a warm-up call, so the
+// lazily-built statistics and the pooled row sets do not count.
 
 // guardAllocs asserts fn stays at or under ceiling allocations per run.
 func guardAllocs(t *testing.T, name string, ceiling float64, fn func()) {
@@ -22,7 +22,7 @@ func guardAllocs(t *testing.T, name string, ceiling float64, fn func()) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
-	fn() // warm pools and lazily-built statistics
+	fn() // warm the row-set pool and lazily-built statistics
 	if got := testing.AllocsPerRun(10, fn); got > ceiling {
 		t.Errorf("%s: %.1f allocs/op, ceiling %.0f", name, got, ceiling)
 	}
@@ -44,25 +44,6 @@ func TestAllocGuardBTreeVisit(t *testing.T) {
 	_ = n
 }
 
-// TestAllocGuardBTreeCursor: a reset cursor driving sorted and unsorted
-// probe sequences never allocates.
-func TestAllocGuardBTreeCursor(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	tree, _ := dupHeavyTree(rng, 50_000, 1000)
-	var cur Cursor
-	guardAllocs(t, "Cursor", 0, func() {
-		cur.Reset(tree)
-		for k := 0.0; k < 1000; k += 7 {
-			cur.Seek(k)
-			for {
-				if _, ok := cur.Next(k); !ok {
-					break
-				}
-			}
-		}
-	})
-}
-
 // allocGuardJoinQuery returns the shared executor-guard fixture: the same
 // shape BenchmarkEngineExecuteJoinPlan runs, at a size small enough for the
 // test suite.
@@ -76,25 +57,55 @@ func allocGuardJoinQuery(t *testing.T) (*DB, *Query) {
 	return db, q
 }
 
-// TestAllocGuardExecutorJoins: steady-state ceilings for all three join
-// methods (the acceptance bar is ≤40 on the benchmark's larger fixture; the
-// remaining allocations here are the Result escaping to the caller and the
-// uncached index-scan materialization on the access path).
+// TestAllocGuardExecutorJoins: a join allocates nothing per probe. Every
+// nest-loop and merge probe is a Visit descent whose callback stays on the
+// stack, and the build-side key set and the merge sort buffer are allocated
+// once per run. So over a left side five times longer, a join's allocations
+// grow by no more than the same query's without the join — the slice
+// growths of its longer candidate and output lists — where one allocation
+// per probe would add thousands.
 func TestAllocGuardExecutorJoins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
 	db, q := allocGuardJoinQuery(t)
-	for _, jm := range []JoinMethod{NestLoopJoin, HashJoin, MergeJoin} {
-		hint := ForcedHint([]int{1}, jm)
-		guardAllocs(t, jm.String(), 40, func() {
-			if _, _, err := db.Run(q, hint); err != nil {
+	// One time-range predicate, so every row in the range is probed.
+	wide := q.Clone()
+	wide.Preds = wide.Preds[1:2] // ts in [2000, 7000]
+	narrow := wide.Clone()
+	narrow.Preds[0].Hi = 3000
+	growth := func(join *JoinClause, jm JoinMethod) (allocs float64, leftRows int) {
+		hint := ForcedHint([]int{0}, jm)
+		measure := func(q *Query) (float64, int) {
+			q = q.Clone()
+			q.Join = join
+			_, stats, err := db.Run(q, hint)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
+			return testing.AllocsPerRun(10, func() { db.Run(q, hint) }), stats.RowsFetched
+		}
+		few, fewRows := measure(narrow)
+		many, manyRows := measure(wide)
+		return many - few, manyRows - fewRows
+	}
+	plain, _ := growth(nil, JoinAuto)
+	for _, jm := range []JoinMethod{NestLoopJoin, HashJoin, MergeJoin} {
+		got, more := growth(wide.Join, jm)
+		if more < 1000 {
+			t.Fatalf("%s: the wide join probes only %d more left rows than the narrow one", jm, more)
+		}
+		if got > plain {
+			t.Errorf("%s: allocations grow by %.0f over %d more probes, the join-free query's by %.0f",
+				jm, got, more, plain)
+		}
 	}
 }
 
-// TestAllocGuardExecutorIndexScan: the no-join multi-index path stays at its
-// pooled-scratch floor (measured ~30 on this fixture: the escaping Result,
-// its row/point appends, and the uncached btree lookup materialization).
+// TestAllocGuardExecutorIndexScan: the no-join multi-index path stays near
+// its floor (measured 28 on this fixture: the escaping Result, its row/point
+// appends, the run's own scratch lists, and the uncached btree lookup
+// materialization).
 func TestAllocGuardExecutorIndexScan(t *testing.T) {
 	db := buildTestDB(t, 8_000, 5)
 	q := testQuery(db)
@@ -171,11 +182,14 @@ func TestAllocGuardCounter(t *testing.T) {
 }
 
 // TestAllocGuardBoundPredicates: binding predicates to column storage costs
-// the scan loops nothing. One query run as a sequential scan (three bound
-// predicates, cheap-first), as a one-index plan (two bound residuals) and as
-// an all-index plan (none) — lookups served from a cache, so only the
-// executor's own work is counted — allocates the same: what emitting the
-// identical result rows allocates.
+// the scan loops nothing per row. One query run as a sequential scan (three
+// bound predicates, cheap-first) and as a one-index plan (two bound
+// residuals) — lookups served from a cache, so only the executor's own work
+// is counted — allocates no more than the all-index plan (no predicate
+// evaluated), whose allocations are its scratch lists and the identical
+// result rows. The ceiling is set by the result, not by the 8 000 rows the
+// scan tests or the candidates the residual loop tests, so one allocation
+// per evaluated row fails it by thousands.
 func TestAllocGuardBoundPredicates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -193,11 +207,11 @@ func TestAllocGuardBoundPredicates(t *testing.T) {
 		run()
 		return testing.AllocsPerRun(20, run)
 	}
-	emitOnly := measure([]int{0, 1, 2})
-	if got := measure([]int{0}); got != emitOnly {
-		t.Errorf("residual loop: %.1f allocs/op, emit-only floor %.1f", got, emitOnly)
+	ceiling := measure([]int{0, 1, 2})
+	if got := measure([]int{0}); got > ceiling {
+		t.Errorf("residual loop: %.1f allocs/op, all-index ceiling %.1f", got, ceiling)
 	}
-	if got := measure(nil); got != emitOnly {
-		t.Errorf("seqScan: %.1f allocs/op, emit-only floor %.1f", got, emitOnly)
+	if got := measure(nil); got > ceiling {
+		t.Errorf("seqScan: %.1f allocs/op, all-index ceiling %.1f", got, ceiling)
 	}
 }

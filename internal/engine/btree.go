@@ -188,7 +188,7 @@ func (n *btreeNode) insert(key float64, row uint32) (*btreeNode, float64) {
 // descent goes there and relies on the leaf chain to move forward.
 //
 // The materializing Range scan lives in btree_oracle_test.go as an
-// independent implementation: it is the reference the Visit/Cursor/
+// independent implementation: it is the reference the Visit and
 // Index.Lookup differential tests compare against.
 func (t *BTree) Visit(lo, hi float64, fn func(row uint32) bool) (entries int) {
 	n := t.root
@@ -226,117 +226,3 @@ func (t *BTree) CountRange(lo, hi float64) int {
 	t.Visit(lo, hi, func(uint32) bool { n++; return true })
 	return n
 }
-
-// Cursor iterates one B+-tree's leaf chain across repeated probes without
-// allocating. A zero Cursor is unusable; call Reset first. Cursors are meant
-// to be pooled (the executor keeps one in its pooled execContext) and re-aimed
-// at a tree per join.
-//
-// The accounting contract is the point of the type: every Seek+Next drain
-// reports, via Entries, exactly the index-entry count a fresh
-// Visit(key, key) descent for the same probe would report — when the cursor
-// resumes from its current leaf position instead of re-descending from the
-// root, it still charges the synthetic descent cost (the tree height). That
-// keeps ExecStats.IndexEntries, and therefore the virtual cost model, the
-// ground-truth labels, and the golden traces, bit-identical to the
-// descent-per-probe execution path.
-type Cursor struct {
-	tree   *BTree
-	height int
-
-	leaf *btreeNode
-	idx  int
-
-	// Run bookkeeping: runLeaf/runIdx remember where the entries ≥ lastKey
-	// start, so a repeated probe of the same key (duplicate left rows in a
-	// merge join) rewinds instead of losing the matches it already passed.
-	runLeaf *btreeNode
-	runIdx  int
-	lastKey float64
-	valid   bool
-
-	stopped bool
-	entries int
-}
-
-// Reset aims the cursor at a tree, dropping all position state.
-func (c *Cursor) Reset(t *BTree) {
-	*c = Cursor{tree: t, height: t.Height()}
-}
-
-// Seek positions the cursor at the first entry with key ≥ target and resets
-// the per-probe entry count to the descent cost. Probes with non-decreasing
-// targets (a merge join's sorted left side) resume from the current leaf
-// position: an equal target rewinds to the start of its run, a larger target
-// scans forward within the current leaf when it can, and only targets outside
-// the leaf (or regressions, as in a nest-loop join's unsorted probes)
-// re-descend from the root. Every variant charges the same descent cost, so
-// Entries stays identical to a fresh descent.
-func (c *Cursor) Seek(target float64) {
-	c.entries = c.height
-	c.stopped = false
-	switch {
-	case c.valid && target == c.lastKey:
-		// Duplicate probe: rewind to the run start.
-		c.leaf, c.idx = c.runLeaf, c.runIdx
-	case c.valid && target > c.lastKey && c.leaf == nil:
-		// The previous probe exhausted the chain; nothing ≥ target remains.
-	case c.valid && target > c.lastKey && c.leaf != nil &&
-		len(c.leaf.keys) > 0 && target <= c.leaf.keys[len(c.leaf.keys)-1]:
-		// Target lands inside the current leaf: resume in place.
-		for c.idx < len(c.leaf.keys) && c.leaf.keys[c.idx] < target {
-			c.idx++
-		}
-	default:
-		c.descend(target)
-	}
-	c.runLeaf, c.runIdx = c.leaf, c.idx
-	c.lastKey = target
-	c.valid = true
-}
-
-// descend walks root→leaf exactly like Visit, leaving the cursor at the
-// first in-leaf slot ≥ target (possibly one past the leaf's last slot; Next
-// then follows the chain, uncharged, like Visit's leaf walk does).
-func (c *Cursor) descend(target float64) {
-	n := c.tree.root
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= target })
-		if i > 0 {
-			i--
-		}
-		n = n.children[i]
-	}
-	c.leaf = n
-	c.idx = sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= target })
-}
-
-// Next returns the next row with key ≤ hi. Each examined slot is charged one
-// entry — including the slot that terminates the scan by exceeding hi, which
-// the cursor stays on so the following Seek can resume from it. Running off
-// the end of the leaf chain charges nothing, mirroring Visit.
-func (c *Cursor) Next(hi float64) (uint32, bool) {
-	if c.stopped {
-		return 0, false
-	}
-	for c.leaf != nil && c.idx >= len(c.leaf.keys) {
-		c.leaf = c.leaf.next
-		c.idx = 0
-	}
-	if c.leaf == nil {
-		c.stopped = true
-		return 0, false
-	}
-	c.entries++
-	if c.leaf.keys[c.idx] > hi {
-		c.stopped = true
-		return 0, false
-	}
-	row := c.leaf.rows[c.idx]
-	c.idx++
-	return row, true
-}
-
-// Entries returns the index entries charged since the last Seek — exactly
-// what Visit(target, hi) would have reported for the same drained probe.
-func (c *Cursor) Entries() int { return c.entries }

@@ -6,7 +6,7 @@ import "sort"
 // plus the number of index entries and nodes touched during the scan. It is
 // the materializing scan production code used before Index.Lookup marked row
 // sets straight from Visit, kept here — deliberately sharing no code with
-// Visit or Cursor — as the oracle their differential tests compare against.
+// Visit — as the oracle its differential tests compare against.
 func (t *BTree) Range(lo, hi float64) (rows []uint32, entries int) {
 	n := t.root
 	entries++ // root visit

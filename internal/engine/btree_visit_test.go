@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -90,129 +89,5 @@ func TestBTreeCountRangeMatchesRange(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// drainProbe runs one Seek+Next drain and returns the rows and the entries
-// the cursor charged for the probe.
-func drainProbe(c *Cursor, key float64) ([]uint32, int) {
-	c.Seek(key)
-	var rows []uint32
-	for {
-		r, ok := c.Next(key)
-		if !ok {
-			break
-		}
-		rows = append(rows, r)
-	}
-	return rows, c.Entries()
-}
-
-// TestBTreeCursorMatchesRangeSorted is the merge-join-shaped differential
-// test: non-decreasing probe sequences with duplicate keys. Every resumed,
-// rewound, or re-descended probe must report exactly the rows and entries a
-// fresh Range(key, key) descent reports.
-func TestBTreeCursorMatchesRangeSorted(t *testing.T) {
-	prop := func(seed int64, n uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tree, _ := dupHeavyTree(rng, int(n)%2000+1, 40)
-		probes := make([]float64, rng.Intn(60)+5)
-		for i := range probes {
-			// Include keys outside the domain on both sides.
-			probes[i] = float64(rng.Intn(50) - 5)
-		}
-		sort.Float64s(probes)
-		var cur Cursor
-		cur.Reset(tree)
-		for _, k := range probes {
-			wantRows, wantEntries := tree.Range(k, k)
-			gotRows, gotEntries := drainProbe(&cur, k)
-			if gotEntries != wantEntries || !equalRows(gotRows, wantRows) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBTreeCursorMatchesRangeUnsorted is the nest-loop-shaped differential
-// test: arbitrary probe order forces re-descents, which must be just as
-// identical to Range as the streaming resumes are.
-func TestBTreeCursorMatchesRangeUnsorted(t *testing.T) {
-	prop := func(seed int64, n uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tree, _ := dupHeavyTree(rng, int(n)%2000+1, 40)
-		var cur Cursor
-		cur.Reset(tree)
-		for i := 0; i < 50; i++ {
-			k := float64(rng.Intn(50) - 5)
-			wantRows, wantEntries := tree.Range(k, k)
-			gotRows, gotEntries := drainProbe(&cur, k)
-			if gotEntries != wantEntries || !equalRows(gotRows, wantRows) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBTreeCursorPartialDrain: a caller that abandons a probe mid-run must
-// still get Range-identical results for every later probe (the cursor resume
-// logic may only assume the position never passed the previous probe's
-// terminator).
-func TestBTreeCursorPartialDrain(t *testing.T) {
-	prop := func(seed int64, n uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tree, _ := dupHeavyTree(rng, int(n)%2000+1, 40)
-		probes := make([]float64, 40)
-		for i := range probes {
-			probes[i] = float64(rng.Intn(50) - 5)
-		}
-		sort.Float64s(probes)
-		var cur Cursor
-		cur.Reset(tree)
-		for _, k := range probes {
-			if rng.Intn(2) == 0 {
-				// Abandon after at most two rows.
-				cur.Seek(k)
-				for j := 0; j < 2; j++ {
-					if _, ok := cur.Next(k); !ok {
-						break
-					}
-				}
-				continue
-			}
-			wantRows, wantEntries := tree.Range(k, k)
-			gotRows, gotEntries := drainProbe(&cur, k)
-			if gotEntries != wantEntries || !equalRows(gotRows, wantRows) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBTreeCursorEmptyTree: probing an empty tree charges exactly the root
-// visit, like Range does.
-func TestBTreeCursorEmptyTree(t *testing.T) {
-	tree := NewBTree(nil, nil)
-	var cur Cursor
-	cur.Reset(tree)
-	for _, k := range []float64{-1, 0, 5} {
-		wantRows, wantEntries := tree.Range(k, k)
-		gotRows, gotEntries := drainProbe(&cur, k)
-		if len(gotRows) != len(wantRows) || gotEntries != wantEntries {
-			t.Fatalf("probe %v: rows=%d entries=%d, want rows=%d entries=%d",
-				k, len(gotRows), gotEntries, len(wantRows), wantEntries)
-		}
 	}
 }

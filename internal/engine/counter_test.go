@@ -8,8 +8,8 @@ import (
 
 // TestCounterResultEdges: Counter.Result equals what the executor and the
 // reference executor return under every hint for an empty answer, the whole
-// table (every list a bitmap), a binned query and a query with no predicate,
-// and its slices are fresh — writing them changes no posting list and no
+// table (every list a bitmap), a partial answer and a query with no
+// predicate, and its slices are fresh — writing them changes no posting list and no
 // later answer.
 func TestCounterResultEdges(t *testing.T) {
 	db := buildTestDB(t, 8_000, 5)
@@ -22,8 +22,6 @@ func TestCounterResultEdges(t *testing.T) {
 		{Col: "loc", Kind: PredGeo, Box: everywhere},
 		{Col: "val", Kind: PredRange, Lo: -1, Hi: 1e9},
 	}
-	binned := testQuery(db)
-	binned.Bin = &BinSpec{Col: "loc", Extent: Rect{MinLon: 0, MinLat: 0, MaxLon: 100, MaxLat: 50}, W: 16, H: 16}
 	unfiltered := testQuery(db)
 	unfiltered.Preds = nil
 	for _, tc := range []struct {
@@ -33,7 +31,7 @@ func TestCounterResultEdges(t *testing.T) {
 	}{
 		{"empty", empty, 0},
 		{"whole table", whole, 8_000},
-		{"binned", binned, -1},
+		{"partial", testQuery(db), -1},
 		{"no predicate", unfiltered, 8_000},
 	} {
 		cache := NewLookupMemo(nil)

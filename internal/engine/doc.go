@@ -11,11 +11,11 @@
 //
 //   - table.go, types.go, vocab.go — the columnar store: typed columns,
 //     tokenized text, immutable once loaded.
-//   - btree.go, rtree.go, inverted.go — the index structures. BTree offers
-//     two read paths with identical entries accounting: the allocation-free
-//     Visit visitor and the resumable Cursor the join paths pool (the
-//     materializing Range scan survives in btree_oracle_test.go as their
-//     differential-test oracle).
+//   - btree.go, rtree.go, inverted.go — the index structures. BTree's one
+//     read path is the allocation-free Visit visitor, which index lookups,
+//     join probes and true selectivity all walk (the materializing Range
+//     scan survives in btree_oracle_test.go as its differential-test
+//     oracle).
 //   - rowset.go — the pooled bitset Index.Lookup marks tree scans into and
 //     sweeps out in row-id order (a bitmap index scan; tiny sets are sorted).
 //   - query.go, predicate.go — the SQL-ish query model, per-predicate
@@ -24,8 +24,11 @@
 //   - optimizer.go, cost.go, stats.go — the deliberately-imperfect
 //     cost-based optimizer, the virtual-time cost model, and ExecStats,
 //     the work accounting everything else is priced in.
-//   - executor.go — plan execution over a pooled execContext with reusable
-//     scratch buffers (the zero-allocation hot path).
+//   - executor.go — plain plan execution: a fresh execContext per run, one
+//     Visit descent per join probe. Since serving counts rather than
+//     executes, the executor is the reference the determinism contract
+//     compares against, and it runs the harness's joins, LIMIT and sample
+//     options.
 //   - access.go — the one accounting of index access (intersection and
 //     fetch phases) the executor charges through, and Counter, which prices
 //     an exact single-table query's plans from its posting lists without
@@ -40,14 +43,15 @@
 // # Invariants
 //
 // ExecStats is bit-identical across every execution strategy of the same
-// plan: pooled or fresh contexts, Visit or Cursor scans, bitset-ordered or
-// sorted posting lists, bound or interpreted predicates, cached or uncached
-// lookups — and counted rather than executed. The virtual clock — and
-// therefore ground-truth labels, trained policies, and every serving-layer cache — prices ExecStats, so
-// an optimization that changes the accounting changes answers. New fast
-// paths must ship with a differential test against the slow path (see
+// plan: bitset-ordered or sorted posting lists, bound or interpreted
+// predicates, cached or uncached lookups — and counted rather than
+// executed. The virtual clock — and therefore ground-truth labels, trained
+// policies, and every serving-layer cache — prices ExecStats, so an
+// optimization that changes the accounting changes answers. New fast paths
+// must ship with a differential test against the slow path (see
 // btree_visit_test.go, join_stats_test.go, and reference_test.go's
-// whole-executor oracle) and an allocation ceiling in alloc_guard_test.go. All execution randomness derives from per-query and
-// per-plan fingerprints, never from run order, which is what makes results
+// whole-executor oracle) and an allocation ceiling in alloc_guard_test.go.
+// All execution randomness derives from per-query and per-plan
+// fingerprints, never from run order, which is what makes results
 // reproducible under any parallelism (docs/ARCHITECTURE.md).
 package engine

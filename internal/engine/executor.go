@@ -5,24 +5,19 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 )
 
 // Result holds the rows produced by a query execution. Row ids always refer
 // to the *base* table (sample-table hits are translated back), so results of
 // approximate rewrites can be compared against the original for quality.
 type Result struct {
-	RowIDs    []uint32        // matching main-table rows (base-table ids)
-	Points    []Point         // output points, parallel to RowIDs, when a point column is projected or binned
-	Bins      map[int]float64 // BIN_ID → (scaled) count, when Bin != nil
-	Truncated bool            // a LIMIT stopped execution early
-	Weight    float64         // per-row weight (100/SamplePercent for samples, 1 otherwise)
+	RowIDs    []uint32 // matching main-table rows (base-table ids)
+	Points    []Point  // output points, parallel to RowIDs, when a point column is projected
+	Truncated bool     // a LIMIT stopped execution early
+	Weight    float64  // per-row weight (100/SamplePercent for samples, 1 otherwise)
 }
 
-// execContext carries state through one query execution. Contexts are pooled:
-// the scratch slices survive across executions so the hot path stays
-// allocation-free, while the Result (which escapes to the caller) is always
-// freshly allocated.
+// execContext carries state through one query execution.
 type execContext struct {
 	db    *DB
 	q     *Query
@@ -30,72 +25,17 @@ type execContext struct {
 	cache *LookupCache
 	stats ExecStats
 	res   *Result
-	limit int
 
-	// Per-execution projection state, resolved once in Run instead of once
-	// per emitted row.
+	// Per-execution projection state, resolved once in RunCached instead of
+	// once per emitted row.
 	baseRows []int64 // sample → base row translation (nil for base tables)
-	points   []Point // projected/binned point column (nil when none)
-
-	// Scratch buffers reused across executions via ecPool.
-	lists []Posting
-	accA  []uint32
-	accB  []uint32
-	cand  []uint32
-	sizes []int // fetch-phase stage sizes (see chargeFetch)
-	// Predicates bound to column storage for this execution (main table and
-	// join inner table). They alias table columns, so putExecContext clears
-	// them like lists.
-	preds  []boundPred
-	jpreds []boundPred
-	// Join scratch: the hash-join key set and the merge-join sort buffer.
-	// Both hold no pointers, so keeping them across executions pins at most
-	// the footprint of the largest join seen, not any table data.
-	ht  map[float64]struct{}
-	kvs []joinKV
-	// cur streams nest-loop and merge-join probes over the inner btree
-	// without materializing per-probe row slices. Unlike the scratch
-	// buffers above it holds node pointers into the probed index, so
-	// putExecContext clears it to avoid pinning table state in the pool.
-	cur Cursor
+	points   []Point // projected point column (nil when none)
 }
 
 // joinKV pairs a left row with its join key for the merge-join sort.
 type joinKV struct {
 	key float64
 	row uint32
-}
-
-var ecPool = sync.Pool{New: func() any { return new(execContext) }}
-
-// getExecContext checks a context out of the pool with per-execution fields
-// reset and scratch buffers retained.
-func getExecContext() *execContext {
-	ec := ecPool.Get().(*execContext)
-	ec.db, ec.q, ec.t, ec.cache = nil, nil, nil, nil
-	ec.stats = ExecStats{}
-	ec.res = nil
-	ec.limit = 0
-	ec.baseRows = nil
-	ec.points = nil
-	return ec
-}
-
-// putExecContext returns a context to the pool. Scratch buffers are kept;
-// everything referencing caller-visible state is dropped first.
-func putExecContext(ec *execContext) {
-	ec.db, ec.q, ec.t, ec.cache = nil, nil, nil, nil
-	ec.res = nil
-	ec.baseRows = nil
-	ec.points = nil
-	clear(ec.lists)
-	ec.lists = ec.lists[:0]
-	clear(ec.preds)
-	ec.preds = ec.preds[:0]
-	clear(ec.jpreds)
-	ec.jpreds = ec.jpreds[:0]
-	ec.cur = Cursor{}
-	ecPool.Put(ec)
 }
 
 // Run executes q with hint h and returns the result plus execution stats
@@ -131,45 +71,27 @@ func (db *DB) RunCached(q *Query, h Hint, cache *LookupCache) (*Result, ExecStat
 	if q.SamplePercent > 0 {
 		weight = 100.0 / float64(q.SamplePercent)
 	}
-	ec := getExecContext()
-	ec.db = db
-	ec.q = q
-	ec.t = t
-	ec.cache = cache
-	ec.res = &Result{Weight: weight}
-	ec.limit = q.Limit
-	if q.Bin != nil {
-		ec.res.Bins = make(map[int]float64)
-	}
-	// Resolve emit-time projection state once per execution.
+	ec := &execContext{db: db, q: q, t: t, cache: cache, res: &Result{Weight: weight}, points: pointColumn(t, q)}
 	if t.SampleOf != nil {
 		ec.baseRows = t.Col("__base_row").Ints
 	}
-	ec.points = pointColumn(t, q)
 	candidates, err := ec.access(positions)
 	if err != nil {
-		putExecContext(ec)
 		return nil, ExecStats{}, err
 	}
 	if q.Join == nil {
 		ec.emitAll(candidates)
 	} else if err := ec.join(candidates, join); err != nil {
-		putExecContext(ec)
 		return nil, ExecStats{}, err
 	}
 	ec.stats.RowsOutput = len(ec.res.RowIDs)
 	db.price(&ec.stats, t, q, positions, join)
-	res, stats := ec.res, ec.stats
-	putExecContext(ec)
-	return res, stats, nil
+	return ec.res, ec.stats, nil
 }
 
-// pointColumn returns the point column an execution of q over t projects or
-// bins, nil when none: the bin column, else the first point output column.
+// pointColumn returns the point column an execution of q over t projects —
+// the first point output column — or nil when none.
 func pointColumn(t *Table, q *Query) []Point {
-	if q.Bin != nil {
-		return t.Col(q.Bin.Col).Points
-	}
 	for _, oc := range q.OutputCols {
 		if t.HasColumn(oc) && t.Col(oc).Type == ColPoint {
 			return t.Col(oc).Points
@@ -252,19 +174,12 @@ func (db *DB) resolveTable(q *Query) (*Table, error) {
 	return t, nil
 }
 
-// lookup serves one predicate's index scan, through the memoization cache
-// when one is attached (a nil cache falls through to the direct scan).
-func (ec *execContext) lookup(ix *Index, p Predicate) (Posting, int, error) {
-	return ec.cache.lookup(ec.t, ix, p)
-}
-
 // access returns the main-table candidate rows that satisfy all predicates,
 // using index scans on the given positions. With a LIMIT and no join, it
-// stops early once enough rows qualify. The returned slice aliases pooled
-// scratch memory and is only valid until the execution finishes.
+// stops early once enough rows qualify.
 func (ec *execContext) access(positions []int) ([]uint32, error) {
 	q, t := ec.q, ec.t
-	earlyLimit := ec.limit
+	earlyLimit := q.Limit
 	if q.Join != nil {
 		earlyLimit = 0 // join may reject rows; cannot stop early here
 	}
@@ -273,33 +188,32 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 	}
 	// Index scans. Predicate positions fit in a bitmask (hint masks are
 	// uint32), so residual tracking needs no map.
-	ec.lists = ec.lists[:0]
+	lists := make([]Posting, 0, len(positions))
 	var usedMask uint64
 	for _, pos := range positions {
-		ix := t.Index(q.Preds[pos].Col)
-		rows, entries, err := ec.lookup(ix, q.Preds[pos])
+		rows, entries, err := ec.cache.lookup(t, t.Index(q.Preds[pos].Col), q.Preds[pos])
 		if err != nil {
 			return nil, err
 		}
 		ec.stats.IndexEntries += entries
-		ec.lists = append(ec.lists, rows)
+		lists = append(lists, rows)
 		usedMask |= 1 << uint(pos)
 	}
-	acc, ops := intersectLists(ec.lists, &ec.accA, &ec.accB)
+	var bufA, bufB []uint32
+	acc, ops := intersectLists(lists, &bufA, &bufB)
 	ec.stats.IntersectOps += ops
 	// Residual predicates keep query order: PredEvals counts how far the
 	// short-circuit got.
-	residual := ec.preds[:0]
+	var residual []boundPred
 	for i, p := range q.Preds {
 		if usedMask&(1<<uint(i)) == 0 {
 			residual = append(residual, p.bind(t))
 		}
 	}
-	ec.preds = residual
 	// Fetch candidates, evaluate residual predicates. sizes[j] counts the
 	// fetched rows that passed the first j residuals.
-	sizes := append(ec.sizes[:0], make([]int, len(residual)+1)...)
-	out := ec.cand[:0]
+	sizes := make([]int, len(residual)+1)
+	var out []uint32
 	for _, r := range acc {
 		sizes[0]++
 		ok := true
@@ -319,19 +233,16 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 		}
 	}
 	ec.stats.chargeFetch(sizes)
-	ec.sizes, ec.cand = sizes, out
 	return out, nil
 }
 
 // seqScan scans the whole table, evaluating all predicates per row. The scan
 // is charged per row (RowsScanned), never per predicate evaluation, so it is
-// free to test the cheap columnar predicates first. The returned slice
-// aliases pooled scratch memory.
+// free to test the cheap columnar predicates first.
 func (ec *execContext) seqScan(earlyLimit int) []uint32 {
 	t := ec.t
-	ec.preds = bindPreds(ec.preds[:0], t, ec.q.Preds, true)
-	preds := ec.preds
-	out := ec.cand[:0]
+	preds := bindPreds(nil, t, ec.q.Preds, true)
+	var out []uint32
 	for r := 0; r < t.Rows; r++ {
 		ec.stats.RowsScanned++
 		if evalAll(preds, uint32(r)) {
@@ -342,7 +253,6 @@ func (ec *execContext) seqScan(earlyLimit int) []uint32 {
 			}
 		}
 	}
-	ec.cand = out
 	return out
 }
 
@@ -364,42 +274,30 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		if ix == nil || ix.Kind != IndexBTree {
 			return fmt.Errorf("engine: nest-loop join needs a btree index on %s.%s", inner.Name, q.Join.RightCol)
 		}
-		// Probe keys arrive in candidate (row-id) order, so most probes
-		// re-descend; the pooled cursor still removes the per-probe match
-		// slice the old Range call materialized.
-		ec.cur.Reset(ix.btree)
-		ec.jpreds = bindPreds(ec.jpreds[:0], inner, q.Join.Preds, false)
+		preds := bindPreds(nil, inner, q.Join.Preds, false)
 		for _, lr := range candidates {
 			ec.stats.NestProbes++
-			if ec.probeInner(leftKeys.NumericAt(lr), lr) {
-				if ec.limitReached() {
-					return nil
-				}
+			if ec.probeInner(ix.btree, preds, leftKeys.NumericAt(lr), lr) && ec.limitReached() {
+				return nil
 			}
 		}
 	case HashJoin:
 		// Build side: scan inner, filter, hash on key. A probe only needs to
 		// know whether any qualifying inner row carries the key, so the table
-		// is a pooled key set rather than per-key row lists — the join path
-		// stays allocation-free across executions (stats are unchanged, so
-		// the virtual cost model is too).
-		if ec.ht == nil {
-			ec.ht = make(map[float64]struct{})
-		} else {
-			clear(ec.ht)
-		}
+		// is a key set rather than per-key row lists.
+		ht := make(map[float64]struct{})
 		innerKeys := inner.Col(q.Join.RightCol)
-		ec.jpreds = bindPreds(ec.jpreds[:0], inner, q.Join.Preds, true) // row-charged scan, like seqScan
+		preds := bindPreds(nil, inner, q.Join.Preds, true) // row-charged scan, like seqScan
 		for r := 0; r < inner.Rows; r++ {
 			ec.stats.RowsScanned++
-			if evalAll(ec.jpreds, uint32(r)) {
+			if evalAll(preds, uint32(r)) {
 				ec.stats.HashBuilds++
-				ec.ht[innerKeys.NumericAt(uint32(r))] = struct{}{}
+				ht[innerKeys.NumericAt(uint32(r))] = struct{}{}
 			}
 		}
 		for _, lr := range candidates {
 			ec.stats.HashProbes++
-			if _, hit := ec.ht[leftKeys.NumericAt(lr)]; hit {
+			if _, hit := ht[leftKeys.NumericAt(lr)]; hit {
 				ec.emit(lr)
 				if ec.limitReached() {
 					return nil
@@ -408,12 +306,10 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		}
 	case MergeJoin:
 		// Left side sorted by key; inner side read in key order via index.
-		// The sort buffer is pooled scratch, reused across executions.
-		left := ec.kvs[:0]
+		left := make([]joinKV, 0, len(candidates))
 		for _, lr := range candidates {
 			left = append(left, joinKV{leftKeys.NumericAt(lr), lr})
 		}
-		ec.kvs = left
 		slices.SortFunc(left, func(a, b joinKV) int {
 			switch {
 			case a.key < b.key:
@@ -432,18 +328,10 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 		if ix == nil || ix.Kind != IndexBTree {
 			return fmt.Errorf("engine: merge join needs a btree index on %s.%s", inner.Name, q.Join.RightCol)
 		}
-		// True streaming merge: the left side is sorted, so the cursor
-		// resumes from its current leaf position (rewinding for duplicate
-		// left keys) instead of re-descending per probe. Seek charges the
-		// synthetic descent cost either way, keeping IndexEntries identical
-		// to the descent-per-probe path.
-		ec.cur.Reset(ix.btree)
-		ec.jpreds = bindPreds(ec.jpreds[:0], inner, q.Join.Preds, false)
+		preds := bindPreds(nil, inner, q.Join.Preds, false)
 		for _, l := range left {
-			if ec.probeInner(l.key, l.row) {
-				if ec.limitReached() {
-					return nil
-				}
+			if ec.probeInner(ix.btree, preds, l.key, l.row) && ec.limitReached() {
+				return nil
 			}
 		}
 	default:
@@ -452,39 +340,28 @@ func (ec *execContext) join(candidates []uint32, method JoinMethod) error {
 	return nil
 }
 
-// probeInner streams one equality probe through the pooled cursor: it
-// evaluates inner predicates against matching inner rows until one qualifies,
-// then emits the left row. The drain always runs to the probe's end even
-// after a qualifying row — the per-probe slot walk is what IndexEntries
-// charges, and it must match what a materializing Range scan reported —
-// but predicate evaluation stops at the first pass, exactly like the old
-// slice-based match loop. The inner predicates are ec.jpreds, bound in query
-// order by the caller. Returns whether the left row was emitted.
-func (ec *execContext) probeInner(key float64, leftRow uint32) bool {
-	ec.cur.Seek(key)
+// probeInner runs one equality probe of the inner btree: it evaluates the
+// inner predicates (bound in query order) against matching inner rows until
+// one qualifies, then emits the left row. The visit always runs to the
+// probe's end, even after a qualifying row — IndexEntries charges the whole
+// per-probe descent and slot walk — but predicate evaluation stops at the
+// first pass. Returns whether the left row was emitted.
+func (ec *execContext) probeInner(tree *BTree, preds []boundPred, key float64, leftRow uint32) bool {
 	emitted := false
-	for {
-		ir, ok := ec.cur.Next(key)
-		if !ok {
-			break
-		}
+	ec.stats.IndexEntries += tree.Visit(key, key, func(ir uint32) bool {
 		if emitted {
-			continue
+			return true
 		}
-		pass := true
-		for i := range ec.jpreds {
+		for i := range preds {
 			ec.stats.PredEvals++
-			if !ec.jpreds[i].eval(ir) {
-				pass = false
-				break
+			if !preds[i].eval(ir) {
+				return true
 			}
 		}
-		if pass {
-			ec.emit(leftRow)
-			emitted = true
-		}
-	}
-	ec.stats.IndexEntries += ec.cur.Entries()
+		ec.emit(leftRow)
+		emitted = true
+		return true
+	})
 	return emitted
 }
 
@@ -498,9 +375,9 @@ func (ec *execContext) emitAll(candidates []uint32) {
 	}
 }
 
-// emit adds one output row: translates sample ids to base ids, projects the
-// point column, and updates bins. The column resolution happened once in
-// RunCached, so this is branch-and-append only.
+// emit adds one output row: translates sample ids to base ids and projects
+// the point column. The column resolution happened once in RunCached, so
+// this is branch-and-append only.
 func (ec *execContext) emit(row uint32) {
 	baseID := row
 	if ec.baseRows != nil {
@@ -508,39 +385,17 @@ func (ec *execContext) emit(row uint32) {
 	}
 	ec.res.RowIDs = append(ec.res.RowIDs, baseID)
 	if ec.points != nil {
-		p := ec.points[row]
-		ec.res.Points = append(ec.res.Points, p)
-		if ec.q.Bin != nil {
-			ec.res.Bins[binID(ec.q.Bin, p)] += ec.res.Weight
-		}
+		ec.res.Points = append(ec.res.Points, ec.points[row])
 	}
 }
 
 // limitReached reports whether the LIMIT has been hit, marking truncation.
 func (ec *execContext) limitReached() bool {
-	if ec.limit > 0 && len(ec.res.RowIDs) >= ec.limit {
+	if ec.q.Limit > 0 && len(ec.res.RowIDs) >= ec.q.Limit {
 		ec.res.Truncated = true
 		return true
 	}
 	return false
-}
-
-// binID maps a point to its grid cell id (-1 when outside the extent).
-func binID(b *BinSpec, p Point) int {
-	w := b.Extent.MaxLon - b.Extent.MinLon
-	h := b.Extent.MaxLat - b.Extent.MinLat
-	if w <= 0 || h <= 0 || !b.Extent.Contains(p) {
-		return -1
-	}
-	x := int(float64(b.W) * (p.Lon - b.Extent.MinLon) / w)
-	y := int(float64(b.H) * (p.Lat - b.Extent.MinLat) / h)
-	if x >= b.W {
-		x = b.W - 1
-	}
-	if y >= b.H {
-		y = b.H - 1
-	}
-	return y*b.W + x
 }
 
 // planFingerprint hashes the plan identity for deterministic noise.

@@ -224,27 +224,6 @@ func TestSampleExecution(t *testing.T) {
 	}
 }
 
-// TestBinning: binned execution produces counts that sum to the result size.
-func TestBinning(t *testing.T) {
-	db := buildTestDB(t, 3000, 5)
-	q := testQuery(db)
-	q.Bin = &BinSpec{Col: "loc", Extent: Rect{MinLon: 0, MinLat: 0, MaxLon: 100, MaxLat: 50}, W: 8, H: 4}
-	res, _, err := db.Run(q, ForcedHint([]int{1}, JoinAuto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for cell, v := range res.Bins {
-		if cell < 0 || cell >= 32 {
-			t.Errorf("bin id %d out of range", cell)
-		}
-		sum += v
-	}
-	if int(sum) != len(res.RowIDs) {
-		t.Errorf("bin counts sum to %v, want %d", sum, len(res.RowIDs))
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	db := buildTestDB(t, 500, 6)
 	q := testQuery(db)

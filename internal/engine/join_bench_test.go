@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkEngineExecuteJoinPlan measures the executor's join paths. The
-// hash-join build table, the merge-join sort buffer, and the nest-loop /
-// merge-join probe cursor are pooled scratch (see execContext), so
-// steady-state executions should not allocate per join beyond the escaping
-// Result — alloc_guard_test.go pins the ceilings.
+// BenchmarkEngineExecuteJoinPlan measures the executor's join paths. Each
+// run allocates its own hash-join key set and merge-join sort buffer, and
+// every probe is a Visit descent that allocates nothing, so allocations do
+// not grow with the probes — alloc_guard_test.go pins that.
 func BenchmarkEngineExecuteJoinPlan(b *testing.B) {
 	db := buildTestDB(b, 20_000, 5)
 	q := testQuery(db)

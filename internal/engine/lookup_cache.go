@@ -21,8 +21,8 @@ import (
 //
 // The cache deliberately sits only on the materializing lookup path: a hit
 // must hand out a stable posting, so cached scans keep using Index.Lookup.
-// The zero-allocation visitor paths (BTree.Visit, Cursor join probes) never
-// produce a posting to share and therefore bypass the cache entirely.
+// The zero-allocation visitor path (BTree.Visit, which join probes walk)
+// never produces a posting to share and therefore bypasses the cache.
 //
 // A LookupCache is safe for concurrent use.
 //

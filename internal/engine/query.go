@@ -45,27 +45,17 @@ type JoinClause struct {
 	Preds    []Predicate // predicates on the inner table
 }
 
-// BinSpec asks the engine to group output points into a w×h grid over Extent
-// and return per-cell counts (the paper's GROUP BY BIN_ID(Location)).
-type BinSpec struct {
-	Col    string
-	Extent Rect
-	W, H   int
-}
-
 // Query is the engine's logical query: a conjunctive selection over one
-// table, with an optional join, optional binning aggregation, an optional
-// LIMIT, and an optional sample-table substitution. Preds order is
-// significant: rewrite options refer to predicates by position.
+// table, with an optional join, an optional LIMIT, and an optional
+// sample-table substitution. Preds order is significant: rewrite options
+// refer to predicates by position.
 type Query struct {
 	Table string
 	Preds []Predicate
 	Join  *JoinClause
 
-	// OutputCols are projected columns (ignored when Bin != nil).
+	// OutputCols are projected columns.
 	OutputCols []string
-	// Bin, when set, turns the query into a binned count aggregation.
-	Bin *BinSpec
 
 	// Limit > 0 stops execution after that many output rows (an
 	// approximation rule).
@@ -158,12 +148,9 @@ func (q *Query) SQL(h Hint) string {
 		b.WriteString(" */ ")
 	}
 	b.WriteString("SELECT ")
-	switch {
-	case q.Bin != nil:
-		b.WriteString(fmt.Sprintf("BIN_ID(%s), COUNT(*)", q.Bin.Col))
-	case len(q.OutputCols) > 0:
+	if len(q.OutputCols) > 0 {
 		b.WriteString(strings.Join(q.OutputCols, ", "))
-	default:
+	} else {
 		b.WriteString("*")
 	}
 	b.WriteString(" FROM ")
@@ -184,9 +171,6 @@ func (q *Query) SQL(h Hint) string {
 	if len(conds) > 0 {
 		b.WriteString(" WHERE ")
 		b.WriteString(strings.Join(conds, " AND "))
-	}
-	if q.Bin != nil {
-		b.WriteString(fmt.Sprintf(" GROUP BY BIN_ID(%s)", q.Bin.Col))
 	}
 	if q.Limit > 0 {
 		b.WriteString(fmt.Sprintf(" LIMIT %d", q.Limit))

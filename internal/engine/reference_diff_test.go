@@ -13,7 +13,7 @@ import (
 // every rewriting option of the four option spaces — index subsets, forced
 // join methods, LIMIT early-stop, sample tables — plus the unhinted baseline,
 // and requires the production executor (bitset-ordered lookups,
-// column-bound predicates, cheap-first scans, pooled everything) to agree
+// column-bound predicates, cheap-first scans) to agree
 // with the reference executor on the whole Result and on every ExecStats
 // field, virtual time included.
 func TestExecutorMatchesReference(t *testing.T) {
@@ -46,15 +46,6 @@ func TestExecutorMatchesReference(t *testing.T) {
 		t.Run(sp.name, func(t *testing.T) {
 			runs, nonEmpty, truncated := 0, 0, 0
 			for qi, q := range workload.GenerateQueries(ds, 12, sp.spec) {
-				if qi%4 == 3 && q.Join == nil {
-					// One in four as the binned aggregation the paper's
-					// heatmaps issue, so emit-time binning is covered too.
-					for _, p := range q.Preds {
-						if p.Kind == engine.PredGeo {
-							q.Bin = &engine.BinSpec{Col: p.Col, Extent: p.Box, W: 16, H: 16}
-						}
-					}
-				}
 				est := ds.DB.ChoosePlan(q).EstRows
 				check := func(label string, rq *engine.Query, h engine.Hint) {
 					t.Helper()
@@ -168,9 +159,9 @@ func TestCounterMatchesReference(t *testing.T) {
 }
 
 // TestCounterResultMatchesReference: the answer a Counter hands out without
-// executing is the reference executor's whole Result — rows, points, bins and
+// executing is the reference executor's whole Result — rows, points and
 // weight — under every exact hint of the generator's queries, one predicate to
-// three, binned or not. These lists mix the array and bitmap encodings in
+// three. These lists mix the array and bitmap encodings in
 // every pairing a build meets.
 func TestCounterResultMatchesReference(t *testing.T) {
 	cfg := workload.TwitterConfig()
@@ -183,13 +174,6 @@ func TestCounterResultMatchesReference(t *testing.T) {
 	compared, nonEmpty := 0, 0
 	for _, spec := range []workload.QuerySpec{{NumPreds: 3, Seed: 1}, {NumPreds: 2, Seed: 7}, {NumPreds: 1, Seed: 8}} {
 		for qi, q := range workload.GenerateQueries(ds, 12, spec) {
-			if qi%2 == 1 {
-				for _, p := range q.Preds {
-					if p.Kind == engine.PredGeo {
-						q.Bin = &engine.BinSpec{Col: p.Col, Extent: p.Box, W: 16, H: 16}
-					}
-				}
-			}
 			counter := ds.DB.NewCounter(q, engine.NewLookupMemo(nil))
 			if counter == nil {
 				t.Fatalf("query %d (%d preds) is not countable", qi, spec.NumPreds)

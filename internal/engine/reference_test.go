@@ -13,7 +13,7 @@ import (
 // Predicate.Eval in query order, every join probe a fresh root descent,
 // nothing pooled, nothing bound, nothing reordered. The differential tests
 // (reference_diff_test.go) hold the production executor to it field by field:
-// rows, points, bins, flags and every ExecStats counter, SimMs included.
+// rows, points, flags and every ExecStats counter, SimMs included.
 //
 // It shares with production only what is not under test: plan resolution
 // and the cost model.
@@ -98,20 +98,13 @@ func (db *DB) refRun(q *Query, h Hint) (*Result, ExecStats, error) {
 	if q.SamplePercent > 0 {
 		e.res.Weight = 100.0 / float64(q.SamplePercent)
 	}
-	if q.Bin != nil {
-		e.res.Bins = make(map[int]float64)
-	}
 	if t.SampleOf != nil {
 		e.baseRows = t.Col("__base_row").Ints
 	}
-	if q.Bin != nil {
-		e.points = t.Col(q.Bin.Col).Points
-	} else {
-		for _, oc := range q.OutputCols {
-			if t.HasColumn(oc) && t.Col(oc).Type == ColPoint {
-				e.points = t.Col(oc).Points
-				break
-			}
+	for _, oc := range q.OutputCols {
+		if t.HasColumn(oc) && t.Col(oc).Type == ColPoint {
+			e.points = t.Col(oc).Points
+			break
 		}
 	}
 
@@ -230,11 +223,7 @@ func (e *refExec) emit(row uint32) {
 	}
 	e.res.RowIDs = append(e.res.RowIDs, id)
 	if e.points != nil {
-		p := e.points[row]
-		e.res.Points = append(e.res.Points, p)
-		if e.q.Bin != nil {
-			e.res.Bins[binID(e.q.Bin, p)] += e.res.Weight
-		}
+		e.res.Points = append(e.res.Points, e.points[row])
 	}
 }
 

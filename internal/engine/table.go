@@ -49,8 +49,8 @@ type Index struct {
 // comparison-sorted unless the set is tiny. The returned list is freshly
 // allocated (btree, rtree) or shared-immutable (inverted), so it is stable
 // enough to live in a LookupCache; executor paths that never cache a probe —
-// join probes, true selectivity without a cache — use BTree.Visit / Cursor
-// instead and skip the materialization entirely.
+// join probes, true selectivity without a cache — use BTree.Visit instead
+// and skip the materialization entirely.
 func (ix *Index) Lookup(p Predicate) (rows Posting, entries int, err error) {
 	switch ix.Kind {
 	case IndexBTree:
