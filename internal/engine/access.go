@@ -29,20 +29,21 @@ func sortByLen[T any](xs []T, length func(T) int) {
 // intersectLists intersects lists smallest first and returns the rows in all
 // of them with the merge comparisons charged. The smallest list is the
 // accumulator, swept into a scratch buffer when it is a bitmap; every later
-// list is merged into it (an array) or probed (a bitmap), ping-ponging between
-// the two scratch buffers so no intersection allocates. It reorders lists.
-func intersectLists(lists []Posting, bufA, bufB *[]uint32) (acc []uint32, ops int) {
+// list is merged into it (an array) or probed (a bitmap), alternating between
+// two buffers so a merge never writes over its own input. It reorders lists.
+func intersectLists(lists []Posting) (acc []uint32, ops int) {
 	sortByLen(lists, Posting.Len)
+	var bufA, bufB []uint32
 	acc = lists[0].ids
 	if lists[0].bits != nil {
-		*bufB = lists[0].AppendTo((*bufB)[:0])
-		acc = *bufB
+		bufB = lists[0].AppendTo(nil)
+		acc = bufB
 	}
 	useA := true
 	for _, l := range lists[1:] {
-		buf := bufB
+		buf := &bufB
 		if useA {
-			buf = bufA
+			buf = &bufA
 		}
 		var work int
 		*buf, work = intersectInto((*buf)[:0], acc, l)

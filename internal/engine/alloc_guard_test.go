@@ -79,11 +79,15 @@ func TestAllocGuardExecutorJoins(t *testing.T) {
 		measure := func(q *Query) (float64, int) {
 			q = q.Clone()
 			q.Join = join
-			_, stats, err := db.Run(q, hint)
-			if err != nil {
-				t.Fatal(err)
+			var stats ExecStats
+			run := func() {
+				var err error
+				if _, stats, err = db.Run(q, hint); err != nil {
+					t.Fatal(err)
+				}
 			}
-			return testing.AllocsPerRun(10, func() { db.Run(q, hint) }), stats.RowsFetched
+			run()
+			return testing.AllocsPerRun(10, run), stats.RowsFetched
 		}
 		few, fewRows := measure(narrow)
 		many, manyRows := measure(wide)

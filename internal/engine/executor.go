@@ -199,8 +199,7 @@ func (ec *execContext) access(positions []int) ([]uint32, error) {
 		lists = append(lists, rows)
 		usedMask |= 1 << uint(pos)
 	}
-	var bufA, bufB []uint32
-	acc, ops := intersectLists(lists, &bufA, &bufB)
+	acc, ops := intersectLists(lists)
 	ec.stats.IntersectOps += ops
 	// Residual predicates keep query order: PredEvals counts how far the
 	// short-circuit got.

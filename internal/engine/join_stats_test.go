@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestJoinStreamingStatsMatchReference pins the cursor-streamed join paths
-// to a reference reimplementation of the old descent-per-probe algorithm
-// (materializing Range + early-exit match loop). The golden traces only
+// TestJoinStreamingStatsMatchReference pins the join probe paths (one
+// BTree.Visit per probe) to a reference reimplementation with a
+// materializing Range and an early-exit match loop. The golden traces only
 // cover non-join queries, so this is the in-package guarantee that
 // ExecStats — and therefore virtual time, ground-truth labels, and trained
-// agents — did not move when the probes started streaming.
+// agents — match the materializing probe.
 func TestJoinStreamingStatsMatchReference(t *testing.T) {
 	db := buildTestDB(t, 6_000, 5)
 	q := testQuery(db)
@@ -36,10 +36,9 @@ func TestJoinStreamingStatsMatchReference(t *testing.T) {
 	}
 }
 
-// referenceJoin recomputes the probe phase the way the pre-cursor executor
-// did: left candidates from the forced ts-index access path, then one
-// materializing Range(key, key) per probe with the early-exit inner-match
-// loop. Returns the probe-phase IndexEntries and PredEvals contributions
+// referenceJoin recomputes the probe phase by materializing: left
+// candidates from the forced ts-index access path, then one materializing
+// Range(key, key) per probe with the early-exit inner-match loop. Returns the probe-phase IndexEntries and PredEvals contributions
 // plus the emitted left rows.
 func referenceJoin(t *testing.T, db *DB, q *Query, jm JoinMethod) (entries, predEvals int, rows []uint32) {
 	t.Helper()
