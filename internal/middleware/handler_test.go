@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -385,11 +386,16 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCountedServingMatchesExecution: every result-cache miss serves the
-// exact option it chose from posting-list counts (engine.Counter) — the build's
-// Counter on the miss that builds the plan, a fresh one on a plan-cache hit.
-// Both give responses byte-identical to folding the executor's rows for the
-// chosen plan, for every viz kind, on empty, small and large answers.
+// TestCountedServingMatchesExecution: the executor is the reference every
+// served answer is held to. Every result-cache miss serves the exact option
+// it chose from posting-list counts (engine.Counter) — the build's Counter on
+// the miss that builds the plan, a fresh one on a plan-cache hit. Both give
+// responses byte-identical to folding the executor's rows for the chosen
+// plan, for every viz kind, on empty, small and large answers. Then a seeded
+// draw of requests (drawServedRequests) goes through the HTTP handler of a
+// server with both caches on, each request twice: a miss, or a slice of a
+// cached heatmap that contains it, and then a result-cache hit that writes
+// stored bytes. Every body equals the encoding of the executed reference.
 func TestCountedServingMatchesExecution(t *testing.T) {
 	ds := testServer(t).DS
 	newServer := func(planCache int) *Server {
@@ -467,6 +473,124 @@ func TestCountedServingMatchesExecution(t *testing.T) {
 	if got := hit.metrics.planHits.Load(); got != 16 {
 		t.Fatalf("plan-cache hits served = %d, want 16", got)
 	}
+
+	cached, err := NewServerWithConfig(ds, core.OracleRewriter{}, core.HintOnlySpec(),
+		ServerConfig{DefaultBudgetMs: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := cached.Handler()
+	kinds := map[string]int{}
+	misses, empty := 0, 0
+	nonEmpty = 0
+	for i, hr := range drawServedRequests(ds, 96, 20230328) {
+		req, err := hr.toRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The reference: a server with no caches plans the request, the
+		// executor runs the chosen plan, and the rows are folded and encoded
+		// as a miss streams them.
+		p := resolve(built, req)
+		res, _, err := ds.DB.Run(p.rq, p.hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(built.fold(p, res)); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.RowIDs) == 0 {
+			empty++
+		} else {
+			nonEmpty++
+		}
+		kinds[hr.Kind]++
+		body, _ := json.Marshal(hr)
+		for pass := range 2 {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/viz", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("request %d %s: status %d: %s", i, body, rec.Code, rec.Body)
+			}
+			switch cache := rec.Header().Get("X-Cache"); {
+			case pass == 0 && cache == "miss":
+				misses++
+			case pass == 1 && cache != "hit":
+				t.Fatalf("request %d %s: repeat served as a %s, want a hit", i, body, cache)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Fatalf("request %d %s, pass %d: served body differs from the executed one\nserved   %s\nexecuted %s",
+					i, body, pass, rec.Body, want.Bytes())
+			}
+		}
+	}
+	snap := cached.Metrics().Snapshot()
+	if len(kinds) != 4 || empty == 0 || nonEmpty == 0 || misses < 48 || snap.SubsumedHits == 0 {
+		t.Fatalf("the draw exercised too little: kinds %v, %d empty and %d non-empty answers, %d misses, %d slices",
+			kinds, empty, nonEmpty, misses, snap.SubsumedHits)
+	}
+}
+
+// drawServedRequests draws n /viz requests, seeded, from pools like the
+// scoreboard's load generator's (bench/gen.go): keywords word0000–word0059,
+// 7–59-day windows inside the dataset's span, viewports at zoom 1–3. Kinds
+// rotate through all four. One request in three takes the server's default
+// budget, the rest an explicit 100–900 ms. Regions rotate through none (the
+// default 64×64 grid over the whole extent), the whole extent and a zoomed
+// viewport. One window in eight lies before the data, so its answer is
+// empty. Every heatmap with a region is followed by an aligned sub-viewport
+// of itself, which a server can answer by slicing the cached parent.
+func drawServedRequests(ds *workload.Dataset, n int, seed int64) []httpRequest {
+	rng := rand.New(rand.NewSource(seed))
+	kinds := []VizKind{VizHeatmap, VizScatter, VizCount, VizDistinct}
+	ext := ds.Extent
+	var out []httpRequest
+	for i := 0; len(out) < n; i++ {
+		days := 7 + rng.Intn(53)
+		from := ds.TimeOrigin.AddDate(0, 0, rng.Intn(ds.TimeSpanDays-days))
+		if i%8 == 7 {
+			from = ds.TimeOrigin.AddDate(-1, 0, 0)
+		}
+		hr := httpRequest{
+			Keyword: fmt.Sprintf("word%04d", rng.Intn(60)),
+			From:    from.Format(time.RFC3339),
+			To:      from.AddDate(0, 0, days).Format(time.RFC3339),
+			Kind:    string(kinds[i%4]),
+		}
+		if i%3 != 0 {
+			hr.BudgetMs = float64(100 + rng.Intn(801))
+		}
+		switch (i / 4) % 3 {
+		case 0: // no region, default grid
+			out = append(out, hr)
+			continue
+		case 1:
+			hr.MinLon, hr.MinLat, hr.MaxLon, hr.MaxLat = ext.MinLon, ext.MinLat, ext.MaxLon, ext.MaxLat
+		case 2:
+			z := 1 + rng.Intn(3)
+			w := (ext.MaxLon - ext.MinLon) / float64(int(1)<<z)
+			h := (ext.MaxLat - ext.MinLat) / float64(int(1)<<z)
+			hr.MinLon = ext.MinLon + rng.Float64()*(ext.MaxLon-ext.MinLon-w)
+			hr.MinLat = ext.MinLat + rng.Float64()*(ext.MaxLat-ext.MinLat-h)
+			hr.MaxLon, hr.MaxLat = hr.MinLon+w, hr.MinLat+h
+		}
+		hr.GridW, hr.GridH = 32, 16
+		out = append(out, hr)
+		if kinds[i%4] != VizHeatmap {
+			continue
+		}
+		cellW := (hr.MaxLon - hr.MinLon) / float64(hr.GridW)
+		cellH := (hr.MaxLat - hr.MinLat) / float64(hr.GridH)
+		sub := hr
+		sub.GridW, sub.GridH = 1+rng.Intn(hr.GridW-1), 1+rng.Intn(hr.GridH-1)
+		ox, oy := rng.Intn(hr.GridW-sub.GridW+1), rng.Intn(hr.GridH-sub.GridH+1)
+		sub.MinLon, sub.MinLat = hr.MinLon+float64(ox)*cellW, hr.MinLat+float64(oy)*cellH
+		sub.MaxLon = hr.MinLon + float64(ox+sub.GridW)*cellW
+		sub.MaxLat = hr.MinLat + float64(oy+sub.GridH)*cellH
+		out = append(out, sub)
+	}
+	return out[:n]
 }
 
 // TestHealthzAndMetricsEndpoints: the observability endpoints respond and
