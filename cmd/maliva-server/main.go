@@ -122,7 +122,6 @@ func main() {
 		queries  = flag.Int("queries", 400, "training workload size per dataset")
 		rows     = flag.Int("rows", 60_000, "stored rows per dataset")
 		rewriter = flag.String("rewriter", "mdp", "rewriting strategy: mdp (trains per dataset at startup) or oracle")
-		lazy     = flag.Bool("lazy", false, "build datasets on first request (503 while warming) instead of at startup")
 
 		replicaID   = flag.Int("replica-id", -1, "this process's index into the -peer list (requires -peer)")
 		peerTimeout = flag.Duration("peer-timeout", cluster.DefaultPeerTimeout, "timeout for one peer cache round trip (requires -peer)")
@@ -134,7 +133,7 @@ func main() {
 		resultTTL   = flag.Duration("result-ttl", 0, "result-cache TTL (0 = default 30s)")
 		maxConc     = flag.Int("max-concurrent", 0, "shared concurrent request limit (0 = default 4×GOMAXPROCS, negative = disable)")
 
-		walDir       = flag.String("wal-dir", "", "directory for per-dataset write-ahead logs (empty = durability off); sync /ingest acks become durable before they are sent, and startup replays any existing log while /healthz reports \"recovering\"")
+		walDir       = flag.String("wal-dir", "", "directory for per-dataset write-ahead logs (empty = durability off); sync /ingest acks become durable before they are sent, and startup replays any existing log before the listener opens")
 		fsyncMode    = flag.String("fsync", "always", "WAL fsync policy: always (fsync before every sync ack), interval (background fsync, bounded loss window), never (OS page cache only)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget: how long in-flight requests may finish after SIGTERM/SIGINT before the listener is torn down")
 	)
@@ -193,6 +192,7 @@ func main() {
 		// replica can serve any key through the peer-shared cache.
 		ring := cluster.NewRing(len(peers), 0)
 		reg, closeWALs := newRegistry(datasets, *rows, *walDir, walCfg)
+		t0 := time.Now()
 		node, err := cluster.NewNode(*replicaID, ring, reg, factory, middleware.GatewayConfig{
 			Server: scfg,
 			Space:  core.HintOnlySpec(),
@@ -200,6 +200,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		logBuilt(len(datasets), t0)
 		pcs := make([]cluster.PeerClient, len(peers))
 		for i, u := range peers {
 			if i != *replicaID {
@@ -209,13 +210,6 @@ func main() {
 		node.SetPeers(pcs)
 		node.SetPeerSecret(*peerSecret)
 		node.SetHedge(cluster.HedgeConfig{Disabled: *noHedge})
-		if !*lazy {
-			t0 := time.Now()
-			if err := node.Warm(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "warmed %d dataset(s) in %s\n", len(datasets), time.Since(t0).Round(time.Millisecond))
-		}
 		fmt.Fprintf(os.Stderr,
 			"maliva replica %d/%d listening on %s (datasets=%s, rewriter=%s)\n",
 			*replicaID, len(peers), *addr, datasets.String(), *rewriter)
@@ -232,6 +226,7 @@ func main() {
 
 	default:
 		reg, closeWALs := newRegistry(datasets, *rows, *walDir, walCfg)
+		t0 := time.Now()
 		gw, err := middleware.NewGateway(reg, factory, middleware.GatewayConfig{
 			Server: scfg,
 			Space:  core.HintOnlySpec(),
@@ -239,17 +234,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if !*lazy {
-			t0 := time.Now()
-			if err := gw.Warm(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "warmed %d dataset(s) in %s\n",
-				len(datasets), time.Since(t0).Round(time.Millisecond))
-		}
+		logBuilt(len(datasets), t0)
 		fmt.Fprintf(os.Stderr,
-			"maliva gateway listening on %s (datasets=%s, default=%s, rewriter=%s, lazy=%v)\n",
-			*addr, datasets.String(), gw.DefaultDataset(), *rewriter, *lazy)
+			"maliva gateway listening on %s (datasets=%s, default=%s, rewriter=%s)\n",
+			*addr, datasets.String(), gw.DefaultDataset(), *rewriter)
 		handler = gw.Handler()
 		drain = gw.Drain
 		closeAll = func() error {
@@ -261,6 +249,9 @@ func main() {
 		}
 	}
 
+	// The listener opens only now, after every dataset is built and its WAL
+	// replayed, so a restarting server takes no traffic before its data is
+	// complete.
 	server := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- server.ListenAndServe() }()
@@ -298,10 +289,10 @@ func main() {
 // newRegistry registers the standard builders for the requested datasets.
 // With a non-empty walDir each builder, after generating its dataset,
 // attaches a write-ahead log at <walDir>/<name>: existing segments replay
-// into the fresh dataset (the registry reports "recovering" meanwhile) and
-// every subsequent ingest flush is logged before it is acknowledged. The
-// returned closer syncs and closes every attached WAL; call it after the
-// gateway (and its ingest buffers) have shut down.
+// into the fresh dataset before the gateway exists, and every subsequent
+// ingest flush is logged before it is acknowledged. The returned closer
+// syncs and closes every attached WAL; call it after the gateway (and its
+// ingest buffers) have shut down.
 func newRegistry(datasets stringList, rows int, walDir string, wcfg engine.WALConfig) (*workload.Registry, func() error) {
 	reg := workload.NewRegistry()
 	var mu sync.Mutex
@@ -319,7 +310,6 @@ func newRegistry(datasets stringList, rows int, walDir string, wcfg engine.WALCo
 				if err != nil {
 					return nil, err
 				}
-				reg.MarkRecovering(name)
 				t0 := time.Now()
 				wal, stats, err := ds.DB.AttachWAL(ds.Main, dir, wcfg)
 				if err != nil {
@@ -349,6 +339,11 @@ func newRegistry(datasets stringList, rows int, walDir string, wcfg engine.WALCo
 		return first
 	}
 	return reg, closer
+}
+
+// logBuilt reports how long building every dataset took.
+func logBuilt(n int, t0 time.Time) {
+	fmt.Fprintf(os.Stderr, "built %d dataset(s) in %s\n", n, time.Since(t0).Round(time.Millisecond))
 }
 
 // buildFactory resolves the per-dataset rewriter factory: oracle, snapshot

@@ -78,8 +78,10 @@ func freeAddrs(t *testing.T, n int) []string {
 }
 
 // spawnServer re-execs main() listening on addr with the given flags and
-// waits until /healthz reports the twitter dataset ready (a WAL has been
-// replayed by then).
+// waits until /healthz answers with the twitter dataset ready. The server
+// opens its listener only after every dataset is built and its WAL
+// replayed, so any /healthz that answers must report every dataset ready:
+// anything else fails the test.
 func spawnServer(t *testing.T, addr string, args ...string) *victim {
 	t.Helper()
 	exe, err := os.Executable()
@@ -120,7 +122,15 @@ func spawnServer(t *testing.T, addr string, args ...string) *victim {
 			}
 			decErr := json.NewDecoder(resp.Body).Decode(&health)
 			resp.Body.Close()
-			if decErr == nil && health.Datasets["twitter"] == "ready" {
+			if decErr != nil {
+				t.Fatalf("/healthz answered %d with an undecodable body: %v", resp.StatusCode, decErr)
+			}
+			for name, st := range health.Datasets {
+				if st != "ready" {
+					t.Fatalf("/healthz answered with dataset %s %q: the listener opened before it was built", name, st)
+				}
+			}
+			if health.Datasets["twitter"] == "ready" {
 				return v
 			}
 		}
@@ -334,9 +344,6 @@ func TestCrashRecoveryAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.Warm(); err != nil {
-		t.Fatal(err)
-	}
 	defer ctrl.Close()
 	ctrlSrv := httptest.NewServer(ctrl.Handler())
 	defer ctrlSrv.Close()
@@ -473,6 +480,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-peer-secret", "s3cret"}, 1, "-peer-secret requires -peer"},
 		{[]string{"-no-hedge"}, 1, "-no-hedge requires -peer"},
 		{[]string{"-replicas", "2"}, 2, "flag provided but not defined: -replicas"},
+		{[]string{"-lazy"}, 2, "flag provided but not defined: -lazy"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			// A server that accepted the flags would serve until killed.

@@ -105,19 +105,16 @@ func New(cfg Config) (*Cluster, error) {
 	// the same read the router's attemptOrder makes — not the full ring, so
 	// the replica a key's requests concentrate on is the replica its peers
 	// fetch from.
-	routable := func(i int) bool { return nodes[i].routingState() == StateLive }
+	routable := func(i int) bool { return nodes[i].State() == StateLive }
 	for _, n := range nodes {
 		n.SetHealth(routable)
 	}
 	return &Cluster{ring: ring, nodes: nodes, router: router}, nil
 }
 
-// Warm eagerly builds every dataset's serving state on every replica.
-// Datasets are pre-built and rewriters memoized cluster-wide, so per-replica
-// warmup is cheap (server construction + cache allocation).
-func (c *Cluster) Warm() error {
-	return core.RunIndexed(len(c.nodes), 0, func(i int) error { return c.nodes[i].Warm() })
-}
+// Warm returns nil: New has already built every replica's datasets. It is
+// kept only because the benchmark in bench/ still calls it.
+func (c *Cluster) Warm() error { return nil }
 
 // Handler returns the routing tier's HTTP surface.
 func (c *Cluster) Handler() http.Handler { return c.router.Handler() }
@@ -191,7 +188,7 @@ func (r *lockedRewriter) Rewrite(ctx *core.QueryContext, budget float64) core.Ou
 // cluster trains (or loads) each dataset's policy once instead of R times
 // and shares the instance safely. Concurrent first calls for the same name
 // single-flight; a factory error is cached (builders are deterministic, so
-// retrying would fail identically — matching workload.Registry semantics).
+// retrying would fail identically).
 func SharedRewriterFactory(f middleware.RewriterFactory) middleware.RewriterFactory {
 	if f == nil {
 		f = middleware.OracleFactory

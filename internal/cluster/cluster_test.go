@@ -54,7 +54,7 @@ func testDatasets(t testing.TB) map[string]*workload.Dataset {
 	return testDS
 }
 
-// newTestCluster builds a warm R-replica cluster over tiny Twitter + Taxi.
+// newTestCluster builds an R-replica cluster over tiny Twitter + Taxi.
 func newTestCluster(t testing.TB, replicas int) *Cluster {
 	t.Helper()
 	ds := testDatasets(t)
@@ -67,9 +67,6 @@ func newTestCluster(t testing.TB, replicas int) *Cluster {
 		Space:    core.HintOnlySpec(),
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	closeOnCleanup(t, c)
@@ -102,9 +99,6 @@ func newTestGateway(t testing.TB) *middleware.Gateway {
 		Space:  core.HintOnlySpec(),
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	return g
@@ -549,9 +543,6 @@ func TestSharedRewriterFactoryOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Warm(); err != nil {
-		t.Fatal(err)
-	}
 	if got := calls.Load(); got != 2 {
 		t.Errorf("factory ran %d times for 2 datasets x 3 replicas, want 2", got)
 	}

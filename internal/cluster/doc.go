@@ -12,9 +12,9 @@
 //     resolves each /viz request to its server-normalized ResultKey
 //     (through a ready replica's plan path) and hashes that — the same key
 //     space peer-cache ownership uses, so the routed replica owns its key;
-//     a request that can't be keyed (unparseable, rejected, still warming)
-//     is routed by the hash of its dataset and body bytes. The router keeps
-//     no health view: each request reads every node's own state, tries the
+//     a request that can't be keyed (unparseable, rejected, unknown
+//     dataset) is routed by the hash of its dataset and body bytes. The
+//     router keeps no health view: each request reads every node's own state, tries the
 //     live replicas of the key's ring sequence first, and fails over when a
 //     replica refuses with its lifecycle sentinel. Only when no replica at
 //     all serves does the client see a 503 (with Retry-After: 1).

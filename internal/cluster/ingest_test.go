@@ -36,9 +36,6 @@ func newIngestCluster(t testing.TB, replicas int) (*Cluster, *workload.Dataset) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Warm(); err != nil {
-		t.Fatal(err)
-	}
 	closeOnCleanup(t, c)
 	return c, tw
 }

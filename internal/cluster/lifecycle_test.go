@@ -36,9 +36,6 @@ func TestClusterCloseReleasesGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Warm(); err != nil {
-		t.Fatal(err)
-	}
 	h := c.Handler()
 	for i := 0; i < 20; i++ {
 		r := httptest.NewRequest(http.MethodPost, "/viz?dataset=twitter", bytes.NewReader(twitterBody(fmt.Sprintf("word%04d", i%5))))

@@ -15,12 +15,11 @@ import (
 )
 
 // ReplicaUnavailableHeader marks a response produced by a replica refusing
-// to serve (value "down", "draining", or "recovering") instead of by its
-// gateway. The routing tier treats it as an authoritative failure sentinel
-// and fails the request over to the next replica in the key's ring
-// sequence — without ever confusing the refusal with a gateway-level 503
-// (admission shedding), which must NOT fail over (every replica would shed
-// the same overload).
+// to serve (value "down" or "draining") instead of by its gateway. The
+// routing tier treats it as an authoritative failure sentinel and fails the
+// request over to the next replica in the key's ring sequence — without
+// ever confusing the refusal with a gateway-level 503 (admission shedding),
+// which must NOT fail over (every replica would shed the same overload).
 const ReplicaUnavailableHeader = "X-Maliva-Replica-Unavailable"
 
 // ReplicaState is one replica's lifecycle position, as reported on the
@@ -36,10 +35,6 @@ const (
 	StateDraining
 	// StateDown replicas answer nothing.
 	StateDown
-	// StateRecovering replicas are up but replaying their write-ahead log:
-	// like draining, they refuse routed traffic until their data is
-	// complete.
-	StateRecovering
 )
 
 // String returns the lifecycle name used in /healthz and metrics labels.
@@ -51,8 +46,6 @@ func (s ReplicaState) String() string {
 		return "draining"
 	case StateDown:
 		return "down"
-	case StateRecovering:
-		return "recovering"
 	}
 	return fmt.Sprintf("state(%d)", int32(s))
 }
@@ -76,8 +69,8 @@ const fillQueueCap = 256
 // servers, plan caches, lookup caches, admission pool) whose per-dataset
 // result caches are wrapped with the peer-shared peerCache, plus the HTTP
 // peer endpoints other replicas fetch from. Nodes are built two-phase:
-// NewNode constructs the gateway, SetPeers wires the (by then fully
-// constructed) peer set before any traffic flows.
+// NewNode constructs the gateway (building every dataset), SetPeers wires
+// the (by then fully constructed) peer set before any traffic flows.
 type Node struct {
 	id      int
 	ring    *Ring
@@ -181,10 +174,10 @@ func (n *Node) ownerFor(hash uint64) int {
 }
 
 // dataVersion returns the node's current data version for a dataset, or
-// false while the dataset's server is not ready here.
+// false for a dataset this node does not serve.
 func (n *Node) dataVersion(dataset string) (uint64, bool) {
-	srv, ok := n.gw.ReadyServer(dataset)
-	if !ok {
+	srv, err := n.gw.Server(dataset)
+	if err != nil {
 		return 0, false
 	}
 	return srv.DataVersion(), true
@@ -227,26 +220,12 @@ func (n *Node) peer(id int) PeerClient {
 // ID returns the node's replica index on the ring.
 func (n *Node) ID() int { return n.id }
 
-// Gateway returns the node's gateway (metrics, Warm, in-process embedding).
+// Gateway returns the node's gateway (metrics, in-process embedding).
 func (n *Node) Gateway() *middleware.Gateway { return n.gw }
 
-// Warm eagerly builds every dataset's serving state on this node.
-func (n *Node) Warm(names ...string) error { return n.gw.Warm(names...) }
-
-// State returns the replica's own lifecycle state: Live, Draining, or Down
-// (WAL replay is reported separately, by Recovering).
+// State returns the replica's own lifecycle state: Live, Draining, or Down.
+// Only StateLive replicas are routed to (and own keys) first.
 func (n *Node) State() ReplicaState { return ReplicaState(n.state.Load()) }
-
-// routingState is the state the routing tier reads: State, except that a
-// live node still replaying its write-ahead log is StateRecovering. Only
-// StateLive replicas are routed to (and own keys) first.
-func (n *Node) routingState() ReplicaState {
-	st := n.State()
-	if st == StateLive && n.Recovering() {
-		return StateRecovering
-	}
-	return st
-}
 
 // Down reports whether the replica is marked dead.
 func (n *Node) Down() bool { return n.State() == StateDown }
@@ -273,12 +252,6 @@ func (n *Node) Drain() { n.state.Store(int32(StateDraining)) }
 // Rejoin returns a drained (or downed) replica to service; routed traffic
 // comes back with the next request.
 func (n *Node) Rejoin() { n.state.Store(int32(StateLive)) }
-
-// Recovering reports whether the node's gateway is replaying durable state
-// (WAL recovery after a restart). A recovering replica refuses routed
-// traffic with the recovering sentinel but keeps answering health checks,
-// peer fetches, and metrics.
-func (n *Node) Recovering() bool { return n.gw.Recovering() }
 
 // SetHedge configures hedged peer fetches (see HedgeConfig). Call before
 // serving traffic.
@@ -320,14 +293,6 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("replica %d is draining", n.id), http.StatusServiceUnavailable)
 			return
 		}
-	default:
-		if n.gw.Recovering() {
-			w.Header().Set(ReplicaUnavailableHeader, "recovering")
-			if r.URL.Path == "/viz" || r.URL.Path == "/ingest" {
-				http.Error(w, fmt.Sprintf("replica %d is recovering", n.id), http.StatusServiceUnavailable)
-				return
-			}
-		}
 	}
 	n.inflight.Add(1)
 	defer n.inflight.Add(-1)
@@ -338,8 +303,8 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // replica deployment listens on).
 func (n *Node) Handler() http.Handler { return n }
 
-// cacheFor returns the dataset's peer cache, or nil before its server has
-// been built on this node.
+// cacheFor returns the dataset's peer cache, or nil for a dataset this node
+// does not serve (or one whose result cache is disabled).
 func (n *Node) cacheFor(dataset string) *peerCache {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

@@ -40,9 +40,6 @@ func FuzzPeerPayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := c.Warm(); err != nil {
-		f.Fatal(err)
-	}
 	closeOnCleanup(f, c)
 	node := c.Node(0)
 	pc := node.cacheFor("twitter")

@@ -78,8 +78,8 @@ func (rt *Router) Handler() http.Handler {
 // first replica with a ready server in the body hash's ring sequence, which
 // spreads cold plan builds across the cluster and keeps the choice
 // deterministic. A request the unified path can't key — unparseable body,
-// dataset not warm anywhere, a request the server rejects — is routed by
-// the body hash itself: equal bodies still route equally, and the peer
+// unknown dataset, a request the server rejects — is routed by the body
+// hash itself: equal bodies still route equally, and the peer
 // cache converges the rest. unified reports which space was used.
 func (rt *Router) routeHash(dataset string, body []byte) (key uint64, unified bool) {
 	bodyHash := hash64(dataset + "\x00" + string(body))
@@ -88,8 +88,8 @@ func (rt *Router) routeHash(dataset string, body []byte) (key uint64, unified bo
 		return bodyHash, false
 	}
 	for _, idx := range rt.ring.Sequence(bodyHash) {
-		srv, ok := rt.nodes[idx].Gateway().ReadyServer(dataset)
-		if !ok {
+		srv, err := rt.nodes[idx].Gateway().Server(dataset)
+		if err != nil {
 			continue
 		}
 		rkey, err := srv.ResultKeyFor(req)
@@ -147,8 +147,7 @@ func (f *failoverWriter) Write(b []byte) (int, error) {
 }
 
 // attemptOrder returns the replicas to try for a key: its ring sequence
-// with the replicas whose own state reads live (and not replaying a WAL)
-// first — the first entry is the effective owner, Ring.OwnerAmong over that
+// with the replicas whose own state reads live first — the first entry is the effective owner, Ring.OwnerAmong over that
 // set — then the rest. The second tier covers a state that changes between
 // the read and the attempt: a replica read as down may be back by the time
 // every live one has refused, and its own sentinel keeps a really-down
@@ -158,7 +157,7 @@ func (rt *Router) attemptOrder(key uint64) []int {
 	order := make([]int, 0, len(seq))
 	var rest []int
 	for _, idx := range seq {
-		if rt.nodes[idx].routingState() == StateLive {
+		if rt.nodes[idx].State() == StateLive {
 			order = append(order, idx)
 		} else {
 			rest = append(rest, idx)
@@ -170,8 +169,8 @@ func (rt *Router) attemptOrder(key uint64) []int {
 // forward replays one request (with body) to the replicas in
 // attemptOrder(key) until one answers without its refusal sentinel, and
 // books the replica that served — as a failover when it is not the key's
-// ring owner. Gateway 503s (admission shedding, dataset warming) carry no
-// sentinel and are final: every replica would shed the same way. When every
+// ring owner. Gateway 503s (admission shedding) carry no sentinel and are
+// final: every replica would shed the same way. When every
 // replica refuses, the client gets a 503 with the same Retry-After the
 // gateway's own 503s carry.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, key uint64) {
@@ -271,7 +270,7 @@ func (rt *Router) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	}{Status: "ok", UptimeSec: time.Since(rt.start).Seconds()}
 	live := 0
 	for i, n := range rt.nodes {
-		st := n.routingState()
+		st := n.State()
 		out.Replicas = append(out.Replicas, replicaHealth{Replica: i, State: st.String()})
 		if st == StateLive {
 			live++
@@ -327,7 +326,7 @@ func (rt *Router) Snapshot() Snapshot {
 		NoLiveReplica: rt.allDown.Load(),
 	}
 	for i, n := range rt.nodes {
-		st := n.routingState()
+		st := n.State()
 		rs := ReplicaSnapshot{
 			Replica:   i,
 			State:     st.String(),
@@ -408,10 +407,8 @@ func (rt *Router) WritePrometheus(w io.Writer) {
 	// Per-replica, per-dataset gateway series.
 	for _, rs := range snap.Replicas {
 		names := make([]string, 0, len(rs.Gateway.Gateway.Datasets))
-		for name, st := range rs.Gateway.Gateway.Datasets {
-			if st == "ready" {
-				names = append(names, name)
-			}
+		for name := range rs.Gateway.Gateway.Datasets {
+			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {

@@ -25,10 +25,9 @@
 //     Retry-After instead of queueing unboundedly.
 //
 // Gateway (gateway.go) serves any number of datasets behind one HTTP
-// surface: per-dataset Servers built lazily single-flight (warming
-// datasets answer 503 + Retry-After), one admission budget shared across
-// datasets, and /datasets, /healthz, /metrics rollups with dataset="..."
-// labels. Metrics (metrics.go) is the lock-free counter registry behind
+// surface: per-dataset Servers, every one built by NewGateway before it
+// returns, one admission budget shared across datasets, and /datasets,
+// /healthz, /metrics rollups with dataset="..." labels. Metrics (metrics.go) is the lock-free counter registry behind
 // /metrics in both Prometheus text and JSON forms.
 //
 // # Determinism contract

@@ -15,9 +15,9 @@ import (
 	"github.com/maliva/maliva/internal/workload"
 )
 
-// RewriterFactory builds the rewriter for one dataset. The gateway calls it
-// once per dataset, during warming, so an expensive factory (training an MDP
-// agent) never runs on a request goroutine. Each dataset gets its own
+// RewriterFactory builds the rewriter for one dataset. NewGateway calls it
+// once per dataset, before it returns, so an expensive factory (training an
+// MDP agent) never runs on a request goroutine. Each dataset gets its own
 // rewriter instance: rewriters are not required to be concurrency-safe, and
 // every Server serializes only its own rewriter. name is the dataset's
 // registry key (what requests pass in ?dataset=), which may differ from the
@@ -39,13 +39,13 @@ type GatewayConfig struct {
 	Server ServerConfig
 	// DefaultDataset answers requests without a ?dataset parameter.
 	// Defaults to the registry's first registered name, which keeps
-	// single-dataset clients (the PR 2 wire format) working unchanged.
+	// single-dataset clients working unchanged.
 	DefaultDataset string
 	// Space is the rewrite option space every dataset serves under.
 	Space core.SpaceSpec
 	// WrapResultCache, when set, wraps each dataset's result cache as its
 	// Server is built (internal/cluster installs the peer-shared cache
-	// here). It runs once per dataset, on the build goroutine, with the
+	// here). It runs once per dataset, on a build worker, with the
 	// dataset's registry name and its freshly-built local cache — and not
 	// at all when the result cache is disabled (see
 	// ServerConfig.WrapResultCache).
@@ -54,48 +54,24 @@ type GatewayConfig struct {
 	Sessions SessionConfig
 }
 
-// gatewayEntry is one dataset's serving slot: warming until done closes,
-// then either a ready Server or a cached construction error.
-type gatewayEntry struct {
-	done chan struct{}
-	srv  *Server
-	err  error
-}
-
-// state reports the entry's lifecycle for routing and /datasets.
-func (e *gatewayEntry) state() workload.Status {
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return workload.StatusFailed
-		}
-		return workload.StatusReady
-	default:
-		return workload.StatusWarming
-	}
-}
+// datasetReady is the status /datasets and /healthz report for every
+// dataset: NewGateway has built them all before anything can ask.
+const datasetReady = "ready"
 
 // Gateway serves visualization traffic for every dataset in a registry
-// through per-dataset Server instances that share one admission budget. A
-// dataset's engine state (the generated dataset, its rewriter, caches, and
-// lookup cache) is built lazily on first touch, exactly once (single-flight);
-// requests arriving while it warms get 503 + Retry-After instead of
-// blocking. A Gateway response is byte-identical to the response the
-// equivalent standalone single-dataset Server would produce, because routing
-// reuses the Server path unchanged.
+// through per-dataset Server instances that share one admission budget.
+// NewGateway builds every dataset's engine state (the generated dataset,
+// its rewriter, caches, and lookup cache) before it returns, so the
+// dataset→Server map never changes afterwards and a request never waits on
+// a build. A Gateway response is byte-identical to the response the
+// equivalent standalone single-dataset Server would produce, because
+// routing reuses the Server path unchanged.
 type Gateway struct {
-	reg         *workload.Registry
-	factory     RewriterFactory
-	cfg         GatewayConfig
+	names       []string           // registration order
+	servers     map[string]*Server // fixed by NewGateway; read without locks
 	defaultName string
 	admit       *admission
 	start       time.Time
-
-	// mu guards entries. Reads vastly dominate (every request resolves its
-	// dataset; writes happen once per dataset lifetime), so the hot path
-	// takes only the read lock and datasets never serialize on each other.
-	mu      sync.RWMutex
-	entries map[string]*gatewayEntry
 
 	// Session tracking + speculative prefetch (nil without a result cache).
 	// observeCh feeds a single observer goroutine: observation (parse,
@@ -109,11 +85,9 @@ type Gateway struct {
 	// Gateway-level counters; per-dataset serving counters live on each
 	// Server's Metrics. gwMetrics backs the panic-recovery middleware for
 	// requests that die before resolving to a dataset's Server.
-	requests   atomic.Int64
-	notFound   atomic.Int64
-	notReady   atomic.Int64
-	failedDeps atomic.Int64
-	gwMetrics  *Metrics
+	requests  atomic.Int64
+	notFound  atomic.Int64
+	gwMetrics *Metrics
 
 	// Lifecycle: draining is one-way (no new work, health fails over);
 	// quit stops the observer goroutine; Close is idempotent.
@@ -123,8 +97,14 @@ type Gateway struct {
 	closeErr  error
 }
 
-// NewGateway builds a gateway over a registry. The registry must have at
-// least one dataset, and DefaultDataset (when set) must be registered.
+// NewGateway builds a gateway over a registry and, before it returns, every
+// registered dataset's serving state: the dataset, its rewriter and its
+// Server. The builds fan out on a GOMAXPROCS-wide worker pool, so a
+// many-dataset cold start overlaps dataset generation and rewriter training
+// without oversubscribing the machine; the error of the first (lowest-index)
+// failed build is returned and every Server already built is closed. The
+// registry must have at least one dataset, and DefaultDataset (when set)
+// must be registered.
 func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConfig) (*Gateway, error) {
 	names := reg.Names()
 	if len(names) == 0 {
@@ -136,20 +116,39 @@ func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConf
 	def := cfg.DefaultDataset
 	if def == "" {
 		def = names[0]
-	} else if reg.Status(def) == workload.StatusUnknown {
+	} else if _, ok := reg.Builder(def); !ok {
 		return nil, fmt.Errorf("middleware: default dataset %q is not registered", def)
 	}
 	scfg := cfg.Server.normalized()
+	admit := newAdmission(scfg.MaxConcurrent, scfg.MaxQueue)
+	built := make([]*Server, len(names))
+	if err := core.RunIndexed(len(names), 0, func(i int) error {
+		srv, err := buildServer(reg, names[i], factory, cfg)
+		if err != nil {
+			return err
+		}
+		srv.admit = admit
+		built[i] = srv
+		return nil
+	}); err != nil {
+		for _, srv := range built {
+			if srv != nil {
+				_ = srv.Close() // the build error is the one to report
+			}
+		}
+		return nil, err
+	}
 	g := &Gateway{
-		reg:         reg,
-		factory:     factory,
-		cfg:         cfg,
+		names:       names,
+		servers:     make(map[string]*Server, len(names)),
 		defaultName: def,
-		admit:       newAdmission(scfg.MaxConcurrent, scfg.MaxQueue),
+		admit:       admit,
 		start:       time.Now(),
-		entries:     make(map[string]*gatewayEntry),
 		gwMetrics:   NewMetrics(),
 		quit:        make(chan struct{}),
+	}
+	for i, name := range names {
+		g.servers[name] = built[i]
 	}
 	if scfg.ResultCacheSize > 0 {
 		g.sessions = NewSessionTracker(cfg.Sessions)
@@ -157,6 +156,33 @@ func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConf
 		go g.observeLoop()
 	}
 	return g, nil
+}
+
+// buildServer constructs one dataset's serving state: the dataset itself,
+// its rewriter, and a Server whose caches are private. The caller hands it
+// the gateway's shared admission pool.
+func buildServer(reg *workload.Registry, name string, factory RewriterFactory, cfg GatewayConfig) (*Server, error) {
+	build, _ := reg.Builder(name)
+	ds, err := build()
+	if err != nil {
+		return nil, fmt.Errorf("middleware: dataset %q: %w", name, err)
+	}
+	rw, err := factory(name, ds)
+	if err != nil {
+		return nil, fmt.Errorf("middleware: rewriter for dataset %q: %w", name, err)
+	}
+	scfg := cfg.Server
+	scfg.MaxConcurrent = -1 // admission is gateway-scoped, not per server
+	if wrap := cfg.WrapResultCache; wrap != nil {
+		scfg.WrapResultCache = func(local ResultCache) ResultCache {
+			return wrap(name, local)
+		}
+	}
+	srv, err := NewServerWithConfig(ds, rw, cfg.Space, scfg)
+	if err != nil {
+		return nil, fmt.Errorf("middleware: server for dataset %q: %w", name, err)
+	}
+	return srv, nil
 }
 
 // observation is one successfully-served viz request queued for session
@@ -200,207 +226,47 @@ func (g *Gateway) observeLoop() {
 // DefaultDataset returns the name served when a request has no ?dataset.
 func (g *Gateway) DefaultDataset() string { return g.defaultName }
 
-// ensure returns the entry for a registered name, creating it (and kicking
-// off the dataset + server build on a fresh goroutine) on first touch.
-// Returns nil for unregistered names.
-func (g *Gateway) ensure(name string) *gatewayEntry {
-	e, created := g.entry(name)
-	if created {
-		go g.build(name, e)
-	}
-	return e
-}
+// Warm returns nil: NewGateway has already built every dataset. It is kept
+// only because the benchmark in bench/ still calls it.
+func (g *Gateway) Warm() error { return nil }
 
-// entry returns (creating if needed) the slot for a registered name without
-// starting its build; created reports whether this call claimed the build.
-// Exactly one caller per entry ever gets created=true — that caller must run
-// build (inline or on a goroutine), or the entry's done channel never
-// closes. Returns nil for unregistered names.
-func (g *Gateway) entry(name string) (e *gatewayEntry, created bool) {
-	g.mu.RLock()
-	e, ok := g.entries[name]
-	g.mu.RUnlock()
-	if ok {
-		return e, false
-	}
-	if g.reg.Status(name) == workload.StatusUnknown {
-		return nil, false
-	}
-	g.mu.Lock()
-	if e, ok := g.entries[name]; ok { // lost the upgrade race
-		g.mu.Unlock()
-		return e, false
-	}
-	e = &gatewayEntry{done: make(chan struct{})}
-	g.entries[name] = e
-	g.mu.Unlock()
-	return e, true
-}
-
-// build constructs one dataset's serving state: the dataset itself (through
-// the registry's own single-flight), its rewriter, and a Server whose
-// caches are private but whose admission pool is the gateway's shared one.
-func (g *Gateway) build(name string, e *gatewayEntry) {
-	defer close(e.done)
-	ds, err := g.reg.Lookup(name)
-	if err != nil {
-		e.err = fmt.Errorf("middleware: dataset %q: %w", name, err)
-		return
-	}
-	rw, err := g.factory(name, ds)
-	if err != nil {
-		e.err = fmt.Errorf("middleware: rewriter for dataset %q: %w", name, err)
-		return
-	}
-	scfg := g.cfg.Server
-	scfg.MaxConcurrent = -1 // admission is gateway-scoped, not per server
-	if wrap := g.cfg.WrapResultCache; wrap != nil {
-		scfg.WrapResultCache = func(local ResultCache) ResultCache {
-			return wrap(name, local)
-		}
-	}
-	srv, err := NewServerWithConfig(ds, rw, g.cfg.Space, scfg)
-	if err != nil {
-		e.err = err
-		return
-	}
-	srv.admit = g.admit
-	if g.draining.Load() {
-		srv.Drain() // the gateway drained while this dataset was warming
-	}
-	e.srv = srv
-}
-
-// Warm builds the named datasets (all registered ones when called with no
-// names) and blocks until they are ready, returning the error of the first
-// (lowest-index) failed dataset. Builds fan out on a GOMAXPROCS-wide worker
-// pool instead of one unbounded goroutine per dataset, so a many-dataset
-// cold start overlaps dataset generation and rewriter training without
-// oversubscribing the machine.
-// Serving binaries call it at startup so eager datasets never answer 503.
-// Entries already warming (a request raced ahead) are waited on, not
-// rebuilt.
-func (g *Gateway) Warm(names ...string) error {
-	if len(names) == 0 {
-		names = g.reg.Names()
-	}
-	type slot struct {
-		e     *gatewayEntry
-		build bool
-	}
-	slots := make([]slot, len(names))
-	for i, name := range names {
-		e, created := g.entry(name)
-		if e == nil {
-			return fmt.Errorf("middleware: gateway: unknown dataset %q", name)
-		}
-		slots[i] = slot{e: e, build: created}
-	}
-	// The pool callback never returns an error: RunIndexed's serial path
-	// stops at the first failure, which would abandon claimed-but-unbuilt
-	// entries whose done channel then never closes (permanent 503s). Every
-	// claimed build must run; failures are collected and reported after.
-	errs := make([]error, len(names))
-	_ = core.RunIndexed(len(names), 0, func(i int) error {
-		if slots[i].build {
-			g.build(names[i], slots[i].e)
-		}
-		<-slots[i].e.done
-		errs[i] = slots[i].e.err
-		return nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("middleware: warming %q: %w", names[i], err)
-		}
-	}
-	return nil
-}
-
-// Server returns the ready Server for a dataset, blocking through its build
-// if necessary (tests and in-process embedding; the HTTP path never blocks).
+// Server returns a dataset's Server; the empty name means the default
+// dataset.
 func (g *Gateway) Server(name string) (*Server, error) {
 	if name == "" {
 		name = g.defaultName
 	}
-	e := g.ensure(name)
-	if e == nil {
+	srv, ok := g.servers[name]
+	if !ok {
 		return nil, fmt.Errorf("middleware: gateway: unknown dataset %q", name)
 	}
-	<-e.done
-	return e.srv, e.err
-}
-
-// ReadyServer returns the Server for a dataset only if it is already built
-// and healthy — it never blocks and never triggers a build. The cluster
-// routing tier uses it to compute routing keys: the router must not stall a
-// request (or kick off a dataset build on the routing goroutine) just to
-// decide where to send it. Empty name means the default dataset.
-func (g *Gateway) ReadyServer(name string) (*Server, bool) {
-	if name == "" {
-		name = g.defaultName
-	}
-	g.mu.RLock()
-	e, ok := g.entries[name]
-	g.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-		return e.srv, e.err == nil
-	default:
-		return nil, false
-	}
+	return srv, nil
 }
 
 // Drain stops the gateway admitting new work: /viz and /ingest answer 503 +
-// Retry-After, the health rollup reports "draining" (health-checked routing
-// fails over), and every built dataset Server drains too — which also stops
-// its speculative prefetch. In-flight requests run to completion. One-way.
+// Retry-After, the health rollup and every per-dataset probe report
+// "draining" (health-checked routing fails over), and every dataset Server
+// drains too — which also stops its speculative prefetch. In-flight
+// requests run to completion. One-way.
 func (g *Gateway) Drain() {
 	if !g.draining.CompareAndSwap(false, true) {
 		return
 	}
-	g.mu.RLock()
-	entries := make([]*gatewayEntry, 0, len(g.entries))
-	for _, e := range g.entries {
-		entries = append(entries, e)
-	}
-	g.mu.RUnlock()
-	for _, e := range entries {
-		select {
-		case <-e.done:
-			if e.srv != nil {
-				e.srv.Drain()
-			}
-		default:
-			// Still warming: build() drains it on completion.
-		}
+	for _, srv := range g.servers {
+		srv.Drain()
 	}
 }
 
 // Close drains the gateway, stops the observer goroutine, and closes every
-// built dataset Server — each one's ingest batcher flushes buffered rows, so
+// dataset Server — each one's ingest batcher flushes buffered rows, so
 // acknowledged async writes are applied (and WAL-logged, when attached)
-// before Close returns. Builds still in flight are waited for and then
-// closed. Idempotent; later calls return the first error.
+// before Close returns. Idempotent; later calls return the first error.
 func (g *Gateway) Close() error {
 	g.closeOnce.Do(func() {
 		g.Drain()
 		close(g.quit)
-		g.mu.RLock()
-		entries := make(map[string]*gatewayEntry, len(g.entries))
-		for name, e := range g.entries {
-			entries[name] = e
-		}
-		g.mu.RUnlock()
-		for name, e := range entries {
-			<-e.done
-			if e.srv == nil {
-				continue
-			}
-			if err := e.srv.Close(); err != nil && g.closeErr == nil {
+		for _, name := range g.names {
+			if err := g.servers[name].Close(); err != nil && g.closeErr == nil {
 				g.closeErr = fmt.Errorf("middleware: closing dataset %q: %w", name, err)
 			}
 		}
@@ -410,18 +276,6 @@ func (g *Gateway) Close() error {
 
 // Draining reports whether the gateway has stopped admitting new work.
 func (g *Gateway) Draining() bool { return g.draining.Load() }
-
-// Recovering reports whether any registered dataset is currently replaying
-// durable state (WAL recovery). The cluster tier reads it to hold routed
-// traffic away from a freshly restarted replica until its data is complete.
-func (g *Gateway) Recovering() bool {
-	for _, name := range g.reg.Names() {
-		if st, _ := g.status(name); st == workload.StatusRecovering {
-			return true
-		}
-	}
-	return false
-}
 
 // rejectDraining writes the shutdown rejection for one gateway request.
 func (g *Gateway) rejectDraining(w http.ResponseWriter) {
@@ -450,32 +304,19 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// resolve maps a request's dataset parameter to a ready Server, writing the
-// proper error response (404 unknown, 503 warming, 500 failed build) when it
-// can't. The bool reports whether a Server was produced.
+// resolve maps a request's dataset parameter to its Server, answering 404
+// for an unknown name. The bool reports whether a Server was produced.
 func (g *Gateway) resolve(w http.ResponseWriter, r *http.Request) (*Server, bool) {
 	name := r.URL.Query().Get("dataset")
 	if name == "" {
 		name = g.defaultName
 	}
-	e := g.ensure(name)
-	if e == nil {
+	srv, ok := g.servers[name]
+	if !ok {
 		g.notFound.Add(1)
 		http.Error(w, fmt.Sprintf("unknown dataset %q", name), http.StatusNotFound)
-		return nil, false
 	}
-	switch e.state() {
-	case workload.StatusWarming:
-		g.notReady.Add(1)
-		w.Header().Set("Retry-After", "2")
-		http.Error(w, fmt.Sprintf("dataset %q is warming up", name), http.StatusServiceUnavailable)
-		return nil, false
-	case workload.StatusFailed:
-		g.failedDeps.Add(1)
-		http.Error(w, e.err.Error(), http.StatusInternalServerError)
-		return nil, false
-	}
-	return e.srv, true
+	return srv, ok
 }
 
 // serveViz routes one visualization request to its dataset's server. The
@@ -559,92 +400,43 @@ type datasetInfo struct {
 	Name    string `json:"name"`
 	Status  string `json:"status"`
 	Default bool   `json:"default,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-// status reports a dataset's gateway-level state: idle until first touch,
-// then the entry's lifecycle. A warming entry whose registry build is
-// replaying a write-ahead log reports recovering, so health consumers can
-// distinguish crash recovery from a cold build.
-func (g *Gateway) status(name string) (workload.Status, error) {
-	g.mu.RLock()
-	e, ok := g.entries[name]
-	g.mu.RUnlock()
-	if !ok {
-		switch g.reg.Status(name) {
-		case workload.StatusUnknown:
-			return workload.StatusUnknown, nil
-		case workload.StatusRecovering:
-			// The registry build was started directly (embedders, server
-			// boot) and is replaying a WAL; no gateway entry exists yet but
-			// the dataset is very much not idle.
-			return workload.StatusRecovering, nil
-		}
-		return workload.StatusIdle, nil
-	}
-	st := e.state()
-	switch st {
-	case workload.StatusFailed:
-		return st, e.err
-	case workload.StatusWarming:
-		if g.reg.Status(name) == workload.StatusRecovering {
-			return workload.StatusRecovering, nil
-		}
-	}
-	return st, nil
 }
 
 func (g *Gateway) serveDatasets(w http.ResponseWriter, r *http.Request) {
-	names := g.reg.Names()
-	infos := make([]datasetInfo, 0, len(names))
-	for _, name := range names {
-		st, err := g.status(name)
-		info := datasetInfo{Name: name, Status: st.String(), Default: name == g.defaultName}
-		if err != nil {
-			info.Error = err.Error()
-		}
-		infos = append(infos, info)
+	infos := make([]datasetInfo, 0, len(g.names))
+	for _, name := range g.names {
+		infos = append(infos, datasetInfo{Name: name, Status: datasetReady, Default: name == g.defaultName})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(infos)
 }
 
+// serveHealthz answers the rollup, or with ?dataset= one dataset's probe.
+// Both answer 503 "draining" once the gateway drains, so a load balancer
+// probing either fails over; an unknown dataset's probe is a 404.
 func (g *Gateway) serveHealthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	draining := g.draining.Load()
 	if name := r.URL.Query().Get("dataset"); name != "" {
-		st, _ := g.status(name)
-		w.Header().Set("Content-Type", "application/json")
-		code := http.StatusOK
-		switch st {
-		case workload.StatusUnknown:
-			code = http.StatusNotFound
-		case workload.StatusReady:
-		default:
-			code = http.StatusServiceUnavailable
+		status, code := datasetReady, http.StatusOK
+		switch {
+		case g.servers[name] == nil:
+			status, code = "unknown", http.StatusNotFound
+		case draining:
+			status, code = "draining", http.StatusServiceUnavailable
 		}
 		w.WriteHeader(code)
-		_ = json.NewEncoder(w).Encode(map[string]any{"dataset": name, "status": st.String()})
+		_ = json.NewEncoder(w).Encode(map[string]any{"dataset": name, "status": status})
 		return
 	}
-	statuses := make(map[string]string)
-	recovering := false
-	for _, name := range g.reg.Names() {
-		st, _ := g.status(name)
-		statuses[name] = st.String()
-		if st == workload.StatusRecovering {
-			recovering = true
-		}
+	statuses := make(map[string]string, len(g.names))
+	for _, name := range g.names {
+		statuses[name] = datasetReady
 	}
-	// Rollup precedence: draining (shutdown in progress) > recovering (WAL
-	// replay; traffic must stay away until state is complete) > ok. Both
-	// non-ok states answer 503 so plain status-code health checks fail over.
 	status, code := "ok", http.StatusOK
-	switch {
-	case g.draining.Load():
+	if draining {
 		status, code = "draining", http.StatusServiceUnavailable
-	case recovering:
-		status, code = "recovering", http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"status":     status,
@@ -658,8 +450,6 @@ type GatewaySnapshot struct {
 	UptimeSec      float64           `json:"uptime_sec"`
 	Requests       int64             `json:"requests"`
 	UnknownDataset int64             `json:"unknown_dataset"`
-	Warming        int64             `json:"warming_rejections"`
-	FailedDataset  int64             `json:"failed_dataset"`
 	QueueDepthLive int               `json:"queue_depth_live"`
 	Datasets       map[string]string `json:"datasets"`
 	Draining       bool              `json:"draining,omitempty"`
@@ -668,13 +458,13 @@ type GatewaySnapshot struct {
 }
 
 // GatewayMetricsSnapshot is the full JSON form of GET /metrics?format=json:
-// the gateway counters plus one serving snapshot per ready dataset.
+// the gateway counters plus one serving snapshot per dataset.
 type GatewayMetricsSnapshot struct {
 	Gateway  GatewaySnapshot            `json:"gateway"`
 	Datasets map[string]MetricsSnapshot `json:"datasets"`
 }
 
-// Snapshot captures the gateway counters and every ready dataset's serving
+// Snapshot captures the gateway counters and every dataset's serving
 // metrics.
 func (g *Gateway) Snapshot() GatewayMetricsSnapshot {
 	snap := GatewayMetricsSnapshot{
@@ -682,38 +472,26 @@ func (g *Gateway) Snapshot() GatewayMetricsSnapshot {
 			UptimeSec:      time.Since(g.start).Seconds(),
 			Requests:       g.requests.Load(),
 			UnknownDataset: g.notFound.Load(),
-			Warming:        g.notReady.Load(),
-			FailedDataset:  g.failedDeps.Load(),
 			QueueDepthLive: g.admit.queueLen(),
-			Datasets:       make(map[string]string),
+			Datasets:       make(map[string]string, len(g.names)),
 			Draining:       g.draining.Load(),
 			DrainRejected:  g.gwMetrics.drainRejected.Load(),
 			Panics:         g.gwMetrics.panicsSnapshot(),
 		},
-		Datasets: make(map[string]MetricsSnapshot),
+		Datasets: make(map[string]MetricsSnapshot, len(g.names)),
 	}
-	for _, name := range g.reg.Names() {
-		st, _ := g.status(name)
-		snap.Gateway.Datasets[name] = st.String()
-		if st == workload.StatusReady {
-			if srv, err := g.Server(name); err == nil {
-				snap.Datasets[name] = srv.Metrics().Snapshot()
-			}
-		}
+	for _, name := range g.names {
+		snap.Gateway.Datasets[name] = datasetReady
+		snap.Datasets[name] = g.servers[name].Metrics().Snapshot()
 	}
 	return snap
 }
 
 func (g *Gateway) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if name := r.URL.Query().Get("dataset"); name != "" {
-		st, _ := g.status(name)
-		if st != workload.StatusReady {
-			http.Error(w, fmt.Sprintf("dataset %q is %s", name, st), http.StatusNotFound)
-			return
-		}
-		srv, err := g.Server(name)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		srv, ok := g.servers[name]
+		if !ok {
+			http.Error(w, fmt.Sprintf("dataset %q is unknown", name), http.StatusNotFound)
 			return
 		}
 		if r.URL.Query().Get("format") == "json" {
@@ -731,14 +509,12 @@ func (g *Gateway) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(g.Snapshot())
 		return
 	}
-	// Text rollup: gateway counters, then each ready dataset's series —
+	// Text rollup: gateway counters, then each dataset's series —
 	// snapshotted exactly once, inside WritePrometheusLabeled.
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "maliva_gateway_uptime_seconds %g\n", time.Since(g.start).Seconds())
 	fmt.Fprintf(w, "maliva_gateway_requests_total %d\n", g.requests.Load())
 	fmt.Fprintf(w, "maliva_gateway_unknown_dataset_total %d\n", g.notFound.Load())
-	fmt.Fprintf(w, "maliva_gateway_warming_rejections_total %d\n", g.notReady.Load())
-	fmt.Fprintf(w, "maliva_gateway_failed_dataset_total %d\n", g.failedDeps.Load())
 	fmt.Fprintf(w, "maliva_gateway_drain_rejected_total %d\n", g.gwMetrics.drainRejected.Load())
 	gwPanics := g.gwMetrics.panicsSnapshot()
 	gwHandlers := make([]string, 0, len(gwPanics))
@@ -750,14 +526,9 @@ func (g *Gateway) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "maliva_gateway_panics_total{handler=%q} %d\n", h, gwPanics[h])
 	}
 	writeQueueDepth(w, g.admit.queueLen())
-	names := g.reg.Names()
+	names := append([]string(nil), g.names...)
 	sort.Strings(names)
 	for _, name := range names {
-		if st, _ := g.status(name); st != workload.StatusReady {
-			continue
-		}
-		if srv, err := g.Server(name); err == nil {
-			srv.Metrics().WritePrometheusLabeled(w, fmt.Sprintf("dataset=%q", name))
-		}
+		g.servers[name].Metrics().WritePrometheusLabeled(w, fmt.Sprintf("dataset=%q", name))
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"github.com/maliva/maliva/internal/core"
 	"github.com/maliva/maliva/internal/workload"
@@ -34,7 +34,7 @@ func tinyTaxiBuilder(rows int) func() (*workload.Dataset, error) {
 	return func() (*workload.Dataset, error) { return workload.Taxi(cfg) }
 }
 
-// testGateway builds a warm two-dataset gateway over tiny Twitter + Taxi.
+// testGateway builds a two-dataset gateway over tiny Twitter + Taxi.
 func testGateway(t testing.TB) *Gateway {
 	t.Helper()
 	reg := workload.NewRegistry()
@@ -49,9 +49,6 @@ func testGateway(t testing.TB) *Gateway {
 		Space:  core.HintOnlySpec(),
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	return g
@@ -148,131 +145,9 @@ func TestGatewayUnknownDataset(t *testing.T) {
 	}
 }
 
-// TestGatewayWarmingDataset: requests while the dataset builds get 503 with
-// Retry-After; once the build finishes they get 200.
-func TestGatewayWarmingDataset(t *testing.T) {
-	reg := workload.NewRegistry()
-	gate := make(chan struct{})
-	inner := tinyTwitterBuilder(8_000)
-	if err := reg.Register("slow", func() (*workload.Dataset, error) { <-gate; return inner() }); err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGateway(reg, OracleFactory, GatewayConfig{
-		Server: ServerConfig{DefaultBudgetMs: 500},
-		Space:  core.HintOnlySpec(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(g.Handler())
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/viz?dataset=slow", "application/json", bytes.NewReader(twitterBody("word0005")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("warming viz = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("warming rejection carries no Retry-After")
-	}
-
-	// /datasets and /healthz report the warming state.
-	dr, err := http.Get(srv.URL + "/datasets")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var infos []datasetInfo
-	if err := json.NewDecoder(dr.Body).Decode(&infos); err != nil {
-		t.Fatal(err)
-	}
-	dr.Body.Close()
-	if len(infos) != 1 || infos[0].Status != "warming" {
-		t.Errorf("datasets while warming = %+v", infos)
-	}
-
-	close(gate)
-	deadline := time.After(30 * time.Second)
-	for {
-		resp, err := http.Post(srv.URL+"/viz?dataset=slow", "application/json", bytes.NewReader(twitterBody("word0005")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			break
-		}
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("post-warm status = %d", resp.StatusCode)
-		}
-		select {
-		case <-deadline:
-			t.Fatal("dataset never finished warming")
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	if got := g.Snapshot().Gateway.Warming; got < 1 {
-		t.Errorf("Warming counter = %d, want >= 1", got)
-	}
-}
-
-// TestGatewaySingleFlightFirstTouch: a stampede of concurrent first-touch
-// requests builds the dataset and its rewriter exactly once.
-func TestGatewaySingleFlightFirstTouch(t *testing.T) {
-	reg := workload.NewRegistry()
-	var builds, factories atomic.Int32
-	inner := tinyTwitterBuilder(8_000)
-	if err := reg.Register("tw", func() (*workload.Dataset, error) {
-		builds.Add(1)
-		return inner()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	factory := func(name string, ds *workload.Dataset) (core.Rewriter, error) {
-		factories.Add(1)
-		return core.OracleRewriter{}, nil
-	}
-	g, err := NewGateway(reg, factory, GatewayConfig{
-		Server: ServerConfig{DefaultBudgetMs: 500},
-		Space:  core.HintOnlySpec(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(g.Handler())
-	defer srv.Close()
-
-	const n = 16
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/viz?dataset=tw", "application/json", bytes.NewReader(twitterBody("word0005")))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			resp.Body.Close()
-		}()
-	}
-	wg.Wait()
-	if _, err := g.Server("tw"); err != nil { // block until built
-		t.Fatal(err)
-	}
-	if got := builds.Load(); got != 1 {
-		t.Errorf("dataset built %d times, want 1", got)
-	}
-	if got := factories.Load(); got != 1 {
-		t.Errorf("rewriter factory ran %d times, want 1", got)
-	}
-}
-
-// withGOMAXPROCS runs fn with GOMAXPROCS — and so Warm's pool width — set
-// to workers, restoring it afterwards. (No middleware test runs in
-// parallel, so the process-wide setting is the test's own.)
+// withGOMAXPROCS runs fn with GOMAXPROCS — and so NewGateway's build pool
+// width — set to workers, restoring it afterwards. (No middleware test runs
+// in parallel, so the process-wide setting is the test's own.)
 func withGOMAXPROCS(t *testing.T, workers int, fn func(t *testing.T)) {
 	t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
@@ -280,110 +155,100 @@ func withGOMAXPROCS(t *testing.T, workers int, fn func(t *testing.T)) {
 	})
 }
 
-// TestGatewayWarmBoundedPool: Warm fans dataset builds out on the bounded
-// worker pool — every dataset still builds exactly once (even when Warm
-// races with request-driven first touches and a repeated Warm), at one
-// worker and at two, and all end up ready.
+// TestGatewayWarmBoundedPool: NewGateway fans the dataset builds out on the
+// bounded worker pool and returns only once every dataset is served. At one
+// worker and at two it runs each builder and the rewriter factory exactly
+// once per dataset.
 func TestGatewayWarmBoundedPool(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		withGOMAXPROCS(t, workers, func(t *testing.T) {
 			reg := workload.NewRegistry()
-			var twBuilds, txBuilds atomic.Int32
-			tw, tx := tinyTwitterBuilder(4_000), tinyTaxiBuilder(4_000)
-			if err := reg.Register("twitter", func() (*workload.Dataset, error) {
-				twBuilds.Add(1)
-				return tw()
-			}); err != nil {
-				t.Fatal(err)
+			var mu sync.Mutex
+			builds, factories := map[string]int{}, map[string]int{}
+			count := func(m map[string]int, name string) {
+				mu.Lock()
+				m[name]++
+				mu.Unlock()
 			}
-			if err := reg.Register("taxi", func() (*workload.Dataset, error) {
-				txBuilds.Add(1)
-				return tx()
-			}); err != nil {
-				t.Fatal(err)
+			for name, build := range map[string]func() (*workload.Dataset, error){
+				"twitter": tinyTwitterBuilder(4_000),
+				"taxi":    tinyTaxiBuilder(4_000),
+			} {
+				if err := reg.Register(name, func() (*workload.Dataset, error) {
+					count(builds, name)
+					return build()
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			g, err := NewGateway(reg, OracleFactory, GatewayConfig{
+			factory := func(name string, ds *workload.Dataset) (core.Rewriter, error) {
+				count(factories, name)
+				return core.OracleRewriter{}, nil
+			}
+			g, err := NewGateway(reg, factory, GatewayConfig{
 				Server: ServerConfig{DefaultBudgetMs: 500},
 				Space:  core.HintOnlySpec(),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() { // request-driven first touch racing the warmup
-				defer wg.Done()
-				if _, err := g.Server("taxi"); err != nil {
-					t.Error(err)
-				}
-			}()
-			go func() { // concurrent second Warm must not rebuild anything
-				defer wg.Done()
-				if err := g.Warm(); err != nil {
-					t.Error(err)
-				}
-			}()
-			if err := g.Warm(); err != nil {
-				t.Fatal(err)
-			}
-			wg.Wait()
+			defer g.Close()
 			for _, name := range []string{"twitter", "taxi"} {
-				if st, _ := g.status(name); st != workload.StatusReady {
-					t.Errorf("dataset %s is %s after Warm, want ready", name, st)
+				if builds[name] != 1 || factories[name] != 1 {
+					t.Errorf("%s: builder ran %d times, factory %d times; want 1 and 1",
+						name, builds[name], factories[name])
 				}
-			}
-			if got := twBuilds.Load(); got != 1 {
-				t.Errorf("twitter built %d times, want 1", got)
-			}
-			if got := txBuilds.Load(); got != 1 {
-				t.Errorf("taxi built %d times, want 1", got)
+				if _, err := g.Server(name); err != nil {
+					t.Errorf("%s not served after NewGateway: %v", name, err)
+				}
 			}
 		})
 	}
 }
 
-// TestGatewayWarmFailureDoesNotStrand: a failing build must not abandon the
-// other datasets' claimed entries — serial warmup (one worker) was the
-// dangerous case, where an early error could leave later entries with a
-// never-closing done channel (permanent 503s and a deadlocked re-Warm).
+// TestGatewayWarmFailureDoesNotStrand: a failing builder makes NewGateway
+// return an error naming that dataset, at one worker and at two, and the
+// Servers it had already built are closed rather than stranded — the
+// dataset that outlives them no longer reaches them through its flush
+// hooks.
 func TestGatewayWarmFailureDoesNotStrand(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		withGOMAXPROCS(t, workers, func(t *testing.T) {
+			taxi, err := tinyTaxiBuilder(4_000)()
+			if err != nil {
+				t.Fatal(err)
+			}
 			reg := workload.NewRegistry()
+			if err := reg.Register("taxi", func() (*workload.Dataset, error) { return taxi, nil }); err != nil {
+				t.Fatal(err)
+			}
 			if err := reg.Register("broken", func() (*workload.Dataset, error) {
 				return nil, fmt.Errorf("synthetic build failure")
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := reg.Register("taxi", tinyTaxiBuilder(4_000)); err != nil {
-				t.Fatal(err)
-			}
+			var built weak.Pointer[resultCache]
 			g, err := NewGateway(reg, OracleFactory, GatewayConfig{
 				Server: ServerConfig{DefaultBudgetMs: 500},
 				Space:  core.HintOnlySpec(),
+				WrapResultCache: func(dataset string, local ResultCache) ResultCache {
+					built = weak.Make(local.(*resultCache))
+					return local
+				},
 			})
-			if err != nil {
-				t.Fatal(err)
+			if err == nil || !strings.Contains(err.Error(), `"broken"`) {
+				t.Fatalf("NewGateway = (%v, %v), want an error naming the broken dataset", g, err)
 			}
-			if err := g.Warm(); err == nil || !strings.Contains(err.Error(), "broken") {
-				t.Fatalf("Warm error = %v, want broken-dataset failure", err)
+			if built.Value() == nil {
+				t.Fatal("taxi was never built")
 			}
-			// The healthy dataset must have been built despite the failure…
-			if st, _ := g.status("taxi"); st != workload.StatusReady {
-				t.Errorf("taxi is %s after failed Warm, want ready", st)
+			for i := 0; i < 5 && built.Value() != nil; i++ {
+				runtime.GC()
 			}
-			// …and a retry must terminate (it would deadlock on a stranded
-			// entry), still reporting the cached failure.
-			done := make(chan error, 1)
-			go func() { done <- g.Warm() }()
-			select {
-			case err := <-done:
-				if err == nil {
-					t.Error("retried Warm = nil, want cached failure")
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("retried Warm deadlocked")
+			if built.Value() != nil {
+				t.Fatal("the taxi server NewGateway built is still reachable from its dataset")
 			}
+			runtime.KeepAlive(taxi)
 		})
 	}
 }

@@ -110,9 +110,6 @@ func TestPanicRecoveryWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if err := g.Warm(); err != nil {
-		t.Fatal(err)
-	}
 	srv, err := g.Server("twitter")
 	if err != nil {
 		t.Fatal(err)
@@ -371,8 +368,8 @@ func TestCancelAbortsExecution(t *testing.T) {
 }
 
 // TestGatewayDrain: a draining gateway rejects new work at the gateway
-// level, reports "draining" on the health rollup, and drains every built
-// dataset server underneath.
+// level, reports 503 "draining" on the health rollup and on every
+// per-dataset probe, and drains every dataset server underneath.
 func TestGatewayDrain(t *testing.T) {
 	cfg := workload.TwitterConfig()
 	cfg.Rows = 4_000
@@ -382,9 +379,6 @@ func TestGatewayDrain(t *testing.T) {
 	}
 	g, err := NewGateway(reg, nil, GatewayConfig{Space: core.HintOnlySpec()})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := g.Server("twitter")
@@ -411,6 +405,18 @@ func TestGatewayDrain(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusServiceUnavailable || health.Status != "draining" {
 		t.Fatalf("rollup healthz = %d %q, want 503 draining", hr.StatusCode, health.Status)
+	}
+	// A load balancer probing one dataset must fail over too.
+	pr, err := http.Get(hsrv.URL + "/healthz?dataset=twitter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(pr.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	pr.Body.Close()
+	if pr.StatusCode != http.StatusServiceUnavailable || health.Status != "draining" {
+		t.Fatalf("per-dataset healthz = %d %q, want 503 draining", pr.StatusCode, health.Status)
 	}
 	resp := postViz(t, hsrv.URL, nil)
 	resp.Body.Close()

@@ -150,9 +150,6 @@ func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Warm(); err != nil {
-		t.Fatal(err)
-	}
 	srv, err := g.Server("twitter")
 	if err != nil {
 		t.Fatal(err)
@@ -221,9 +218,6 @@ func TestGatewaySessionPrefetchEndToEnd(t *testing.T) {
 		Space:  core.HintOnlySpec(),
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.Warm(); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(g2.Handler())

@@ -18,9 +18,8 @@
 //     keyword queries at paper-realistic selectivities, deterministic per
 //     seed.
 //   - registry.go — Registry, the serving layer's named-dataset directory:
-//     builders registered up front, datasets generated lazily on first
-//     touch, exactly once (single-flight), with a non-blocking Poll for
-//     latency-sensitive callers and StandardBuilder for the built-in
+//     an ordered list of named builders, which middleware.NewGateway runs
+//     once each before it returns, and StandardBuilder for the built-in
 //     datasets at any row count.
 //
 // Generation is deterministic per (dataset config, seed): two processes

@@ -1,12 +1,6 @@
 package workload
 
-import (
-	"errors"
-	"sync"
-	"sync/atomic"
-	"testing"
-	"time"
-)
+import "testing"
 
 // tinyBuilder returns a builder producing a minimal real dataset quickly.
 func tinyBuilder() func() (*Dataset, error) {
@@ -30,126 +24,17 @@ func TestRegistryRegisterAndNames(t *testing.T) {
 	if err := r.Register("", tinyBuilder()); err == nil {
 		t.Error("empty name accepted")
 	}
+	if err := r.Register("c", nil); err == nil {
+		t.Error("nil builder accepted")
+	}
 	if got := r.Names(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Names() = %v, want [a b]", got)
 	}
-	if got := r.Status("a"); got != StatusIdle {
-		t.Errorf("untouched status = %v, want idle", got)
+	if build, ok := r.Builder("a"); !ok || build == nil {
+		t.Error("Builder(a) missing")
 	}
-	if got := r.Status("nope"); got != StatusUnknown {
-		t.Errorf("unregistered status = %v, want unknown", got)
-	}
-}
-
-// TestRegistrySingleFlight: N concurrent Lookups for the same name run the
-// builder exactly once and all receive the identical *Dataset.
-func TestRegistrySingleFlight(t *testing.T) {
-	r := NewRegistry()
-	var builds atomic.Int32
-	gate := make(chan struct{})
-	inner := tinyBuilder()
-	if err := r.Register("tw", func() (*Dataset, error) {
-		builds.Add(1)
-		<-gate
-		return inner()
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 8
-	results := make([]*Dataset, n)
-	var wg sync.WaitGroup
-	started := make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			started <- struct{}{}
-			ds, err := r.Lookup("tw")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = ds
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		<-started
-	}
-	time.Sleep(10 * time.Millisecond) // let lookups reach the wait
-	close(gate)
-	wg.Wait()
-
-	if got := builds.Load(); got != 1 {
-		t.Fatalf("builder ran %d times, want 1", got)
-	}
-	for i := 1; i < n; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("lookup %d returned a different dataset", i)
-		}
-	}
-	if got := r.Status("tw"); got != StatusReady {
-		t.Errorf("status after build = %v, want ready", got)
-	}
-}
-
-// TestRegistryPoll: the non-blocking path reports warming while the build
-// runs and ready with the dataset afterwards; unknown names don't build.
-func TestRegistryPoll(t *testing.T) {
-	r := NewRegistry()
-	gate := make(chan struct{})
-	inner := tinyBuilder()
-	if err := r.Register("tw", func() (*Dataset, error) { <-gate; return inner() }); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, st, _ := r.Poll("nope"); st != StatusUnknown {
-		t.Fatalf("unknown poll = %v", st)
-	}
-	if ds, st, err := r.Poll("tw"); ds != nil || st != StatusWarming || err != nil {
-		t.Fatalf("first poll = (%v, %v, %v), want (nil, warming, nil)", ds, st, err)
-	}
-	if _, st, _ := r.Poll("tw"); st != StatusWarming {
-		t.Fatalf("second poll = %v, want warming", st)
-	}
-	close(gate)
-	deadline := time.After(10 * time.Second)
-	for {
-		ds, st, err := r.Poll("tw")
-		if st == StatusReady {
-			if ds == nil || err != nil {
-				t.Fatalf("ready poll = (%v, %v)", ds, err)
-			}
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("dataset never became ready")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-}
-
-// TestRegistryFailedBuildCached: a failing builder yields StatusFailed and
-// the error is served to every later touch without re-running the builder.
-func TestRegistryFailedBuildCached(t *testing.T) {
-	r := NewRegistry()
-	boom := errors.New("boom")
-	calls := 0
-	if err := r.Register("bad", func() (*Dataset, error) { calls++; return nil, boom }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Lookup("bad"); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if _, err := r.Lookup("bad"); !errors.Is(err, boom) {
-		t.Fatalf("second err = %v, want boom", err)
-	}
-	if _, st, err := r.Poll("bad"); st != StatusFailed || !errors.Is(err, boom) {
-		t.Fatalf("poll = (%v, %v), want (failed, boom)", st, err)
-	}
-	if calls != 1 {
-		t.Errorf("builder ran %d times, want 1", calls)
+	if _, ok := r.Builder("c"); ok {
+		t.Error("rejected registration left a builder behind")
 	}
 }
 

@@ -15,6 +15,9 @@
 #      `maliva-server` on a command line (or its `\` continuation lines), or
 #      in backticks in prose — unless another command of this repo or the go
 #      tool defines it.
+#  4b. The reverse: every flag `go run ./cmd/maliva-server -h` prints is
+#      named in README.md (in the sense of check 4), so no server flag goes
+#      undocumented.
 #   5. Every backticked `Test…`/`Benchmark…` name in README.md and docs/*.md
 #      is a func of this repo, and every backticked `*.go` file there is a
 #      file of the repo (matched by path suffix, so `engine/access.go` and
@@ -143,6 +146,14 @@ while read -r where flag kind; do
   echo "$where names maliva-server $flag, which go run ./cmd/maliva-server -h does not print" >&2
   fail=1
 done <<<"$named"
+readme_flags=$(awk '$1 ~ /^README\.md:/ { print $2 }' <<<"$named")
+while read -r flag; do
+  [ -n "$flag" ] || continue
+  if ! has "$readme_flags" "$flag"; then
+    echo "README.md never names maliva-server $flag, which go run ./cmd/maliva-server -h prints" >&2
+    fail=1
+  fi
+done <<<"$server_flags"
 
 go_files=$(git ls-files --cached --others --exclude-standard '*.go')
 while IFS=: read -r file name; do
