@@ -130,7 +130,6 @@ func main() {
 
 		planCache   = flag.Int("plan-cache", 0, "plan-cache entries per dataset (0 = default, negative = disable)")
 		resultCache = flag.Int("result-cache", 0, "result-cache entries per dataset (0 = default, negative = disable)")
-		resultTTL   = flag.Duration("result-ttl", 0, "result-cache TTL (0 = default 30s)")
 		maxConc     = flag.Int("max-concurrent", 0, "shared concurrent request limit (0 = default 4×GOMAXPROCS, negative = disable)")
 
 		walDir       = flag.String("wal-dir", "", "directory for per-dataset write-ahead logs (empty = durability off); sync /ingest acks become durable before they are sent, and startup replays any existing log before the listener opens")
@@ -177,7 +176,6 @@ func main() {
 		DefaultBudgetMs: *budget,
 		PlanCacheSize:   *planCache,
 		ResultCacheSize: *resultCache,
-		ResultTTL:       *resultTTL,
 		MaxConcurrent:   *maxConc,
 	}
 

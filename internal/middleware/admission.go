@@ -1,7 +1,7 @@
 package middleware
 
 import (
-	"container/heap"
+	"slices"
 	"sync"
 	"time"
 )
@@ -20,55 +20,12 @@ const (
 	admitTimeout
 )
 
-// waiter is one queued request: its admission deadline (now + the
-// budget-derived wait), an arrival sequence number for FIFO tie-breaking,
-// and the channel a freed slot is handed over on.
-type waiter struct {
-	deadline time.Time
-	seq      uint64
-	ch       chan struct{}
-	index    int // heap position; -1 once off the queue
-	granted  bool
-}
-
-// waiterQueue is a min-heap ordered by deadline (tightest first), FIFO
-// within equal deadlines.
-type waiterQueue []*waiter
-
-func (q waiterQueue) Len() int { return len(q) }
-func (q waiterQueue) Less(i, j int) bool {
-	if !q[i].deadline.Equal(q[j].deadline) {
-		return q[i].deadline.Before(q[j].deadline)
-	}
-	return q[i].seq < q[j].seq
-}
-func (q waiterQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index, q[j].index = i, j
-}
-func (q *waiterQueue) Push(x any) {
-	w := x.(*waiter)
-	w.index = len(*q)
-	*q = append(*q, w)
-}
-func (q *waiterQueue) Pop() any {
-	old := *q
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.index = -1
-	*q = old[:n-1]
-	return w
-}
-
-// admission is a bounded worker pool with a bounded, budget-aware wait
-// queue: at most `capacity` requests execute concurrently and at most
-// `maxQueue` more wait. Unlike a FIFO channel, the queue is a deadline
-// priority queue — freed slots go to the waiter with the tightest
-// still-feasible deadline, and waiters whose budgets have already expired
-// are shed first (skipped on handoff and pruned to make room), so goodput
-// under sustained overload favors requests that can still meet their
-// budgets. Everything beyond queue capacity is rejected instantly.
+// admission is a bounded worker pool with a bounded FIFO wait queue: at
+// most `capacity` requests execute concurrently and at most `maxQueue` more
+// wait, each for at most its budget-derived deadline. A freed slot goes to
+// the longest-waiting live waiter; a waiter whose deadline passes takes
+// itself off the queue, so an expired waiter never holds a queue place or
+// a slot. Everything beyond queue capacity is rejected instantly.
 //
 // Speculative prefetches take a slot only out of idle capacity and never
 // wait (tryPrefetch): more than `reserve` slots free, no live waiter queued
@@ -82,7 +39,9 @@ type admission struct {
 	free     int // slots not currently held
 	reserve  int // slots never granted to a prefetch
 	maxQueue int
-	queue    waiterQueue
+	// queue holds the live waiters in arrival order. Each channel has room
+	// for the one slot release hands it, so release never blocks.
+	queue []chan struct{}
 	// prefetchHeld counts slots currently held by admitted prefetches;
 	// maxHeld caps it well below capacity so speculative executions can
 	// occupy at most a sliver of the pool — without the cap a burst of
@@ -90,9 +49,6 @@ type admission struct {
 	// and live requests queue behind speculative work.
 	prefetchHeld int
 	maxHeld      int
-	seq          uint64
-	// now is the deadline clock (tests); timers still use real time.
-	now func() time.Time
 }
 
 // newAdmission sizes the pool. capacity <= 0 disables admission control
@@ -108,7 +64,7 @@ func newAdmission(capacity, maxQueue int) *admission {
 	if maxHeld < 1 {
 		maxHeld = 1
 	}
-	return &admission{free: capacity, reserve: 1, maxQueue: maxQueue, maxHeld: maxHeld, now: time.Now}
+	return &admission{free: capacity, reserve: 1, maxQueue: maxQueue, maxHeld: maxHeld}
 }
 
 // acquire tries to take a worker slot, waiting at most wait (the request's
@@ -117,50 +73,39 @@ func (a *admission) acquire(wait time.Duration) admitVerdict {
 	if a == nil {
 		return admitOK
 	}
-	now := a.now()
 	a.mu.Lock()
 	if a.free > 0 {
 		a.free--
 		a.mu.Unlock()
 		return admitOK
 	}
-	// Queue full? Shed already-expired waiters first — they cannot meet
-	// their budgets anyway — and only reject the newcomer if the queue is
-	// still full of in-budget requests.
 	if len(a.queue) >= a.maxQueue {
-		shedExpired(&a.queue, now)
-		if len(a.queue) >= a.maxQueue {
-			a.mu.Unlock()
-			return admitBusy
-		}
+		a.mu.Unlock()
+		return admitBusy
 	}
 	if wait <= 0 {
 		a.mu.Unlock()
 		return admitTimeout
 	}
-	w := &waiter{deadline: now.Add(wait), seq: a.seq, ch: make(chan struct{})}
-	a.seq++
-	heap.Push(&a.queue, w)
+	ch := make(chan struct{}, 1)
+	a.queue = append(a.queue, ch)
 	a.mu.Unlock()
 
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
-	case <-w.ch:
+	case <-ch:
 		return admitOK
 	case <-timer.C:
 		a.mu.Lock()
-		if w.granted {
-			// release handed us a slot in the same instant the timer fired;
-			// the slot is ours, so serve the request rather than strand it.
-			a.mu.Unlock()
-			return admitOK
+		defer a.mu.Unlock()
+		if i := slices.Index(a.queue, ch); i >= 0 {
+			a.queue = slices.Delete(a.queue, i, i+1)
+			return admitTimeout
 		}
-		if w.index >= 0 {
-			heap.Remove(&a.queue, w.index)
-		}
-		a.mu.Unlock()
-		return admitTimeout
+		// release handed us a slot in the same instant the timer fired; the
+		// slot is ours, so serve the request rather than strand it.
+		return admitOK
 	}
 }
 
@@ -183,19 +128,8 @@ func (a *admission) tryPrefetch() bool {
 	return true
 }
 
-// shedExpired drops waiters whose deadlines have passed. Their own timers
-// report admitTimeout to them; shedding only frees queue capacity. Caller
-// holds the admission mutex.
-func shedExpired(q *waiterQueue, now time.Time) {
-	for len(*q) > 0 && now.After((*q)[0].deadline) {
-		heap.Pop(q)
-	}
-}
-
-// release returns a slot taken by a successful acquire: the tightest-
-// deadline live waiter still within budget gets it directly; expired
-// waiters are shed on the way. With no feasible live waiter the slot goes
-// back to the pool.
+// release returns a slot taken by a successful acquire: the first queued
+// waiter gets it directly, and with no waiter the slot goes back to the pool.
 func (a *admission) release() { a.releaseSlot(false) }
 
 // releasePrefetch returns a slot taken by a successful tryPrefetch,
@@ -206,23 +140,17 @@ func (a *admission) releaseSlot(heldByPrefetch bool) {
 	if a == nil {
 		return
 	}
-	now := a.now()
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if heldByPrefetch {
 		a.prefetchHeld--
 	}
-	for len(a.queue) > 0 {
-		w := heap.Pop(&a.queue).(*waiter)
-		if now.After(w.deadline) {
-			continue // shed: its timer delivers admitTimeout
-		}
-		w.granted = true
-		close(w.ch)
-		a.mu.Unlock()
+	if len(a.queue) == 0 {
+		a.free++
 		return
 	}
-	a.free++
-	a.mu.Unlock()
+	a.queue[0] <- struct{}{}
+	a.queue = slices.Delete(a.queue, 0, 1)
 }
 
 // queueLen reports the current number of queued live waiters — the

@@ -1,7 +1,6 @@
 package middleware
 
 import (
-	"container/heap"
 	"testing"
 	"time"
 )
@@ -41,7 +40,7 @@ func TestPrefetchIdleOnlyAdmission(t *testing.T) {
 	a.release()
 
 	// A queued live waiter shuts prefetch out even with idle slots.
-	heap.Push(&a.queue, &waiter{deadline: time.Now().Add(time.Second), ch: make(chan struct{})})
+	a.queue = append(a.queue, make(chan struct{}, 1))
 	if a.tryPrefetch() {
 		t.Fatal("prefetch admitted while a live waiter is queued")
 	}

@@ -1,153 +1,129 @@
 package middleware
 
 import (
-	"container/heap"
 	"testing"
 	"time"
 )
 
-// TestAdmissionShedsExpiredFirst is the overload-goodput invariant: when a
-// slot frees up, waiters whose budget-derived deadlines already passed are
-// shed (never granted), and the slot goes to an in-budget waiter. White-box:
-// waiters are placed on the queue directly so expiry is deterministic.
+// waitQueued spins until a holds n queued waiters or stop has a value.
+func waitQueued(a *admission, n int, stop chan admitVerdict) {
+	for a.queueLen() < n && len(stop) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAdmissionShedsExpiredFirst: a waiter whose deadline passes while it is
+// queued leaves the queue on its own timer and is never granted a slot, even
+// though it arrived first; the next freed slot goes to the in-budget waiter
+// behind it.
 func TestAdmissionShedsExpiredFirst(t *testing.T) {
 	a := newAdmission(1, 8)
 	if got := a.acquire(time.Second); got != admitOK {
 		t.Fatal("setup acquire failed")
 	}
 
-	now := time.Now()
-	a.now = func() time.Time { return now }
-	expired := &waiter{deadline: now.Add(-50 * time.Millisecond), seq: 0, ch: make(chan struct{})}
-	inBudget := &waiter{deadline: now.Add(time.Minute), seq: 1, ch: make(chan struct{})}
-	a.mu.Lock()
-	heap.Push(&a.queue, expired)
-	heap.Push(&a.queue, inBudget)
-	a.mu.Unlock()
+	expired := make(chan admitVerdict, 1)
+	go func() { expired <- a.acquire(100 * time.Millisecond) }()
+	waitQueued(a, 1, expired)
+	live := make(chan admitVerdict, 1)
+	go func() { live <- a.acquire(10 * time.Second) }()
+	waitQueued(a, 2, expired)
 
+	if got := <-expired; got != admitTimeout {
+		t.Fatalf("expired waiter = %v, want timeout", got)
+	}
+	if got := a.queueLen(); got != 1 {
+		t.Fatalf("queue len after the expiry = %d, want 1 (the expired waiter left)", got)
+	}
 	a.release()
-
 	select {
-	case <-inBudget.ch:
-	default:
-		t.Fatal("in-budget waiter was not granted the freed slot")
+	case got := <-live:
+		if got != admitOK {
+			t.Fatalf("in-budget waiter = %v, want ok", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("in-budget waiter not granted within 2s")
 	}
-	select {
-	case <-expired.ch:
-		t.Fatal("expired waiter was granted a slot")
-	default:
+	if a.free != 0 || a.queueLen() != 0 {
+		t.Errorf("after the handoff: free=%d queued=%d, want the slot held and the queue empty", a.free, a.queueLen())
 	}
-	if !inBudget.granted || expired.granted {
-		t.Errorf("granted flags: expired=%v inBudget=%v", expired.granted, inBudget.granted)
-	}
-	if got := a.queueLen(); got != 0 {
-		t.Errorf("queue len after release = %d, want 0 (expired shed)", got)
+	a.release()
+	if a.free != 1 {
+		t.Errorf("free = %d after the last release, want 1", a.free)
 	}
 }
 
-// TestAdmissionTightestDeadlineFirst: with several in-budget waiters queued,
-// freed slots go to the tightest deadline first, not FIFO.
-func TestAdmissionTightestDeadlineFirst(t *testing.T) {
-	a := newAdmission(1, 8)
-	if got := a.acquire(time.Second); got != admitOK {
-		t.Fatal("setup acquire failed")
-	}
-
-	now := time.Now()
-	a.now = func() time.Time { return now }
-	loose := &waiter{deadline: now.Add(time.Hour), seq: 0, ch: make(chan struct{})} // arrived first
-	tight := &waiter{deadline: now.Add(time.Minute), seq: 1, ch: make(chan struct{})}
-	a.mu.Lock()
-	heap.Push(&a.queue, loose)
-	heap.Push(&a.queue, tight)
-	a.mu.Unlock()
-
-	a.release()
-	if !tight.granted || loose.granted {
-		t.Fatalf("first release: tight=%v loose=%v, want tightest-deadline-first", tight.granted, loose.granted)
-	}
-	a.release()
-	if !loose.granted {
-		t.Fatal("second release did not grant the remaining waiter")
-	}
-}
-
-// TestAdmissionExpiredMakesRoom: a full queue of expired waiters does not
-// 429 a fresh in-budget request — the expired ones are shed to make room.
+// TestAdmissionExpiredMakesRoom: a timed-out waiter frees its queue place,
+// so a full queue whose only waiter expired does not 429 a fresh request.
 func TestAdmissionExpiredMakesRoom(t *testing.T) {
 	a := newAdmission(1, 1)
 	if got := a.acquire(time.Second); got != admitOK {
 		t.Fatal("setup acquire failed")
 	}
 
-	now := time.Now()
-	a.now = func() time.Time { return now }
-	expired := &waiter{deadline: now.Add(-time.Millisecond), seq: 0, ch: make(chan struct{})}
-	a.mu.Lock()
-	heap.Push(&a.queue, expired)
-	a.mu.Unlock()
-
-	// Queue is at maxQueue=1, but its only occupant is expired: the fresh
-	// request must queue (then time out on its own short deadline) instead
-	// of being rejected busy.
+	// The only queue place is taken, then freed by the waiter's own timer.
 	if got := a.acquire(20 * time.Millisecond); got != admitTimeout {
-		t.Fatalf("acquire over expired queue = %v, want timeout (queued)", got)
+		t.Fatalf("waiter on a held slot = %v, want timeout", got)
+	}
+	if got := a.queueLen(); got != 0 {
+		t.Fatalf("queue len after the timeout = %d, want 0", got)
 	}
 
-	// Control: with an in-budget occupant the same acquire is shed busy.
-	inBudget := &waiter{deadline: now.Add(time.Hour), seq: 1, ch: make(chan struct{})}
-	a.mu.Lock()
-	a.queue = a.queue[:0]
-	heap.Push(&a.queue, inBudget)
-	a.mu.Unlock()
-	if got := a.acquire(20 * time.Millisecond); got != admitBusy {
-		t.Fatalf("acquire over in-budget queue = %v, want busy", got)
+	// A fresh request takes the freed place and is granted the next slot.
+	done := make(chan admitVerdict, 1)
+	go func() { done <- a.acquire(10 * time.Second) }()
+	waitQueued(a, 1, done)
+
+	// Control: with a live waiter in the only place, a newcomer is shed busy.
+	if got := a.acquire(time.Second); got != admitBusy {
+		t.Fatalf("acquire over a live queue = %v, want busy", got)
 	}
+	a.release()
+	if got := <-done; got != admitOK {
+		t.Fatalf("queued request = %v, want ok", got)
+	}
+	a.release()
 }
 
-// TestAdmissionEndToEndPriority drives the real goroutine path: a loose-
-// deadline waiter queues first, a tight-deadline waiter queues second, and
-// the first freed slot still goes to the tight one.
+// TestAdmissionEndToEndPriority drives the real goroutine path: freed slots
+// go to waiters in arrival order. The first waiter has the looser deadline
+// and is still served first.
 func TestAdmissionEndToEndPriority(t *testing.T) {
 	a := newAdmission(1, 4)
 	if got := a.acquire(time.Second); got != admitOK {
 		t.Fatal("setup acquire failed")
 	}
 
-	looseDone := make(chan admitVerdict, 1)
-	go func() { looseDone <- a.acquire(10 * time.Second) }()
-	for a.queueLen() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	tightDone := make(chan admitVerdict, 1)
-	go func() { tightDone <- a.acquire(5 * time.Second) }()
-	for a.queueLen() < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	firstDone := make(chan admitVerdict, 1)
+	go func() { firstDone <- a.acquire(10 * time.Second) }()
+	waitQueued(a, 1, firstDone)
+	secondDone := make(chan admitVerdict, 1)
+	go func() { secondDone <- a.acquire(5 * time.Second) }()
+	waitQueued(a, 2, secondDone)
 
 	a.release()
 	select {
-	case got := <-tightDone:
+	case got := <-firstDone:
 		if got != admitOK {
-			t.Fatalf("tight waiter = %v, want ok", got)
+			t.Fatalf("first waiter = %v, want ok", got)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("tight waiter not granted within 2s")
+		t.Fatal("first waiter not granted within 2s")
 	}
 	select {
-	case got := <-looseDone:
-		t.Fatalf("loose waiter returned %v before a second release", got)
+	case got := <-secondDone:
+		t.Fatalf("second waiter returned %v before a second release", got)
 	default:
 	}
 
 	a.release()
 	select {
-	case got := <-looseDone:
+	case got := <-secondDone:
 		if got != admitOK {
-			t.Fatalf("loose waiter = %v, want ok", got)
+			t.Fatalf("second waiter = %v, want ok", got)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("loose waiter not granted within 2s")
+		t.Fatal("second waiter not granted within 2s")
 	}
 	a.release()
 }

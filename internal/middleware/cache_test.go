@@ -22,7 +22,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	build := func() (*core.QueryContext, error) { builds++; return dummyCtx(), nil }
 
 	for _, key := range []string{"a", "b", "a", "c"} { // c evicts b
-		if _, _, err := c.get(key, build); err != nil {
+		if _, _, err := c.get(planKey{sig: key}, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,10 +33,10 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Errorf("len = %d, want 2", c.len())
 	}
 	// a was refreshed, so it's still cached; b was evicted.
-	if _, hit, _ := c.get("a", build); !hit {
+	if _, hit, _ := c.get(planKey{sig: "a"}, build); !hit {
 		t.Error("a: miss, want hit")
 	}
-	if _, hit, _ := c.get("b", build); hit {
+	if _, hit, _ := c.get(planKey{sig: "b"}, build); hit {
 		t.Error("b: hit, want miss (evicted)")
 	}
 
@@ -44,7 +44,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	const capacity = 37
 	c = newPlanCache(capacity)
 	for i := 0; i < 10*capacity; i++ {
-		if _, _, err := c.get(fmt.Sprintf("key-%d", i), build); err != nil {
+		if _, _, err := c.get(planKey{sig: fmt.Sprintf("key-%d", i)}, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestPlanCacheRacingBuildsShareEntry(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, hit, err := c.get("k", build)
+			e, hit, err := c.get(planKey{sig: "k"}, build)
 			if err != nil || hit {
 				t.Errorf("racer %d: hit=%v err=%v, want a miss", i, hit, err)
 				return
@@ -99,7 +99,7 @@ func TestPlanCacheRacingBuildsShareEntry(t *testing.T) {
 	if got := c.len(); got != 1 {
 		t.Errorf("len = %d, want 1", got)
 	}
-	if e, hit, _ := c.get("k", build); !hit || e != entries[0] {
+	if e, hit, _ := c.get(planKey{sig: "k"}, build); !hit || e != entries[0] {
 		t.Errorf("later get: hit=%v, same entry=%v", hit, e == entries[0])
 	}
 }
@@ -119,7 +119,7 @@ func TestPlanCacheConcurrentDeterminism(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, k := range keys {
-				e, _, err := c.get(k, func() (*core.QueryContext, error) { return dummyCtx(), nil })
+				e, _, err := c.get(planKey{sig: k}, func() (*core.QueryContext, error) { return dummyCtx(), nil })
 				if err != nil {
 					t.Error(err)
 					return
@@ -144,13 +144,13 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 	c := newPlanCache(4)
 	boom := errors.New("boom")
 	calls := 0
-	if _, _, err := c.get("k", func() (*core.QueryContext, error) { calls++; return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.get(planKey{sig: "k"}, func() (*core.QueryContext, error) { calls++; return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if c.len() != 0 {
 		t.Fatalf("error was cached: len = %d", c.len())
 	}
-	if _, hit, err := c.get("k", func() (*core.QueryContext, error) { calls++; return dummyCtx(), nil }); err != nil || hit {
+	if _, hit, err := c.get(planKey{sig: "k"}, func() (*core.QueryContext, error) { calls++; return dummyCtx(), nil }); err != nil || hit {
 		t.Fatalf("retry: hit=%v err=%v", hit, err)
 	}
 	if calls != 2 {
@@ -168,13 +168,13 @@ func TestPlanCacheBuildPanicUnwedges(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		_, _, _ = c.get("k", func() (*core.QueryContext, error) { panic("boom") })
+		_, _, _ = c.get(planKey{sig: "k"}, func() (*core.QueryContext, error) { panic("boom") })
 	}()
 	// The key must be retryable: nothing was cached and nothing blocks.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, hit, err := c.get("k", func() (*core.QueryContext, error) { return dummyCtx(), nil }); err != nil || hit {
+		if _, hit, err := c.get(planKey{sig: "k"}, func() (*core.QueryContext, error) { return dummyCtx(), nil }); err != nil || hit {
 			t.Errorf("retry after panic: hit=%v err=%v", hit, err)
 		}
 	}()
@@ -219,7 +219,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 	builds := 0
 	for i := 0; i < 3; i++ {
-		e, hit, err := c.get("k", func() (*core.QueryContext, error) { builds++; return dummyCtx(), nil })
+		e, hit, err := c.get(planKey{sig: "k"}, func() (*core.QueryContext, error) { builds++; return dummyCtx(), nil })
 		if err != nil || e == nil || hit {
 			t.Fatalf("disabled get: entry=%v hit=%v err=%v", e, hit, err)
 		}
@@ -229,47 +229,10 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestResultCacheTTL: entries expire after the TTL (fake clock) and get
-// refreshed by put.
-func TestResultCacheTTL(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := newResultCache(8, 10*time.Second, clock)
-	key := ResultKey{SQL: "SELECT 1", Kind: VizHeatmap, GridW: 8, GridH: 8, Budget: 500}
-	resp := &Response{Kind: VizHeatmap}
-
-	c.Put(key, resp)
-	if got := c.Get(key); got != resp {
-		t.Fatal("fresh entry missed")
-	}
-
-	now = now.Add(9 * time.Second)
-	if got := c.Get(key); got != resp {
-		t.Fatal("entry expired early")
-	}
-
-	now = now.Add(2 * time.Second) // 11s after put
-	if got := c.Get(key); got != nil {
-		t.Fatal("expired entry served")
-	}
-	if c.Len() != 0 {
-		t.Errorf("expired entry not dropped: len = %d", c.Len())
-	}
-
-	// put refreshes the expiry of an existing key.
-	c.Put(key, resp)
-	now = now.Add(8 * time.Second)
-	c.Put(key, resp)
-	now = now.Add(8 * time.Second) // 16s after first put, 8s after refresh
-	if got := c.Get(key); got != resp {
-		t.Fatal("refreshed entry expired")
-	}
-}
-
 // TestResultCacheLRU: capacity bounds the cache with least-recently-used
 // eviction, and distinct budgets/grids/regions are distinct keys.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2, time.Minute, nil)
+	c := newResultCache(2)
 	k := func(b float64) ResultKey { return ResultKey{SQL: "q", Budget: b} }
 	r1, r2, r3 := &Response{}, &Response{}, &Response{}
 
@@ -298,7 +261,7 @@ func TestResultCacheLRU(t *testing.T) {
 
 	// The capacity is exact: many distinct keys fill it and never exceed it.
 	const capacity = 37
-	c = newResultCache(capacity, time.Minute, nil)
+	c = newResultCache(capacity)
 	for i := 0; i < 10*capacity; i++ {
 		c.Put(k(float64(i)), r1)
 	}
@@ -309,7 +272,7 @@ func TestResultCacheLRU(t *testing.T) {
 
 // TestResultCacheDisabled: a nil cache never stores.
 func TestResultCacheDisabled(t *testing.T) {
-	c := newResultCache(-1, time.Minute, nil)
+	c := newResultCache(-1)
 	if c != nil {
 		t.Fatal("negative cap should disable the cache")
 	}

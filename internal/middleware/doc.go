@@ -8,27 +8,33 @@
 //
 // Server binds one dataset to one rewriter and serves it concurrently:
 //
-//   - a signature-keyed LRU plan cache (plancache.go) memoizes the
-//     ground-truth context and the rewriter's per-budget decision;
-//     concurrent first requests for one shape may each build it, and all
-//     of them keep the entry that was inserted first;
-//   - a TTL'd LRU result cache (resultcache.go) returns finished binned
-//     responses for repeated (rewritten SQL, kind, grid, region, budget)
-//     shapes — the overlap a pan/zoom session generates. The cache sits
-//     behind the ResultCache interface; internal/cluster substitutes a
-//     peer-shared implementation through ServerConfig.WrapResultCache;
+//   - a (data version, signature)-keyed LRU plan cache (plancache.go)
+//     memoizes the ground-truth context and the rewriter's per-budget
+//     decision; concurrent first requests for one shape may each build it,
+//     and all of them keep the entry that was inserted first;
+//   - an LRU result cache (resultcache.go) returns finished binned
+//     responses for repeated (rewritten SQL, kind, grid, region, budget,
+//     data version) shapes — the overlap a pan/zoom session generates. The
+//     cache sits behind the ResultCache interface; internal/cluster
+//     substitutes a peer-shared implementation through
+//     ServerConfig.WrapResultCache;
 //   - a server-scope engine.LookupCache shares index scans across
 //     requests over the immutable dataset;
-//   - admission control (admission.go) bounds concurrency with a deadline
-//     priority queue: freed slots go to the tightest still-feasible
-//     deadline, expired waiters shed first, overload answers 429/503 +
+//   - admission control (admission.go) bounds concurrency with a FIFO wait
+//     queue: freed slots go to the longest-waiting request, a waiter whose
+//     deadline passes leaves the queue, and overload answers 429/503 +
 //     Retry-After instead of queueing unboundedly.
+//
+// The plan and result caches, the session tracker, the prefetch marks and
+// the containment index all sit on one small generic LRU (lru.go), each
+// under its owner's mutex.
 //
 // Gateway (gateway.go) serves any number of datasets behind one HTTP
 // surface: per-dataset Servers, every one built by NewGateway before it
 // returns, one admission budget shared across datasets, and /datasets,
-// /healthz, /metrics rollups with dataset="..." labels. Metrics (metrics.go) is the lock-free counter registry behind
-// /metrics in both Prometheus text and JSON forms.
+// /healthz, /metrics rollups with dataset="..." labels. Metrics
+// (metrics.go) is the lock-free counter registry behind /metrics in both
+// Prometheus text and JSON forms.
 //
 // # Determinism contract
 //

@@ -1,10 +1,8 @@
 package middleware
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -74,7 +72,7 @@ type Gateway struct {
 	start       time.Time
 
 	// Session tracking + speculative prefetch (nil without a result cache).
-	// observeCh feeds a single observer goroutine: observation (parse,
+	// observeCh feeds a single observer goroutine: observation (track,
 	// predict, hand each prediction to Server.Prefetch) runs entirely off
 	// the request goroutine, so the serving path never waits behind
 	// prediction bookkeeping. Enqueueing happens before the handler
@@ -186,20 +184,20 @@ func buildServer(reg *workload.Registry, name string, factory RewriterFactory, c
 }
 
 // observation is one successfully-served viz request queued for session
-// tracking: enough to re-derive the viewport and dispatch predictions.
+// tracking: the request as the server decoded it, and where it came from.
 type observation struct {
-	srv  *Server
-	sid  string
-	body []byte
+	srv *Server
+	sid string
+	req Request
 }
 
 // observeQueueCap bounds the observer backlog. A full queue drops the
 // observation — the cost is one round of predictions, never live latency.
 const observeQueueCap = 256
 
-// observeLoop is the gateway's single observer goroutine: it parses each
-// observed request, advances the session tracker, and hands the predictions
-// to Server.Prefetch. It runs until Close; a panic in one observation
+// observeLoop is the gateway's single observer goroutine: it advances the
+// session tracker with each observed request and hands the predictions to
+// Server.Prefetch. It runs until Close; a panic in one observation
 // (tracker or prediction bug) drops that observation — counted on the
 // dataset's metrics — and the loop keeps going, because losing the observer
 // forever would silently disable prefetch for the gateway's whole lifetime.
@@ -211,11 +209,10 @@ func (g *Gateway) observeLoop() {
 		case obs := <-g.observeCh:
 			guardPanics(obs.srv.metrics, "observe", func() {
 				obs.srv.fault("observe")
-				req, err := ParseRequest(obs.body)
-				if err != nil || req.Region.Area() <= 0 {
+				if obs.req.Region.Area() <= 0 {
 					return
 				}
-				for _, pred := range g.sessions.Observe(obs.sid, req, obs.srv.DS.Extent) {
+				for _, pred := range g.sessions.Observe(obs.sid, obs.req, obs.srv.DS.Extent) {
 					obs.srv.Prefetch(pred)
 				}
 			})
@@ -323,8 +320,9 @@ func (g *Gateway) resolve(w http.ResponseWriter, r *http.Request) (*Server, bool
 // Server path (decode, admission on the shared pool, handle, encode) is
 // reused unchanged — that is what makes gateway responses byte-identical to
 // standalone single-dataset responses. Requests carrying a session id are
-// additionally observed by the session tracker after a successful serve, and
-// the tracker's predictions are dispatched as speculative prefetches.
+// additionally observed by the session tracker after a successful serve, as
+// the server decoded them, and the tracker's predictions are dispatched as
+// speculative prefetches.
 func (g *Gateway) serveViz(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	if g.draining.Load() {
@@ -335,50 +333,20 @@ func (g *Gateway) serveViz(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sid := ""
-	if g.sessions != nil {
-		sid = SessionID(r)
-	}
-	if sid == "" {
-		srv.serveViz(w, r)
-		return
-	}
-	// Buffer the body so the session tracker can interpret the request with
-	// the same normalization the server used to answer it. An oversized body
-	// is rejected here exactly as Server.serveViz rejects it without a
-	// session id (a truncating read would instead surface later as a
-	// confusing JSON error).
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxVizBody))
-	if err != nil {
-		srv.metrics.requests.Add(1)
-		srv.metrics.clientErr.Add(1)
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-	srv.serveViz(rec, r)
-	if rec.code >= 300 {
+	req, ok := srv.serveViz(w, r)
+	if !ok || g.sessions == nil {
 		return // rejected/failed requests don't advance the viewport
+	}
+	sid := SessionID(r)
+	if sid == "" {
+		return
 	}
 	// Hand the observation to the observer goroutine and return immediately:
 	// the client's perceived latency must not include prediction bookkeeping.
 	select {
-	case g.observeCh <- observation{srv: srv, sid: sid, body: body}:
+	case g.observeCh <- observation{srv: srv, sid: sid, req: req}:
 	default: // observer saturated — drop the prediction round, not latency
 	}
-}
-
-// statusRecorder captures the response status so session observation can
-// skip failed serves.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
 }
 
 // serveIngest routes one ingest request to its dataset's server write path.

@@ -90,7 +90,9 @@ func (s *Server) Handler() http.Handler {
 		s.metrics.WritePrometheus(w)
 		writeQueueDepth(w, depth)
 	}))
-	mux.HandleFunc("POST /viz", recoverPanics(s.metrics, "viz", s.serveViz))
+	mux.HandleFunc("POST /viz", recoverPanics(s.metrics, "viz", func(w http.ResponseWriter, r *http.Request) {
+		s.serveViz(w, r)
+	}))
 	mux.HandleFunc("POST /ingest", recoverPanics(s.metrics, "ingest", s.serveIngest))
 	return mux
 }
@@ -116,19 +118,21 @@ func writeQueueDepth(w io.Writer, live int) {
 	fmt.Fprintf(w, "maliva_admission_queue_depth{lane=\"live\"} %d\n", live)
 }
 
-// serveViz decodes, admits, serves, and encodes one /viz request.
-func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
+// serveViz decodes, admits, serves, and encodes one /viz request. It
+// returns the decoded request and whether it was answered 200, which is what
+// the gateway's session tracker observes.
+func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) (Request, bool) {
 	s.metrics.requests.Add(1)
 	if s.Draining() {
 		s.rejectDraining(w)
-		return
+		return Request{}, false
 	}
 	s.fault("viz")
 	req, err := decodeViz(w, r)
 	if err != nil {
 		s.metrics.clientErr.Add(1)
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+		return req, false
 	}
 
 	// Admission: wait for a worker slot at most min(QueueTimeout, the
@@ -153,12 +157,12 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 		s.metrics.rejectBusy.Add(1)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "server overloaded: queue full", http.StatusTooManyRequests)
-		return
+		return req, false
 	case admitTimeout:
 		s.metrics.rejectWait.Add(1)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "server overloaded: no capacity within the request deadline", http.StatusServiceUnavailable)
-		return
+		return req, false
 	}
 	defer s.admit.release()
 
@@ -178,7 +182,7 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 			s.metrics.serverErr.Add(1)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-		return
+		return req, false
 	}
 	s.metrics.ok.Add(1)
 	w.Header().Set("Content-Type", "application/json")
@@ -195,6 +199,7 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) {
 	} else {
 		_ = json.NewEncoder(w).Encode(resp)
 	}
+	return req, true
 }
 
 // WriteJSON writes r's JSON encoding to w: exactly the bytes

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/maliva/maliva/internal/core"
 	"github.com/maliva/maliva/internal/workload"
@@ -328,53 +327,6 @@ func TestIngestOnClosedServerIsDraining(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("/ingest after Close: status %d Retry-After %q, want 503 with Retry-After",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-}
-
-// TestResultCachePutSweepsExpiredGhosts pins the ghost-entry fix: put
-// reclaims expired entries from the LRU tail instead of letting a churning
-// (e.g. version-keyed) key population pin dead responses until capacity
-// eviction, and len counts only live entries.
-func TestResultCachePutSweepsExpiredGhosts(t *testing.T) {
-	clock := time.Unix(1_700_000_000, 0)
-	c := newResultCache(100, time.Second, func() time.Time { return clock })
-	resp := &Response{Kind: VizHeatmap}
-	key := func(i int) ResultKey { return ResultKey{SQL: "q" + strconv.Itoa(i)} }
-
-	for i := 0; i < 3; i++ {
-		c.Put(key(i), resp)
-	}
-	clock = clock.Add(2 * time.Second) // all three expire
-
-	// len excludes expired entries even before anything sweeps them.
-	if got := c.Len(); got != 0 {
-		t.Errorf("len = %d with only expired entries, want 0", got)
-	}
-	if got := c.lru.Len(); got != 3 {
-		t.Fatalf("lru holds %d ghosts pre-sweep, want 3", got)
-	}
-
-	// One put reclaims the whole expired tail.
-	c.Put(key(3), resp)
-	if got := c.lru.Len(); got != 1 {
-		t.Errorf("lru holds %d entries post-sweep, want 1", got)
-	}
-	if got := len(c.entries); got != 1 {
-		t.Errorf("entries map holds %d post-sweep, want 1", got)
-	}
-	if c.Get(key(3)) == nil {
-		t.Error("live entry swept")
-	}
-	if c.Get(key(0)) != nil {
-		t.Error("expired entry served")
-	}
-
-	// The sweep stops at the first live entry: a live head survives puts.
-	clock = clock.Add(2 * time.Second) // key(3) expires
-	c.Put(key(4), resp)
-	c.Put(key(5), resp)
-	if got, want := c.Len(), 2; got != want {
-		t.Errorf("len = %d, want %d", got, want)
 	}
 }
 

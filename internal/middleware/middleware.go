@@ -85,7 +85,10 @@ type ServerConfig struct {
 	// ResultCacheSize caps the number of cached responses. Default 4096;
 	// negative disables the result cache.
 	ResultCacheSize int
-	// ResultTTL is the result-cache entry lifetime. Default 30s.
+	// ResultTTL is ignored: a cached result stays exact until a flush moves
+	// the data version past it, so entries leave by LRU eviction or by the
+	// flush hook's reclaim, never by age. The field remains only because the
+	// benchmark in bench/ still sets it.
 	ResultTTL time.Duration
 	// MaxConcurrent bounds in-flight request execution. Default
 	// 4×GOMAXPROCS; negative disables admission control.
@@ -109,8 +112,6 @@ type ServerConfig struct {
 	// layering peer round trips over a cache that drops everything would
 	// cost latency and never hit.
 	WrapResultCache func(local ResultCache) ResultCache
-	// Now overrides the result-cache clock (tests). Default time.Now.
-	Now func() time.Time
 }
 
 // normalized resolves defaults and disables.
@@ -124,9 +125,6 @@ func (c ServerConfig) normalized() ServerConfig {
 	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 4096
 	}
-	if c.ResultTTL <= 0 {
-		c.ResultTTL = 30 * time.Second
-	}
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = 4 * runtime.GOMAXPROCS(0)
 	}
@@ -135,9 +133,6 @@ func (c ServerConfig) normalized() ServerConfig {
 	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -238,7 +233,7 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 		table:    t,
 		lookups:  engine.NewLookupCacheWithCap(lookupCacheCap),
 		plans:    newPlanCache(cfg.PlanCacheSize),
-		local:    newResultCache(cfg.ResultCacheSize, cfg.ResultTTL, cfg.Now),
+		local:    newResultCache(cfg.ResultCacheSize),
 		admit:    newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		metrics:  NewMetrics(),
 	}
@@ -292,10 +287,10 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 	s.ingest = ing
 	// Correctness under ingest comes from version-carrying cache keys; this
 	// hook only reclaims the memory of entries the new version orphaned —
-	// otherwise they leave by LRU/TTL alone, and the faster cold builds get,
-	// the more (shape × version) entries a reader parks between flushes. It
-	// runs outside the data lock, one cache lock at a time, and fires for any
-	// flush on the shared DB, including one applied through a different
+	// otherwise they leave by LRU eviction alone, and the faster cold builds
+	// get, the more (shape × version) entries a reader parks between flushes.
+	// It runs outside the data lock, one cache lock at a time, and fires for
+	// any flush on the shared DB, including one applied through a different
 	// replica's ingestor. Every read is at the current version, so plans,
 	// results and containment families below it are all dead.
 	s.unhookFlush = ds.DB.OnFlush(func(table string, version uint64) {
@@ -544,14 +539,14 @@ func (s *Server) plan(req Request, count bool) (planned, error) {
 
 	// Plan cache: one ground-truth context per (data version, query shape).
 	// Concurrent first requests for a shape may each build it; the first
-	// insert wins and the rest share that entry. The version
-	// prefix retires every pre-flush context at a flush — ground truth (row
-	// counts, selectivities, per-option timings) is data-dependent, so a
-	// stale context would mis-plan and, worse, mis-trace post-flush answers.
+	// insert wins and the rest share that entry. The version in the key
+	// retires every pre-flush context at a flush — ground truth (row counts,
+	// selectivities, per-option timings) is data-dependent, so a stale
+	// context would mis-plan and, worse, mis-trace post-flush answers.
 	// Trace.SQL stays the pure signature. Every viz kind of one SQL shape
 	// shares the context: the kind only decides how the rows are folded.
 	p.sig = q.SQL(engine.Hint{})
-	entry, hit, err := s.plans.get(planCacheKey(version, p.sig), func() (*core.QueryContext, error) {
+	entry, hit, err := s.plans.get(planKey{version: version, sig: p.sig}, func() (*core.QueryContext, error) {
 		ccfg := core.DefaultContextConfig(s.Space)
 		ccfg.Lookups = s.lookups
 		ctx, counter, err := core.BuildContextRows(s.DS.DB, q, ccfg)

@@ -1,35 +1,17 @@
 package middleware
 
 import (
-	"container/list"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/maliva/maliva/internal/core"
 )
 
-// planCacheKey is the plan-cache key of a query shape at one data version:
-// "v<version>\x00<signature>". The version prefix retires every
-// pre-flush context at a flush without touching the cache; planKeyVersion
-// reads it back so the flush hook can reclaim what the prefix orphaned.
-func planCacheKey(version uint64, sig string) string {
-	return "v" + strconv.FormatUint(version, 10) + "\x00" + sig
-}
-
-// planKeyVersion is planCacheKey's inverse for the version field; ok is
-// false for a key planCacheKey did not build.
-func planKeyVersion(key string) (version uint64, ok bool) {
-	rest, found := strings.CutPrefix(key, "v")
-	if !found {
-		return 0, false
-	}
-	num, _, found := strings.Cut(rest, "\x00")
-	if !found {
-		return 0, false
-	}
-	version, err := strconv.ParseUint(num, 10, 64)
-	return version, err == nil
+// planKey names a query shape at one data version. The version retires
+// every pre-flush context at a flush without touching the cache; dropBelow
+// reads it to reclaim what the flush orphaned.
+type planKey struct {
+	version uint64
+	sig     string
 }
 
 // planEntry is one cached query shape: the ground-truth context (the
@@ -77,18 +59,11 @@ func (e *planEntry) outcome(budget float64, rewrite func() core.Outcome) core.Ou
 	return out
 }
 
-// planCache is a signature-keyed LRU of planEntry guarded by one mutex.
-// Keys are the canonical SQL of the original query.
+// planCache is an LRU of planEntry keyed by planKey and guarded by one
+// mutex. Signatures are the canonical SQL of the original query.
 type planCache struct {
 	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element // of *planPair
-	lru     *list.List               // front = most recent
-}
-
-type planPair struct {
-	key   string
-	entry *planEntry
+	entries *lru[planKey, *planEntry]
 }
 
 // newPlanCache returns a cache holding at most cap entries; cap <= 0
@@ -97,11 +72,7 @@ func newPlanCache(cap int) *planCache {
 	if cap <= 0 {
 		return nil
 	}
-	return &planCache{
-		cap:     cap,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
+	return &planCache{entries: newLRU[planKey, *planEntry](cap, nil)}
 }
 
 // get returns the entry for key and whether it was already cached, building
@@ -110,15 +81,14 @@ func newPlanCache(cap int) *planCache {
 // key, and the first insert wins — every racer returns that one entry, so
 // they share one outcome memo. Build errors (and panics) leave the cache
 // untouched: the next request retries.
-func (c *planCache) get(key string, build func() (*core.QueryContext, error)) (*planEntry, bool, error) {
+func (c *planCache) get(key planKey, build func() (*core.QueryContext, error)) (*planEntry, bool, error) {
 	if c != nil {
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			return el.Value.(*planPair).entry, true, nil
-		}
+		e, ok := c.entries.get(key)
 		c.mu.Unlock()
+		if ok {
+			return e, true, nil
+		}
 	}
 	ctx, err := build()
 	if err != nil {
@@ -130,16 +100,10 @@ func (c *planCache) get(key string, build func() (*core.QueryContext, error)) (*
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok { // a racing build inserted first
-		c.lru.MoveToFront(el)
-		return el.Value.(*planPair).entry, false, nil
+	if e, ok := c.entries.get(key); ok { // a racing build inserted first
+		return e, false, nil
 	}
-	c.entries[key] = c.lru.PushFront(&planPair{key: key, entry: entry})
-	for c.lru.Len() > c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.entries, old.Value.(*planPair).key)
-	}
+	c.entries.put(key, entry)
 	return entry, false, nil
 }
 
@@ -153,12 +117,7 @@ func (c *planCache) dropBelow(version uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.entries {
-		if v, ok := planKeyVersion(key); ok && v < version {
-			c.lru.Remove(el)
-			delete(c.entries, key)
-		}
-	}
+	c.entries.removeFunc(func(k planKey, _ *planEntry) bool { return k.version < version })
 }
 
 // len reports the number of cached entries (for tests).
@@ -168,5 +127,5 @@ func (c *planCache) len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.entries.len()
 }

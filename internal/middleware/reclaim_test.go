@@ -3,7 +3,6 @@ package middleware
 import (
 	"context"
 	"testing"
-	"time"
 
 	"github.com/maliva/maliva/internal/workload"
 )
@@ -13,10 +12,7 @@ import (
 // below the new version survives, and nothing keyed at the current version
 // is ever touched.
 func TestFlushReclaimsDeadVersions(t *testing.T) {
-	s := freshIngestServer(t, ServerConfig{
-		DefaultBudgetMs: 500,
-		ResultTTL:       24 * time.Hour, // entries leave by reclaim or not at all
-	})
+	s := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
 	stream, err := workload.NewIngestStream(s.DS, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -73,24 +69,5 @@ func TestFlushReclaimsDeadVersions(t *testing.T) {
 	}
 	if _, src, err := s.handle(context.Background(), reqs[0], false); err != nil || src != fromCache {
 		t.Errorf("current-version entry after reclaim: source=%d err=%v, want a result-cache hit", src, err)
-	}
-}
-
-// TestPlanKeyVersionRoundTrip: the flush hook reads versions back out of plan
-// keys, so the two halves of the key format must agree — also on signatures
-// that themselves contain the separator or look like a prefix.
-func TestPlanKeyVersionRoundTrip(t *testing.T) {
-	for _, v := range []uint64{0, 1, 9, 10, 1 << 40} {
-		for _, sig := range []string{"SELECT 1", "v7\x00tricky", ""} {
-			got, ok := planKeyVersion(planCacheKey(v, sig))
-			if !ok || got != v {
-				t.Errorf("planKeyVersion(planCacheKey(%d, %q)) = %d, %v", v, sig, got, ok)
-			}
-		}
-	}
-	for _, foreign := range []string{"", "k", "v", "vx\x00q", "v12", "7\x00q"} {
-		if v, ok := planKeyVersion(foreign); ok {
-			t.Errorf("planKeyVersion(%q) = %d, true; want not-a-plan-key", foreign, v)
-		}
 	}
 }

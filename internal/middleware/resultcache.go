@@ -1,10 +1,8 @@
 package middleware
 
 import (
-	"container/list"
 	"math"
 	"sync"
-	"time"
 
 	"github.com/maliva/maliva/internal/engine"
 )
@@ -69,7 +67,7 @@ func fnvMix(h, v uint64) uint64 {
 }
 
 // ResultCache is the pluggable result-cache surface the Server executes
-// against. The built-in implementation is the TTL'd LRU resultCache; a cluster
+// against. The built-in implementation is the LRU resultCache; a cluster
 // deployment wraps it (per dataset, via GatewayConfig.WrapResultCache) with
 // a peer-aware cache that consults the key's owning replica on a miss.
 //
@@ -89,146 +87,71 @@ type ResultCache interface {
 	Len() int
 }
 
-// resultEntry is a cached response with its expiry.
-type resultEntry struct {
-	key     ResultKey
-	resp    *Response
-	expires time.Time
-}
-
-// resultCache is a TTL'd LRU of finished responses, tqdbproxy-style: the
+// resultCache is an LRU of finished responses, tqdbproxy-style: the
 // highly-overlapping queries of a pan/zoom session keep producing identical
 // (rewritten SQL, grid) pairs, so the whole execute+bin step is skipped.
-// Cached *Response values are shared — callers must treat them as immutable
-// (the serving layer only encodes them, and a hit keeps that encoding on the
-// response: see Response.WriteJSON). It implements ResultCache; a nil
-// *resultCache is the disabled cache (Get misses, Put drops).
+// Entries carry no expiry: every key pins its data version, so a cached
+// response stays exact until LRU eviction or the flush hook's dropBelow
+// takes it out. Cached *Response values are shared — callers must treat
+// them as immutable (the serving layer only encodes them, and a hit keeps
+// that encoding on the response: see Response.WriteJSON). It implements
+// ResultCache; a nil *resultCache is the disabled cache (Get misses, Put
+// drops).
 type resultCache struct {
 	mu      sync.Mutex
-	cap     int
-	ttl     time.Duration
-	now     func() time.Time
-	entries map[ResultKey]*list.Element // of *resultEntry
-	lru     *list.List
+	entries *lru[ResultKey, *Response]
 }
 
-// newResultCache builds a cache of at most cap responses living ttl each.
-// cap <= 0 disables caching (nil cache: Get misses, Put drops).
-func newResultCache(cap int, ttl time.Duration, now func() time.Time) *resultCache {
+// newResultCache builds a cache of at most cap responses. cap <= 0 disables
+// caching (nil cache: Get misses, Put drops).
+func newResultCache(cap int) *resultCache {
 	if cap <= 0 {
 		return nil
 	}
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &resultCache{
-		cap:     cap,
-		ttl:     ttl,
-		now:     now,
-		entries: make(map[ResultKey]*list.Element),
-		lru:     list.New(),
-	}
+	return &resultCache{entries: newLRU[ResultKey, *Response](cap, nil)}
 }
 
-// Get implements ResultCache. Expired entries are dropped lazily on access.
+// Get implements ResultCache.
 func (c *resultCache) Get(key ResultKey) *Response {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	e := el.Value.(*resultEntry)
-	if c.now().After(e.expires) {
-		c.lru.Remove(el)
-		delete(c.entries, key)
-		return nil
-	}
-	c.lru.MoveToFront(el)
-	return e.resp
+	resp, _ := c.entries.get(key)
+	return resp
 }
 
-// Put implements ResultCache: it stores a response, refreshing the TTL if the
-// key already exists and evicting the least-recently-used entries beyond
-// capacity.
+// Put implements ResultCache: it stores a response, replacing any response
+// already under key (last write wins), and evicts the least-recently-used
+// entries beyond capacity.
 func (c *resultCache) Put(key ResultKey, resp *Response) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	expires := c.now().Add(c.ttl)
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*resultEntry)
-		e.resp, e.expires = resp, expires
-		c.lru.MoveToFront(el)
-		return
-	}
-	el := c.lru.PushFront(&resultEntry{key: key, resp: resp, expires: expires})
-	c.entries[key] = el
-	for c.lru.Len() > c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.entries, old.Value.(*resultEntry).key)
-	}
-	// Sweep expired entries from the LRU tail. Without this, a churning key
-	// population (e.g. version-keyed entries after ingest flushes) pins
-	// expired *Response values until capacity eviction, since Get only drops
-	// the exact key it was asked for. Entries are TTL-ordered from the tail
-	// up to MoveToFront perturbation, so stopping at the first live entry
-	// bounds the sweep while reclaiming the common ghost pile-up.
-	now := c.now()
-	for {
-		old := c.lru.Back()
-		if old == nil {
-			break
-		}
-		e := old.Value.(*resultEntry)
-		if !now.After(e.expires) {
-			break
-		}
-		c.lru.Remove(old)
-		delete(c.entries, e.key)
-	}
+	c.entries.put(key, resp)
 }
 
 // dropBelow removes every response computed at a data version older than
-// version, live or expired. It is deliberately not part of the ResultCache
-// interface: only this replica's own memory is reclaimed.
+// version. It is deliberately not part of the ResultCache interface: only
+// this replica's own memory is reclaimed.
 func (c *resultCache) dropBelow(version uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.entries {
-		if key.DataVersion < version {
-			c.lru.Remove(el)
-			delete(c.entries, key)
-		}
-	}
+	c.entries.removeFunc(func(k ResultKey, _ *Response) bool { return k.DataVersion < version })
 }
 
-// Len implements ResultCache: the number of live (non-expired) cached
-// responses.
+// Len implements ResultCache: the number of cached responses.
 func (c *resultCache) Len() int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
-	n := 0
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if !now.After(el.Value.(*resultEntry).expires) {
-			n++
-		}
-	}
-	return n
+	return c.entries.len()
 }

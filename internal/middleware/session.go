@@ -1,7 +1,6 @@
 package middleware
 
 import (
-	"container/list"
 	"math"
 	"net/http"
 	"sync"
@@ -65,7 +64,6 @@ func (c SessionConfig) normalized() SessionConfig {
 // sessionState is one tracked session: its latest viewport and the one
 // before it (enough for a linear-momentum predictor).
 type sessionState struct {
-	id      string
 	last    Request
 	prev    Request
 	hasPrev bool
@@ -75,26 +73,22 @@ type sessionState struct {
 // shared by every request goroutine; Observe is a single short critical
 // section.
 type SessionTracker struct {
-	cfg   SessionConfig
-	mu    sync.Mutex
-	elems map[string]*list.Element // of *sessionState
-	lru   *list.List
+	cfg      SessionConfig
+	mu       sync.Mutex
+	sessions *lru[string, *sessionState]
 }
 
 // NewSessionTracker builds a tracker (cfg is normalized internally).
 func NewSessionTracker(cfg SessionConfig) *SessionTracker {
-	return &SessionTracker{
-		cfg:   cfg.normalized(),
-		elems: make(map[string]*list.Element),
-		lru:   list.New(),
-	}
+	cfg = cfg.normalized()
+	return &SessionTracker{cfg: cfg, sessions: newLRU[string, *sessionState](cfg.MaxSessions, nil)}
 }
 
 // Len reports the number of tracked sessions (tests).
 func (t *SessionTracker) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.elems)
+	return t.sessions.len()
 }
 
 // Observe records req as the session's current viewport and returns the
@@ -106,18 +100,10 @@ func (t *SessionTracker) Observe(id string, req Request, extent engine.Rect) []R
 		return nil
 	}
 	t.mu.Lock()
-	var st *sessionState
-	if el, ok := t.elems[id]; ok {
-		st = el.Value.(*sessionState)
-		t.lru.MoveToFront(el)
-	} else {
-		st = &sessionState{id: id}
-		t.elems[id] = t.lru.PushFront(st)
-		for t.lru.Len() > t.cfg.MaxSessions {
-			old := t.lru.Back()
-			t.lru.Remove(old)
-			delete(t.elems, old.Value.(*sessionState).id)
-		}
+	st, ok := t.sessions.get(id)
+	if !ok {
+		st = &sessionState{}
+		t.sessions.put(id, st)
 	}
 	// A repeated identical viewport (refresh, retry) is not a pan: keep the
 	// existing prev so momentum survives it.

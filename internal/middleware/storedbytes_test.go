@@ -193,7 +193,7 @@ func (w *hitWriter) Write(b []byte) (int, error) {
 
 // TestAllocGuardWarmHit: a result-cache hit through Handler().ServeHTTP —
 // decode, admission, plan, probe and the stored-bytes write — stays under a
-// ceiling set just above its measured count: 81 objects with Go 1.24 on
+// ceiling set just above its measured count: 80 objects with Go 1.24 on
 // linux/amd64, where streaming the same 16×8 heatmap through the encoder on
 // every hit cost 140.
 func TestAllocGuardWarmHit(t *testing.T) {
@@ -222,7 +222,7 @@ func TestAllocGuardWarmHit(t *testing.T) {
 	if w.code != http.StatusOK || w.header.Get("X-Cache") != "hit" || w.n == 0 {
 		t.Fatalf("warm request: status %d, X-Cache %q, %d bytes", w.code, w.header.Get("X-Cache"), w.n)
 	}
-	const ceiling = 85
+	const ceiling = 82
 	if got := testing.AllocsPerRun(100, serve); got > ceiling {
 		t.Errorf("warm hit allocates %.0f objects, ceiling %d", got, ceiling)
 	}

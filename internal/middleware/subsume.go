@@ -2,7 +2,6 @@ package middleware
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"github.com/maliva/maliva/internal/engine"
@@ -118,12 +117,6 @@ type regionEntry struct {
 	gw, gh int
 }
 
-// famRef locates an entry for FIFO eviction.
-type famRef struct {
-	fam famKey
-	key ResultKey
-}
-
 // defaultRegionIndexCap bounds the containment index. Entries are tiny
 // (they alias cached keys, not responses); the cap only has to outlive the
 // result cache's useful population.
@@ -132,22 +125,28 @@ const defaultRegionIndexCap = 1024
 // regionIndex maps a subsumption family to the cached results that might
 // contain future sub-requests. It is an index over the result cache, not a
 // cache itself: lookups re-validate every candidate against the live cache
-// and drop entries whose backing response is gone (evicted or expired).
+// and drop entries whose backing response is gone (evicted or reclaimed).
+// An LRU over the indexed keys bounds it; a capacity eviction takes the key
+// out of its family through the LRU's callback.
 type regionIndex struct {
-	mu    sync.Mutex
-	cap   int
-	fams  map[famKey]map[ResultKey]regionEntry
-	order []famRef // insertion order, for FIFO eviction
+	mu   sync.Mutex
+	fams map[famKey]map[ResultKey]regionEntry
+	// keys holds every indexed key with its family. A result key determines
+	// its family (its SQL pins the keyword and the time window), so the
+	// result key alone names an entry.
+	keys *lru[ResultKey, famKey]
 }
 
 func newRegionIndex(cap int) *regionIndex {
 	if cap <= 0 {
 		cap = defaultRegionIndexCap
 	}
-	return &regionIndex{cap: cap, fams: make(map[famKey]map[ResultKey]regionEntry)}
+	ri := &regionIndex{fams: make(map[famKey]map[ResultKey]regionEntry)}
+	ri.keys = newLRU(cap, func(key ResultKey, fam famKey) { ri.dropLocked(fam, key) })
+	return ri
 }
 
-// add registers a freshly-cached result; duplicate keys are no-ops.
+// add registers a freshly-cached result, or marks an indexed one used.
 func (ri *regionIndex) add(fam famKey, e regionEntry) {
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
@@ -156,16 +155,8 @@ func (ri *regionIndex) add(fam famKey, e regionEntry) {
 		m = make(map[ResultKey]regionEntry)
 		ri.fams[fam] = m
 	}
-	if _, ok := m[e.key]; ok {
-		return
-	}
 	m[e.key] = e
-	ri.order = append(ri.order, famRef{fam: fam, key: e.key})
-	for len(ri.order) > ri.cap {
-		old := ri.order[0]
-		ri.order = ri.order[1:]
-		ri.dropLocked(old.fam, old.key)
-	}
+	ri.keys.put(e.key, fam)
 }
 
 // candidates snapshots a family's entries (lock released before the caller
@@ -184,11 +175,11 @@ func (ri *regionIndex) candidates(fam famKey) []regionEntry {
 	return out
 }
 
-// remove drops a stale entry (its cached response is gone). The order slice
-// keeps its ref; dropLocked tolerates double removal.
+// remove drops a stale entry (its cached response is gone).
 func (ri *regionIndex) remove(fam famKey, key ResultKey) {
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
+	ri.keys.remove(key)
 	ri.dropLocked(fam, key)
 }
 
@@ -203,7 +194,7 @@ func (ri *regionIndex) dropBelow(version uint64) {
 			delete(ri.fams, fam)
 		}
 	}
-	ri.order = slices.DeleteFunc(ri.order, func(r famRef) bool { return r.fam.version < version })
+	ri.keys.removeFunc(func(_ ResultKey, fam famKey) bool { return fam.version < version })
 }
 
 func (ri *regionIndex) dropLocked(fam famKey, key ResultKey) {
@@ -217,12 +208,10 @@ func (ri *regionIndex) dropLocked(fam famKey, key ResultKey) {
 
 // prefetchMarks remembers which cached keys were computed speculatively, so
 // the first live request served from one counts as a prefetch hit (count
-// once: hits unmark). Bounded FIFO — stale marks age out harmlessly.
+// once: hits unmark). An LRU bounds it — stale marks age out harmlessly.
 type prefetchMarks struct {
-	mu    sync.Mutex
-	cap   int
-	keys  map[ResultKey]struct{}
-	order []ResultKey
+	mu   sync.Mutex
+	keys *lru[ResultKey, struct{}]
 }
 
 const defaultPrefetchMarks = 4096
@@ -231,7 +220,7 @@ func newPrefetchMarks(cap int) *prefetchMarks {
 	if cap <= 0 {
 		cap = defaultPrefetchMarks
 	}
-	return &prefetchMarks{cap: cap, keys: make(map[ResultKey]struct{})}
+	return &prefetchMarks{keys: newLRU[ResultKey, struct{}](cap, nil)}
 }
 
 func (pm *prefetchMarks) mark(key ResultKey) {
@@ -240,15 +229,7 @@ func (pm *prefetchMarks) mark(key ResultKey) {
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if _, ok := pm.keys[key]; ok {
-		return
-	}
-	pm.keys[key] = struct{}{}
-	pm.order = append(pm.order, key)
-	for len(pm.order) > pm.cap {
-		delete(pm.keys, pm.order[0])
-		pm.order = pm.order[1:]
-	}
+	pm.keys.put(key, struct{}{})
 }
 
 // unmark removes a mark, reporting whether it was present.
@@ -258,11 +239,7 @@ func (pm *prefetchMarks) unmark(key ResultKey) bool {
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if _, ok := pm.keys[key]; !ok {
-		return false
-	}
-	delete(pm.keys, key)
-	return true
+	return pm.keys.remove(key)
 }
 
 // LocalGetter is an optional ResultCache refinement: Get restricted to this

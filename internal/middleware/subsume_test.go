@@ -236,7 +236,7 @@ func TestSubsumptionSkipsScatterAndMisaligned(t *testing.T) {
 	}
 }
 
-// TestRegionIndexEviction: the containment index is FIFO-bounded and drops
+// TestRegionIndexEviction: the containment index is LRU-bounded and drops
 // entries whose backing response is gone.
 func TestRegionIndexEviction(t *testing.T) {
 	ri := newRegionIndex(2)
@@ -246,13 +246,52 @@ func TestRegionIndexEviction(t *testing.T) {
 		ri.add(fam, regionEntry{key: key, region: engine.Rect{MaxLon: 1, MaxLat: 1}, gw: 4, gh: 4})
 	}
 	if got := len(ri.candidates(fam)); got != 2 {
-		t.Fatalf("index holds %d entries after overflow, want 2 (FIFO cap)", got)
+		t.Fatalf("index holds %d entries after overflow, want 2 (cap)", got)
 	}
 	// The oldest entry must be the evicted one.
 	for _, e := range ri.candidates(fam) {
 		if e.key.SQL == "a" {
-			t.Fatal("FIFO eviction kept the oldest entry")
+			t.Fatal("eviction kept the least recently added entry")
 		}
+	}
+}
+
+// TestRegionIndexReaddSurvivesEviction: removing a key and adding it again
+// makes it the newest entry, so cap-1 later adds leave it indexed. A stale
+// reference from the first add must not evict the fresh one.
+func TestRegionIndexReaddSurvivesEviction(t *testing.T) {
+	ri := newRegionIndex(3)
+	fam := famKey{keyword: "k", kind: VizHeatmap, budget: 500}
+	entry := func(sql string) regionEntry {
+		key := ResultKey{SQL: sql, Kind: VizHeatmap, GridW: 4, GridH: 4}
+		return regionEntry{key: key, region: engine.Rect{MaxLon: 1, MaxLat: 1}, gw: 4, gh: 4}
+	}
+	k := entry("k")
+	ri.add(fam, k)
+	ri.remove(fam, k.key)
+	ri.add(fam, k)
+	ri.add(fam, entry("a"))
+	ri.add(fam, entry("b"))
+	if got := len(ri.candidates(fam)); got != 3 {
+		t.Fatalf("index holds %d candidates, want 3", got)
+	}
+}
+
+// TestPrefetchMarkAfterUnmarkSurvivesEviction: a key marked, unmarked (its
+// prefetch hit counted) and marked again by a later prefetch stays marked
+// through cap-1 further marks, so its next hit is counted too.
+func TestPrefetchMarkAfterUnmarkSurvivesEviction(t *testing.T) {
+	pm := newPrefetchMarks(3)
+	k := ResultKey{SQL: "k"}
+	pm.mark(k)
+	if !pm.unmark(k) {
+		t.Fatal("fresh mark missing")
+	}
+	pm.mark(k)
+	pm.mark(ResultKey{SQL: "a"})
+	pm.mark(ResultKey{SQL: "b"})
+	if !pm.unmark(k) {
+		t.Fatal("re-marked key was evicted by its own stale mark")
 	}
 }
 
