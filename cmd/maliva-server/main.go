@@ -124,13 +124,9 @@ func main() {
 		rewriter = flag.String("rewriter", "mdp", "rewriting strategy: mdp (trains per dataset at startup) or oracle")
 
 		replicaID   = flag.Int("replica-id", -1, "this process's index into the -peer list (requires -peer)")
-		peerTimeout = flag.Duration("peer-timeout", cluster.DefaultPeerTimeout, "timeout for one peer cache round trip (requires -peer)")
+		peerTimeout = flag.Duration("peer-timeout", cluster.DefaultPeerTimeout, "timeout for one peer cache fetch, hedged leg included, and for one fill (requires -peer)")
 		peerSecret  = flag.String("peer-secret", "", "shared secret required on /cluster peer endpoints (all replicas must agree; requires -peer); without it anyone reaching the listener can read and poison the result cache")
 		noHedge     = flag.Bool("no-hedge", false, "disable hedged peer fetches (single-fetch behavior; requires -peer)")
-
-		planCache   = flag.Int("plan-cache", 0, "plan-cache entries per dataset (0 = default, negative = disable)")
-		resultCache = flag.Int("result-cache", 0, "result-cache entries per dataset (0 = default, negative = disable)")
-		maxConc     = flag.Int("max-concurrent", 0, "shared concurrent request limit (0 = default 4×GOMAXPROCS, negative = disable)")
 
 		walDir       = flag.String("wal-dir", "", "directory for per-dataset write-ahead logs (empty = durability off); sync /ingest acks become durable before they are sent, and startup replays any existing log before the listener opens")
 		fsyncMode    = flag.String("fsync", "always", "WAL fsync policy: always (fsync before every sync ack), interval (background fsync, bounded loss window), never (OS page cache only)")
@@ -172,12 +168,7 @@ func main() {
 	walCfg := engine.WALConfig{Policy: fsyncPolicy}
 
 	factory := buildFactory(*rewriter, agents, *queries, *budget)
-	scfg := middleware.ServerConfig{
-		DefaultBudgetMs: *budget,
-		PlanCacheSize:   *planCache,
-		ResultCacheSize: *resultCache,
-		MaxConcurrent:   *maxConc,
-	}
+	scfg := middleware.ServerConfig{DefaultBudgetMs: *budget}
 
 	var handler http.Handler
 	var drain func()          // stop admitting new work; in-flight requests finish
@@ -188,7 +179,7 @@ func main() {
 		// /cluster peer endpoints; the other processes are reached over
 		// HTTP. Routing across replicas is the load balancer's job — any
 		// replica can serve any key through the peer-shared cache.
-		ring := cluster.NewRing(len(peers), 0)
+		ring := cluster.NewRing(len(peers))
 		reg, closeWALs := newRegistry(datasets, *rows, *walDir, walCfg)
 		t0 := time.Now()
 		node, err := cluster.NewNode(*replicaID, ring, reg, factory, middleware.GatewayConfig{
@@ -202,12 +193,12 @@ func main() {
 		pcs := make([]cluster.PeerClient, len(peers))
 		for i, u := range peers {
 			if i != *replicaID {
-				pcs[i] = cluster.NewHTTPPeer(strings.TrimSuffix(u, "/"), *peerTimeout, *peerSecret)
+				pcs[i] = cluster.NewHTTPPeer(strings.TrimSuffix(u, "/"), *peerSecret)
 			}
 		}
-		node.SetPeers(pcs)
+		node.SetPeers(pcs, *peerTimeout)
 		node.SetPeerSecret(*peerSecret)
-		node.SetHedge(cluster.HedgeConfig{Disabled: *noHedge})
+		node.SetHedge(!*noHedge)
 		fmt.Fprintf(os.Stderr,
 			"maliva replica %d/%d listening on %s (datasets=%s, rewriter=%s)\n",
 			*replicaID, len(peers), *addr, datasets.String(), *rewriter)

@@ -481,6 +481,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-no-hedge"}, 1, "-no-hedge requires -peer"},
 		{[]string{"-replicas", "2"}, 2, "flag provided but not defined: -replicas"},
 		{[]string{"-lazy"}, 2, "flag provided but not defined: -lazy"},
+		{[]string{"-plan-cache", "-1"}, 2, "flag provided but not defined: -plan-cache"},
+		{[]string{"-result-cache", "-1"}, 2, "flag provided but not defined: -result-cache"},
+		{[]string{"-max-concurrent", "4"}, 2, "flag provided but not defined: -max-concurrent"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			// A server that accepted the flags would serve until killed.

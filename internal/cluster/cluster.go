@@ -20,8 +20,6 @@ import (
 type Config struct {
 	// Replicas is the cluster size. Must be >= 1.
 	Replicas int
-	// VNodes is the virtual-node count per replica (0 = DefaultVNodes).
-	VNodes int
 	// Names is the dataset registration order (the first is every
 	// replica's default dataset).
 	Names []string
@@ -32,14 +30,11 @@ type Config struct {
 	// with SharedRewriterFactory, so it runs once per dataset for the whole
 	// cluster (not once per replica) and the shared rewriter is serialized.
 	Factory middleware.RewriterFactory
-	// Server is each replica's serving template (per-replica caches and
-	// admission are sized from it, exactly like a standalone gateway).
+	// Server is each replica's serving template: every replica sizes its
+	// own caches from it, exactly like a single gateway.
 	Server middleware.ServerConfig
 	// Space is the rewrite option space.
 	Space core.SpaceSpec
-	// Hedge tunes each replica's hedged peer fetches (zero = defaults,
-	// see HedgeConfig).
-	Hedge HedgeConfig
 }
 
 // Cluster is an in-process replica set: N nodes, their ring, and the
@@ -66,7 +61,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: dataset %q has no built value", name)
 		}
 	}
-	ring := NewRing(cfg.Replicas, cfg.VNodes)
+	ring := NewRing(cfg.Replicas)
 	factory := SharedRewriterFactory(cfg.Factory)
 	nodes := make([]*Node, cfg.Replicas)
 	for i := range nodes {
@@ -84,7 +79,6 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.SetHedge(cfg.Hedge)
 		nodes[i] = n
 	}
 	for i, n := range nodes {
@@ -94,7 +88,7 @@ func New(cfg Config) (*Cluster, error) {
 				peers[j] = localPeer{node: m}
 			}
 		}
-		n.SetPeers(peers)
+		n.SetPeers(peers, DefaultPeerTimeout)
 	}
 	router, err := NewRouter(ring, nodes)
 	if err != nil {

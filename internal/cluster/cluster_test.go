@@ -565,15 +565,15 @@ func TestHTTPPeerRoundTrip(t *testing.T) {
 	// Wrong (or missing) secret: the peer surface refuses both reads and
 	// writes — an open fill endpoint would let anyone poison the cache.
 	ctx := context.Background()
-	intruder := NewHTTPPeer(ns.URL, 0, "")
+	intruder := NewHTTPPeer(ns.URL, "")
 	if _, ok, err := intruder.FetchResult(ctx, "twitter", key); ok || err == nil {
 		t.Errorf("unauthenticated fetch = (ok=%v, err=%v), want rejection", ok, err)
 	}
-	if err := intruder.FillResult("twitter", key, &middleware.Response{}); err == nil {
+	if err := intruder.FillResult(ctx, "twitter", key, &middleware.Response{}); err == nil {
 		t.Error("unauthenticated fill accepted")
 	}
 
-	peer := NewHTTPPeer(ns.URL, 0, "hunter2")
+	peer := NewHTTPPeer(ns.URL, "hunter2")
 	resp, ok, err := peer.FetchResult(ctx, "twitter", key)
 	if err != nil || !ok {
 		t.Fatalf("fetch = (ok=%v, err=%v), want hit", ok, err)
@@ -592,7 +592,7 @@ func TestHTTPPeerRoundTrip(t *testing.T) {
 		t.Errorf("miss fetch = (ok=%v, err=%v), want clean miss", ok, err)
 	}
 
-	if err := peer.FillResult("twitter", missKey, resp); err != nil {
+	if err := peer.FillResult(ctx, "twitter", missKey, resp); err != nil {
 		t.Fatal(err)
 	}
 	if refetched, ok, _ := peer.FetchResult(ctx, "twitter", missKey); !ok || refetched == nil {

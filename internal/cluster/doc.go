@@ -18,9 +18,6 @@
 //     live replicas of the key's ring sequence first, and fails over when a
 //     replica refuses with its lifecycle sentinel. Only when no replica at
 //     all serves does the client see a 503 (with Retry-After: 1).
-//   - FaultyPeer — deterministic, seedable fault injection
-//     (drop/error/delay) on the peer transport, the hook the hedge tests
-//     drive.
 //   - Node — one replica: a complete gateway (its own servers, plan
 //     caches, lookup caches, admission pool) whose per-dataset result
 //     caches are wrapped with the peer-shared cache, plus the /cluster

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -60,10 +61,26 @@ func TestClusterCloseReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// silentPeer is a dead peer: every call hangs for delay (or until its
+// context ends) and then fails with a timeout.
+type silentPeer struct{ delay time.Duration }
+
+func (p silentPeer) FetchResult(ctx context.Context, _ string, _ middleware.ResultKey) (*middleware.Response, bool, error) {
+	select {
+	case <-ctx.Done():
+	case <-time.After(p.delay):
+	}
+	return nil, false, context.DeadlineExceeded
+}
+
+func (silentPeer) FillResult(context.Context, string, middleware.ResultKey, *middleware.Response) error {
+	return context.DeadlineExceeded
+}
+
 // TestClusterHedgedFetchRacesNextReplica: when a key's owner goes silent
-// (injected drop — the fetch hangs until its deadline), the hedge leg asks
-// the next ring replica and wins the race, serving the cached result
-// byte-identically instead of stalling for the full peer timeout.
+// (the fetch hangs for 40 ms, then times out), the hedge leg asks the next
+// ring replica and wins the race, serving the cached result byte-identically
+// instead of stalling for the full peer timeout.
 func TestClusterHedgedFetchRacesNextReplica(t *testing.T) {
 	c := newTestCluster(t, 3)
 	cs := httptest.NewServer(c.Handler())
@@ -95,11 +112,8 @@ func TestClusterHedgedFetchRacesNextReplica(t *testing.T) {
 			peers[j] = localPeer{node: c.Node(j)}
 		}
 	}
-	peers[owner] = FaultyPeer{
-		Inner:  peers[owner],
-		Faults: NewFaults(FaultConfig{Seed: 1, DropRate: 1, DropDelay: 40 * time.Millisecond}),
-	}
-	c.Node(asker).SetPeers(peers)
+	peers[owner] = silentPeer{delay: 40 * time.Millisecond}
+	c.Node(asker).SetPeers(peers, DefaultPeerTimeout)
 
 	as := httptest.NewServer(c.Node(asker).Handler())
 	defer as.Close()
@@ -116,6 +130,43 @@ func TestClusterHedgedFetchRacesNextReplica(t *testing.T) {
 	}
 	if st.PeerHits < 1 {
 		t.Errorf("peer hits = %d, want >= 1 (the hedge leg's hit)", st.PeerHits)
+	}
+}
+
+// TestPeerTimeoutBoundsTheFetch: the peer timeout a node is given bounds
+// its whole fetch race, so an owner slower than the 250 ms default but
+// inside a 1 s timeout still answers from its cache instead of the asker
+// giving up and counting locally.
+func TestPeerTimeoutBoundsTheFetch(t *testing.T) {
+	c := newTestCluster(t, 2)
+	cs := httptest.NewServer(c.Handler())
+	defer cs.Close()
+
+	body := twitterBody("word0030")
+	before := c.Snapshot()
+	want := postOK(t, cs.URL+"/viz", body)
+	owner := routedTo(t, before, c.Snapshot())
+	asker := 1 - owner
+
+	// The owner answers every peer request after 400 ms, over HTTP.
+	const delay, timeout = 400 * time.Millisecond, time.Second
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(delay)
+		c.Node(owner).ServeHTTP(w, r)
+	}))
+	defer slow.Close()
+	peers := make([]PeerClient, 2)
+	peers[owner] = NewHTTPPeer(slow.URL, "")
+	c.Node(asker).SetPeers(peers, timeout)
+
+	as := httptest.NewServer(c.Node(asker).Handler())
+	defer as.Close()
+	if got := postOK(t, as.URL+"/viz", body); !bytes.Equal(got, want) {
+		t.Errorf("response through the slow owner differs:\n got %s\nwant %s", got, want)
+	}
+	st := c.Node(asker).CacheSnapshot()
+	if st.PeerHits != 1 || st.FetchTimeouts != 0 {
+		t.Errorf("peer hits %d, fetch timeouts %d: want the owner's answer (1 hit, 0 timeouts)", st.PeerHits, st.FetchTimeouts)
 	}
 }
 

@@ -77,12 +77,13 @@ type Node struct {
 	gw      *middleware.Gateway
 	handler http.Handler
 
-	mu       sync.RWMutex
-	peers    []PeerClient // index id is nil (self)
-	caches   map[string]*peerCache
-	secret   string
-	hedge    HedgeConfig
-	routable func(replica int) bool // which replicas own keys (nil = full ring)
+	mu          sync.RWMutex
+	peers       []PeerClient // index id is nil (self)
+	peerTimeout time.Duration
+	caches      map[string]*peerCache
+	secret      string
+	noHedge     bool
+	routable    func(replica int) bool // which replicas own keys (nil = full ring)
 
 	stats    cacheStats
 	state    atomic.Int32 // ReplicaState
@@ -137,11 +138,15 @@ func NewNode(id int, ring *Ring, reg *workload.Registry, factory middleware.Rewr
 }
 
 // SetPeers installs the replica's view of the other replicas. peers must be
-// indexed by replica id (the self slot is ignored). Call once, before
-// serving traffic.
-func (n *Node) SetPeers(peers []PeerClient) {
+// indexed by replica id (the self slot is ignored). timeout bounds every
+// call the node makes to a peer: one fetch race, hedge leg included, and one
+// fill; <= 0 picks DefaultPeerTimeout. Call once, before serving traffic.
+func (n *Node) SetPeers(peers []PeerClient, timeout time.Duration) {
+	if timeout <= 0 {
+		timeout = DefaultPeerTimeout
+	}
 	n.mu.Lock()
-	n.peers = peers
+	n.peers, n.peerTimeout = peers, timeout
 	n.mu.Unlock()
 }
 
@@ -253,19 +258,12 @@ func (n *Node) Drain() { n.state.Store(int32(StateDraining)) }
 // comes back with the next request.
 func (n *Node) Rejoin() { n.state.Store(int32(StateLive)) }
 
-// SetHedge configures hedged peer fetches (see HedgeConfig). Call before
-// serving traffic.
-func (n *Node) SetHedge(cfg HedgeConfig) {
+// SetHedge turns hedged peer fetches on (the default) or off (one fetch to
+// the owner, nothing raced against it). Call before serving traffic.
+func (n *Node) SetHedge(enabled bool) {
 	n.mu.Lock()
-	n.hedge = cfg.normalized()
+	n.noHedge = !enabled
 	n.mu.Unlock()
-}
-
-// hedgeConfig returns the node's hedging policy.
-func (n *Node) hedgeConfig() HedgeConfig {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.hedge
 }
 
 // Inflight reports how many requests the node is currently serving —
@@ -385,7 +383,12 @@ func (n *Node) deliverFill(f fillReq) {
 		n.stats.fillsDropped.Add(1)
 		return
 	}
-	if err := peer.FillResult(f.dataset, f.key, f.resp); err != nil {
+	n.mu.RLock()
+	timeout := n.peerTimeout
+	n.mu.RUnlock()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := peer.FillResult(ctx, f.dataset, f.key, f.resp); err != nil {
 		n.stats.fillsDropped.Add(1)
 	} else {
 		n.stats.fillsSent.Add(1)
@@ -435,40 +438,20 @@ func (n *Node) serveFill(w http.ResponseWriter, r *http.Request) {
 // CacheSnapshot returns the node's peer-cache counters.
 func (n *Node) CacheSnapshot() CacheSnapshot { return n.stats.snapshot() }
 
-// HedgeConfig tunes hedged peer fetches: when the key's owner has not
-// answered within a delay derived from recent fetch latencies, a second
-// fetch races against the next replica in the key's ring sequence; the
-// first response wins and the loser is cancelled. One slow (or silently
-// dead) owner then costs roughly the hedge delay, not the full peer
-// timeout. The zero value picks every default.
-type HedgeConfig struct {
-	// Quantile of the recent primary-fetch latency distribution that
-	// arms the hedge timer. Default 0.9 — hedges fire for the slowest
-	// ~10% of fetches, keeping duplicate work bounded.
-	Quantile float64
-	// MinDelay floors the armed delay (and is the cold-start delay while
-	// the latency window is empty). Default 5ms.
-	MinDelay time.Duration
-	// MaxDelay caps the armed delay. Default DefaultPeerTimeout/2 — a
-	// hedge that can't beat the primary's timeout is pointless.
-	MaxDelay time.Duration
-	// Disabled turns hedging off (single-fetch behavior).
-	Disabled bool
-}
-
-// normalized resolves defaults.
-func (c HedgeConfig) normalized() HedgeConfig {
-	if c.Quantile <= 0 || c.Quantile >= 1 {
-		c.Quantile = 0.9
-	}
-	if c.MinDelay <= 0 {
-		c.MinDelay = 5 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = DefaultPeerTimeout / 2
-	}
-	return c
-}
+// Hedged peer fetches: when the key's owner has not answered within a delay
+// derived from recent fetch latencies, a second fetch races against the next
+// replica in the key's ring sequence; the first response wins and the loser
+// is cancelled. One slow (or silently dead) owner then costs roughly the
+// hedge delay, not the full peer timeout. The delay is the hedgeQuantile of
+// recent primary-fetch latencies — hedges fire for the slowest ~10% of
+// fetches, keeping duplicate work bounded — clamped to [minHedgeDelay,
+// peer timeout / 2]: the floor is also the cold-start delay while the
+// latency window is empty, and a hedge that cannot beat the primary's
+// timeout is pointless.
+const (
+	hedgeQuantile = 0.9
+	minHedgeDelay = 5 * time.Millisecond
+)
 
 // latencyWindowSize bounds the per-node sample window the hedge delay is
 // derived from. 128 samples follow latency shifts within a few seconds of
@@ -512,16 +495,10 @@ func (w *latencyWindow) quantile(q float64) time.Duration {
 	return tmp[i]
 }
 
-// hedgeDelay derives the current hedge delay from the latency window.
-func (n *Node) hedgeDelay(cfg HedgeConfig) time.Duration {
-	d := n.fetchLat.quantile(cfg.Quantile)
-	if d < cfg.MinDelay {
-		d = cfg.MinDelay
-	}
-	if d > cfg.MaxDelay {
-		d = cfg.MaxDelay
-	}
-	return d
+// hedgeDelay derives the current hedge delay from the latency window,
+// capped at half the peer timeout.
+func (n *Node) hedgeDelay(timeout time.Duration) time.Duration {
+	return min(max(n.fetchLat.quantile(hedgeQuantile), minHedgeDelay), timeout/2)
 }
 
 // hedgeTarget picks the replica a hedged fetch races against: the next
@@ -551,12 +528,16 @@ type fetchOutcome struct {
 
 // hedgedFetch asks the key's owner for a cached result, racing a hedge
 // fetch against the next ring replica if the owner is slow (see
-// HedgeConfig). The first response — hit or clean miss — wins; the losing
-// leg is cancelled through the shared context. An owner error before the
-// hedge timer fires launches the hedge immediately. Both legs failing
-// returns the first error (the caller degrades to local compute).
+// hedgeQuantile). The whole race is bounded by the node's peer timeout. The
+// first response — hit or clean miss — wins; the losing leg is cancelled
+// through the shared context. An owner error before the hedge timer fires
+// launches the hedge immediately. Both legs failing returns the first error
+// (the caller degrades to local compute).
 func (n *Node) hedgedFetch(dataset string, key middleware.ResultKey, owner int, primary PeerClient) (*middleware.Response, bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), DefaultPeerTimeout)
+	n.mu.RLock()
+	timeout, noHedge := n.peerTimeout, n.noHedge
+	n.mu.RUnlock()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel() // cancels the losing leg
 
 	ch := make(chan fetchOutcome, 2) // buffered: the loser never blocks
@@ -567,12 +548,11 @@ func (n *Node) hedgedFetch(dataset string, key middleware.ResultKey, owner int, 
 	}
 	go launch(primary, false)
 
-	cfg := n.hedgeConfig()
 	var hedgeC <-chan time.Time
 	var hedgePeer PeerClient
-	if !cfg.Disabled {
+	if !noHedge {
 		if hedgePeer = n.hedgeTarget(key, owner); hedgePeer != nil {
-			t := time.NewTimer(n.hedgeDelay(cfg))
+			t := time.NewTimer(n.hedgeDelay(timeout))
 			defer t.Stop()
 			hedgeC = t.C
 		}

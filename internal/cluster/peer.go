@@ -19,15 +19,16 @@ import (
 // methods are strictly cache operations — a fetch never triggers execution
 // on the peer, so a slow query on one replica can't stall another replica's
 // peer path. Errors mean "peer unreachable"; callers degrade to local
-// compute (the budget never waits on a dead peer beyond the client timeout).
+// compute (the budget never waits on a dead peer beyond the node's peer
+// timeout, which bounds every call through ctx).
 type PeerClient interface {
 	// FetchResult asks the peer's local cache for key. ok reports a hit;
 	// (nil, false, nil) is a clean miss. Cancelling ctx abandons the fetch
 	// — the hedged-fetch race uses that to cancel the losing leg.
 	FetchResult(ctx context.Context, dataset string, key middleware.ResultKey) (resp *middleware.Response, ok bool, err error)
 	// FillResult offers the peer a computed response for key (best effort:
-	// the peer may drop it).
-	FillResult(dataset string, key middleware.ResultKey, resp *middleware.Response) error
+	// the peer may drop it). ctx bounds the call.
+	FillResult(ctx context.Context, dataset string, key middleware.ResultKey, resp *middleware.Response) error
 }
 
 // isTimeout classifies a peer error as a timeout (dead or stalled peer)
@@ -63,7 +64,7 @@ func (p localPeer) FetchResult(ctx context.Context, dataset string, key middlewa
 	return resp, ok, nil
 }
 
-func (p localPeer) FillResult(dataset string, key middleware.ResultKey, resp *middleware.Response) error {
+func (p localPeer) FillResult(_ context.Context, dataset string, key middleware.ResultKey, resp *middleware.Response) error {
 	if p.node.Down() {
 		return fmt.Errorf("cluster: replica %d is down", p.node.id)
 	}
@@ -71,7 +72,8 @@ func (p localPeer) FillResult(dataset string, key middleware.ResultKey, resp *mi
 	return nil
 }
 
-// DefaultPeerTimeout bounds one peer round trip. It is deliberately tight:
+// DefaultPeerTimeout bounds one peer fetch or fill when a node is given no
+// timeout of its own (Node.SetPeers). It is deliberately tight:
 // a peer fetch is an optimization, and a hung peer must cost less than the
 // execution it was trying to save.
 const DefaultPeerTimeout = 250 * time.Millisecond
@@ -90,18 +92,15 @@ const PeerSecretHeader = "X-Maliva-Peer-Key"
 type httpPeer struct {
 	base   string
 	secret string
-	client *http.Client
 }
 
 // NewHTTPPeer builds a PeerClient for a replica at base (e.g.
-// "http://replica-1:8080"). timeout <= 0 picks DefaultPeerTimeout. secret
-// (may be empty) is sent on every peer request and must match the
-// receiving node's Node.SetPeerSecret value.
-func NewHTTPPeer(base string, timeout time.Duration, secret string) PeerClient {
-	if timeout <= 0 {
-		timeout = DefaultPeerTimeout
-	}
-	return &httpPeer{base: base, secret: secret, client: &http.Client{Timeout: timeout}}
+// "http://replica-1:8080"). secret (may be empty) is sent on every peer
+// request and must match the receiving node's Node.SetPeerSecret value.
+// Each call is bounded by its ctx alone; a Node gives every call its peer
+// timeout.
+func NewHTTPPeer(base, secret string) PeerClient {
+	return &httpPeer{base: base, secret: secret}
 }
 
 // post sends one peer request with the shared secret attached.
@@ -114,7 +113,7 @@ func (p *httpPeer) post(ctx context.Context, url string, body []byte) (*http.Res
 	if p.secret != "" {
 		req.Header.Set(PeerSecretHeader, p.secret)
 	}
-	return p.client.Do(req)
+	return http.DefaultClient.Do(req)
 }
 
 func (p *httpPeer) FetchResult(ctx context.Context, dataset string, key middleware.ResultKey) (*middleware.Response, bool, error) {
@@ -148,12 +147,12 @@ type peerFill struct {
 	Response *middleware.Response `json:"response"`
 }
 
-func (p *httpPeer) FillResult(dataset string, key middleware.ResultKey, resp *middleware.Response) error {
+func (p *httpPeer) FillResult(ctx context.Context, dataset string, key middleware.ResultKey, resp *middleware.Response) error {
 	body, err := json.Marshal(peerFill{Key: key, Response: resp})
 	if err != nil {
 		return err
 	}
-	hr, err := p.post(context.Background(), p.base+"/cluster/fill?dataset="+dataset, body)
+	hr, err := p.post(ctx, p.base+"/cluster/fill?dataset="+dataset, body)
 	if err != nil {
 		return err
 	}

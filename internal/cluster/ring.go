@@ -5,11 +5,11 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the number of virtual points each replica contributes to
-// the hash ring. 64 vkeys per replica keeps the ownership split within ~2×
+// vnodesPerReplica is the number of virtual points each replica contributes
+// to the hash ring. 64 vkeys per replica keeps the ownership split within ~2×
 // of fair share (pinned by TestRingDistributionBound) while the ring stays
 // small enough that ownership lookups are a cheap binary search.
-const DefaultVNodes = 64
+const vnodesPerReplica = 64
 
 // ringPoint is one virtual node: a position on the ring owned by a replica.
 type ringPoint struct {
@@ -27,28 +27,22 @@ type ringPoint struct {
 // event doesn't cold-start every cache in the cluster.
 type Ring struct {
 	replicas int
-	vnodes   int
 	points   []ringPoint
 }
 
-// NewRing builds a ring over replicas replicas with vnodes virtual points
-// each (vnodes <= 0 picks DefaultVNodes). replicas < 1 is clamped to 1 — a
-// one-replica ring owns everything, which is the degenerate single-gateway
-// deployment.
-func NewRing(replicas, vnodes int) *Ring {
+// NewRing builds a ring over replicas replicas with vnodesPerReplica virtual
+// points each. replicas < 1 is clamped to 1 — a one-replica ring owns
+// everything, which is the degenerate single-gateway deployment.
+func NewRing(replicas int) *Ring {
 	if replicas < 1 {
 		replicas = 1
 	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
 	r := &Ring{
 		replicas: replicas,
-		vnodes:   vnodes,
-		points:   make([]ringPoint, 0, replicas*vnodes),
+		points:   make([]ringPoint, 0, replicas*vnodesPerReplica),
 	}
 	for rep := 0; rep < replicas; rep++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < vnodesPerReplica; v++ {
 			// FNV alone clumps on short structured strings; the avalanche
 			// finalizer spreads the points enough to hold the 2x-fair-share
 			// ownership bound the distribution test pins.

@@ -18,7 +18,7 @@ func splitmix64(state *uint64) uint64 {
 func TestRingDistributionBound(t *testing.T) {
 	const keys = 20_000
 	for _, replicas := range []int{2, 3, 4, 8} {
-		ring := NewRing(replicas, DefaultVNodes)
+		ring := NewRing(replicas)
 		counts := make([]int, replicas)
 		state := uint64(42)
 		for i := 0; i < keys; i++ {
@@ -40,8 +40,8 @@ func TestRingDistributionBound(t *testing.T) {
 // key) — two independently built rings agree on every key, which is what
 // lets every router and every replica compute the same owner.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing(5, DefaultVNodes)
-	b := NewRing(5, DefaultVNodes)
+	a := NewRing(5)
+	b := NewRing(5)
 	state := uint64(7)
 	for i := 0; i < 5_000; i++ {
 		k := splitmix64(&state)
@@ -54,7 +54,7 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingSequence: the failover sequence starts at the owner, covers every
 // replica exactly once, and is deterministic per key.
 func TestRingSequence(t *testing.T) {
-	ring := NewRing(4, DefaultVNodes)
+	ring := NewRing(4)
 	state := uint64(99)
 	for i := 0; i < 1_000; i++ {
 		k := splitmix64(&state)
@@ -81,14 +81,14 @@ func TestRingSequence(t *testing.T) {
 // TestRingDegenerate: a one-replica ring owns everything, and invalid sizes
 // clamp instead of breaking.
 func TestRingDegenerate(t *testing.T) {
-	ring := NewRing(1, 0)
+	ring := NewRing(1)
 	state := uint64(3)
 	for i := 0; i < 100; i++ {
 		if owner := ring.Owner(splitmix64(&state)); owner != 0 {
 			t.Fatalf("single-replica ring routed to %d", owner)
 		}
 	}
-	if NewRing(0, -1).Replicas() != 1 {
+	if NewRing(0).Replicas() != 1 {
 		t.Error("replicas < 1 should clamp to 1")
 	}
 }
@@ -101,7 +101,7 @@ func TestRingDegenerate(t *testing.T) {
 func TestRingOwnerAmongExclusion(t *testing.T) {
 	const keys = 20_000
 	const replicas = 4
-	ring := NewRing(replicas, DefaultVNodes)
+	ring := NewRing(replicas)
 	const excluded = 2
 	ok := func(r int) bool { return r != excluded }
 	moved := 0
@@ -144,8 +144,8 @@ func TestRingOwnerAmongExclusion(t *testing.T) {
 // keeps a scaling event from cold-starting every cache.
 func TestRingMovementOnScale(t *testing.T) {
 	const keys = 20_000
-	small := NewRing(4, DefaultVNodes)
-	big := NewRing(5, DefaultVNodes)
+	small := NewRing(4)
+	big := NewRing(5)
 	moved := 0
 	state := uint64(123)
 	for i := 0; i < keys; i++ {

@@ -1,10 +1,22 @@
 package middleware
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"time"
 )
+
+// Admission sizing. One pool serves a whole gateway: defaultConcurrency
+// slots execute at once, admitQueueCap more requests wait, and none waits
+// longer than queueTimeout (or its budget read as real time, if shorter).
+const (
+	admitQueueCap = 256
+	queueTimeout  = time.Second
+)
+
+// defaultConcurrency is the pool's slot count: 4×GOMAXPROCS.
+func defaultConcurrency() int { return 4 * runtime.GOMAXPROCS(0) }
 
 // admitVerdict is the outcome of an admission attempt.
 type admitVerdict int
@@ -51,15 +63,9 @@ type admission struct {
 	maxHeld      int
 }
 
-// newAdmission sizes the pool. capacity <= 0 disables admission control
-// (returns nil; the nil methods admit everything).
+// newAdmission sizes the pool: capacity slots (capacity >= 1) and room for
+// maxQueue waiters.
 func newAdmission(capacity, maxQueue int) *admission {
-	if capacity <= 0 {
-		return nil
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
 	maxHeld := capacity / 4
 	if maxHeld < 1 {
 		maxHeld = 1
@@ -68,11 +74,8 @@ func newAdmission(capacity, maxQueue int) *admission {
 }
 
 // acquire tries to take a worker slot, waiting at most wait (the request's
-// budget-derived deadline). A nil admission always admits.
+// budget-derived deadline).
 func (a *admission) acquire(wait time.Duration) admitVerdict {
-	if a == nil {
-		return admitOK
-	}
 	a.mu.Lock()
 	if a.free > 0 {
 		a.free--
@@ -113,11 +116,8 @@ func (a *admission) acquire(wait time.Duration) admitVerdict {
 // — more than `reserve` slots free, no live waiter queued, and the prefetch
 // hold cap not reached — and reports whether it did. It never waits: a
 // prediction that finds no idle slot is shed, since the predictor issues a
-// fresh one at the session's next step. A nil admission always admits.
+// fresh one at the session's next step.
 func (a *admission) tryPrefetch() bool {
-	if a == nil {
-		return true
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.free <= a.reserve || len(a.queue) > 0 || a.prefetchHeld >= a.maxHeld {
@@ -137,9 +137,6 @@ func (a *admission) release() { a.releaseSlot(false) }
 func (a *admission) releasePrefetch() { a.releaseSlot(true) }
 
 func (a *admission) releaseSlot(heldByPrefetch bool) {
-	if a == nil {
-		return
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if heldByPrefetch {
@@ -156,9 +153,6 @@ func (a *admission) releaseSlot(heldByPrefetch bool) {
 // queueLen reports the current number of queued live waiters — the
 // admission queue-depth gauge /metrics exposes.
 func (a *admission) queueLen() int {
-	if a == nil {
-		return 0
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.queue)

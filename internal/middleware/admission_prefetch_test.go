@@ -47,12 +47,6 @@ func TestPrefetchIdleOnlyAdmission(t *testing.T) {
 	if a.free != 4 || a.prefetchHeld != 0 {
 		t.Fatalf("refused prefetch changed the pool: free=%d held=%d", a.free, a.prefetchHeld)
 	}
-
-	// A nil admission (admission control disabled) admits everything.
-	var nilA *admission
-	if !nilA.tryPrefetch() {
-		t.Fatal("nil admission refused a prefetch")
-	}
 }
 
 // TestPrefetchHoldCap: concurrently-held prefetch slots are capped at
@@ -117,7 +111,7 @@ func TestPrefetchNeverCausesLiveRejection(t *testing.T) {
 func TestPrefetchNeverBlocks(t *testing.T) {
 	s := testServer(t)
 	defer s.Close()
-	for i := 0; i < s.cfg.MaxConcurrent; i++ {
+	for i := 0; i < defaultConcurrency(); i++ {
 		if s.admit.acquire(0) != admitOK {
 			t.Fatalf("live acquire %d failed on an idle pool", i)
 		}
@@ -134,7 +128,7 @@ func TestPrefetchNeverBlocks(t *testing.T) {
 	if n := s.admit.queueLen(); n != 0 {
 		t.Fatalf("a shed prefetch left %d waiters queued", n)
 	}
-	for i := 0; i < s.cfg.MaxConcurrent; i++ {
+	for i := 0; i < defaultConcurrency(); i++ {
 		s.admit.release()
 	}
 }

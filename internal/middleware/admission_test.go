@@ -15,13 +15,6 @@ import (
 
 // TestAdmissionVerdicts covers the pool state machine directly.
 func TestAdmissionVerdicts(t *testing.T) {
-	// Nil pool admits everything.
-	var nilPool *admission
-	if got := nilPool.acquire(0); got != admitOK {
-		t.Fatalf("nil pool: %v", got)
-	}
-	nilPool.release()
-
 	// Capacity 1, queue 0: second concurrent request is shed immediately.
 	a := newAdmission(1, 0)
 	if got := a.acquire(time.Second); got != admitOK {
@@ -86,10 +79,18 @@ func (r *blockingRewriter) Rewrite(ctx *core.QueryContext, budget float64) core.
 	return core.OracleRewriter{}.Rewrite(ctx, budget)
 }
 
+// setAdmission replaces g's admission pool, in every place it is shared.
+func setAdmission(g *Gateway, a *admission) {
+	g.admit = a
+	for _, srv := range g.servers {
+		srv.admit = a
+	}
+}
+
 // TestHTTPAdmissionControl: with one worker slot and no queue, a second
 // in-flight request gets 429 with Retry-After; with a queue, it gets 503
-// once its budget-derived deadline expires. The held request still
-// completes with 200.
+// once its budget-derived deadline (the request's 50 ms budget) expires.
+// The held request still completes with 200.
 func TestHTTPAdmissionControl(t *testing.T) {
 	ds := testDataset(t)
 	body, _ := json.Marshal(map[string]any{
@@ -101,14 +102,9 @@ func TestHTTPAdmissionControl(t *testing.T) {
 
 	run := func(t *testing.T, maxQueue, wantStatus int) {
 		rw := &blockingRewriter{entered: make(chan struct{}), release: make(chan struct{})}
-		s, err := NewServerWithConfig(ds, rw, core.HintOnlySpec(), ServerConfig{
-			DefaultBudgetMs: 500, MaxConcurrent: 1, MaxQueue: maxQueue,
-			QueueTimeout: 100 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(s.Handler())
+		g, s := oneDatasetGateway(t, ds, rw, ServerConfig{DefaultBudgetMs: 500})
+		setAdmission(g, newAdmission(1, maxQueue))
+		srv := httptest.NewServer(g.Handler())
 		defer srv.Close()
 
 		firstDone := make(chan int, 1)
@@ -149,23 +145,19 @@ func TestHTTPAdmissionControl(t *testing.T) {
 		}
 	}
 
-	t.Run("queue full -> 429", func(t *testing.T) { run(t, -1, http.StatusTooManyRequests) })
+	t.Run("queue full -> 429", func(t *testing.T) { run(t, 0, http.StatusTooManyRequests) })
 	t.Run("deadline in queue -> 503", func(t *testing.T) { run(t, 4, http.StatusServiceUnavailable) })
 }
 
 // TestHugeBudgetWaitsFullQueueTimeout: a budget too large to convert to a
-// time.Duration waits QueueTimeout for a slot like any budget above it, not
+// time.Duration waits queueTimeout for a slot like any budget above it, not
 // the 10 ms floor a wrapped-negative wait would give it.
 func TestHugeBudgetWaitsFullQueueTimeout(t *testing.T) {
 	ds := testDataset(t)
 	rw := &blockingRewriter{entered: make(chan struct{}), release: make(chan struct{})}
-	s, err := NewServerWithConfig(ds, rw, core.HintOnlySpec(), ServerConfig{
-		DefaultBudgetMs: 500, MaxConcurrent: 1, QueueTimeout: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s.Handler())
+	g, _ := oneDatasetGateway(t, ds, rw, ServerConfig{DefaultBudgetMs: 500})
+	setAdmission(g, newAdmission(1, admitQueueCap))
+	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	post := func(budget float64) int {
 		body, _ := json.Marshal(map[string]any{

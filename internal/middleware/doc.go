@@ -17,7 +17,7 @@
 //     data version) shapes — the overlap a pan/zoom session generates. The
 //     cache sits behind the ResultCache interface; internal/cluster
 //     substitutes a peer-shared implementation through
-//     ServerConfig.WrapResultCache;
+//     GatewayConfig.WrapResultCache;
 //   - a server-scope engine.LookupCache shares index scans across
 //     requests over the immutable dataset;
 //   - admission control (admission.go) bounds concurrency with a FIFO wait
@@ -30,11 +30,11 @@
 // under its owner's mutex.
 //
 // Gateway (gateway.go) serves any number of datasets behind one HTTP
-// surface: per-dataset Servers, every one built by NewGateway before it
-// returns, one admission budget shared across datasets, and /datasets,
-// /healthz, /metrics rollups with dataset="..." labels. Metrics
-// (metrics.go) is the lock-free counter registry behind /metrics in both
-// Prometheus text and JSON forms.
+// surface, the only one a Server has: per-dataset Servers, every one built
+// by NewGateway before it returns, one admission budget shared across
+// datasets, and /datasets, /healthz, /metrics rollups with dataset="..."
+// labels. Metrics (metrics.go) is the lock-free counter registry behind
+// /metrics in both Prometheus text and JSON forms.
 //
 // # Determinism contract
 //
@@ -43,8 +43,8 @@
 // identical requests need no coordination: each computes the same bytes.
 // Rewriting is a pure
 // function of (context, budget) and all engine randomness derives from
-// per-query/per-plan fingerprints. That is what lets the gateway promise
-// byte-identity with standalone servers, and the cluster layer byte-
-// identity with a single gateway (docs/ARCHITECTURE.md spells out the
-// whole chain).
+// per-query/per-plan fingerprints. That is what lets a multi-dataset
+// gateway promise byte-identity with one-dataset gateways, and the cluster
+// layer byte-identity with a single gateway (docs/ARCHITECTURE.md spells
+// out the whole chain).
 package middleware

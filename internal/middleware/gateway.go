@@ -29,27 +29,24 @@ func OracleFactory(string, *workload.Dataset) (core.Rewriter, error) {
 	return core.OracleRewriter{}, nil
 }
 
-// GatewayConfig configures a multi-dataset gateway.
+// GatewayConfig configures a multi-dataset gateway. Every dataset shares
+// ONE admission pool — a gateway sheds load globally, not per dataset — and
+// the first registered dataset answers requests without a ?dataset
+// parameter.
 type GatewayConfig struct {
-	// Server is the per-dataset serving template. Its MaxConcurrent and
-	// MaxQueue size ONE admission budget shared by every dataset — a
-	// gateway sheds load globally, not per dataset.
+	// Server is the per-dataset serving template.
 	Server ServerConfig
-	// DefaultDataset answers requests without a ?dataset parameter.
-	// Defaults to the registry's first registered name, which keeps
-	// single-dataset clients working unchanged.
-	DefaultDataset string
 	// Space is the rewrite option space every dataset serves under.
 	Space core.SpaceSpec
 	// WrapResultCache, when set, wraps each dataset's result cache as its
 	// Server is built (internal/cluster installs the peer-shared cache
 	// here). It runs once per dataset, on a build worker, with the
-	// dataset's registry name and its freshly-built local cache — and not
-	// at all when the result cache is disabled (see
-	// ServerConfig.WrapResultCache).
+	// dataset's registry name and its freshly-built local cache, and must
+	// return a ResultCache honoring the same contract. It is not called
+	// when the result cache is disabled (ResultCacheSize < 0): layering peer
+	// round trips over a cache that drops everything would cost latency and
+	// never hit.
 	WrapResultCache func(dataset string, local ResultCache) ResultCache
-	// Sessions tunes session tracking and speculative tile prefetch.
-	Sessions SessionConfig
 }
 
 // datasetReady is the status /datasets and /healthz report for every
@@ -61,9 +58,10 @@ const datasetReady = "ready"
 // NewGateway builds every dataset's engine state (the generated dataset,
 // its rewriter, caches, and lookup cache) before it returns, so the
 // dataset→Server map never changes afterwards and a request never waits on
-// a build. A Gateway response is byte-identical to the response the
-// equivalent standalone single-dataset Server would produce, because
-// routing reuses the Server path unchanged.
+// a build. Gateway.Handler is the only HTTP surface a Server has. A
+// response does not depend on which other datasets a gateway serves: a
+// multi-dataset gateway answers byte-identically to a one-dataset gateway
+// over the same dataset, because routing reuses the Server path unchanged.
 type Gateway struct {
 	names       []string           // registration order
 	servers     map[string]*Server // fixed by NewGateway; read without locks
@@ -101,8 +99,7 @@ type Gateway struct {
 // many-dataset cold start overlaps dataset generation and rewriter training
 // without oversubscribing the machine; the error of the first (lowest-index)
 // failed build is returned and every Server already built is closed. The
-// registry must have at least one dataset, and DefaultDataset (when set)
-// must be registered.
+// registry must have at least one dataset.
 func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConfig) (*Gateway, error) {
 	names := reg.Names()
 	if len(names) == 0 {
@@ -111,14 +108,7 @@ func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConf
 	if factory == nil {
 		factory = OracleFactory
 	}
-	def := cfg.DefaultDataset
-	if def == "" {
-		def = names[0]
-	} else if _, ok := reg.Builder(def); !ok {
-		return nil, fmt.Errorf("middleware: default dataset %q is not registered", def)
-	}
-	scfg := cfg.Server.normalized()
-	admit := newAdmission(scfg.MaxConcurrent, scfg.MaxQueue)
+	admit := newAdmission(defaultConcurrency(), admitQueueCap)
 	built := make([]*Server, len(names))
 	if err := core.RunIndexed(len(names), 0, func(i int) error {
 		srv, err := buildServer(reg, names[i], factory, cfg)
@@ -139,7 +129,7 @@ func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConf
 	g := &Gateway{
 		names:       names,
 		servers:     make(map[string]*Server, len(names)),
-		defaultName: def,
+		defaultName: names[0],
 		admit:       admit,
 		start:       time.Now(),
 		gwMetrics:   NewMetrics(),
@@ -148,8 +138,8 @@ func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConf
 	for i, name := range names {
 		g.servers[name] = built[i]
 	}
-	if scfg.ResultCacheSize > 0 {
-		g.sessions = NewSessionTracker(cfg.Sessions)
+	if cfg.Server.normalized().ResultCacheSize > 0 {
+		g.sessions = NewSessionTracker(SessionConfig{})
 		g.observeCh = make(chan observation, observeQueueCap)
 		go g.observeLoop()
 	}
@@ -169,16 +159,15 @@ func buildServer(reg *workload.Registry, name string, factory RewriterFactory, c
 	if err != nil {
 		return nil, fmt.Errorf("middleware: rewriter for dataset %q: %w", name, err)
 	}
-	scfg := cfg.Server
-	scfg.MaxConcurrent = -1 // admission is gateway-scoped, not per server
-	if wrap := cfg.WrapResultCache; wrap != nil {
-		scfg.WrapResultCache = func(local ResultCache) ResultCache {
-			return wrap(name, local)
-		}
-	}
-	srv, err := NewServerWithConfig(ds, rw, cfg.Space, scfg)
+	srv, err := NewServerWithConfig(ds, rw, cfg.Space, cfg.Server)
 	if err != nil {
 		return nil, fmt.Errorf("middleware: server for dataset %q: %w", name, err)
+	}
+	if cfg.WrapResultCache != nil && srv.local != nil {
+		if srv.results = cfg.WrapResultCache(name, srv.local); srv.results == nil {
+			_ = srv.Close()
+			return nil, fmt.Errorf("middleware: WrapResultCache returned a nil ResultCache for dataset %q", name)
+		}
 	}
 	return srv, nil
 }
@@ -317,12 +306,12 @@ func (g *Gateway) resolve(w http.ResponseWriter, r *http.Request) (*Server, bool
 }
 
 // serveViz routes one visualization request to its dataset's server. The
-// Server path (decode, admission on the shared pool, handle, encode) is
-// reused unchanged — that is what makes gateway responses byte-identical to
-// standalone single-dataset responses. Requests carrying a session id are
-// additionally observed by the session tracker after a successful serve, as
-// the server decoded them, and the tracker's predictions are dispatched as
-// speculative prefetches.
+// Server path (decode, admission on the shared pool, handle, encode) is the
+// same for every dataset — that is what makes a multi-dataset gateway's
+// responses byte-identical to one-dataset gateways'. Requests carrying a
+// session id are additionally observed by the session tracker after a
+// successful serve, as the server decoded them, and the tracker's
+// predictions are dispatched as speculative prefetches.
 func (g *Gateway) serveViz(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	if g.draining.Load() {

@@ -54,6 +54,28 @@ func testGateway(t testing.TB) *Gateway {
 	return g
 }
 
+// oneDatasetGateway serves ds alone, with rw as its rewriter: the HTTP
+// surface a single-dataset test drives. It returns the gateway and its one
+// Server, and closes the gateway when the test ends.
+func oneDatasetGateway(t testing.TB, ds *workload.Dataset, rw core.Rewriter, cfg ServerConfig) (*Gateway, *Server) {
+	t.Helper()
+	reg := workload.NewRegistry()
+	if err := reg.Register(ds.Name, func() (*workload.Dataset, error) { return ds, nil }); err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGateway(reg, func(string, *workload.Dataset) (core.Rewriter, error) { return rw, nil },
+		GatewayConfig{Server: cfg, Space: core.HintOnlySpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = g.Close() })
+	srv, err := g.Server("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, srv
+}
+
 // twitterBody is a valid request body against the Twitter dataset.
 func twitterBody(keyword string) []byte {
 	b, _ := json.Marshal(map[string]any{
@@ -253,17 +275,18 @@ func TestGatewayWarmFailureDoesNotStrand(t *testing.T) {
 	}
 }
 
-// TestGatewayByteIdenticalToServer is the PR's determinism guarantee: for
-// the same requests, a Gateway response body is byte-identical to the one
-// the equivalent standalone single-dataset Server produces — per dataset,
-// including under concurrent gateway traffic. Run with -race.
+// TestGatewayByteIdenticalToServer is the gateway's determinism guarantee:
+// for the same requests, a two-dataset Gateway response body is
+// byte-identical to the one a one-dataset gateway over the same dataset
+// produces — per dataset, including under concurrent gateway traffic. Run
+// with -race.
 func TestGatewayByteIdenticalToServer(t *testing.T) {
 	g := testGateway(t)
 	gw := httptest.NewServer(g.Handler())
 	defer gw.Close()
 
-	// Standalone single-dataset servers over identically-generated datasets.
-	standalone := make(map[string]*httptest.Server)
+	// One-dataset gateways over identically-generated datasets.
+	oneDataset := make(map[string]*httptest.Server)
 	for name, build := range map[string]func() (*workload.Dataset, error){
 		"twitter": tinyTwitterBuilder(8_000),
 		"taxi":    tinyTaxiBuilder(8_000),
@@ -272,12 +295,9 @@ func TestGatewayByteIdenticalToServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewServerWithConfig(ds, core.OracleRewriter{}, core.HintOnlySpec(), ServerConfig{DefaultBudgetMs: 500})
-		if err != nil {
-			t.Fatal(err)
-		}
-		standalone[name] = httptest.NewServer(s.Handler())
-		defer standalone[name].Close()
+		one, _ := oneDatasetGateway(t, ds, core.OracleRewriter{}, ServerConfig{DefaultBudgetMs: 500})
+		oneDataset[name] = httptest.NewServer(one.Handler())
+		defer oneDataset[name].Close()
 	}
 
 	type reqShape struct {
@@ -309,9 +329,9 @@ func TestGatewayByteIdenticalToServer(t *testing.T) {
 		return data
 	}
 
-	// Concurrent pass through the gateway (exercises the sharded caches and
-	// the shared admission pool under -race), then a serial replay against
-	// the standalone servers.
+	// Concurrent pass through the two-dataset gateway (exercises the caches
+	// and the shared admission pool under -race), then a serial replay
+	// against the one-dataset gateways.
 	const goroutines = 16
 	const perG = 4
 	got := make([][][]byte, goroutines)
@@ -333,9 +353,9 @@ func TestGatewayByteIdenticalToServer(t *testing.T) {
 	for w := 0; w < goroutines; w++ {
 		for i := 0; i < perG; i++ {
 			sh := shapes[(w*perG+i*7)%len(shapes)]
-			want := post(standalone[sh.dataset].URL+"/viz", sh.body)
+			want := post(oneDataset[sh.dataset].URL+"/viz", sh.body)
 			if !bytes.Equal(got[w][i], want) {
-				t.Errorf("w=%d i=%d dataset=%s: gateway response diverges from standalone server\n got %s\nwant %s",
+				t.Errorf("w=%d i=%d dataset=%s: two-dataset response diverges from the one-dataset gateway\n got %s\nwant %s",
 					w, i, sh.dataset, got[w][i], want)
 			}
 		}

@@ -221,22 +221,12 @@ func httpCases() []httpCase {
 // TestHTTPErrorPaths is the table-driven HTTP suite over every error path
 // and the success shapes, including the status-code mapping.
 func TestHTTPErrorPaths(t *testing.T) {
-	s := testServer(t)
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(testGateway(t).Handler())
 	defer srv.Close()
-
-	// Rows naming a session go through a gateway: its session branch buffers
-	// the body before Server.serveViz sees it.
-	gwSrv := httptest.NewServer(testGateway(t).Handler())
-	defer gwSrv.Close()
 
 	for _, tc := range httpCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			base := srv.URL
-			if tc.session != "" {
-				base = gwSrv.URL
-			}
-			req, err := http.NewRequest(tc.method, base+"/viz", strings.NewReader(tc.body))
+			req, err := http.NewRequest(tc.method, srv.URL+"/viz", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,12 +464,8 @@ func TestCountedServingMatchesExecution(t *testing.T) {
 		t.Fatalf("plan-cache hits served = %d, want 16", got)
 	}
 
-	cached, err := NewServerWithConfig(ds, core.OracleRewriter{}, core.HintOnlySpec(),
-		ServerConfig{DefaultBudgetMs: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	handler := cached.Handler()
+	g, cached := oneDatasetGateway(t, ds, core.OracleRewriter{}, ServerConfig{DefaultBudgetMs: 500})
+	handler := g.Handler()
 	kinds := map[string]int{}
 	misses, empty := 0, 0
 	nonEmpty = 0
@@ -594,11 +580,12 @@ func drawServedRequests(ds *workload.Dataset, n int, seed int64) []httpRequest {
 }
 
 // TestHealthzAndMetricsEndpoints: the observability endpoints respond and
-// carry the serving counters.
+// carry the serving counters, per dataset and labeled with its name.
 func TestHealthzAndMetricsEndpoints(t *testing.T) {
-	s := testServer(t)
-	srv := httptest.NewServer(s.Handler())
+	g, s := oneTwitterGateway(t)
+	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
+	name := s.DS.Name
 
 	hr, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -632,7 +619,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 		t.Errorf("first request X-Cache = %q, want miss", got)
 	}
 
-	mr, err := http.Get(srv.URL + "/metrics?format=json")
+	mr, err := http.Get(srv.URL + "/metrics?format=json&dataset=" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,11 +642,12 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
+	label := fmt.Sprintf("dataset=%q", name)
 	for _, want := range []string{
-		"maliva_requests_total 1",
-		`maliva_responses_total{code="2xx"} 1`,
-		"maliva_plan_cache_misses_total 1",
-		`maliva_request_latency_ms{quantile="0.95"}`,
+		"maliva_requests_total{" + label + "} 1",
+		`maliva_responses_total{` + label + `,code="2xx"} 1`,
+		"maliva_plan_cache_misses_total{" + label + "} 1",
+		`maliva_request_latency_ms{` + label + `,quantile="0.95"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus output missing %q:\n%s", want, text)

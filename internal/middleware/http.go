@@ -51,7 +51,7 @@ type httpRequest struct {
 }
 
 // ParseRequest decodes the /viz JSON wire format into a Request. It is the
-// exact decode path Server.Handler uses, exported so the cluster routing
+// exact decode path Gateway.Handler uses, exported so the cluster routing
 // tier can interpret a request body the same way the serving replica will
 // (the unified-key-space routing in internal/cluster depends on both sides
 // agreeing on this normalization).
@@ -63,70 +63,17 @@ func ParseRequest(body []byte) (Request, error) {
 	return hreq.toRequest()
 }
 
-// Handler returns an http.Handler serving:
-//
-//	POST /viz      — visualization requests (admission-controlled)
-//	POST /ingest   — append rows through the adaptive write batcher
-//	GET  /healthz  — liveness probe; status reflects the lifecycle
-//	                 ("ok" / "draining" / "closed")
-//	GET  /metrics  — Prometheus text format; ?format=json for a snapshot
-//
-// Every route runs under the panic-recovery middleware: a panicking request
-// becomes a 500 plus a maliva_panics_total{handler=...} increment, never a
-// dead process.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", recoverPanics(s.metrics, "healthz", s.serveHealthz))
-	mux.HandleFunc("GET /metrics", recoverPanics(s.metrics, "metrics", func(w http.ResponseWriter, r *http.Request) {
-		depth := s.admit.queueLen()
-		if r.URL.Query().Get("format") == "json" {
-			snap := s.metrics.Snapshot()
-			snap.QueueDepthLive = depth
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(snap)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s.metrics.WritePrometheus(w)
-		writeQueueDepth(w, depth)
-	}))
-	mux.HandleFunc("POST /viz", recoverPanics(s.metrics, "viz", func(w http.ResponseWriter, r *http.Request) {
-		s.serveViz(w, r)
-	}))
-	mux.HandleFunc("POST /ingest", recoverPanics(s.metrics, "ingest", s.serveIngest))
-	return mux
-}
-
-// serveHealthz reports liveness plus the lifecycle state. Draining and
-// closed servers answer 503 so health-checked load balancers fail over
-// before the listener disappears.
-func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
-	status := lifecycleStatus(s.state.Load())
-	w.Header().Set("Content-Type", "application/json")
-	if status != "ok" {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"status":     status,
-		"uptime_sec": time.Since(s.metrics.start).Seconds(),
-	})
-}
-
 // writeQueueDepth emits the admission queue-depth gauge. Only live requests
 // ever queue; the lane label keeps the series name stable for dashboards.
 func writeQueueDepth(w io.Writer, live int) {
 	fmt.Fprintf(w, "maliva_admission_queue_depth{lane=\"live\"} %d\n", live)
 }
 
-// serveViz decodes, admits, serves, and encodes one /viz request. It
-// returns the decoded request and whether it was answered 200, which is what
-// the gateway's session tracker observes.
+// serveViz decodes, admits, serves, and encodes one /viz request the
+// gateway routed here. It returns the decoded request and whether it was
+// answered 200, which is what the gateway's session tracker observes.
 func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) (Request, bool) {
 	s.metrics.requests.Add(1)
-	if s.Draining() {
-		s.rejectDraining(w)
-		return Request{}, false
-	}
 	s.fault("viz")
 	req, err := decodeViz(w, r)
 	if err != nil {
@@ -135,7 +82,7 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) (Request, bool
 		return req, false
 	}
 
-	// Admission: wait for a worker slot at most min(QueueTimeout, the
+	// Admission: wait for a worker slot at most min(queueTimeout, the
 	// request's budget read as real milliseconds). The budget measures
 	// virtual engine time, not wall clock, but it is the client's
 	// latency-sensitivity signal — tight-budget requests shed first under
@@ -145,7 +92,7 @@ func (s *Server) serveViz(w http.ResponseWriter, r *http.Request) (Request, bool
 	// The comparison stays in float: converting a huge budget to a Duration
 	// first would overflow to a negative wait.
 	budget := s.effectiveBudget(req) * float64(time.Millisecond)
-	wait := s.cfg.QueueTimeout
+	wait := queueTimeout
 	if budget < float64(wait) {
 		wait = time.Duration(budget)
 	}
@@ -281,12 +228,9 @@ type httpIngest struct {
 	Sync bool             `json:"sync"`
 }
 
-// serveIngest decodes and applies one POST /ingest request.
+// serveIngest decodes and applies one POST /ingest request the gateway
+// routed here.
 func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		s.rejectDraining(w)
-		return
-	}
 	s.fault("ingest")
 	r.Body = http.MaxBytesReader(w, r.Body, MaxIngestBody)
 	var hin httpIngest
@@ -304,7 +248,10 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrDraining):
-			s.rejectDraining(w)
+			// The server closed after the gateway's draining check passed.
+			s.metrics.drainRejected.Add(1)
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		case errors.Is(err, ErrBadRequest):
 			s.metrics.clientErr.Add(1)
 			http.Error(w, err.Error(), http.StatusBadRequest)

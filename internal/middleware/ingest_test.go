@@ -35,6 +35,13 @@ func freshIngestServer(t testing.TB, cfg ServerConfig) *Server {
 	return s
 }
 
+// freshIngestGateway is freshIngestServer behind a one-dataset gateway, for
+// the tests that drive /ingest and /viz over HTTP.
+func freshIngestGateway(t testing.TB, cfg ServerConfig) (*Gateway, *Server) {
+	t.Helper()
+	return oneDatasetGateway(t, testDataset(t), core.OracleRewriter{}, cfg)
+}
+
 // ingestRequests is a small mix of shapes that exercise keyword, time, and
 // geo predicates at different grids.
 func ingestRequests() []Request {
@@ -128,8 +135,8 @@ func TestReadsDuringIngestByteIdentity(t *testing.T) {
 // TestIngestEndpoint drives POST /ingest through the HTTP surface and
 // verifies the flush is visible to an immediately following /viz request.
 func TestIngestEndpoint(t *testing.T) {
-	s := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
-	ts := httptest.NewServer(s.Handler())
+	g, s := freshIngestGateway(t, ServerConfig{DefaultBudgetMs: 500})
+	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 
 	stream, err := workload.NewIngestStream(s.DS, 3)
@@ -190,8 +197,8 @@ func TestIngestEndpoint(t *testing.T) {
 // unknown, so /viz for it is still a 400, and the vocabulary a WAL replay of
 // the accepted batches rebuilds is the one the server serves from.
 func TestRejectedIngestLeavesVocabulary(t *testing.T) {
-	s := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
-	ts := httptest.NewServer(s.Handler())
+	g, s := freshIngestGateway(t, ServerConfig{DefaultBudgetMs: 500})
+	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 	const word = "zzrejectedword"
 	vocab := s.table.Vocab
@@ -237,9 +244,9 @@ func TestRejectedIngestLeavesVocabulary(t *testing.T) {
 // answered byte for byte like the same body without it, and like a server
 // with no caches at all — never from the pre-flush entry still in memory.
 func TestHintNeverServesAnOlderVersion(t *testing.T) {
-	live := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
-	uncached := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1})
-	lts, uts := httptest.NewServer(live.Handler()), httptest.NewServer(uncached.Handler())
+	lg, live := freshIngestGateway(t, ServerConfig{DefaultBudgetMs: 500})
+	ug, uncached := freshIngestGateway(t, ServerConfig{DefaultBudgetMs: 500, PlanCacheSize: -1, ResultCacheSize: -1})
+	lts, uts := httptest.NewServer(lg.Handler()), httptest.NewServer(ug.Handler())
 	defer lts.Close()
 	defer uts.Close()
 	body := map[string]any{
@@ -296,8 +303,8 @@ func TestHintNeverServesAnOlderVersion(t *testing.T) {
 // — the vocabulary keeps its size — and reports ErrDraining, never a client
 // error; over HTTP it is a 503 with Retry-After.
 func TestIngestOnClosedServerIsDraining(t *testing.T) {
-	s := freshIngestServer(t, ServerConfig{DefaultBudgetMs: 500})
-	ts := httptest.NewServer(s.Handler())
+	g, s := freshIngestGateway(t, ServerConfig{DefaultBudgetMs: 500})
+	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 	stream, err := workload.NewIngestStream(s.DS, 5)
 	if err != nil {

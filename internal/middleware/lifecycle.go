@@ -4,40 +4,16 @@ import (
 	"net/http"
 )
 
-// Server lifecycle states. A server starts serving, moves one-way to
-// draining (no new work; in-flight requests finish), and ends closed (the
-// ingest batcher flushed and shut). The health endpoint reports the state so
-// load balancers and the cluster router fail over before the listener goes
-// away.
-const (
-	stateServing int32 = iota
-	stateDraining
-	stateClosed
-)
-
-// lifecycleStatus renders a state for /healthz.
-func lifecycleStatus(state int32) string {
-	switch state {
-	case stateDraining:
-		return "draining"
-	case stateClosed:
-		return "closed"
-	default:
-		return "ok"
-	}
-}
-
-// Drain stops admitting new /viz, /ingest, and prefetch work: newcomers get
-// 503 + Retry-After (a prefetch is simply not started) and /healthz flips to
-// "draining" so health-checked routing fails over. Requests and prefetches
+// Drain stops admitting new ingest and prefetch work: Ingest returns
+// ErrDraining and a prefetch is simply not started. The gateway drains its
+// Servers when it drains, and its own check answers /viz and /ingest with
+// 503 + Retry-After before they reach a Server. Requests and prefetches
 // already past admission run to completion. Draining is one-way; there is
 // no resume.
-func (s *Server) Drain() {
-	s.state.CompareAndSwap(stateServing, stateDraining)
-}
+func (s *Server) Drain() { s.draining.Store(true) }
 
 // Draining reports whether the server has stopped admitting new work.
-func (s *Server) Draining() bool { return s.state.Load() != stateServing }
+func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close drains the server, waits for admitted prefetches to finish, and
 // shuts down its write path: the ingest batcher flushes buffered rows (so
@@ -55,16 +31,8 @@ func (s *Server) Close() error {
 		s.closeErr = s.ingest.Close()
 		s.ingestMu.Unlock()
 		s.unhookFlush()
-		s.state.Store(stateClosed)
 	})
 	return s.closeErr
-}
-
-// rejectDraining writes the draining rejection for one request and counts it.
-func (s *Server) rejectDraining(w http.ResponseWriter) {
-	s.metrics.drainRejected.Add(1)
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, "server is "+lifecycleStatus(s.state.Load()), http.StatusServiceUnavailable)
 }
 
 // SetFaultHook installs a test-only fault injection point: fn runs at the

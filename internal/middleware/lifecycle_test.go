@@ -46,10 +46,11 @@ func postViz(t *testing.T, url string, extra http.Header) *http.Response {
 }
 
 // TestPanicRecoveryHTTP: a panic inside the serving path becomes a 500 plus
-// a counted recovery — the process (and the next request) survive.
+// a counted recovery on the gateway — the process (and the next request)
+// survive.
 func TestPanicRecoveryHTTP(t *testing.T) {
-	s := testServer(t)
-	hsrv := httptest.NewServer(s.Handler())
+	g, s := oneTwitterGateway(t)
+	hsrv := httptest.NewServer(g.Handler())
 	defer hsrv.Close()
 
 	boom := true
@@ -63,7 +64,7 @@ func TestPanicRecoveryHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking request = %d, want 500", resp.StatusCode)
 	}
-	if got := s.metrics.panicsSnapshot()["viz"]; got != 1 {
+	if got := g.gwMetrics.panicsSnapshot()["viz"]; got != 1 {
 		t.Fatalf("panics[viz] = %d, want 1", got)
 	}
 
@@ -90,7 +91,7 @@ func TestPanicRecoveryHTTP(t *testing.T) {
 			break
 		}
 	}
-	if !strings.Contains(sb.String(), `maliva_panics_total{handler="viz"} 1`) {
+	if !strings.Contains(sb.String(), `maliva_gateway_panics_total{handler="viz"} 1`) {
 		t.Fatalf("metrics missing panic series:\n%s", sb.String())
 	}
 }
@@ -149,12 +150,13 @@ func TestPanicRecoveryWorker(t *testing.T) {
 	}
 }
 
-// TestServerDrainAndClose: draining flips /healthz to 503 "draining" and
-// rejects new /viz + /ingest with 503; Close flushes buffered async rows so
-// acknowledged writes are applied before shutdown completes.
+// TestServerDrainAndClose: draining flips /healthz to 503 "draining",
+// rejects new /viz + /ingest with 503 and refuses Ingest on the dataset's
+// Server; Close flushes buffered async rows so acknowledged writes are
+// applied before shutdown completes.
 func TestServerDrainAndClose(t *testing.T) {
-	s := testServer(t)
-	hsrv := httptest.NewServer(s.Handler())
+	g, s := oneTwitterGateway(t)
+	hsrv := httptest.NewServer(g.Handler())
 	defer hsrv.Close()
 
 	// Buffer a few async rows, then drain.
@@ -167,7 +169,10 @@ func TestServerDrainAndClose(t *testing.T) {
 	if _, err := s.Ingest(rows, false); err != nil {
 		t.Fatal(err)
 	}
-	s.Drain()
+	g.Drain()
+	if _, err := s.Ingest(rows, false); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Ingest on a drained server: err = %v, want ErrDraining", err)
+	}
 
 	hr, err := http.Get(hsrv.URL + "/healthz")
 	if err != nil {
@@ -198,13 +203,13 @@ func TestServerDrainAndClose(t *testing.T) {
 	if iresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining /ingest = %d, want 503", iresp.StatusCode)
 	}
-	if got := s.metrics.drainRejected.Load(); got != 2 {
+	if got := g.gwMetrics.drainRejected.Load(); got != 2 {
 		t.Fatalf("drainRejected = %d, want 2", got)
 	}
 
 	// Close honors the async ack contract: every accepted row is applied —
 	// whether the adaptive flusher beat us to it or Close's final flush did.
-	if err := s.Close(); err != nil {
+	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Ingestor().Pending() != 0 {

@@ -112,7 +112,7 @@ type Metrics struct {
 	ingestFlushes atomic.Int64 // applied ingest flushes (data-version bumps)
 
 	execCanceled  atomic.Int64 // misses abandoned before counting because the client went away
-	drainRejected atomic.Int64 // requests refused while draining or closed
+	drainRejected atomic.Int64 // ingests refused because the server closed after the gateway's draining check
 
 	// panics counts recovered handler/worker panics by handler name. Panics
 	// are exceptional, so a mutex-guarded map (arbitrary labels, zero cost on
@@ -182,11 +182,6 @@ type MetricsSnapshot struct {
 	PrefetchShed     int64 `json:"prefetch_shed"`
 	PrefetchComputed int64 `json:"prefetch_computed"`
 	PrefetchHits     int64 `json:"prefetch_hits"`
-
-	// Admission queue depth — an instantaneous gauge filled in by the HTTP
-	// layer (the admission pool is server- or gateway-scoped; Metrics itself
-	// never sees it).
-	QueueDepthLive int `json:"queue_depth_live"`
 
 	BudgetViolations    int64   `json:"budget_violations"`
 	BudgetViolationRate float64 `json:"budget_violation_rate"`
@@ -266,21 +261,16 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	return s
 }
 
-// WritePrometheus renders the counters in Prometheus text exposition format.
-func (m *Metrics) WritePrometheus(w io.Writer) { m.WritePrometheusLabeled(w, "") }
-
-// WritePrometheusLabeled is WritePrometheus with an extra label pair (e.g.
-// `dataset="twitter"`) injected into every series, so a gateway can expose
-// per-dataset rollups on one endpoint. An empty label emits plain series.
+// WritePrometheusLabeled renders the counters in Prometheus text exposition
+// format with label (e.g. `dataset="twitter"`) injected into every series,
+// so a gateway can expose per-dataset rollups on one endpoint.
 func (m *Metrics) WritePrometheusLabeled(w io.Writer, label string) {
 	s := m.Snapshot()
 	p := func(name string, v float64) {
-		if label != "" {
-			if i := strings.IndexByte(name, '{'); i >= 0 {
-				name = name[:i] + "{" + label + "," + name[i+1:]
-			} else {
-				name += "{" + label + "}"
-			}
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			name = name[:i] + "{" + label + "," + name[i+1:]
+		} else {
+			name += "{" + label + "}"
 		}
 		fmt.Fprintf(w, "maliva_%s %g\n", name, v)
 	}

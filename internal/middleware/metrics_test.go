@@ -76,13 +76,13 @@ func TestMetricsSnapshotRates(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	m.WritePrometheus(&buf)
+	m.WritePrometheusLabeled(&buf, `dataset="t"`)
 	out := buf.String()
 	for _, want := range []string{
-		"maliva_requests_total 10",
-		`maliva_responses_total{code="2xx"} 8`,
-		"maliva_plan_cache_hit_rate 0.75",
-		"maliva_budget_violations_total 2",
+		`maliva_requests_total{dataset="t"} 10`,
+		`maliva_responses_total{dataset="t",code="2xx"} 8`,
+		`maliva_plan_cache_hit_rate{dataset="t"} 0.75`,
+		`maliva_budget_violations_total{dataset="t"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q", want)

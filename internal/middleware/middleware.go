@@ -3,7 +3,6 @@ package middleware
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,28 +89,6 @@ type ServerConfig struct {
 	// flush hook's reclaim, never by age. The field remains only because the
 	// benchmark in bench/ still sets it.
 	ResultTTL time.Duration
-	// MaxConcurrent bounds in-flight request execution. Default
-	// 4×GOMAXPROCS; negative disables admission control.
-	MaxConcurrent int
-	// MaxQueue bounds requests waiting for a slot; beyond it requests are
-	// rejected with 429. Default 256.
-	MaxQueue int
-	// QueueTimeout caps how long a request may wait for a slot; the
-	// effective per-request deadline is min(QueueTimeout, its budget_ms
-	// as real time). Default 1s.
-	QueueTimeout time.Duration
-	// Ingest tunes the server's adaptive ingest batcher (zero values pick
-	// the engine defaults; see engine.IngestorConfig).
-	Ingest engine.IngestorConfig
-	// WrapResultCache, when set, wraps the server's built-in result cache
-	// before first use — the extension point internal/cluster uses to layer
-	// a peer-aware cache (local miss → fetch from the key's owning replica)
-	// over the local cache. It must return a ResultCache honoring
-	// the same contract; returning the argument unchanged is a no-op. Not
-	// called when the result cache is disabled (ResultCacheSize < 0):
-	// layering peer round trips over a cache that drops everything would
-	// cost latency and never hit.
-	WrapResultCache func(local ResultCache) ResultCache
 }
 
 // normalized resolves defaults and disables.
@@ -124,15 +101,6 @@ func (c ServerConfig) normalized() ServerConfig {
 	}
 	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 4096
-	}
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = 256
-	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = time.Second
 	}
 	return c
 }
@@ -148,8 +116,8 @@ func (c ServerConfig) normalized() ServerConfig {
 const lookupCacheCap = 8192
 
 // Server is the Maliva middleware bound to one dataset and one rewriter.
-// It is safe for concurrent use; see ServerConfig for the caching and
-// admission knobs.
+// It is safe for concurrent use; see ServerConfig for the caching knobs.
+// Requests reach it over HTTP only through a Gateway (Gateway.Handler).
 type Server struct {
 	DS       *workload.Dataset
 	Rewriter core.Rewriter
@@ -165,8 +133,8 @@ type Server struct {
 	plans   *planCache
 	results ResultCache
 	// local is the built-in cache underneath results (the same value unless
-	// WrapResultCache put a peer-aware cache on top): the flush hook reclaims
-	// dead versions from it directly.
+	// GatewayConfig.WrapResultCache put a peer-aware cache on top): the flush
+	// hook reclaims dead versions from it directly.
 	local   *resultCache
 	admit   *admission
 	metrics *Metrics
@@ -188,10 +156,9 @@ type Server struct {
 	// never plan again.
 	rewriteMu sync.Mutex
 
-	// Lifecycle: serving → draining → closed, one-way (see lifecycle.go).
-	// faultHook is the test-only fault injection point for the panic-recovery
-	// middleware.
-	state     atomic.Int32
+	// Lifecycle: draining is one-way (see lifecycle.go). faultHook is the
+	// test-only fault injection point for the panic-recovery middleware.
+	draining  atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
 	faultHook atomic.Pointer[func(string)]
@@ -234,19 +201,13 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 		lookups:  engine.NewLookupCacheWithCap(lookupCacheCap),
 		plans:    newPlanCache(cfg.PlanCacheSize),
 		local:    newResultCache(cfg.ResultCacheSize),
-		admit:    newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
+		admit:    newAdmission(defaultConcurrency(), admitQueueCap),
 		metrics:  NewMetrics(),
 	}
 	s.results = s.local
 	if cfg.ResultCacheSize > 0 {
 		s.prefetched = newPrefetchMarks(0)
 		s.regions = newRegionIndex(0)
-	}
-	if cfg.WrapResultCache != nil && s.local != nil {
-		s.results = cfg.WrapResultCache(s.local)
-		if s.results == nil {
-			return nil, fmt.Errorf("middleware: WrapResultCache returned a nil ResultCache")
-		}
 	}
 	for _, col := range ds.FilterCols {
 		if !t.HasColumn(col) {
@@ -275,7 +236,7 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 	if s.timeCol == "" && s.geoCol == "" {
 		return nil, fmt.Errorf("middleware: dataset %q has neither a time nor a point filter column", ds.Name)
 	}
-	ing, err := engine.NewIngestor(ds.DB, ds.Main, cfg.Ingest)
+	ing, err := engine.NewIngestor(ds.DB, ds.Main, engine.IngestorConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -367,9 +328,6 @@ func (s *Server) Ingest(rows []map[string]any, sync bool) (IngestResult, error) 
 		Pending:  s.ingest.Pending(),
 	}, nil
 }
-
-// Config returns the normalized serving configuration.
-func (s *Server) Config() ServerConfig { return s.cfg }
 
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }

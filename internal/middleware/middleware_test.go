@@ -33,6 +33,14 @@ func testServer(t testing.TB) *Server {
 	return s
 }
 
+// oneTwitterGateway is testServer behind a one-dataset gateway: the HTTP
+// surface the single-server tests drive. It returns the gateway and its
+// Server; the gateway closes when the test ends.
+func oneTwitterGateway(t testing.TB) (*Gateway, *Server) {
+	t.Helper()
+	return oneDatasetGateway(t, testDataset(t), core.OracleRewriter{}, ServerConfig{DefaultBudgetMs: 500})
+}
+
 func validRequest() Request {
 	return Request{
 		Keyword: "word0005",
@@ -147,8 +155,8 @@ func TestHandleScatter(t *testing.T) {
 }
 
 func TestHTTPEndToEnd(t *testing.T) {
-	s := testServer(t)
-	srv := httptest.NewServer(s.Handler())
+	g, _ := oneTwitterGateway(t)
+	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 
 	// Health probe.

@@ -29,36 +29,28 @@ func SessionID(r *http.Request) string {
 	return r.URL.Query().Get("session")
 }
 
-// SessionConfig tunes session tracking and speculative prefetch. A gateway
-// tracks sessions whenever its result cache is on — with nothing to warm,
-// prediction would be wasted work.
-type SessionConfig struct {
-	// MaxSessions bounds tracked sessions (LRU-evicted). Default 1024.
-	MaxSessions int
-	// MaxPrefetch caps predictions issued per observed request, taken in
-	// priority order. Default 2 (momentum, then parent): every admitted
-	// prediction with a cold plan pays a context build plus an execution,
-	// so on small machines each extra slot buys little hit rate for a lot
-	// of speculative CPU — the compass-neighbor predictions (slot 3+) rarely
-	// earn their work. Raise it on machines with idle cores.
-	MaxPrefetch int
-	// MaxParentGrid skips the zoom-out (parent-tile) prediction when the
-	// doubled grid would exceed this many cells on either axis. Default 256.
-	MaxParentGrid int
-}
+// Session tracking sizes. A gateway tracks sessions whenever its result
+// cache is on — with nothing to warm, prediction would be wasted work.
+const (
+	// maxSessions bounds tracked sessions (LRU-evicted).
+	maxSessions = 1024
+	// defaultMaxPrefetch caps predictions issued per observed request,
+	// taken in priority order (momentum, then parent): every admitted
+	// prediction with a cold plan pays a context build plus a count, so on
+	// small machines each extra slot buys little hit rate for a lot of
+	// speculative CPU — the compass-neighbor predictions (slot 3+) rarely
+	// earn their work.
+	defaultMaxPrefetch = 2
+	// maxParentGrid skips the zoom-out (parent-tile) prediction when the
+	// doubled grid would exceed this many cells on either axis.
+	maxParentGrid = 256
+)
 
-// normalized resolves the config defaults.
-func (c SessionConfig) normalized() SessionConfig {
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 1024
-	}
-	if c.MaxPrefetch <= 0 {
-		c.MaxPrefetch = 2
-	}
-	if c.MaxParentGrid <= 0 {
-		c.MaxParentGrid = 256
-	}
-	return c
+// SessionConfig tunes a SessionTracker.
+type SessionConfig struct {
+	// MaxPrefetch caps the predictions Observe returns. Default 2; the
+	// gateway always uses the default.
+	MaxPrefetch int
 }
 
 // sessionState is one tracked session: its latest viewport and the one
@@ -73,15 +65,17 @@ type sessionState struct {
 // shared by every request goroutine; Observe is a single short critical
 // section.
 type SessionTracker struct {
-	cfg      SessionConfig
-	mu       sync.Mutex
-	sessions *lru[string, *sessionState]
+	maxPrefetch int
+	mu          sync.Mutex
+	sessions    *lru[string, *sessionState]
 }
 
-// NewSessionTracker builds a tracker (cfg is normalized internally).
+// NewSessionTracker builds a tracker.
 func NewSessionTracker(cfg SessionConfig) *SessionTracker {
-	cfg = cfg.normalized()
-	return &SessionTracker{cfg: cfg, sessions: newLRU[string, *sessionState](cfg.MaxSessions, nil)}
+	if cfg.MaxPrefetch <= 0 {
+		cfg.MaxPrefetch = defaultMaxPrefetch
+	}
+	return &SessionTracker{maxPrefetch: cfg.MaxPrefetch, sessions: newLRU[string, *sessionState](maxSessions, nil)}
 }
 
 // Len reports the number of tracked sessions (tests).
@@ -114,7 +108,7 @@ func (t *SessionTracker) Observe(id string, req Request, extent engine.Rect) []R
 	prev, hasPrev := st.prev, st.hasPrev
 	t.mu.Unlock()
 
-	return predictNext(prev, hasPrev, req, extent, t.cfg.MaxPrefetch, t.cfg.MaxParentGrid)
+	return predictNext(prev, hasPrev, req, extent, t.maxPrefetch)
 }
 
 // regionEps is the relative tolerance for treating two viewport regions as
@@ -172,7 +166,7 @@ func snapRegion(r engine.Rect, extent engine.Rect) engine.Rect {
 //
 // Candidates are deduped against each other and against cur, then capped
 // at maxN.
-func predictNext(prev Request, hasPrev bool, cur Request, extent engine.Rect, maxN, maxGrid int) []Request {
+func predictNext(prev Request, hasPrev bool, cur Request, extent engine.Rect, maxN int) []Request {
 	w := cur.Region.MaxLon - cur.Region.MinLon
 	h := cur.Region.MaxLat - cur.Region.MinLat
 	if w <= 0 || h <= 0 || maxN <= 0 {
@@ -224,7 +218,7 @@ func predictNext(prev Request, hasPrev bool, cur Request, extent engine.Rect, ma
 	if gh <= 0 {
 		gh = 64
 	}
-	if 2*gw <= maxGrid && 2*gh <= maxGrid {
+	if 2*gw <= maxParentGrid && 2*gh <= maxParentGrid {
 		pk := math.Floor((cur.Region.MinLon-extent.MinLon)/(2*w) + alignEps)
 		qk := math.Floor((cur.Region.MinLat-extent.MinLat)/(2*h) + alignEps)
 		parent := engine.Rect{

@@ -3,6 +3,7 @@ package middleware
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -83,31 +84,37 @@ func TestPredictParentAligns(t *testing.T) {
 	}
 }
 
-// TestSessionTrackerLRU: the tracker is bounded and evicts the least
-// recently observed session.
+// TestSessionTrackerLRU: the tracker is bounded at maxSessions and evicts
+// the least recently observed session.
 func TestSessionTrackerLRU(t *testing.T) {
 	ext := engine.Rect{MinLon: 0, MinLat: 0, MaxLon: 64, MaxLat: 64}
-	tr := NewSessionTracker(SessionConfig{MaxSessions: 2})
+	tr := NewSessionTracker(SessionConfig{})
 	tr.Observe("a", sessReq(ext, 3, 1, 1), ext)
 	tr.Observe("b", sessReq(ext, 3, 2, 1), ext)
+	for i := 0; i < maxSessions-2; i++ {
+		tr.Observe(fmt.Sprintf("filler-%d", i), sessReq(ext, 3, 5, 5), ext)
+	}
 	tr.Observe("a", sessReq(ext, 3, 1, 2), ext) // refresh a
 	tr.Observe("c", sessReq(ext, 3, 3, 1), ext) // evicts b
-	if tr.Len() != 2 {
-		t.Fatalf("tracker holds %d sessions, want 2", tr.Len())
+	if tr.Len() != maxSessions {
+		t.Fatalf("tracker holds %d sessions, want %d", tr.Len(), maxSessions)
 	}
-	// b was evicted: a fresh observation of b has no momentum even after a
-	// second step... instead verify directly that a survived by checking a
-	// pan of "a" still yields a momentum prediction.
-	preds := tr.Observe("a", sessReq(ext, 3, 1, 3), ext)
-	found := false
-	want := sessReq(ext, 3, 1, 4).Region
-	for _, p := range preds {
-		if sameRegion(p.Region, want) {
-			found = true
+	hasRegion := func(preds []Request, want engine.Rect) bool {
+		for _, p := range preds {
+			if sameRegion(p.Region, want) {
+				return true
+			}
 		}
+		return false
 	}
-	if !found {
+	// a survived: one more pan of a still yields a momentum prediction.
+	if !hasRegion(tr.Observe("a", sessReq(ext, 3, 1, 3), ext), sessReq(ext, 3, 1, 4).Region) {
 		t.Fatal("refreshed session lost its momentum history to LRU eviction")
+	}
+	// b was evicted: its next pan starts a fresh history, so the first
+	// prediction is the parent tile, not a momentum step.
+	if preds := tr.Observe("b", sessReq(ext, 3, 3, 1), ext); len(preds) == 0 || sameRegion(preds[0].Region, sessReq(ext, 3, 4, 1).Region) {
+		t.Fatalf("the least recently observed session kept its history: predictions %+v", preds)
 	}
 }
 
