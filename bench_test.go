@@ -160,33 +160,14 @@ func BenchmarkBuildContextSharedFull(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildContextParallel is BenchmarkBuildContext with the per-option
-// worker pool enabled (0 = GOMAXPROCS). Compare against the serial number to
-// see the per-context speedup on multi-core machines.
-func BenchmarkBuildContextParallel(b *testing.B) {
-	ds, q := benchDB(b)
-	cfg := core.DefaultContextConfig(core.HintOnlySpec())
-	cfg.Parallel = 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildContext(ds.DB, q, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchLabConfig sizes the lab-construction benchmarks: big enough that the
 // per-query fan-out dominates, small enough for -benchtime=1x smoke runs.
-func benchLabConfig(parallel int) harness.LabConfig {
-	return harness.LabConfig{
-		NumQueries: 24,
-		QuerySpec:  workload.QuerySpec{NumPreds: 3, Seed: 5},
-		Space:      core.HintOnlySpec(),
-		Budget:     500,
-		Seed:       9,
-		Parallel:   parallel,
-	}
+var benchLabConfig = harness.LabConfig{
+	NumQueries: 24,
+	QuerySpec:  workload.QuerySpec{NumPreds: 3, Seed: 5},
+	Space:      core.HintOnlySpec(),
+	Budget:     500,
+	Seed:       9,
 }
 
 // benchLabDataset builds the dataset shared by the lab benchmarks.
@@ -202,14 +183,15 @@ func benchLabDataset(b *testing.B) *workload.Dataset {
 	return ds
 }
 
-// BenchmarkBuildLabSerial measures ground-truth pipeline construction with
-// the worker pool disabled — the paper's offline experience-collection cost.
+// BenchmarkBuildLabSerial measures ground-truth pipeline construction on
+// one processor — the paper's offline experience-collection cost.
 func BenchmarkBuildLabSerial(b *testing.B) {
 	ds := benchLabDataset(b)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.BuildLab(ds, benchLabConfig(1)); err != nil {
+		if _, err := harness.BuildLab(ds, benchLabConfig); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,7 +203,7 @@ func BenchmarkBuildLabParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.BuildLab(ds, benchLabConfig(0)); err != nil {
+		if _, err := harness.BuildLab(ds, benchLabConfig); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,15 +216,19 @@ func BenchmarkBuildLabParallel(b *testing.B) {
 func BenchmarkBuildLabSpeedup(b *testing.B) {
 	ds := benchLabDataset(b)
 	b.ResetTimer()
+	procs := runtime.GOMAXPROCS(0)
 	var serialNs, parallelNs int64
 	for i := 0; i < b.N; i++ {
+		runtime.GOMAXPROCS(1)
 		t0 := time.Now()
-		if _, err := harness.BuildLab(ds, benchLabConfig(1)); err != nil {
+		_, err := harness.BuildLab(ds, benchLabConfig)
+		serialNs += time.Since(t0).Nanoseconds()
+		runtime.GOMAXPROCS(procs)
+		if err != nil {
 			b.Fatal(err)
 		}
-		serialNs += time.Since(t0).Nanoseconds()
 		t1 := time.Now()
-		if _, err := harness.BuildLab(ds, benchLabConfig(0)); err != nil {
+		if _, err := harness.BuildLab(ds, benchLabConfig); err != nil {
 			b.Fatal(err)
 		}
 		parallelNs += time.Since(t1).Nanoseconds()
@@ -250,7 +236,7 @@ func BenchmarkBuildLabSpeedup(b *testing.B) {
 	if parallelNs > 0 {
 		b.ReportMetric(float64(serialNs)/float64(parallelNs), "speedup")
 	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "procs")
+	b.ReportMetric(float64(procs), "procs")
 }
 
 // benchServer builds a serving-layer benchmark: a middleware server over

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"github.com/maliva/maliva/internal/core"
 	"github.com/maliva/maliva/internal/engine"
@@ -81,5 +80,4 @@ func main() {
 	if !out.Viable && ctx.NumViable(500) == 0 {
 		fmt.Println("(no exact plan can meet this budget; see examples/quality_aware for approximation rules)")
 	}
-	os.Exit(0)
 }

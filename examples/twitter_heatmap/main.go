@@ -113,7 +113,8 @@ func main() {
 	renderHeatmap(bins, gridW, gridH)
 }
 
-// renderHeatmap prints the count grid with density glyphs (north on top).
+// renderHeatmap prints the count grid with density glyphs (north on top),
+// each row between bars so that no printed line ends in a space.
 func renderHeatmap(bins map[int]float64, w, h int) {
 	var maxV float64
 	for _, v := range bins {
@@ -133,7 +134,7 @@ func renderHeatmap(bins map[int]float64, w, h int) {
 			idx := int(float64(len(glyphs)-1) * v / maxV)
 			row[x] = glyphs[idx]
 		}
-		fmt.Println(string(row))
+		fmt.Println("|" + string(row) + "|")
 	}
 	fmt.Printf("\nmax cell ≈ %.0f matching tweets (sample-weighted)\n", maxV)
 }

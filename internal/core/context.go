@@ -90,25 +90,21 @@ func (c *QueryContext) BestExactMs() float64 {
 	return best
 }
 
+// Context-construction constants.
+const (
+	// sampleRows is the virtual count(*) sample size behind SelSampled
+	// (binomial noise scale).
+	sampleRows = 1000
+	// qualityGridW × qualityGridH is the raster used for Jaccard quality,
+	// over the query's spatial extent (or the table's).
+	qualityGridW, qualityGridH = 128, 128
+)
+
 // ContextConfig controls context construction.
 type ContextConfig struct {
 	Space SpaceSpec
-	// SampleRows is the virtual count(*) sample size behind SelSampled
-	// (binomial noise scale). Default 1000.
-	SampleRows int
-	// QualityGrid is the raster used for Jaccard quality. Default 128×128
-	// over the query's spatial extent (or the table's).
-	QualityGridW, QualityGridH int
 	// Seed decorrelates sampling noise across experiments.
 	Seed int64
-	// Parallel is the worker count for the executions a build still runs
-	// (plans it cannot count): 0 means GOMAXPROCS, 1 forces the serial
-	// path. Every execution is independent and derives its randomness from
-	// the plan fingerprint, so the built context is bit-identical at any
-	// worker count.
-	// DefaultContextConfig sets 1: parallelism is opt-in, so online serving
-	// paths don't spawn a worker pool per request.
-	Parallel int
 	// Lookups optionally shares a predicate-lookup cache across contexts:
 	// a serving layer (or lab build) over one immutable dataset can hold a
 	// single cache so predicates an earlier context scanned skip the index
@@ -123,7 +119,7 @@ type ContextConfig struct {
 
 // DefaultContextConfig returns the standard configuration for a space.
 func DefaultContextConfig(space SpaceSpec) ContextConfig {
-	return ContextConfig{Space: space, SampleRows: 1000, QualityGridW: 128, QualityGridH: 128, Seed: 1, Parallel: 1}
+	return ContextConfig{Space: space, Seed: 1}
 }
 
 // BuildContext prices every rewritten query for q once — counting what an
@@ -225,19 +221,11 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 		plans[i] = optPlan{rq: rq, hint: h, run: schedule(rq, h, i)}
 		needPixels = needPixels || o.IsApprox()
 	}
-	// True selectivities and deterministic sampled estimates. Collected
-	// before the runs fan out: this serial pass looks up every indexed
-	// predicate of q, so by the time workers race, the memo already holds
-	// every posting list a hint can ask the base table for and "one scan per
-	// predicate" holds at any worker count. (Only sample-table scans of
-	// crossed sample options can still race to a duplicate; the memo keeps the
-	// first.)
+	// True selectivities and deterministic sampled estimates. This pass
+	// looks up every indexed predicate of q, so the memo then holds every
+	// posting list a hint can ask the base table for.
 	ctx.SelTrue = db.TrueSelectivitiesCached(q, cache)
 	ctx.SelSampled = make([]float64, len(ctx.SelTrue))
-	sampleRows := cfg.SampleRows
-	if sampleRows <= 0 {
-		sampleRows = 1000
-	}
 	rng := rand.New(rand.NewSource(int64(ctx.Fingerprint)))
 	for i, s := range ctx.SelTrue {
 		ctx.SelSampled[i] = binomialEstimate(rng, s, sampleRows)
@@ -260,27 +248,20 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 		}
 	}
 
-	// Every execution writes only its own slot, so the loop parallelizes
-	// without changing a single output bit; engine noise is a pure function
-	// of (seed, plan fingerprint), not run order.
-	err := runIndexed(len(runs), cfg.Parallel, func(r int) error {
+	for r := range runs {
 		run := &runs[r]
 		if run.counted {
-			return nil
+			continue
 		}
 		var err error
 		run.res, run.stats, err = db.RunCached(run.rq, run.hint, cache)
 		switch {
 		case err == nil:
-			return nil
 		case run.opt < 0:
-			return fmt.Errorf("core: baseline run: %w", err)
+			return nil, nil, fmt.Errorf("core: baseline run: %w", err)
 		default:
-			return fmt.Errorf("core: option %s: %w", opts[run.opt].Label(len(q.Preds)), err)
+			return nil, nil, fmt.Errorf("core: option %s: %w", opts[run.opt].Label(len(q.Preds)), err)
 		}
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	baseRes, baseStats := runs[baseRun].res, runs[baseRun].stats
 	ctx.BaselineMs = baseStats.SimMs
@@ -292,13 +273,12 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 	var grid viz.Grid
 	var origPixels map[int]struct{}
 	if needPixels {
-		grid = qualityGrid(t, q, cfg)
+		grid = qualityGrid(t, q)
 		origPixels = grid.Rasterize(baseRes.Points)
 	}
 
 	// Per-option ground truth from the option's run.
-	err = runIndexed(len(opts), cfg.Parallel, func(i int) error {
-		o := opts[i]
+	for i, o := range opts {
 		run := &runs[plans[i].run]
 		ctx.TrueMs[i] = run.stats.SimMs
 		ctx.NeedSels[i] = NeededSels(q, o)
@@ -308,13 +288,8 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 		} else {
 			ctx.Quality[i] = 1
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	// Identify the baseline's plan among exact options (last match, as in
-	// the original serial loop).
+	// Identify the baseline's plan among exact options (last match).
 	for i, o := range opts {
 		if !o.IsApprox() && o.HasHint &&
 			o.Mask == engine.MaskFromPositions(chosen.Positions) &&
@@ -327,14 +302,8 @@ func BuildContextRows(db *engine.DB, q *engine.Query, cfg ContextConfig) (*Query
 
 // qualityGrid picks the raster extent: the query's geo predicate box when
 // present, otherwise the whole table grid statistic extent.
-func qualityGrid(t *engine.Table, q *engine.Query, cfg ContextConfig) viz.Grid {
-	w, h := cfg.QualityGridW, cfg.QualityGridH
-	if w <= 0 {
-		w = 128
-	}
-	if h <= 0 {
-		h = 128
-	}
+func qualityGrid(t *engine.Table, q *engine.Query) viz.Grid {
+	w, h := qualityGridW, qualityGridH
 	for _, p := range q.Preds {
 		if p.Kind == engine.PredGeo {
 			return viz.NewGrid(p.Box, w, h)

@@ -33,7 +33,7 @@ func fullLookupCache(t *testing.T, db *engine.DB, q *engine.Query) *engine.Looku
 // reaches the shared cache exactly once per build — as a miss the first time,
 // as a hit once the shared cache holds it, and as a miss every time when the
 // shared cache is full — and the built context is bit-identical whether the
-// shared cache is absent, roomy or full, serial or on four workers.
+// shared cache is absent, roomy or full.
 func TestBuildContextOncePerPredicate(t *testing.T) {
 	db, q := smallDB(t, 2000)
 	base := DefaultContextConfig(QualityAwareSpec())
@@ -54,27 +54,20 @@ func TestBuildContextOncePerPredicate(t *testing.T) {
 		{"roomy", roomy, []traffic{{0, 3}, {3, 0}}},
 		{"full", full, []traffic{{0, 3}, {0, 3}}},
 	} {
-		for _, workers := range []int{1, 4} {
-			cfg := base
-			cfg.Lookups = c.shared
-			cfg.Parallel = workers
-			if workers > 1 && c.shared == roomy {
-				roomy.Reset() // same cold-then-warm sequence as the serial pass
+		cfg := base
+		cfg.Lookups = c.shared
+		for b, wantTraffic := range c.builds {
+			h0, m0 := c.shared.Stats()
+			got, err := BuildContext(db, q, cfg)
+			if err != nil {
+				t.Fatalf("%s build %d: %v", c.name, b, err)
 			}
-			for b, wantTraffic := range c.builds {
-				h0, m0 := c.shared.Stats()
-				got, err := BuildContext(db, q, cfg)
-				if err != nil {
-					t.Fatalf("%s workers=%d build %d: %v", c.name, workers, b, err)
-				}
-				h1, m1 := c.shared.Stats()
-				if gotTraffic := (traffic{h1 - h0, m1 - m0}); gotTraffic != wantTraffic {
-					t.Errorf("%s workers=%d build %d: shared cache saw %+v, want %+v",
-						c.name, workers, b, gotTraffic, wantTraffic)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s workers=%d build %d: context diverges from the cache-less serial build", c.name, workers, b)
-				}
+			h1, m1 := c.shared.Stats()
+			if gotTraffic := (traffic{h1 - h0, m1 - m0}); gotTraffic != wantTraffic {
+				t.Errorf("%s build %d: shared cache saw %+v, want %+v", c.name, b, gotTraffic, wantTraffic)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s build %d: context diverges from the cache-less build", c.name, b)
 			}
 		}
 	}
@@ -122,7 +115,7 @@ func TestBuildContextMatchesIndependentRuns(t *testing.T) {
 			if drop == 0 && (ctx.BaselineOption < 0 || ctx.TrueMs[ctx.BaselineOption] != ctx.BaselineMs) {
 				t.Errorf("%s: baseline option %d does not carry the baseline's time", c.name, ctx.BaselineOption)
 			}
-			grid := qualityGrid(db.Table(c.q.Table), c.q, cfg)
+			grid := qualityGrid(db.Table(c.q.Table), c.q)
 			orig := grid.Rasterize(baseRes.Points)
 			distinct := map[float64]bool{}
 			for i, o := range ctx.Options {

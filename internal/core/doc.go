@@ -17,10 +17,9 @@
 //     option's time and quality). BuildContext is the expensive step; it
 //     prices each distinct physical plan among the options once — counting
 //     exact single-table plans from their posting lists (engine.Counter),
-//     executing the rest and fanning those runs out
-//     (ContextConfig.Parallel) — and scans each predicate's index once
-//     through a per-build memo in front of the optional shared
-//     engine.LookupCache (ContextConfig.Lookups).
+//     executing the rest — and scans each predicate's index once through a
+//     per-build memo in front of the optional shared engine.LookupCache
+//     (ContextConfig.Lookups).
 //   - env.go, agent.go — the MDP environment and the deep-Q Agent, with
 //     JSON snapshots: cmd/maliva-train writes them (SaveAgentFile) and
 //     maliva-server -agent loads them (LoadAgentFile).
@@ -28,8 +27,8 @@
 //     implementations (Baseline, Naive, MDP, Oracle, quality-aware
 //     one/two-stage), plus query-time-estimator plumbing.
 //   - replay.go — deterministic replay of recorded decisions.
-//   - parallel.go — RunIndexed, the bounded worker pool the harness,
-//     gateway warmup, and cluster warmup all share.
+//   - parallel.go — RunIndexed, the GOMAXPROCS-wide worker pool the
+//     harness and the gateway's dataset builds share.
 //
 // # Invariants
 //

@@ -11,10 +11,6 @@ type EnvConfig struct {
 	// Beta weighs efficiency against quality in the reward (Eq. 2);
 	// Beta = 1 reduces to the hint-only reward (Eq. 1).
 	Beta float64
-	// InitialCostJitter perturbs the initial C_i values by ±fraction,
-	// deterministically per (query, option): the paper only requires the
-	// initial estimates to be rough. Default 0 (exact).
-	InitialCostJitter float64
 	// StartElapsed pre-charges planning time at Reset (the two-stage
 	// rewriter's second stage inherits the first stage's elapsed time).
 	StartElapsed float64
@@ -63,22 +59,8 @@ func (e *Env) ResetWithElapsed(elapsed float64) {
 	e.done = false
 	e.decided = -1
 	for i := 0; i < n; i++ {
-		c := e.Cfg.QTE.InitialCost(e.Ctx, i)
-		if j := e.Cfg.InitialCostJitter; j > 0 {
-			// Deterministic jitter in [−j, +j] from the query fingerprint.
-			u := float64(mixFingerprint(e.Ctx.Fingerprint, uint64(i))%10000) / 10000
-			c *= 1 + j*(2*u-1)
-		}
-		e.costs[i] = c
+		e.costs[i] = e.Cfg.QTE.InitialCost(e.Ctx, i)
 	}
-}
-
-// mixFingerprint derives a per-option stream from the query fingerprint.
-func mixFingerprint(fp, i uint64) uint64 {
-	x := fp ^ (i+1)*0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }
 
 // N returns the action-space size.

@@ -217,26 +217,6 @@ func TestEnvStepPanics(t *testing.T) {
 	}
 }
 
-func TestEnvInitialCostJitterDeterministic(t *testing.T) {
-	ctx := synthContext([]float64{100, 100}, [][]int{{0}, {1}})
-	cfg := EnvConfig{Budget: 500, QTE: &stubQTE{UnitMs: 100}, Beta: 1, InitialCostJitter: 0.25}
-	e1 := NewEnv(cfg, ctx)
-	e2 := NewEnv(cfg, ctx)
-	s1, s2 := e1.State(), e2.State()
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatal("jitter not deterministic")
-		}
-	}
-	// Jitter stays within ±25%.
-	base := 100.0 / 500
-	for _, v := range s1[1:3] {
-		if v < base*0.74 || v > base*1.26 {
-			t.Errorf("jittered cost %v outside ±25%% of %v", v, base)
-		}
-	}
-}
-
 func TestSelCache(t *testing.T) {
 	c := NewSelCache()
 	if c.Missing([]int{0, 1, 2}) != 3 || c.Len() != 0 {

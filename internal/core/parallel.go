@@ -6,22 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// RunIndexed executes fn(0..n-1) on a bounded worker pool. workers ≤ 0 uses
-// GOMAXPROCS; workers == 1 (or n == 1) runs inline with zero goroutine
+// RunIndexed executes fn(0..n-1) on a worker pool of GOMAXPROCS goroutines;
+// with one processor (or n == 1) it runs inline with zero goroutine
 // overhead. fn must only write state owned by its index — under that
-// contract the results are identical at any worker count. When several
-// calls fail, the error of the lowest index is returned, so error reporting
-// is deterministic too.
-func RunIndexed(n, workers int, fn func(int) error) error {
+// contract the results are identical at any GOMAXPROCS. When several calls
+// fail, the error of the lowest index is returned, so error reporting is
+// deterministic too.
+func RunIndexed(n int, fn func(int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
@@ -55,9 +50,4 @@ func RunIndexed(n, workers int, fn func(int) error) error {
 		}
 	}
 	return nil
-}
-
-// runIndexed is the package-internal spelling used by BuildContext.
-func runIndexed(n, workers int, fn func(int) error) error {
-	return RunIndexed(n, workers, fn)
 }

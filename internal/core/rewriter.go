@@ -78,11 +78,10 @@ func (r NaiveRewriter) Rewrite(ctx *QueryContext, budget float64) Outcome {
 // MDPRewriter wraps a trained agent with an environment configuration: the
 // Maliva rewriter proper (§5.2).
 type MDPRewriter struct {
-	Agent  *Agent
-	QTE    Estimator
-	Beta   float64 // 1 for hint-only spaces
-	Tag    string  // display name suffix, e.g. "Accurate-QTE"
-	Jitter float64 // initial-cost jitter (see EnvConfig)
+	Agent *Agent
+	QTE   Estimator
+	Beta  float64 // 1 for hint-only spaces
+	Tag   string  // display name suffix, e.g. "Accurate-QTE"
 }
 
 // Name implements Rewriter.
@@ -104,7 +103,7 @@ func (r *MDPRewriter) Rewrite(ctx *QueryContext, budget float64) Outcome {
 	if r.Agent.NumOpts != len(ctx.Options) {
 		return BaselineRewriter{}.Rewrite(ctx, budget)
 	}
-	env := NewEnv(EnvConfig{Budget: budget, QTE: r.QTE, Beta: r.betaOrDefault(), InitialCostJitter: r.Jitter}, ctx)
+	env := NewEnv(EnvConfig{Budget: budget, QTE: r.QTE, Beta: r.betaOrDefault()}, ctx)
 	return r.Agent.Rewrite(env)
 }
 

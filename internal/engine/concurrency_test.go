@@ -103,7 +103,7 @@ func TestLookupCacheMatchesDirectExecution(t *testing.T) {
 		}
 	}
 	// Cached true selectivities agree with the direct computation.
-	direct := db.TrueSelectivities(q)
+	direct := db.TrueSelectivitiesCached(q, nil)
 	viaCache := db.TrueSelectivitiesCached(q, cache)
 	if !reflect.DeepEqual(direct, viaCache) {
 		t.Errorf("cached selectivities %v, want %v", viaCache, direct)

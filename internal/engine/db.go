@@ -8,9 +8,10 @@ import (
 
 // DB is the engine façade: a set of tables plus an execution profile. Once
 // loading (AddTable, BuildIndex, BuildSample) is done, the DB is safe for
-// concurrent readers: Run, ChoosePlan, EstimatePlan and TrueSelectivities
-// only read table data, and the lazily-built statistics cache below is the
-// single mutable structure, guarded by a read-mostly lock.
+// concurrent readers: Run, ChoosePlan, EstimatePlanSels and
+// TrueSelectivitiesCached only read table data, and the lazily-built
+// statistics cache below is the single mutable structure, guarded by a
+// read-mostly lock.
 type DB struct {
 	Tables  map[string]*Table
 	Profile Profile
@@ -147,16 +148,11 @@ func (db *DB) fireFlushHooks(table string, version uint64) {
 	}
 }
 
-// TrueSelectivities computes exact selectivities for all main-table
-// predicates of q (ground truth for QTEs and workload construction).
-func (db *DB) TrueSelectivities(q *Query) []float64 {
-	return db.TrueSelectivitiesCached(q, nil)
-}
-
-// TrueSelectivitiesCached is TrueSelectivities with the index scans routed
-// through an optional lookup cache, so ground-truth collection shares scans
-// with the option executions of the same query. A nil cache disables
-// memoization.
+// TrueSelectivitiesCached computes exact selectivities for all main-table
+// predicates of q (ground truth for QTEs and workload construction), with
+// the index scans routed through an optional lookup cache, so ground-truth
+// collection shares scans with the option executions of the same query. A
+// nil cache disables memoization.
 func (db *DB) TrueSelectivitiesCached(q *Query, c *LookupCache) []float64 {
 	t := db.table(q.Table)
 	out := make([]float64, len(q.Preds))

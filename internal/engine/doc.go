@@ -39,6 +39,11 @@
 //     an unbounded per-build memo in front of a shared (possibly full)
 //     cache; DB.ResolvePlan tells a caller which rewrites are the same
 //     physical plan, so it can run each once.
+//   - ingest.go, wal.go — the write path: DB.ApplyBatch, the adaptive
+//     Ingestor in front of it, and the per-table write-ahead log. An
+//     Ingestor has one flusher, so batches apply in the order they were
+//     taken and a Flush returns only once every row added before it is
+//     applied and logged.
 //
 // # Invariants
 //

@@ -292,39 +292,40 @@ type FlushStats struct {
 	Took    time.Duration
 }
 
-// IngestorConfig tunes an Ingestor's adaptive flush policy.
-type IngestorConfig struct {
-	// MaxBatch is the size trigger: a pending buffer reaching this many rows
-	// flushes immediately. <= 0 picks DefaultIngestMaxBatch.
-	MaxBatch int
-	// MinDelay floors the adaptive latency trigger. <= 0 picks
-	// DefaultIngestMinDelay.
-	MinDelay time.Duration
-	// MaxDelay caps the latency trigger: no accepted row waits longer than
-	// this for visibility. <= 0 picks DefaultIngestMaxDelay.
-	MaxDelay time.Duration
-	// Now is the clock (tests inject a fake); nil means time.Now.
-	Now func() time.Time
-}
-
-// Default adaptive-flush tuning.
+// The adaptive flush policy.
 const (
-	DefaultIngestMaxBatch = 512
-	DefaultIngestMinDelay = 2 * time.Millisecond
-	DefaultIngestMaxDelay = 200 * time.Millisecond
+	// ingestMaxBatch is the size trigger: a pending buffer reaching this many
+	// rows flushes immediately.
+	ingestMaxBatch = 512
+	// ingestMinDelay floors the adaptive latency trigger.
+	ingestMinDelay = 2 * time.Millisecond
+	// ingestMaxDelay caps the latency trigger: no accepted row waits longer
+	// than this for visibility.
+	ingestMaxDelay = 200 * time.Millisecond
 )
 
 // Ingestor batches appends to one table with adaptive flushing: a flush
-// fires when the pending buffer reaches MaxBatch rows (size trigger) or when
+// fires when the pending buffer reaches maxBatch rows (size trigger) or when
 // a delay adapted to the observed append rate elapses (latency trigger).
 // Sparse streams flush almost immediately — the delay tracks a multiple of
-// the EWMA inter-append gap, floored at MinDelay — while dense streams let
-// the size trigger dominate and only fall back to the MaxDelay ceiling,
+// the EWMA inter-append gap, floored at minDelay — while dense streams let
+// the size trigger dominate and only fall back to the maxDelay ceiling,
 // which bounds worst-case staleness. An Ingestor is safe for concurrent use.
 type Ingestor struct {
 	db    *DB
 	table string
-	cfg   IngestorConfig
+
+	// The flush policy and the clock; tests shrink the limits and fake the
+	// clock in-package.
+	maxBatch           int
+	minDelay, maxDelay time.Duration
+	now                func() time.Time
+
+	// flushMu makes the ingestor's one flusher: it is held from taking the
+	// pending buffer through applying it and the onFlush callback, so
+	// batches apply in the order they were taken, and a Flush that finds
+	// nothing pending returns only after every earlier flush has applied.
+	flushMu sync.Mutex
 
 	mu      sync.Mutex
 	pending *Batch
@@ -332,18 +333,12 @@ type Ingestor struct {
 	lastAdd time.Time
 	ewmaGap time.Duration
 	closed  bool
-	// inFlight counts flushes that have taken a pending buffer and not yet
-	// applied it; Close waits for them.
-	inFlight sync.WaitGroup
 
 	onFlush atomic.Pointer[func(FlushStats)]
-
-	rowsIn  atomic.Int64
-	flushes atomic.Int64
 }
 
 // NewIngestor returns an ingestor for the named base table.
-func NewIngestor(db *DB, table string, cfg IngestorConfig) (*Ingestor, error) {
+func NewIngestor(db *DB, table string) (*Ingestor, error) {
 	t := db.Table(table)
 	if t == nil {
 		return nil, fmt.Errorf("engine: NewIngestor: unknown table %q", table)
@@ -351,27 +346,16 @@ func NewIngestor(db *DB, table string, cfg IngestorConfig) (*Ingestor, error) {
 	if t.SampleOf != nil {
 		return nil, fmt.Errorf("engine: NewIngestor: %q is a sample table", table)
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultIngestMaxBatch
-	}
-	if cfg.MinDelay <= 0 {
-		cfg.MinDelay = DefaultIngestMinDelay
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = DefaultIngestMaxDelay
-	}
-	if cfg.MaxDelay < cfg.MinDelay {
-		cfg.MaxDelay = cfg.MinDelay
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return &Ingestor{db: db, table: table, cfg: cfg}, nil
+	return &Ingestor{
+		db: db, table: table,
+		maxBatch: ingestMaxBatch, minDelay: ingestMinDelay, maxDelay: ingestMaxDelay,
+		now: time.Now,
+	}, nil
 }
 
 // SetOnFlush registers a callback fired after each applied flush (at most
-// one; later calls replace earlier ones). It runs outside the ingestor's
-// lock, after the DB's own flush hooks.
+// one; later calls replace earlier ones). It runs after the DB's own flush
+// hooks and before the next flush takes a buffer, so it must not call Flush.
 func (in *Ingestor) SetOnFlush(fn func(FlushStats)) { in.onFlush.Store(&fn) }
 
 // Version returns the table's current data version.
@@ -387,11 +371,6 @@ func (in *Ingestor) Pending() int {
 	return in.pending.Rows()
 }
 
-// Totals returns lifetime accepted rows and applied flushes.
-func (in *Ingestor) Totals() (rows, flushes int64) {
-	return in.rowsIn.Load(), in.flushes.Load()
-}
-
 // Add buffers one batch, flushing synchronously when the size trigger fires
 // and arming the adaptive latency timer otherwise. flushed reports whether
 // this call applied a flush.
@@ -405,7 +384,7 @@ func (in *Ingestor) Add(b *Batch) (flushed bool, err error) {
 		in.mu.Unlock()
 		return false, fmt.Errorf("engine: ingestor for %q is closed", in.table)
 	}
-	now := in.cfg.Now()
+	now := in.now()
 	if !in.lastAdd.IsZero() {
 		gap := now.Sub(in.lastAdd)
 		if gap < 0 {
@@ -426,8 +405,7 @@ func (in *Ingestor) Add(b *Batch) (flushed bool, err error) {
 		in.mu.Unlock()
 		return false, err
 	}
-	in.rowsIn.Add(int64(b.Rows()))
-	if in.pending.Rows() >= in.cfg.MaxBatch {
+	if in.pending.Rows() >= in.maxBatch {
 		in.mu.Unlock()
 		_, err := in.Flush()
 		return true, err
@@ -445,18 +423,21 @@ func (in *Ingestor) Add(b *Batch) (flushed bool, err error) {
 // inter-append gap. Callers hold in.mu.
 func (in *Ingestor) delay() time.Duration {
 	d := 8 * in.ewmaGap
-	if d < in.cfg.MinDelay {
-		d = in.cfg.MinDelay
+	if d < in.minDelay {
+		d = in.minDelay
 	}
-	if d > in.cfg.MaxDelay {
-		d = in.cfg.MaxDelay
+	if d > in.maxDelay {
+		d = in.maxDelay
 	}
 	return d
 }
 
-// Flush applies the pending buffer now (a no-op returning the current
-// version when nothing is pending) and returns the resulting data version.
+// Flush applies the pending buffer now and returns the resulting data
+// version. With nothing pending it returns the current version, once every
+// flush that took a buffer before it has applied.
 func (in *Ingestor) Flush() (uint64, error) {
+	in.flushMu.Lock()
+	defer in.flushMu.Unlock()
 	in.mu.Lock()
 	b := in.pending
 	in.pending = nil
@@ -464,36 +445,28 @@ func (in *Ingestor) Flush() (uint64, error) {
 		in.timer.Stop()
 		in.timer = nil
 	}
-	apply := b != nil && b.Rows() > 0
-	if apply {
-		in.inFlight.Add(1)
-	}
 	in.mu.Unlock()
-	if !apply {
+	if b == nil || b.Rows() == 0 {
 		return in.Version(), nil
 	}
-	defer in.inFlight.Done()
-	start := in.cfg.Now()
+	start := in.now()
 	v, err := in.db.ApplyBatch(in.table, b, start)
 	if err != nil {
 		return 0, err
 	}
-	took := in.cfg.Now().Sub(start)
-	in.flushes.Add(1)
 	if fn := in.onFlush.Load(); fn != nil && *fn != nil {
-		(*fn)(FlushStats{Table: in.table, Version: v, Rows: b.Rows(), Took: took})
+		(*fn)(FlushStats{Table: in.table, Version: v, Rows: b.Rows(), Took: in.now().Sub(start)})
 	}
 	return v, nil
 }
 
-// Close flushes any pending rows and rejects further Adds. It returns once
-// every flush already under way has applied, so closing the table's WAL next
-// cannot cut off an accepted batch.
+// Close flushes any pending rows and rejects further Adds. Its flush waits
+// for one already under way, so closing the table's WAL next cannot cut off
+// an accepted batch.
 func (in *Ingestor) Close() error {
 	in.mu.Lock()
 	in.closed = true
 	in.mu.Unlock()
 	_, err := in.Flush()
-	in.inFlight.Wait()
 	return err
 }

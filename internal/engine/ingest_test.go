@@ -265,14 +265,13 @@ func TestApplyBatchErrors(t *testing.T) {
 func TestIngestorSizeTrigger(t *testing.T) {
 	db := buildTestDB(t, 200, 5)
 	clock := time.Unix(1700000000, 0)
-	in, err := NewIngestor(db, "events", IngestorConfig{
-		MaxBatch: 8,
-		MaxDelay: time.Hour, // latency trigger out of the picture
-		Now:      func() time.Time { return clock },
-	})
+	in, err := NewIngestor(db, "events")
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.maxBatch = 8
+	in.maxDelay = time.Hour // latency trigger out of the picture
+	in.now = func() time.Time { return clock }
 	if flushed, err := in.Add(ingestBatch(t, 1, 5)); err != nil || flushed {
 		t.Fatalf("first add: flushed=%v err=%v, want buffered", flushed, err)
 	}
@@ -288,37 +287,30 @@ func TestIngestorSizeTrigger(t *testing.T) {
 	if v := in.Version(); v != 1 {
 		t.Errorf("version = %d, want 1", v)
 	}
-	if rows, flushes := in.Totals(); rows != 10 || flushes != 1 {
-		t.Errorf("totals = (%d rows, %d flushes), want (10, 1)", rows, flushes)
-	}
 	if got := db.Table("events").Rows; got != 210 {
 		t.Errorf("table rows = %d, want 210", got)
 	}
 }
 
 // TestIngestorAdaptiveDelay: the latency-trigger delay tracks 8× the EWMA
-// inter-append gap, clamped to [MinDelay, MaxDelay].
+// inter-append gap, clamped to [ingestMinDelay, ingestMaxDelay].
 func TestIngestorAdaptiveDelay(t *testing.T) {
 	db := buildTestDB(t, 200, 5)
 	clock := time.Unix(1700000000, 0)
-	cfg := IngestorConfig{
-		MaxBatch: 1 << 20, // size trigger out of the picture
-		MinDelay: 2 * time.Millisecond,
-		MaxDelay: 200 * time.Millisecond,
-		Now:      func() time.Time { return clock },
-	}
-	in, err := NewIngestor(db, "events", cfg)
+	in, err := NewIngestor(db, "events")
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.maxBatch = 1 << 20 // size trigger out of the picture
+	in.now = func() time.Time { return clock }
 	delay := func() time.Duration {
 		in.mu.Lock()
 		defer in.mu.Unlock()
 		return in.delay()
 	}
 	// No gap observed yet → floor.
-	if d := delay(); d != cfg.MinDelay {
-		t.Errorf("cold delay = %v, want MinDelay %v", d, cfg.MinDelay)
+	if d := delay(); d != ingestMinDelay {
+		t.Errorf("cold delay = %v, want the floor %v", d, ingestMinDelay)
 	}
 	add := func(seed int64, gap time.Duration) {
 		t.Helper()
@@ -337,15 +329,15 @@ func TestIngestorAdaptiveDelay(t *testing.T) {
 	for i := int64(3); i < 20; i++ {
 		add(i, 0)
 	}
-	if d := delay(); d != cfg.MinDelay {
-		t.Errorf("dense-stream delay = %v, want MinDelay %v", d, cfg.MinDelay)
+	if d := delay(); d != ingestMinDelay {
+		t.Errorf("dense-stream delay = %v, want the floor %v", d, ingestMinDelay)
 	}
-	// A sparse stream is capped at MaxDelay.
+	// A sparse stream is capped at the ceiling.
 	for i := int64(20); i < 26; i++ {
 		add(i, 5*time.Second)
 	}
-	if d := delay(); d != cfg.MaxDelay {
-		t.Errorf("sparse-stream delay = %v, want MaxDelay %v", d, cfg.MaxDelay)
+	if d := delay(); d != ingestMaxDelay {
+		t.Errorf("sparse-stream delay = %v, want the ceiling %v", d, ingestMaxDelay)
 	}
 	if _, err := in.Flush(); err != nil {
 		t.Fatal(err)
@@ -356,20 +348,18 @@ func TestIngestorAdaptiveDelay(t *testing.T) {
 // further traffic once the adaptive timer fires.
 func TestIngestorLatencyTrigger(t *testing.T) {
 	db := buildTestDB(t, 200, 5)
-	in, err := NewIngestor(db, "events", IngestorConfig{
-		MaxBatch: 1 << 20,
-		MinDelay: time.Millisecond,
-		MaxDelay: 5 * time.Millisecond,
-	})
+	in, err := NewIngestor(db, "events")
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.maxBatch = 1 << 20
+	in.minDelay, in.maxDelay = time.Millisecond, 5*time.Millisecond
 	if flushed, err := in.Add(ingestBatch(t, 1, 3)); err != nil || flushed {
 		t.Fatalf("add: flushed=%v err=%v", flushed, err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, flushes := in.Totals(); flushes >= 1 {
+		if in.Version() >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -388,10 +378,11 @@ func TestIngestorLatencyTrigger(t *testing.T) {
 // TestIngestorClose: Close flushes the tail and rejects further adds.
 func TestIngestorClose(t *testing.T) {
 	db := buildTestDB(t, 200, 5)
-	in, err := NewIngestor(db, "events", IngestorConfig{MaxBatch: 1 << 20, MaxDelay: time.Hour})
+	in, err := NewIngestor(db, "events")
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.maxBatch, in.maxDelay = 1<<20, time.Hour
 	if _, err := in.Add(ingestBatch(t, 1, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -412,14 +403,12 @@ func TestIngestorClose(t *testing.T) {
 // loses the batch.
 func TestIngestorCloseWaitsForInFlightFlush(t *testing.T) {
 	db := buildTestDB(t, 200, 5)
-	in, err := NewIngestor(db, "events", IngestorConfig{
-		MaxBatch: 1 << 20,
-		MinDelay: time.Millisecond,
-		MaxDelay: time.Millisecond,
-	})
+	in, err := NewIngestor(db, "events")
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.maxBatch = 1 << 20
+	in.minDelay, in.maxDelay = time.Millisecond, time.Millisecond
 	entered, release := make(chan struct{}), make(chan struct{})
 	var hookDone atomic.Bool
 	db.OnFlush(func(string, uint64) {
@@ -444,6 +433,56 @@ func TestIngestorCloseWaitsForInFlightFlush(t *testing.T) {
 	}
 	if !hookDone.Load() {
 		t.Error("Close returned before the in-flight flush finished")
+	}
+}
+
+// TestIngestorSyncFlushWaitsForTimerFlush: the latency timer's flush has
+// taken the pending rows and is blocked applying them (a reader holds the
+// data lock). A sync Flush then finds nothing pending, but it must not
+// return until those rows are applied: its caller acknowledges them as
+// visible and logged.
+func TestIngestorSyncFlushWaitsForTimerFlush(t *testing.T) {
+	db := buildTestDB(t, 200, 5)
+	in, err := NewIngestor(db, "events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.minDelay, in.maxDelay = time.Millisecond, time.Millisecond
+	db.RLockData()
+	if _, err := in.Add(ingestBatch(t, 1, 3)); err != nil {
+		db.RUnlockData()
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for in.Pending() != 0 {
+		if time.Now().After(deadline) {
+			db.RUnlockData()
+			t.Fatal("the latency timer never took the pending rows")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	type flushed struct {
+		v   uint64
+		err error
+	}
+	done := make(chan flushed, 1)
+	go func() {
+		v, err := in.Flush()
+		done <- flushed{v, err}
+	}()
+	select {
+	case f := <-done:
+		db.RUnlockData()
+		t.Fatalf("sync Flush returned v%d while the timer's flush was blocked (err %v)", f.v, f.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	db.RUnlockData()
+	f := <-done
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	if rows := db.Table("events").Rows; f.v != 1 || rows != 203 {
+		t.Fatalf("sync Flush returned v%d with rows=%d, want v1 with 203", f.v, rows)
 	}
 }
 

@@ -117,13 +117,6 @@ func (db *DB) ChoosePlan(q *Query) PlanEstimate {
 	return db.bestPlan(q, db.EstimateSels(q))
 }
 
-// EstimatePlan returns the optimizer's estimate for one specific hint,
-// without choosing. Bao featurizes these. An unforced hint falls back to the
-// optimizer's own choice, as the backend would.
-func (db *DB) EstimatePlan(q *Query, h Hint) PlanEstimate {
-	return db.EstimatePlanSels(q, h, db.EstimateSels(q))
-}
-
 // EstimateSels returns the optimizer's selectivity estimates for q's
 // predicates. They depend only on q's table and predicates, so the rewrites
 // of one query, which share both, share them too.
@@ -131,9 +124,11 @@ func (db *DB) EstimateSels(q *Query) []float64 {
 	return db.statsFor(q.Table).estimateSels(q)
 }
 
-// EstimatePlanSels is EstimatePlan given sels = EstimateSels(q), which a
-// caller estimating many rewrites of one query computes once. sels is only
-// read.
+// EstimatePlanSels returns the optimizer's estimate for one specific hint,
+// without choosing, given sels = EstimateSels(q), which a caller estimating
+// many rewrites of one query computes once (sels is only read). Bao
+// featurizes these. An unforced hint falls back to the optimizer's own
+// choice, as the backend would.
 func (db *DB) EstimatePlanSels(q *Query, h Hint, sels []float64) PlanEstimate {
 	if !h.Forced {
 		pe := db.bestPlan(q, sels)

@@ -28,7 +28,7 @@ func TestEstimatePlanForcedMatchesPositions(t *testing.T) {
 	db := buildTestDB(t, 3000, 22)
 	q := testQuery(db)
 	h := ForcedHint([]int{0, 2}, JoinAuto)
-	pe := db.EstimatePlan(q, h)
+	pe := db.EstimatePlanSels(q, h, db.EstimateSels(q))
 	if len(pe.Positions) != 2 || pe.Positions[0] != 0 || pe.Positions[1] != 2 {
 		t.Errorf("Positions = %v", pe.Positions)
 	}
@@ -41,10 +41,10 @@ func TestEstimatePlanForcedMatchesPositions(t *testing.T) {
 		}
 	}
 	// Unforced falls back to the optimizer's choice.
-	auto := db.EstimatePlan(q, Hint{})
+	auto := db.EstimatePlanSels(q, Hint{}, db.EstimateSels(q))
 	chosen := db.ChoosePlan(q)
 	if len(auto.Positions) != len(chosen.Positions) {
-		t.Errorf("auto EstimatePlan %v != ChoosePlan %v", auto.Positions, chosen.Positions)
+		t.Errorf("auto EstimatePlanSels %v != ChoosePlan %v", auto.Positions, chosen.Positions)
 	}
 }
 

@@ -97,9 +97,6 @@ func ForcedHint(predPositions []int, join JoinMethod) Hint {
 	return Hint{UseIndex: append([]int(nil), predPositions...), Forced: true, Join: join}
 }
 
-// AutoHint returns the empty hint (optimizer decides everything).
-func AutoHint() Hint { return Hint{} }
-
 // MaskFromPositions converts predicate positions to a bitmask.
 func MaskFromPositions(pos []int) uint32 {
 	var m uint32

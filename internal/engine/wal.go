@@ -73,23 +73,17 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 type WALConfig struct {
 	// Policy selects the fsync discipline. Zero value is FsyncAlways.
 	Policy FsyncPolicy
-	// SyncInterval is the background sync period under FsyncInterval.
-	// <= 0 picks DefaultWALSyncInterval.
-	SyncInterval time.Duration
-	// MaxSegmentBytes rotates the active segment once it exceeds this size.
-	// <= 0 picks DefaultWALSegmentBytes.
-	MaxSegmentBytes int64
-	// CheckpointSegments triggers a checkpoint (and sealed-segment deletion)
-	// once more than this many sealed segments accumulate. <= 0 picks
-	// DefaultWALCheckpointSegments.
-	CheckpointSegments int
 }
 
-// Default WAL tuning.
+// WAL tuning.
 const (
-	DefaultWALSyncInterval       = 50 * time.Millisecond
-	DefaultWALSegmentBytes       = 4 << 20
-	DefaultWALCheckpointSegments = 4
+	// walSyncInterval is the background sync period under FsyncInterval.
+	walSyncInterval = 50 * time.Millisecond
+	// walSegmentBytes rotates the active segment once it exceeds this size.
+	walSegmentBytes = 4 << 20
+	// walCheckpointSegments triggers a checkpoint (and sealed-segment
+	// deletion) once more than this many sealed segments accumulate.
+	walCheckpointSegments = 4
 )
 
 // WAL file-layout names. Segment files are wal-<seq>.seg where <seq> is the
@@ -153,7 +147,10 @@ type WAL struct {
 	dir      string
 	table    string
 	baseRows int
-	cfg      WALConfig
+	policy   FsyncPolicy
+	// Rotation and checkpoint limits; tests shrink them in-package.
+	segmentBytes       int64
+	checkpointSegments int
 
 	mu     sync.Mutex
 	f      *os.File // active segment
@@ -187,20 +184,6 @@ func (w *WAL) CheckpointErr() error {
 	return nil
 }
 
-// normalizeWALConfig fills config defaults.
-func normalizeWALConfig(cfg WALConfig) WALConfig {
-	if cfg.SyncInterval <= 0 {
-		cfg.SyncInterval = DefaultWALSyncInterval
-	}
-	if cfg.MaxSegmentBytes <= 0 {
-		cfg.MaxSegmentBytes = DefaultWALSegmentBytes
-	}
-	if cfg.CheckpointSegments <= 0 {
-		cfg.CheckpointSegments = DefaultWALCheckpointSegments
-	}
-	return cfg
-}
-
 // AttachWAL opens (or creates) the write-ahead log for the named base table
 // in dir, replays any logged state into the table — checkpoint first, then
 // segment records, truncating a torn or corrupt tail at the last valid
@@ -227,7 +210,10 @@ func (db *DB) AttachWAL(table, dir string, cfg WALConfig) (*WAL, WALReplayStats,
 		return nil, stats, err
 	}
 
-	w := &WAL{dir: dir, table: table, baseRows: t.Rows, cfg: normalizeWALConfig(cfg)}
+	w := &WAL{
+		dir: dir, table: table, baseRows: t.Rows, policy: cfg.Policy,
+		segmentBytes: walSegmentBytes, checkpointSegments: walCheckpointSegments,
+	}
 	if err := w.loadOrInitMeta(t); err != nil {
 		return nil, stats, err
 	}
@@ -246,7 +232,7 @@ func (db *DB) AttachWAL(table, dir string, cfg WALConfig) (*WAL, WALReplayStats,
 	db.wals[table] = w
 	db.mu.Unlock()
 
-	if w.cfg.Policy == FsyncInterval {
+	if w.policy == FsyncInterval {
 		w.stop = make(chan struct{})
 		w.done = make(chan struct{})
 		go w.syncLoop()
@@ -389,7 +375,7 @@ func (w *WAL) append(seq uint64, at time.Time, b *Batch, vocab *Vocab) error {
 	}
 	frame := walFrame(encodeWALRecord(nil, seq, at, b, vocab))
 
-	if w.size > 0 && w.size+int64(len(frame)) > w.cfg.MaxSegmentBytes {
+	if w.size > 0 && w.size+int64(len(frame)) > w.segmentBytes {
 		if err := w.rotateLocked(seq); err != nil {
 			return err
 		}
@@ -399,7 +385,7 @@ func (w *WAL) append(seq uint64, at time.Time, b *Batch, vocab *Vocab) error {
 	}
 	w.size += int64(len(frame))
 	w.appends.Add(1)
-	if w.cfg.Policy == FsyncAlways {
+	if w.policy == FsyncAlways {
 		if err := w.f.Sync(); err != nil {
 			return err
 		}
@@ -431,7 +417,7 @@ func (w *WAL) rotateLocked(seq uint64) error {
 // syncLoop is the FsyncInterval background syncer.
 func (w *WAL) syncLoop() {
 	defer close(w.done)
-	ticker := time.NewTicker(w.cfg.SyncInterval)
+	ticker := time.NewTicker(walSyncInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -503,7 +489,7 @@ func (w *WAL) Dir() string { return w.dir }
 func (w *WAL) maybeCheckpoint(t *Table) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed || len(w.sealed) <= w.cfg.CheckpointSegments {
+	if w.closed || len(w.sealed) <= w.checkpointSegments {
 		return nil
 	}
 	frame := walFrame(encodeWALCheckpoint(nil, t, w.baseRows))

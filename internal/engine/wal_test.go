@@ -299,18 +299,19 @@ func TestWALZeroLengthTail(t *testing.T) {
 // files — and recovery through the checkpoint is still bit-identical.
 func TestWALCheckpointBoundsLog(t *testing.T) {
 	dir := t.TempDir()
-	cfg := WALConfig{Policy: FsyncNever, MaxSegmentBytes: 4 << 10, CheckpointSegments: 2}
+	cfg := WALConfig{Policy: FsyncNever}
 	live := walTestDB(t, 7)
 	w, _, err := live.AttachWAL("events", dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.segmentBytes, w.checkpointSegments = 4<<10, 2
 	walTestApply(t, live, 12)
 	ws := w.Stats()
 	if ws.Checkpoints == 0 {
-		t.Fatalf("no checkpoint after 12 flushes with %d-byte segments: %+v", cfg.MaxSegmentBytes, ws)
+		t.Fatalf("no checkpoint after 12 flushes with %d-byte segments: %+v", w.segmentBytes, ws)
 	}
-	if ws.Segments > cfg.CheckpointSegments+2 {
+	if ws.Segments > w.checkpointSegments+2 {
 		t.Fatalf("log unbounded: %d segments live", ws.Segments)
 	}
 	if err := w.CheckpointErr(); err != nil {
@@ -393,7 +394,7 @@ func TestWALFsyncPolicies(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
 		t.Run(policy.String(), func(t *testing.T) {
 			db := walTestDB(t, 7)
-			w, _, err := db.AttachWAL("events", t.TempDir(), WALConfig{Policy: policy, SyncInterval: time.Millisecond})
+			w, _, err := db.AttachWAL("events", t.TempDir(), WALConfig{Policy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}

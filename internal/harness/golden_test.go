@@ -18,7 +18,7 @@ var goldenExperiments = []string{"t1", "t2", "t3", "s1", "fig18", "fig19", "fig2
 
 // TestPaperTablesGolden pins the reproduction itself: the listed experiments
 // at -small scale, rendered exactly as `maliva-bench -small` prints them. The
-// lab pipeline is seeded and bit-identical at any worker count, so any diff
+// lab pipeline is seeded and bit-identical at any GOMAXPROCS, so any diff
 // means a change under core, qte, nn, bao, harness or engine moved a paper
 // number. Re-baseline intentionally with:
 //

@@ -26,10 +26,6 @@ type Lab struct {
 	Train []*core.QueryContext
 	Val   []*core.QueryContext
 	Eval  []*core.QueryContext
-
-	// Lookups is the shared predicate-lookup cache when the lab was built
-	// with LabConfig.SharedLookups (nil otherwise).
-	Lookups *engine.LookupCache
 }
 
 // LabConfig sizes a lab.
@@ -39,44 +35,25 @@ type LabConfig struct {
 	Space      core.SpaceSpec
 	Budget     float64
 	Seed       int64
-	// Parallel is the worker count for ground-truth construction: 0 means
-	// GOMAXPROCS, 1 forces the serial path. Every context derives its
-	// randomness from the per-query fingerprint, so the built lab is
-	// bit-identical at any worker count.
-	Parallel int
-	// SharedLookups shares one predicate-lookup cache across the whole lab
-	// build (all splits) instead of a fresh cache per context, so the index
-	// scans of predicates that recur across queries run once. Cached scans
-	// return the exact rows and entry counts a fresh scan would, so the
-	// built lab is bit-identical either way; the tradeoff is one map
-	// spanning every distinct predicate in the workload. The cache is
-	// exposed as Lab.Lookups for hit-rate inspection.
-	SharedLookups bool
 	// Progress, when non-nil, receives coarse progress lines.
 	Progress io.Writer
 }
 
 // BuildLab generates queries, splits them per the paper's protocol, and
 // builds ground-truth contexts for every split. Context construction — the
-// pipeline's dominant cost — fans out across queries on a bounded worker
-// pool; results land in per-query slots so ordering and content match the
-// serial path exactly.
+// pipeline's dominant cost — fans out across queries over GOMAXPROCS
+// workers. Every context derives its randomness from the per-query
+// fingerprint and lands in its own slot, so the built lab is bit-identical
+// at any GOMAXPROCS.
 func BuildLab(ds *workload.Dataset, cfg LabConfig) (*Lab, error) {
 	queries := workload.GenerateQueries(ds, cfg.NumQueries, cfg.QuerySpec)
 	trainQ, valQ, evalQ := workload.Split(queries, cfg.Seed)
 	lab := &Lab{DS: ds, Spec: cfg.Space, Budget: cfg.Budget}
 	ctxCfg := core.DefaultContextConfig(cfg.Space)
 	ctxCfg.Seed = cfg.Seed
-	// The outer per-query pool owns the worker budget; option executions
-	// inside each context stay serial to avoid oversubscription.
-	ctxCfg.Parallel = 1
-	if cfg.SharedLookups {
-		lab.Lookups = engine.NewLookupCache()
-		ctxCfg.Lookups = lab.Lookups
-	}
 	build := func(qs []*engine.Query, tag string) ([]*core.QueryContext, error) {
 		out := make([]*core.QueryContext, len(qs))
-		err := core.RunIndexed(len(qs), cfg.Parallel, func(i int) error {
+		err := core.RunIndexed(len(qs), func(i int) error {
 			ctx, err := core.BuildContext(ds.DB, qs[i], ctxCfg)
 			if err != nil {
 				return fmt.Errorf("harness: %s query %d: %w", tag, i, err)
@@ -123,11 +100,6 @@ type TrainAgentConfig struct {
 	// Seeds trains one agent per seed and keeps the best on validation VQP
 	// (the paper's hold-out validation, §7.1).
 	Seeds []int64
-	// Parallel is the worker count for per-seed training: 0 means
-	// GOMAXPROCS, 1 forces the serial path. Each seed's training is fully
-	// determined by its own RNG, so the selected agent is identical at any
-	// worker count.
-	Parallel int
 	// Contexts overrides the training set (defaults to l.Train).
 	Contexts []*core.QueryContext
 	// ValContexts overrides the validation set (defaults to l.Val).
@@ -136,9 +108,10 @@ type TrainAgentConfig struct {
 
 // TrainAgent trains MDP agents with hold-out validation and returns the
 // best, along with its validation VQP. The per-seed runs are independent
-// (contexts are read-only during training) and fan out across workers; the
-// winner is selected in seed order afterwards, exactly as the serial loop
-// would.
+// (contexts are read-only during training, and each seed's training is fully
+// determined by its own RNG) and fan out over GOMAXPROCS workers; the winner
+// is selected in seed order afterwards, so it is the same agent at any
+// GOMAXPROCS.
 func (l *Lab) TrainAgent(cfg TrainAgentConfig) (*core.Agent, float64) {
 	if cfg.Beta <= 0 {
 		cfg.Beta = 1
@@ -161,7 +134,7 @@ func (l *Lab) TrainAgent(cfg TrainAgentConfig) (*core.Agent, float64) {
 	envCfg := core.EnvConfig{Budget: l.Budget, QTE: cfg.QTE, Beta: cfg.Beta}
 	agents := make([]*core.Agent, len(cfg.Seeds))
 	scores := make([]float64, len(cfg.Seeds))
-	_ = core.RunIndexed(len(cfg.Seeds), cfg.Parallel, func(i int) error {
+	_ = core.RunIndexed(len(cfg.Seeds), func(i int) error {
 		acfg := cfg.Agent
 		acfg.Seed = cfg.Seeds[i]
 		agent := core.NewAgent(acfg, n)

@@ -8,43 +8,46 @@ import (
 	"github.com/maliva/maliva/internal/workload"
 )
 
-// TestBuildLabSharedLookupsDeterministic: building the lab through one
-// lab-scope lookup cache yields bit-identical ground truth to the default
-// per-context caches — cached index scans return exactly what a fresh scan
-// would. Run with -race (the shared cache sees every build worker).
+// TestBuildLabSharedLookupsDeterministic: the lab's contexts, each built
+// behind its own per-build memo only, are bit-identical to the same
+// queries' contexts built through one lookup cache shared across the whole
+// workload — the way a server shares one across requests. A cached index
+// scan returns exactly the rows and entry counts a fresh scan would.
 func TestBuildLabSharedLookupsDeterministic(t *testing.T) {
-	dcfg, baseCfg := parallelTestLabConfig(4)
+	dcfg, lcfg := parallelTestLabConfig()
 	ds, err := workload.Twitter(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := BuildLab(ds, baseCfg)
+	lab, err := BuildLab(ds, lcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Lookups != nil {
-		t.Error("default build should not expose a shared cache")
-	}
 
+	// A fresh dataset keeps the shared-cache builds independent of the lab's.
 	ds2, err := workload.Twitter(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sharedCfg := parallelTestLabConfig(4)
-	sharedCfg.SharedLookups = true
-	shared, err := BuildLab(ds2, sharedCfg)
-	if err != nil {
-		t.Fatal(err)
+	shared := engine.NewLookupCache()
+	cfg := core.DefaultContextConfig(lcfg.Space)
+	cfg.Seed = lcfg.Seed
+	cfg.Lookups = shared
+	build := func(qs []*engine.Query) []*core.QueryContext {
+		out := make([]*core.QueryContext, len(qs))
+		for i, q := range qs {
+			if out[i], err = core.BuildContext(ds2.DB, q, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
 	}
-	if shared.Lookups == nil {
-		t.Fatal("SharedLookups build did not expose the cache")
-	}
+	trainQ, valQ, evalQ := workload.Split(workload.GenerateQueries(ds2, lcfg.NumQueries, lcfg.QuerySpec), lcfg.Seed)
+	contextsEqual(t, "train", lab.Train, build(trainQ))
+	contextsEqual(t, "val", lab.Val, build(valQ))
+	contextsEqual(t, "eval", lab.Eval, build(evalQ))
 
-	contextsEqual(t, "train", base.Train, shared.Train)
-	contextsEqual(t, "val", base.Val, shared.Val)
-	contextsEqual(t, "eval", base.Eval, shared.Eval)
-
-	hits, misses := shared.Lookups.Stats()
+	hits, misses := shared.Stats()
 	if hits == 0 {
 		t.Error("shared cache saw no cross-context hits — sharing is not wired")
 	}
@@ -52,7 +55,7 @@ func TestBuildLabSharedLookupsDeterministic(t *testing.T) {
 		t.Error("shared cache reports zero misses")
 	}
 	t.Logf("shared lookup cache: %d hits, %d misses (%.0f%% hit rate, %d entries)",
-		hits, misses, 100*float64(hits)/float64(hits+misses), shared.Lookups.Len())
+		hits, misses, 100*float64(hits)/float64(hits+misses), shared.Len())
 }
 
 // BenchmarkBuildLabLookupSharing compares the lab build with per-context

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/maliva/maliva/internal/core"
@@ -11,7 +12,7 @@ import (
 
 // parallelTestLabConfig returns a small-but-real lab configuration shared by
 // the determinism tests below.
-func parallelTestLabConfig(parallel int) (workload.Config, LabConfig) {
+func parallelTestLabConfig() (workload.Config, LabConfig) {
 	dcfg := workload.TwitterConfig()
 	dcfg.Rows = 6_000
 	dcfg.Scale = 100e6 / float64(dcfg.Rows)
@@ -21,9 +22,15 @@ func parallelTestLabConfig(parallel int) (workload.Config, LabConfig) {
 		Space:      core.HintOnlySpec(),
 		Budget:     500,
 		Seed:       9,
-		Parallel:   parallel,
 	}
 	return dcfg, lcfg
+}
+
+// atGOMAXPROCS runs fn with GOMAXPROCS — and so the width of every
+// RunIndexed pool — set to procs, restoring it afterwards.
+func atGOMAXPROCS(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
 }
 
 // contextsEqual compares every observable ground-truth field of two context
@@ -59,16 +66,18 @@ func contextsEqual(t *testing.T, tag string, a, b []*core.QueryContext) {
 	}
 }
 
-// TestBuildLabParallelDeterministic: the parallel ground-truth pipeline is
-// bit-identical to the serial one across every split. Run with -race to
-// exercise the concurrency claims of the engine and pipeline.
+// TestBuildLabParallelDeterministic: the ground-truth pipeline on three
+// processors is bit-identical to the one on one processor (the inline path)
+// across every split. Run with -race to exercise the concurrency claims of
+// the engine and pipeline.
 func TestBuildLabParallelDeterministic(t *testing.T) {
-	dcfg, serialCfg := parallelTestLabConfig(1)
+	dcfg, lcfg := parallelTestLabConfig()
 	ds, err := workload.Twitter(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := BuildLab(ds, serialCfg)
+	var serial *Lab
+	atGOMAXPROCS(1, func() { serial, err = BuildLab(ds, lcfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +88,8 @@ func TestBuildLabParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parCfg := parallelTestLabConfig(4)
-	par, err := BuildLab(ds2, parCfg)
+	var par *Lab
+	atGOMAXPROCS(3, func() { par, err = BuildLab(ds2, lcfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +99,11 @@ func TestBuildLabParallelDeterministic(t *testing.T) {
 	contextsEqual(t, "eval", serial.Eval, par.Eval)
 }
 
-// TestTrainAgentParallelDeterministic: per-seed training on a worker pool
-// selects the same agent (same validation score, same policy decisions) as
-// the serial loop.
+// TestTrainAgentParallelDeterministic: per-seed training on three
+// processors selects the same agent (same validation score, same policy
+// decisions) as on one.
 func TestTrainAgentParallelDeterministic(t *testing.T) {
-	dcfg, lcfg := parallelTestLabConfig(0)
+	dcfg, lcfg := parallelTestLabConfig()
 	ds, err := workload.Twitter(dcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +117,11 @@ func TestTrainAgentParallelDeterministic(t *testing.T) {
 	acfg.MinEpochs = 2
 	est := qte.NewAccurateQTE()
 
-	serialAgent, serialScore := lab.TrainAgent(TrainAgentConfig{
-		Agent: acfg, QTE: est, Seeds: []int64{7, 17, 23}, Parallel: 1,
-	})
-	parAgent, parScore := lab.TrainAgent(TrainAgentConfig{
-		Agent: acfg, QTE: est, Seeds: []int64{7, 17, 23}, Parallel: 3,
-	})
+	tcfg := TrainAgentConfig{Agent: acfg, QTE: est, Seeds: []int64{7, 17, 23}}
+	var serialAgent, parAgent *core.Agent
+	var serialScore, parScore float64
+	atGOMAXPROCS(1, func() { serialAgent, serialScore = lab.TrainAgent(tcfg) })
+	atGOMAXPROCS(3, func() { parAgent, parScore = lab.TrainAgent(tcfg) })
 	if serialScore != parScore {
 		t.Fatalf("validation score %v (parallel) vs %v (serial)", parScore, serialScore)
 	}

@@ -110,7 +110,7 @@ func NewGateway(reg *workload.Registry, factory RewriterFactory, cfg GatewayConf
 	}
 	admit := newAdmission(defaultConcurrency(), admitQueueCap)
 	built := make([]*Server, len(names))
-	if err := core.RunIndexed(len(names), 0, func(i int) error {
+	if err := core.RunIndexed(len(names), func(i int) error {
 		srv, err := buildServer(reg, names[i], factory, cfg)
 		if err != nil {
 			return err

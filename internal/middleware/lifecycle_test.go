@@ -218,8 +218,7 @@ func TestServerDrainAndClose(t *testing.T) {
 	if s.DataVersion() == v0 {
 		t.Fatal("accepted rows never applied")
 	}
-	total, _ := s.Ingestor().Totals()
-	if total != int64(len(rows)) {
+	if total := s.metrics.ingestRows.Load(); total != int64(len(rows)) {
 		t.Fatalf("applied rows = %d, want %d", total, len(rows))
 	}
 	if err := s.Close(); err != nil {

@@ -108,7 +108,7 @@ type Metrics struct {
 
 	budgetViolations atomic.Int64 // served responses with Trace.Viable == false
 
-	ingestRows    atomic.Int64 // rows accepted by the write path
+	ingestRows    atomic.Int64 // rows applied by ingest flushes
 	ingestFlushes atomic.Int64 // applied ingest flushes (data-version bumps)
 
 	execCanceled  atomic.Int64 // misses abandoned before counting because the client went away

@@ -236,7 +236,7 @@ func NewServerWithConfig(ds *workload.Dataset, rw core.Rewriter, space core.Spac
 	if s.timeCol == "" && s.geoCol == "" {
 		return nil, fmt.Errorf("middleware: dataset %q has neither a time nor a point filter column", ds.Name)
 	}
-	ing, err := engine.NewIngestor(ds.DB, ds.Main, engine.IngestorConfig{})
+	ing, err := engine.NewIngestor(ds.DB, ds.Main)
 	if err != nil {
 		return nil, err
 	}
